@@ -12,7 +12,7 @@ import json
 from dctk.conjugate import square_sum
 from dctk.fixtures import d2_instance, p2, p2_system
 from dctk.mconvex import dual_certificate, minimize_separable, verify_mconvex_optimality
-from dctk.netflow import certify_flow_square_sum, min_convex_cost_flow, optimal_potential
+from dctk.netflow import certify_flow, optimal_potential
 from dctk.polyhedron import Window, probe_box_integer
 
 
@@ -25,9 +25,8 @@ def main() -> None:
     print("base minimization:", json.dumps(rep.to_json(), sort_keys=True))
 
     inst = d2_instance()
-    x = min_convex_cost_flow(inst)
-    _, pi = optimal_potential(inst)
-    flow_rep = certify_flow_square_sum(inst, x, pi)
+    x, pi = optimal_potential(inst)
+    flow_rep = certify_flow(inst, x, pi)
     print("flow:", list(x), "potential:", list(pi),
           "value:", flow_rep.primal_value)
 

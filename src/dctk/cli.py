@@ -5,7 +5,8 @@ Subcommands: conjugate, minimize {mconvex,m2,flow,boxtdi}, certify
 accept either inline JSON or a path to a JSON file.  Output is
 canonical JSON (sorted keys, compact separators, no floats); exit codes
 are 0 ok, 2 infeasible, 3 unbounded, 4 invalid input, 5 criteria
-violated, 6 inconclusive (bounded search exhausted).
+violated, 6 inconclusive (bounded search exhausted, or primal and
+dual values differ).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
     Unbounded,
     ValueMismatch,
 )
-from .extint import PLUS_INF, is_finite
+from .extint import is_finite
 from .extint import to_json as ext_json
 
 EXIT_OK = 0
@@ -92,8 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     mf = msub.add_parser("flow")
     mf.add_argument("--instance", required=True)
-    mf.add_argument("--variant", choices=[netflow.NONNEG, netflow.FREE],
-                    default=netflow.NONNEG)
     mf.add_argument("--json-out")
 
     mb = msub.add_parser("boxtdi")
@@ -117,8 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cf.add_argument("--instance", required=True)
     cf.add_argument("--flow", required=True)
     cf.add_argument("--potential", required=True)
-    cf.add_argument("--variant", choices=[netflow.NONNEG, netflow.FREE],
-                    default=netflow.NONNEG)
     cf.add_argument("--json-out")
 
     iv = sub.add_parser("inverse", help="inverse optimization")
@@ -174,26 +171,26 @@ def _cmd_minimize_m2(args) -> int:
 
 def _cmd_minimize_flow(args) -> int:
     inst = netflow.FlowInstance.from_json(_load_json(args.instance))
-    feasible, witness = netflow.hoffman_feasible(inst.digraph, inst.m)
-    if all(v == 0 for v in inst.lower) and all(
-        not is_finite(v) for v in inst.upper
-    ) and not feasible:
+    try:
+        x, pi = netflow.optimal_potential(inst)
+    except Infeasible as e:
         _emit(
-            {"status": "INFEASIBLE", "violating_set": list(witness)},
+            {"status": "INFEASIBLE", "violating_set": list(e.violating_set)},
             args.json_out,
         )
         return EXIT_INFEASIBLE
-    x, pi = netflow.optimal_potential(inst)
+    value = inst.cost.value(x)
+    dual = netflow.flow_dual_value(inst, pi)
+    equal = value == dual
     payload = {
-        "status": "OK",
+        "status": "OK" if equal else "INCONCLUSIVE",
         "flow": list(x),
-        "value": ext_json(inst.cost.value(x)),
+        "value": ext_json(value),
         "potential": list(pi),
-        "variant": args.variant,
-        "dual_value": netflow.flow_dual_value(inst.digraph, inst.m, pi, args.variant),
+        "dual_value": ext_json(dual),
     }
     _emit(payload, args.json_out)
-    return EXIT_OK
+    return EXIT_OK if equal else EXIT_INCONCLUSIVE
 
 
 def _cmd_minimize_boxtdi(args) -> int:
@@ -246,7 +243,7 @@ def _cmd_certify_flow(args) -> int:
         pi = tuple(pi_obj[v] for v in inst.digraph.nodes)
     else:
         pi = tuple(pi_obj)
-    report = netflow.certify_flow_square_sum(inst, x, pi, args.variant)
+    report = netflow.certify_flow(inst, x, pi)
     _emit({"status": "OK", "report": report.to_json()}, args.json_out)
     return EXIT_OK
 
@@ -332,7 +329,7 @@ def run_selftest(seed: int = 1) -> list:
     x, pi = netflow.optimal_potential(inst)
     check("d2-flow", x == (1, 1))
     try:
-        netflow.certify_flow_square_sum(inst, x, pi)
+        netflow.certify_flow(inst, x, pi)
     except DctkError:
         failures.append("d2-certificate")
 

@@ -21,10 +21,6 @@ class UnsupportedForm(DctkError):
     """No closed-form conjugate applies to this function shape."""
 
 
-class DegenerateSystem(DctkError):
-    """Basic-solution enumeration cannot certify an LP optimum."""
-
-
 class NotPrimalFeasible(DctkError):
     """Claimed primal point violates the linear system."""
 
@@ -42,11 +38,14 @@ class Unbounded(DctkError):
 
 
 class Infeasible(DctkError):
-    """No feasible point exists."""
+    """No feasible point exists.
 
+    violating_set, when given, names the nodes of a flow instance whose
+    cut certifies it (see :mod:`dctk.netflow`)."""
 
-class InfiniteSlope(DctkError):
-    """Every candidate slope in a dual certificate is infinite."""
+    def __init__(self, message: str = "", violating_set=None):
+        super().__init__(message)
+        self.violating_set = violating_set
 
 
 class EmptyIntersection(DctkError):

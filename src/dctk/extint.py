@@ -113,14 +113,6 @@ def ext_min(*vals: ExtInt) -> ExtInt:
     return best
 
 
-def ext_max(*vals: ExtInt) -> ExtInt:
-    best = vals[0]
-    for v in vals[1:]:
-        if v > best:
-            best = v
-    return best
-
-
 def ext_sum(vals) -> ExtInt:
     total: ExtInt = 0
     for v in vals:

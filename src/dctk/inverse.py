@@ -17,9 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import ratlin
 from .conjugate import (
     FlatBottom,
-    Quadratic,
     SeparableConvex,
-    Shifted,
     UnivariateConvex,
     VShape,
 )
@@ -209,18 +207,6 @@ def box_deviation(
         tuple(
             (e, FlatBottom(a, b, -p, q))
             for e, a, b, p, q in zip(elements, l0, u0, c1, c2)
-        )
-    )
-
-
-def weighted_square_deviation(
-    w0: Sequence[int], a: Sequence[int], elements: Sequence[str]
-) -> SeparableConvex:
-    """Phi(w) = sum a(s) * (w(s) - w0(s))^2."""
-    return SeparableConvex(
-        tuple(
-            (e, Shifted(k0, Quadratic(c)))
-            for e, k0, c in zip(elements, w0, a)
         )
     )
 

@@ -2,12 +2,22 @@
 
 An m-flow x assigns an integer to every arc so that inflow minus
 outflow at node v equals m(v), with f <= x <= g.  The solver finds a
-feasible flow by unit augmentations, then cancels negative-cost simple
-cycles in the residual graph (forward cost phi'(x), backward
--phi'(x-1)); with unit pushes this is exact for convex costs.
-Potentials extracted from residual shortest paths certify square-sum
-optima.  Graphs here are tiny, so cycle detection is plain DFS
-enumeration rather than anything clever.
+feasible flow by unit augmentations along breadth-first paths, then
+cancels negative residual cycles found by Bellman-Ford (a forward step
+costs phi(x+1) - phi(x), a backward one phi(x-1) - phi(x)); with unit
+pushes this is exact for convex costs.  The final distances are an
+optimal node potential pi.  Any optimal pi fixes the whole optimal set,
+so the lexicographically least optimum is reached by pushing units
+around cycles of zero reduced cost (Ahuja, Magnanti and Orlin, *Network
+Flows*, 1993, ch. 9 and 14).
+
+A potential pi certifies a lower bound through the conjugate min-max
+formula for flows,
+
+    min sum_a phi_a(x_a) = max_pi m.pi - sum_a psi_a*(pi(head) - pi(tail)),
+
+where psi_a is phi_a restricted to [f_a, g_a].  An infeasible instance
+is certified by the node set its last breadth-first search reached.
 """
 
 from __future__ import annotations
@@ -15,16 +25,13 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
-from .conjugate import Quadratic, SeparableConvex, separable_to_json
+from .conjugate import Quadratic, Restricted, SeparableConvex, conjugate_eval, separable_to_json
 from .conjugate import from_json as phi_from_json
 from .errors import Infeasible, NotFeasible, Unbounded, ValueMismatch
-from .extint import MINUS_INF, PLUS_INF, ExtInt, bound_from_json, bound_to_json, is_finite
+from .extint import PLUS_INF, ExtInt, bound_from_json, bound_to_json, is_finite
 from .polyhedron import GEQ, LinearSystem, MinMaxReport, Row
-
-NONNEG = "nonneg"
-FREE = "free"
 
 
 @dataclass(frozen=True)
@@ -37,10 +44,6 @@ class Digraph:
         for u, v in self.arcs:
             if u not in known or v not in known:
                 raise ValueError(f"arc ({u},{v}) uses an undeclared node")
-
-    def node_index(self, v: str) -> int:
-        return self.nodes.index(v)
-
 
 def incidence_matrix(d: Digraph) -> List[Tuple[int, ...]]:
     """One row per node: +1 entering, -1 leaving, 0 otherwise (loops 0)."""
@@ -125,231 +128,229 @@ def square_sum_instance(
     return FlowInstance(d, tuple(m), tuple(lower), tuple(upper), cost)
 
 
-def hoffman_feasible(d: Digraph, m: Sequence[int]):
-    """Nonnegative uncapacitated m-flow existence: every node set with no
-    leaving arc must have nonnegative total demand.  Returns (True, None)
-    or (False, first violating node set)."""
-    n = len(d.nodes)
-    idx = {v: i for i, v in enumerate(d.nodes)}
-    for bits in range(1, 1 << n):
-        leaves = any(
-            bits >> idx[u] & 1 and not bits >> idx[v] & 1 for u, v in d.arcs
-        )
-        if leaves:
-            continue
-        total = sum(m[i] for i in range(n) if bits >> i & 1)
-        if total < 0:
-            return (False, tuple(d.nodes[i] for i in range(n) if bits >> i & 1))
-    return (True, None)
+# Residual graph: arcs are (tail, head, arc index, +1 forward / -1 backward)
+# on node indices, in arc order with the forward arc first.
 
 
-def _excess(inst: FlowInstance, x: Sequence[int]) -> List[int]:
-    """inflow - outflow - m per node; all zero means conservation."""
-    rows = incidence_matrix(inst.digraph)
-    return [
-        sum(c * xv for c, xv in zip(row, x)) - inst.m[i]
-        for i, row in enumerate(rows)
-    ]
+def _ends(inst: FlowInstance) -> List[Tuple[int, int]]:
+    idx = {v: i for i, v in enumerate(inst.digraph.nodes)}
+    return [(idx[t], idx[h]) for t, h in inst.digraph.arcs]
 
 
-def _initial_flow(inst: FlowInstance) -> List[int]:
-    """Any integral flow within bounds meeting conservation, by unit
-    augmentations from surplus to deficit nodes in the residual graph."""
-    x: List[int] = []
-    for lo, hi in zip(inst.lower, inst.upper):
-        if is_finite(lo):
-            start = lo if (lo > 0 or hi < 0) else max(lo, min(0, hi) if is_finite(hi) else 0)
-        elif is_finite(hi):
-            start = min(0, hi)
-        else:
-            start = 0
-        x.append(start)
-    d = inst.digraph
-    n = len(d.nodes)
-    idx = {v: i for i, v in enumerate(d.nodes)}
-    for _ in range(100000):
-        exc = _excess(inst, x)
-        sources = {i for i in range(n) if exc[i] > 0}
-        sinks = {i for i in range(n) if exc[i] < 0}
-        if not sources:
-            return x
-        prev: Dict[int, Tuple[int, int]] = {}
-        seen = set(sources)
-        queue = deque(sorted(sources))
-        target = None
-        while queue:
-            u = queue.popleft()
-            if u in sinks:
-                target = u
-                break
-            for ai, (t, h) in enumerate(d.arcs):
-                ti, hi_ = idx[t], idx[h]
-                if ti == u and x[ai] < inst.upper[ai] and hi_ not in seen:
-                    seen.add(hi_)
-                    prev[hi_] = (ai, +1)
-                    queue.append(hi_)
-                if hi_ == u and x[ai] > inst.lower[ai] and ti not in seen:
-                    seen.add(ti)
-                    prev[ti] = (ai, -1)
-                    queue.append(ti)
-        if target is None:
-            raise Infeasible("no augmenting path between surplus and deficit")
-        v = target
-        while v in prev:
-            ai, sgn = prev[v]
-            x[ai] += sgn
-            t, h = d.arcs[ai]
-            v = idx[t] if sgn == +1 else idx[h]
-    raise Infeasible("augmentation guard exceeded")
-
-
-def _residual_arcs(inst: FlowInstance, x: Sequence[int]):
-    """(tail_idx, head_idx, cost, arc_idx, direction) residual arcs."""
-    d = inst.digraph
-    idx = {v: i for i, v in enumerate(d.nodes)}
+def _residual_arcs(inst: FlowInstance, ends, x: Sequence[int], first: int = 0):
+    """Residual arcs of the arcs from index `first` on."""
     out = []
-    for ai, (t, h) in enumerate(d.arcs):
-        phi = inst.cost.parts[ai][1]
+    for ai, (t, h) in enumerate(ends[first:], first):
         if x[ai] < inst.upper[ai]:
-            c = phi.value(x[ai] + 1) - phi.value(x[ai])
-            out.append((idx[t], idx[h], c, ai, +1))
+            out.append((t, h, ai, +1))
         if x[ai] > inst.lower[ai]:
-            c = -(phi.value(x[ai]) - phi.value(x[ai] - 1))
-            out.append((idx[h], idx[t], c, ai, -1))
+            out.append((h, t, ai, -1))
     return out
 
 
-def _find_negative_cycle(n: int, arcs) -> Optional[List[Tuple[int, int]]]:
-    """Most negative node-simple residual cycle by DFS enumeration;
-    None when every cycle has nonnegative cost.  Fine for tiny graphs."""
-    finite = []
-    for u, v, c, ai, sgn in arcs:
-        if not is_finite(c):
-            if c is MINUS_INF:
-                raise Unbounded("residual arc with infinitely negative cost")
-            continue  # PLUS_INF cost: unusable arc
-        finite.append((u, v, c, ai, sgn))
-    adj: Dict[int, List[Tuple[int, int, int, int]]] = {}
-    for u, v, c, ai, sgn in finite:
-        adj.setdefault(u, []).append((v, c, ai, sgn))
+def _priced_arcs(inst: FlowInstance, ends, x: Sequence[int], first: int = 0):
+    """(tail, head, cost, arc index, direction) for the residual arcs."""
+    out = []
+    for u, v, ai, sgn in _residual_arcs(inst, ends, x, first):
+        phi = inst.cost.parts[ai][1]
+        out.append((u, v, phi.value(x[ai] + sgn) - phi.value(x[ai]), ai, sgn))
+    return out
 
-    best_cost = 0
-    best: Optional[List[Tuple[int, int]]] = None
 
-    def dfs(start, u, cost, path, onpath):
-        nonlocal best_cost, best
-        for v, c, ai, sgn in adj.get(u, ()):
-            if v == start:
-                if cost + c < best_cost:
-                    best_cost = cost + c
-                    best = path + [(ai, sgn)]
-            elif v > start and v not in onpath:
-                onpath.add(v)
-                dfs(start, v, cost + c, path + [(ai, sgn)], onpath)
-                onpath.discard(v)
+def _finite_cost_bounds(inst: FlowInstance) -> FlowInstance:
+    """inst with each arc's bounds narrowed to the domain of its cost, so
+    that every flow within them, and every residual step, has finite
+    cost."""
+    lower, upper = [], []
+    for ai, ((_, phi), lo, hi) in enumerate(zip(inst.cost.parts, inst.lower, inst.upper)):
+        dom_lo, dom_hi = phi.dom()
+        lo, hi = max(lo, dom_lo), min(hi, dom_hi)
+        if lo > hi:
+            raise ValueError(f"the cost of arc {ai} is finite nowhere within its bounds")
+        lower.append(lo)
+        upper.append(hi)
+    return FlowInstance(inst.digraph, inst.m, tuple(lower), tuple(upper), inst.cost)
 
-    for s in range(n):
-        dfs(s, s, 0, [], {s})
-    return best
+
+def _bfs(n: int, arcs, sources: Set[int], targets: Set[int]):
+    """Breadth-first search along residual arcs from the sources.
+
+    Returns (path, reached): path lists the (arc index, direction) steps
+    from a source to the first target dequeued, or is None when no
+    target is reachable; reached is the set of nodes seen."""
+    adj: List[list] = [[] for _ in range(n)]
+    for u, v, ai, sgn in arcs:
+        adj[u].append((v, ai, sgn))
+    prev = {}
+    reached = set(sources)
+    queue = deque(sorted(sources))
+    while queue:
+        u = queue.popleft()
+        if u in targets:
+            path = []
+            while u in prev:
+                u, ai, sgn = prev[u]
+                path.append((ai, sgn))
+            return path, reached
+        for v, ai, sgn in adj[u]:
+            if v not in reached:
+                reached.add(v)
+                prev[v] = (u, ai, sgn)
+                queue.append(v)
+    return None, reached
+
+
+def _bellman_ford(n: int, arcs):
+    """Bellman-Ford over priced residual arcs from a virtual source joined
+    to every node by a 0-cost arc (so every distance starts at 0).
+
+    Returns (cycle, None) with a negative cycle as (arc index, direction)
+    steps, or (None, dist) with the shortest distances."""
+    dist = [0] * n
+    pred: List[Optional[Tuple[int, int, int]]] = [None] * n
+    for _ in range(n + 1):
+        last = None
+        for u, v, c, ai, sgn in arcs:
+            if dist[u] + c < dist[v]:
+                dist[v] = dist[u] + c
+                pred[v] = (u, ai, sgn)
+                last = v
+        if last is None:
+            return None, dist
+    # A node relaxed in round n + 1 reaches a predecessor cycle within n
+    # steps back, and every cycle of predecessors is negative.
+    for _ in range(n):
+        last = pred[last][0]
+    cycle = []
+    v = last
+    while True:
+        v, ai, sgn = pred[v]
+        cycle.append((ai, sgn))
+        if v == last:
+            return cycle, None
+
+
+def _excess(inst: FlowInstance, ends, x: Sequence[int]) -> List[int]:
+    """inflow - outflow - m per node; all zero means conservation."""
+    exc = [-mv for mv in inst.m]
+    for (t, h), xv in zip(ends, x):
+        exc[h] += xv
+        exc[t] -= xv
+    return exc
+
+
+def _initial_flow(inst: FlowInstance, ends) -> List[int]:
+    """Any integral flow within bounds meeting conservation, by unit
+    augmentations from surplus to deficit nodes; each one lowers the
+    total surplus by one.
+
+    When no deficit node is reachable, the reached set S holds surplus
+    and no deficit, its leaving arcs sit at their upper bounds and its
+    entering arcs at their lower bounds.  So m(S) < f(entering) -
+    g(leaving), which no feasible flow allows, and S is raised with
+    :class:`Infeasible`."""
+    x = [min(max(0, lo), hi) for lo, hi in zip(inst.lower, inst.upper)]
+    n = len(inst.digraph.nodes)
+    while True:
+        exc = _excess(inst, ends, x)
+        sources = {v for v in range(n) if exc[v] > 0}
+        if not sources:
+            return x
+        sinks = {v for v in range(n) if exc[v] < 0}
+        path, reached = _bfs(n, _residual_arcs(inst, ends, x), sources, sinks)
+        if path is None:
+            nodes = inst.digraph.nodes
+            raise Infeasible(
+                "no augmenting path between surplus and deficit",
+                tuple(nodes[v] for v in sorted(reached)),
+            )
+        for ai, sgn in path:
+            x[ai] += sgn
+
+
+def _cancel_to_optimal(inst: FlowInstance, ends):
+    """(x, dist): an optimal flow and the Bellman-Ford distances that
+    prove it, by canceling negative cycles one unit at a time."""
+    n = len(inst.digraph.nodes)
+    x = _initial_flow(inst, ends)
+    for _ in range(100000):
+        cycle, dist = _bellman_ford(n, _priced_arcs(inst, ends, x))
+        if cycle is None:
+            return x, dist
+        for ai, sgn in cycle:
+            x[ai] += sgn
+    raise Unbounded("cycle canceling budget exhausted")
 
 
 def min_convex_cost_flow(inst: FlowInstance) -> Tuple[int, ...]:
     """Minimum-cost integral m-flow; lexicographically least argmin.
 
-    Cycle canceling with unit pushes, then a per-arc refinement that
-    pins each arc to the smallest value preserving the optimal cost.
+    With pi optimal, the optimal flows are the feasible flows all of
+    whose residual steps have reduced cost c + pi(tail) - pi(head) >= 0.
+    Arc by arc, x_a is lowered one unit at a time around a cycle of zero
+    reduced cost through its backward step and later arcs only, until no
+    such cycle is left.  An arc with an infinite lower bound keeps the
+    value cycle canceling gave it, since its optimal values need not be
+    bounded below.  Bounds are first narrowed to the cost domains, so
+    :class:`Infeasible` means that no flow of finite cost exists.
     """
-    x = _cancel_to_optimal(inst, _initial_flow(inst))
-    opt = inst.cost.value(x)
-
-    pinned_lo = list(inst.lower)
-    pinned_hi = list(inst.upper)
-    for ai in range(len(inst.digraph.arcs)):
-        lo = pinned_lo[ai]
-        start = lo if is_finite(lo) else x[ai]
-        for k in range(start, x[ai]):
-            trial = _solve_restricted(inst, pinned_lo, pinned_hi, ai, k)
-            if trial is not None and inst.cost.value(trial) == opt:
-                x = trial
-                break
-        pinned_lo[ai] = x[ai]
-        pinned_hi[ai] = x[ai]
-    return tuple(x)
-
-
-def _cancel_to_optimal(inst: FlowInstance, x: List[int]) -> List[int]:
+    inst = _finite_cost_bounds(inst)
+    ends = _ends(inst)
     n = len(inst.digraph.nodes)
-    for _ in range(100000):
-        cyc = _find_negative_cycle(n, _residual_arcs(inst, x))
-        if cyc is None:
-            return x
-        for ai, sgn in cyc:
-            x[ai] += sgn
-    raise Unbounded("cycle canceling budget exhausted")
-
-
-def _solve_restricted(inst, lo, hi, ai, k):
-    lo2 = list(lo)
-    hi2 = list(hi)
-    lo2[ai] = k
-    hi2[ai] = k
-    sub = FlowInstance(inst.digraph, inst.m, tuple(lo2), tuple(hi2), inst.cost)
-    try:
-        return _cancel_to_optimal(sub, _initial_flow(sub))
-    except Infeasible:
-        return None
-
-
-def flow_dual_value(
-    d: Digraph, m: Sequence[int], pi: Sequence[int], variant: str = NONNEG
-) -> int:
-    """m.pi minus the per-arc tension penalty floor(q/2)*ceil(q/2), with
-    q = max(tension, 0) for the nonnegative-flow variant and the raw
-    tension for the free variant."""
-    idx = {v: i for i, v in enumerate(d.nodes)}
-    total = sum(mv * pv for mv, pv in zip(m, pi))
-    for t, h in d.arcs:
-        q = pi[idx[h]] - pi[idx[t]]
-        if variant == NONNEG:
-            q = max(q, 0)
-        total -= (q // 2) * ((q + 1) // 2)
-    return total
+    x, pi = _cancel_to_optimal(inst, ends)
+    for a, (t, h) in enumerate(ends):
+        if not is_finite(inst.lower[a]):
+            continue
+        while True:
+            tight = [
+                (u, v, ai, sgn)
+                for u, v, c, ai, sgn in _priced_arcs(inst, ends, x, a)
+                if c + pi[u] - pi[v] == 0
+            ]
+            if (h, t, a, -1) not in tight:
+                break
+            path, _ = _bfs(n, [r for r in tight if r[2] > a], {t}, {h})
+            if path is None:
+                break
+            for ai, sgn in path + [(a, -1)]:
+                x[ai] += sgn
+    return tuple(x)
 
 
 def optimal_potential(inst: FlowInstance) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """Solve the instance and return (x, pi) where pi holds residual
-    shortest distances from a virtual source, shifted so min pi = 0.
+    shortest distances at x from a virtual source, shifted so min pi = 0.
 
     The shift leaves m.pi unchanged because m sums to zero, and the
     resulting pi is componentwise nonnegative.
     """
     x = min_convex_cost_flow(inst)
-    n = len(inst.digraph.nodes)
-    arcs = [(u, v, c) for u, v, c, _, _ in _residual_arcs(inst, x) if is_finite(c)]
-    dist = [0] * n
-    for round_ in range(n + 1):
-        changed = False
-        for u, v, c in arcs:
-            if dist[u] + c < dist[v]:
-                dist[v] = dist[u] + c
-                changed = True
-        if not changed:
-            break
-    if changed:
+    inst = _finite_cost_bounds(inst)
+    cycle, dist = _bellman_ford(len(inst.digraph.nodes), _priced_arcs(inst, _ends(inst), x))
+    if cycle is not None:
         raise ValueMismatch("negative residual cycle at claimed optimum")
     shift = -min(dist)
     return x, tuple(dv + shift for dv in dist)
 
 
-def certify_flow_square_sum(
-    inst: FlowInstance, x: Sequence[int], pi: Sequence[int], variant: str = NONNEG
-) -> MinMaxReport:
-    """Exact equality check square-sum(x) = dual value at pi; equality
+def flow_dual_value(inst: FlowInstance, pi: Sequence[int]) -> ExtInt:
+    """m.pi - sum_a (phi_a on [f_a, g_a])^*(pi(head) - pi(tail)): the lower
+    bound on the minimum cost that the node potential pi certifies."""
+    if len(pi) != len(inst.digraph.nodes):
+        raise ValueError("pi must have one entry per node")
+    total: ExtInt = sum(mv * pv for mv, pv in zip(inst.m, pi))
+    for (t, h), (_, phi), lo, hi in zip(_ends(inst), inst.cost.parts, inst.lower, inst.upper):
+        total -= conjugate_eval(Restricted(lo, hi, phi), pi[h] - pi[t])
+    return total
+
+
+def certify_flow(inst: FlowInstance, x: Sequence[int], pi: Sequence[int]) -> MinMaxReport:
+    """Exact equality check cost(x) = flow_dual_value(pi); equality
     certifies optimality of both sides."""
     if not inst.is_feasible_flow(x):
         raise NotFeasible(f"x={tuple(x)} is not a feasible flow")
-    primal = sum(v * v for v in x)
-    dual = flow_dual_value(inst.digraph, inst.m, pi, variant)
+    primal = inst.cost.value(x)
+    dual = flow_dual_value(inst, pi)
     if primal != dual:
         raise ValueMismatch(primal, dual)
     return MinMaxReport(

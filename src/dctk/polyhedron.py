@@ -192,11 +192,6 @@ def enumerate_integer_points(sys: LinearSystem, win: Window) -> List[Tuple[int, 
     return [z for z in win.points() if sys.contains(z)]
 
 
-def _integerized_solution(rows, rhs, ncols):
-    sol = ratlin.solve_unique(rows, rhs)
-    return sol
-
-
 def _basic_data(sys: LinearSystem):
     """(vertices, rays, lineality) of the system, cached on the instance.
 

@@ -88,8 +88,3 @@ def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Vec]:
 
 def dot(a: Sequence, b: Sequence):
     return sum(x * y for x, y in zip(a, b))
-
-
-def rank(rows: Sequence[Sequence]) -> int:
-    _, pivots = rref(rows)
-    return len(pivots)

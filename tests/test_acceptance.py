@@ -58,9 +58,8 @@ from dctk.mconvex import (
     verify_mconvex_optimality,
 )
 from dctk.netflow import (
-    NONNEG,
     Digraph,
-    certify_flow_square_sum,
+    certify_flow,
     embedding_system,
     enumerate_flows,
     min_convex_cost_flow,
@@ -280,23 +279,24 @@ def test_criterion_5_m2_intersection_duality():
 
 def test_criterion_6_flow_duality_and_potentials():
     """Cycle-canceling optimum matches flow enumeration on >= 50
-    instances; the extracted potential certifies every uncapacitated
-    instance; >= 5 linear-system embeddings reproduce the optimum."""
+    instances; the extracted potential certifies every instance and its
+    uncapacitated copy; >= 5 linear-system embeddings reproduce the
+    optimum."""
     with Budget(60):
         corpus = flow_corpus()
         assert len(corpus) >= 50
         for inst in corpus:
-            x = min_convex_cost_flow(inst)
+            x, pi = optimal_potential(inst)
             assert inst.is_feasible_flow(x)
             flows = enumerate_flows(inst)
             best = min(inst.cost.value(f) for f in flows)
             assert inst.cost.value(x) == best
+            assert certify_flow(inst, x, pi).equality
             uncapped = square_sum_instance(
                 inst.digraph, inst.m, lower=inst.lower
             )
-            xo, pi = optimal_potential(uncapped)
-            rep = certify_flow_square_sum(uncapped, xo, pi)
-            assert rep.equality
+            xo, pio = optimal_potential(uncapped)
+            assert certify_flow(uncapped, xo, pio).equality
         embedded = 0
         for inst in corpus:
             demand = sum(v for v in inst.m if v > 0)

@@ -18,6 +18,9 @@ DEV2 = {
            "A": None, "B": None},
 }
 
+QUAD3 = {"form": "quadratic", "a": 3}
+D2 = fixtures.d2_instance().to_json()
+
 
 CLI = [sys.executable, "-m", "dctk.cli"]
 
@@ -99,7 +102,41 @@ class TestMinimizeCommands:
         }
         p = run_cli(["minimize", "flow", "--instance", json.dumps(bad)])
         assert p.returncode == cli.EXIT_INFEASIBLE
-        assert json.loads(p.stdout)["status"] == "INFEASIBLE"
+        assert json.loads(p.stdout) == {"status": "INFEASIBLE", "violating_set": ["t"]}
+
+    def test_flow_infeasible_finite_bounds(self):
+        # {s, a} can pass on 2 + 2 units against a demand of 5.
+        bad = {
+            "nodes": ["s", "a", "t"],
+            "arcs": [["s", "a"], ["a", "t"], ["s", "t"]],
+            "m": {"s": -5, "a": 0, "t": 5},
+            "lower": [0, 0, 1],
+            "upper": [10, 2, 2],
+        }
+        p = run_cli(["minimize", "flow", "--instance", json.dumps(bad)])
+        assert p.returncode == cli.EXIT_INFEASIBLE
+        assert json.loads(p.stdout)["violating_set"] == ["s", "a"]
+
+    @pytest.mark.parametrize("inst, value", [
+        # A free arc carrying -2 (the nonnegative-flow dual gave 6).
+        ({"nodes": ["s", "t"], "arcs": [["s", "t"]], "m": {"s": 2, "t": -2},
+          "lower": [None], "upper": [None]}, 4),
+        # d2 with upper bounds 1 and 5, demand 4 (the uncapacitated dual gave 8).
+        ({**D2, "m": {"s": -4, "t": 4}, "upper": [1, 5]}, 10),
+        # d2 with cost 3k^2 per arc (the square-sum dual gave 2).
+        ({**D2, "cost": {"a0": QUAD3, "a1": QUAD3}}, 6),
+    ])
+    def test_flow_dual_equals_value(self, inst, value):
+        p = run_cli(["minimize", "flow", "--instance", json.dumps(inst)])
+        assert p.returncode == 0
+        out = json.loads(p.stdout)
+        assert out["status"] == "OK"
+        assert out["value"] == out["dual_value"] == value
+        assert "variant" not in out
+
+    def test_flow_variant_is_gone(self):
+        p = run_cli(["minimize", "flow", "--instance", json.dumps(D2), "--variant", "free"])
+        assert p.returncode == cli.EXIT_INVALID
 
     def test_boxtdi(self):
         p = run_cli([
@@ -142,6 +179,20 @@ class TestCertifyCommands:
             "--potential", "[0,2]",
         ])
         assert p.returncode == 0
+
+    def test_flow_weighted_cost_pair(self):
+        # The square-sum check reported primal_value 2 for this pair.
+        inst = {**D2, "cost": {"a0": QUAD3, "a1": QUAD3}}
+        p = run_cli([
+            "certify", "flow",
+            "--instance", json.dumps(inst),
+            "--flow", "[1,1]",
+            "--potential", "[0,3]",
+        ])
+        assert p.returncode == 0
+        rep = json.loads(p.stdout)["report"]
+        assert rep["primal_value"] == rep["dual_value"] == 6
+        assert rep["equality"] is True
 
     def test_flow_gap(self):
         p = run_cli([

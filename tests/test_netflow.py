@@ -2,20 +2,17 @@ import random
 
 import pytest
 
-from dctk.conjugate import Quadratic, SeparableConvex, linear_cost, square_sum
+from dctk.conjugate import FlatBottom, Quadratic, SeparableConvex, VShape, linear_fn
 from dctk.errors import Infeasible, NotFeasible, ValueMismatch
-from dctk.extint import PLUS_INF
-from dctk.fixtures import d2, d2_instance, random_flow_instance
+from dctk.extint import MINUS_INF, PLUS_INF, is_finite
+from dctk.fixtures import d2, d2_instance, random_digraph, random_flow_instance
 from dctk.netflow import (
     Digraph,
     FlowInstance,
-    FREE,
-    NONNEG,
-    certify_flow_square_sum,
+    certify_flow,
     embedding_system,
     enumerate_flows,
     flow_dual_value,
-    hoffman_feasible,
     incidence_matrix,
     min_convex_cost_flow,
     optimal_potential,
@@ -24,6 +21,25 @@ from dctk.netflow import (
 from dctk.polyhedron import Window, dual_search_bruteforce, minimize_bruteforce
 
 D2 = d2()
+FREE2 = square_sum_instance(D2, (-2, 2), lower=(MINUS_INF,) * 2, upper=(PLUS_INF,) * 2)
+
+
+def with_cost(inst, parts):
+    """inst with arc costs parts (one per arc, in arc order)."""
+    cost = SeparableConvex(tuple((f"a{i}", p) for i, p in enumerate(parts)))
+    return FlowInstance(inst.digraph, inst.m, inst.lower, inst.upper, cost)
+
+
+def cut_certifies(inst, S):
+    """m(S) < f(arcs entering S) - g(arcs leaving S), which no feasible
+    flow allows (Hoffman's circulation condition)."""
+    arcs = inst.digraph.arcs
+    entering = [lo for (t, h), lo in zip(arcs, inst.lower) if h in S and t not in S]
+    leaving = [hi for (t, h), hi in zip(arcs, inst.upper) if t in S and h not in S]
+    if not all(is_finite(v) for v in entering + leaving):
+        return False
+    m_S = sum(mv for v, mv in zip(inst.digraph.nodes, inst.m) if v in S)
+    return m_S < sum(entering) - sum(leaving)
 
 
 class TestIncidence:
@@ -38,18 +54,60 @@ class TestIncidence:
 
 
 class TestHoffman:
+    """An infeasible instance raises the node set its search reached,
+    and that set violates Hoffman's condition for the instance's bounds."""
+
     def test_d2_feasible(self):
-        ok, _ = hoffman_feasible(D2, (-2, 2))
-        assert ok
+        assert min_convex_cost_flow(square_sum_instance(D2, (-2, 2))) == (1, 1)
 
     def test_reversed_demand(self):
         d = Digraph(("s", "t"), (("s", "t"),))
-        ok, witness = hoffman_feasible(d, (1, -1))
-        assert not ok and witness == ("t",)
+        inst = square_sum_instance(d, (1, -1))
+        with pytest.raises(Infeasible) as err:
+            min_convex_cost_flow(inst)
+        assert err.value.violating_set == ("t",)
+        assert cut_certifies(inst, {"t"})
 
     def test_zero_demand(self):
-        ok, _ = hoffman_feasible(D2, (0, 0))
-        assert ok
+        assert min_convex_cost_flow(square_sum_instance(D2, (0, 0))) == (0, 0)
+
+    def test_finite_bounds_cut(self):
+        # s can send 10 to a but only 2 + 2 onward to t, against a demand of 5.
+        d = Digraph(("s", "a", "t"), (("s", "a"), ("a", "t"), ("s", "t")))
+        inst = square_sum_instance(d, (-5, 0, 5), lower=(0, 0, 1), upper=(10, 2, 2))
+        with pytest.raises(Infeasible) as err:
+            optimal_potential(inst)
+        assert err.value.violating_set == ("s", "a")
+        assert cut_certifies(inst, {"s", "a"})
+        assert not cut_certifies(inst, {"s"})
+
+    def test_cost_domain_cut(self):
+        # Both arcs cost +inf below 1, and t takes in only 1.
+        inst = with_cost(square_sum_instance(D2, (-1, 1)), [VShape(1, 0, 1, 1, 3)] * 2)
+        with pytest.raises(Infeasible) as err:
+            min_convex_cost_flow(inst)
+        assert err.value.violating_set == ("t",)
+        assert cut_certifies(square_sum_instance(D2, (-1, 1), lower=(1, 1)), {"t"})
+
+    def test_random_bounds_match_enumeration(self):
+        rng = random.Random(31)
+        infeasible = 0
+        for _ in range(60):
+            d = random_digraph(rng)
+            lower = tuple(rng.randint(-1, 1) for _ in d.arcs)
+            upper = tuple(lo + rng.randint(0, 2) for lo in lower)
+            m = [rng.randint(-2, 2) for _ in d.nodes[1:]]
+            inst = square_sum_instance(d, [-sum(m)] + m, lower, upper)
+            flows = enumerate_flows(inst)
+            try:
+                x = min_convex_cost_flow(inst)
+            except Infeasible as err:
+                infeasible += 1
+                assert not flows
+                assert cut_certifies(inst, set(err.violating_set))
+            else:
+                assert x in flows
+        assert 10 <= infeasible <= 50
 
 
 class TestSolver:
@@ -58,17 +116,12 @@ class TestSolver:
         assert min_convex_cost_flow(inst) == (1, 1)
 
     def test_d2_weighted(self):
-        cost = SeparableConvex(
-            (("a0", Quadratic(1)), ("a1", Quadratic(3)))
-        )
-        inst = FlowInstance(D2, (-2, 2), (0, 0), (PLUS_INF, PLUS_INF), cost)
+        inst = with_cost(d2_instance(), [Quadratic(1), Quadratic(3)])
         x = min_convex_cost_flow(inst)
         assert x == (1, 1) and inst.cost.value(x) == 4
 
     def test_d2_linear_tie(self):
-        cost = linear_cost(("a0", "a1"), (1, 1))
-        cost = SeparableConvex(tuple(("a%d" % i, p) for i, (_, p) in enumerate(cost.parts)))
-        inst = FlowInstance(D2, (-2, 2), (0, 0), (PLUS_INF, PLUS_INF), cost)
+        inst = with_cost(d2_instance(), [linear_fn(1), linear_fn(1)])
         x = min_convex_cost_flow(inst)
         assert x == (0, 2)  # lexicographically least among cost-2 flows
         assert inst.cost.value(x) == 2
@@ -87,44 +140,107 @@ class TestSolver:
             assert inst.is_feasible_flow(x)
 
     def test_matches_enumeration_random(self):
+        # Square costs, then weighted quadratic, two-slope, flat-bottom and
+        # linear costs (the linear ones tie often), and two-slope costs
+        # finite only on [0, 2], under which some instances have no flow
+        # of finite cost.
+        shapes = (
+            lambda rng: Quadratic(1),
+            lambda rng: Quadratic(rng.randint(2, 4)),
+            lambda rng: VShape(rng.randint(0, 3), rng.randint(-3, 1), rng.randint(1, 4)),
+            lambda rng: FlatBottom(rng.randint(0, 1), rng.randint(1, 3), -rng.randint(0, 2), rng.randint(0, 2)),
+            lambda rng: linear_fn(rng.randint(-1, 1)),
+            lambda rng: VShape(rng.randint(0, 2), -1, rng.randint(0, 2), 0, 2),
+        )
         rng = random.Random(17)
+        no_finite = 0
         for _ in range(20):
-            inst = random_flow_instance(rng)
-            x = min_convex_cost_flow(inst)
-            flows = enumerate_flows(inst)
+            base = random_flow_instance(rng)
+            flows = enumerate_flows(base)
             assert flows
-            best = min(inst.cost.value(f) for f in flows)
-            assert inst.cost.value(x) == best
-            assert x == min(f for f in flows if inst.cost.value(f) == best)
+            for shape in shapes:
+                inst = with_cost(base, [shape(rng) for _ in base.digraph.arcs])
+                best = min(inst.cost.value(f) for f in flows)
+                if not is_finite(best):
+                    no_finite += 1
+                    with pytest.raises(Infeasible):
+                        min_convex_cost_flow(inst)
+                    continue
+                x = min_convex_cost_flow(inst)
+                assert inst.cost.value(x) == best
+                assert x == min(f for f in flows if inst.cost.value(f) == best)
+        assert 0 < no_finite < 10
+
+    def test_cost_domain_narrows_bounds(self):
+        # Each arc costs +inf outside [1, 3]: a start at 0 must not read as
+        # an infinitely negative residual step (it was reported unbounded).
+        inst = with_cost(d2_instance(), [VShape(1, 0, 1, 1, 3)] * 2)
+        x, pi = optimal_potential(inst)
+        assert x == (1, 1)
+        assert certify_flow(inst, x, pi).primal_value == 0
 
 
 class TestDualValue:
     def test_d2_examples(self):
-        assert flow_dual_value(D2, (-2, 2), (0, 2), NONNEG) == 2
-        assert flow_dual_value(D2, (-2, 2), (0, 0), NONNEG) == 0
-        assert flow_dual_value(D2, (-2, 2), (0, 3), NONNEG) == 2
+        inst = d2_instance()
+        assert flow_dual_value(inst, (0, 2)) == 2
+        assert flow_dual_value(inst, (0, 0)) == 0
+        assert flow_dual_value(inst, (0, 3)) == 2
 
     def test_free_variant_counts_negative_tension(self):
-        assert flow_dual_value(D2, (-2, 2), (2, 0), FREE) == -4 - 2
-        assert flow_dual_value(D2, (-2, 2), (2, 0), NONNEG) == -4
+        # Free bounds: each arc pays max_k (-2k - k^2) = 1 at tension -2.
+        assert flow_dual_value(FREE2, (2, 0)) == -4 - 2
+        assert flow_dual_value(d2_instance(), (2, 0)) == -4
+
+    def test_free_arc_equals_primal(self):
+        # The nonnegative-flow dual gave 6 against a cost of 4.
+        d = Digraph(("s", "t"), (("s", "t"),))
+        inst = square_sum_instance(d, (2, -2), lower=(MINUS_INF,), upper=(PLUS_INF,))
+        x, pi = optimal_potential(inst)
+        assert x == (-2,)
+        assert inst.cost.value(x) == flow_dual_value(inst, pi) == 4
+
+    def test_upper_bounds_count(self):
+        # The uncapacitated dual gave 8 against a cost of 10.
+        inst = square_sum_instance(D2, (-4, 4), upper=(1, 5))
+        x, pi = optimal_potential(inst)
+        assert x == (1, 3)
+        assert inst.cost.value(x) == flow_dual_value(inst, pi) == 10
+
+    def test_weighted_cost_counts(self):
+        # The square-sum dual gave 2 against a cost of 6.
+        inst = with_cost(d2_instance(), [Quadratic(3), Quadratic(3)])
+        x, pi = optimal_potential(inst)
+        assert x == (1, 1)
+        assert inst.cost.value(x) == flow_dual_value(inst, pi) == 6
 
 
 class TestCertify:
     def test_d2_equality(self):
-        rep = certify_flow_square_sum(d2_instance(), (1, 1), (0, 2))
+        rep = certify_flow(d2_instance(), (1, 1), (0, 2))
         assert rep.equality and rep.primal_value == 2
 
     def test_d2_gap(self):
         with pytest.raises(ValueMismatch):
-            certify_flow_square_sum(d2_instance(), (2, 0), (0, 2))
+            certify_flow(d2_instance(), (2, 0), (0, 2))
 
     def test_d2_weak_potential(self):
         with pytest.raises(ValueMismatch):
-            certify_flow_square_sum(d2_instance(), (1, 1), (0, 0))
+            certify_flow(d2_instance(), (1, 1), (0, 0))
 
     def test_not_feasible(self):
         with pytest.raises(NotFeasible):
-            certify_flow_square_sum(d2_instance(), (2, 1), (0, 2))
+            certify_flow(d2_instance(), (2, 1), (0, 2))
+
+    def test_potential_length(self):
+        with pytest.raises(ValueError):
+            certify_flow(d2_instance(), (1, 1), (0,))
+
+    def test_weighted_cost_pair(self):
+        # The square-sum check reported a primal value of 2 here.
+        inst = with_cost(d2_instance(), [Quadratic(3), Quadratic(3)])
+        rep = certify_flow(inst, (1, 1), (0, 3))
+        assert rep.equality and rep.primal_value == rep.dual_value == 6
 
     def test_extracted_potential_certifies_random(self):
         rng = random.Random(29)
@@ -133,19 +249,21 @@ class TestCertify:
             uncapped = square_sum_instance(
                 inst.digraph, inst.m, lower=inst.lower
             )
-            x, pi = optimal_potential(uncapped)
-            rep = certify_flow_square_sum(uncapped, x, pi)
-            assert rep.equality
-            assert all(v >= 0 for v in pi) and min(pi) == 0
+            weighted = with_cost(inst, [Quadratic(rng.randint(1, 3)) for _ in inst.digraph.arcs])
+            for case in (inst, uncapped, weighted):
+                x, pi = optimal_potential(case)
+                rep = certify_flow(case, x, pi)
+                assert rep.equality
+                assert all(v >= 0 for v in pi) and min(pi) == 0
 
     def test_weak_duality_over_potential_box(self):
         inst = d2_instance()
         x, _ = optimal_potential(inst)
-        primal = sum(v * v for v in x)
+        primal = inst.cost.value(x)
         bound = 2 * max(x) + 2
         for a in range(-bound, bound + 1):
             for b in range(-bound, bound + 1):
-                assert flow_dual_value(D2, inst.m, (a, b), NONNEG) <= primal
+                assert flow_dual_value(inst, (a, b)) <= primal
 
 
 class TestEmbedding:
@@ -159,7 +277,7 @@ class TestEmbedding:
         # y = (pi, h) with h(a) = max(-tension, 0).
         y = dual.dual_witness.y
         pi = y[: len(D2.nodes)]
-        assert flow_dual_value(D2, inst.m, pi, NONNEG) <= 2
+        assert flow_dual_value(inst, pi) <= 2
 
 
 class TestJson:
