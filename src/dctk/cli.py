@@ -389,26 +389,28 @@ def run(argv: Sequence[str]) -> int:
             return _cmd_selftest(args)
         return EXIT_INVALID
     except Infeasible as e:
-        _emit({"status": "INFEASIBLE", "detail": str(e)}, None)
-        return EXIT_INFEASIBLE
+        payload, code = {"status": "INFEASIBLE", "detail": str(e)}, EXIT_INFEASIBLE
     except (NotFeasible, NotPrimalFeasible, NotSignFeasible) as e:
-        _emit({"status": "CRITERIA_VIOLATED", "detail": str(e)}, None)
-        return EXIT_CRITERIA
+        payload, code = {"status": "CRITERIA_VIOLATED", "detail": str(e)}, EXIT_CRITERIA
     except Unbounded as e:
-        _emit({"status": "UNBOUNDED", "detail": str(e)}, None)
-        return EXIT_UNBOUNDED
+        payload, code = {"status": "UNBOUNDED", "detail": str(e)}, EXIT_UNBOUNDED
     except (CriteriaViolated, ValueMismatch) as e:
-        _emit({"status": "CRITERIA_VIOLATED", "detail": repr(e.args)}, None)
-        return EXIT_CRITERIA
+        payload, code = {"status": "CRITERIA_VIOLATED", "detail": repr(e.args)}, EXIT_CRITERIA
     except NoFeasibleWeight as e:
-        _emit({"status": "INCONCLUSIVE", "detail": str(e)}, None)
-        return EXIT_INCONCLUSIVE
+        payload, code = {"status": "INCONCLUSIVE", "detail": str(e)}, EXIT_INCONCLUSIVE
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     except DctkError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
+    # A failure report honours --json-out like any other payload.
+    try:
+        _emit(payload, args.json_out)
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INVALID
+    return code
 
 
 def main() -> None:

@@ -37,6 +37,9 @@ class Row:
     def __post_init__(self):
         if self.kind not in (GEQ, EQ):
             raise ValueError(f"row kind must be {GEQ!r} or {EQ!r}")
+        # Elimination is exact only over int; bool is not a number here.
+        if not all(type(v) is int for v in (*self.coeffs, self.rhs)):
+            raise ValueError("row coefficients and rhs must be integers")
 
     def satisfied_by(self, x: Sequence) -> bool:
         lhs = ratlin.dot(self.coeffs, x)
@@ -484,32 +487,38 @@ def probe_box_integer(sys: LinearSystem, win: Window):
     A vertex of sys /\\ box is cut out by n independent tight constraints
     drawn from the system rows and coordinate fixings x_i = v with
     integral v in the window, so it suffices to enumerate those bases
-    directly instead of looping over boxes.  Returns (True, None) when
-    every such basic feasible point is integral, else (False, witness).
+    directly instead of looping over boxes.  Each basis is eliminated
+    once, with the fixed coordinates' columns as extra right-hand sides;
+    each tuple of values then costs integer dot products on d*x.  Returns
+    (True, None) when every such basic feasible point is integral, else
+    (False, witness) for the first fractional one in scan order.
     """
     n = sys.n
-    rows = list(sys.rows)
+    rows = sys.rows
     coord_values = [range(l, h + 1) for l, h in zip(win.lo, win.hi)]
     for k in range(0, n + 1):
         for coords in itertools.combinations(range(n), k):
+            free = [j for j in range(n) if j not in coords]
             for ridxs in itertools.combinations(range(len(rows)), n - k):
-                base_rows = [list(rows[i].coeffs) for i in ridxs]
-                base_rhs = [rows[i].rhs for i in ridxs]
+                basis = [rows[i] for i in ridxs]
+                sol = ratlin.solve_int(
+                    [[r.coeffs[j] for j in free] for r in basis],
+                    [[r.rhs] + [-r.coeffs[c] for c in coords] for r in basis],
+                )
+                if sol is None:
+                    continue
+                d, sol_rows = sol
+                if all(v % d == 0 for xr in sol_rows for v in xr):
+                    continue  # every value tuple gives an integral point
+                # x lies in sys and win iff d*x lies in both scaled by d.
+                sys_d = dilation(sys, d)
+                win_d = Window(tuple(l * d for l in win.lo), tuple(h * d for h in win.hi))
                 for vals in itertools.product(*(coord_values[c] for c in coords)):
-                    mat = list(base_rows)
-                    rhs = list(base_rhs)
+                    xd = [0] * n
                     for c, v in zip(coords, vals):
-                        unit = [0] * n
-                        unit[c] = 1
-                        mat.append(unit)
-                        rhs.append(v)
-                    x = ratlin.solve_unique(mat, rhs)
-                    if x is None:
-                        continue
-                    if x not in win:
-                        continue
-                    if not sys.contains(x):
-                        continue
-                    if any(Fraction(v).denominator != 1 for v in x):
-                        return (False, x)
+                        xd[c] = v * d
+                    for j, xr in zip(free, sol_rows):
+                        xd[j] = xr[0] + ratlin.dot(xr[1:], vals)
+                    if xd in win_d and sys_d.contains(xd) and any(v % d for v in xd):
+                        return (False, tuple(Fraction(v, d) for v in xd))
     return (True, None)

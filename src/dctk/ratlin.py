@@ -1,89 +1,87 @@
-"""Small exact linear algebra over Fractions.
+"""Small exact linear algebra over the integers.
 
-Everything here works on lists of rows of :class:`fractions.Fraction`
-(ints are accepted and coerced).  Sizes are desk scale; clarity over
-asymptotics.
+One fraction-free Gauss–Jordan elimination (Bareiss 1968, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination") serves
+every solve: it keeps the matrix in ``int`` throughout, because each
+division by the previous pivot is exact, and reports a common
+denominator instead of building :class:`fractions.Fraction` entries.
+Callers build Fractions only for the results they return.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 Vec = Tuple[Fraction, ...]
 
 
-def _as_fracs(row: Sequence) -> List[Fraction]:
-    return [Fraction(v) for v in row]
+def solve_int(
+    a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]
+) -> Optional[Tuple[int, List[List[int]]]]:
+    """Solve A·X = B over the rationals with integer arithmetic only.
+
+    ``a`` is m rows of n ints and ``b`` is m rows of p ints (the
+    right-hand-side columns side by side).  Returns ``(d, X)`` with
+    ``d > 0`` and X an n-by-p list of int rows such that A·X = d·B, or
+    None when A has rank < n or the system is inconsistent.  After the
+    step on column k every entry is, up to sign, a (k+1)-minor of the
+    row-permuted [A | B], so the division by the previous pivot leaves
+    no remainder.
+    """
+    m = [list(r) + list(s) for r, s in zip(a, b)]
+    n = len(a[0]) if a else 0
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if piv is None:
+            return None
+        m[k], m[piv] = m[piv], m[k]
+        rk = m[k]
+        p = rk[k]
+        for i, ri in enumerate(m):
+            if i != k:
+                f = ri[k]
+                m[i] = [(p * v - f * w) // prev for v, w in zip(ri, rk)]
+        prev = p
+    if any(v for r in m[n:] for v in r[n:]):
+        return None
+    sign = 1 if prev > 0 else -1
+    return prev * sign, [[sign * v for v in r[n:]] for r in m[:n]]
 
 
-def rref(rows: Sequence[Sequence]) -> Tuple[List[List[Fraction]], List[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    m = [_as_fracs(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [v / pv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
-
-
-def null_space(rows: Sequence[Sequence], ncols: int) -> List[Tuple[int, ...]]:
-    """Integer basis of {x: rows @ x = 0}."""
-    if not rows:
-        return [tuple(1 if j == i else 0 for j in range(ncols)) for i in range(ncols)]
-    m, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+def null_space(rows: Sequence[Sequence[int]], ncols: int) -> List[Tuple[int, ...]]:
+    """Integer basis of {x: rows @ x = 0}: one primitive vector per free
+    column (a column in the span of the columns before it), with a
+    positive entry there and zeros at the other free columns."""
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        basis.append(integerize(v))
+    pivots: List[int] = []
+    for c in range(ncols):
+        sol = solve_int([[r[j] for j in pivots] for r in rows], [[r[c]] for r in rows])
+        if sol is None:
+            pivots.append(c)
+            continue
+        d, x = sol
+        v = [0] * ncols
+        v[c] = d
+        for j, xr in zip(pivots, x):
+            v[j] = -xr[0]
+        g = gcd(*v)
+        basis.append(tuple(e // g for e in v))
     return basis
 
 
-def integerize(v: Sequence[Fraction]) -> Tuple[int, ...]:
-    """Scale a rational vector by the lcm of denominators."""
-    denom = lcm(*[Fraction(x).denominator for x in v]) if v else 1
-    out = [int(Fraction(x) * denom) for x in v]
-    return tuple(out)
-
-
-def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Vec]:
+def solve_unique(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Optional[Vec]:
     """Solve a square (or overdetermined-consistent) system with a unique
     solution; None if singular or inconsistent."""
-    m = [_as_fracs(r) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    if not m:
+    if not rows:
         return None
-    ncols = len(m[0]) - 1
-    red, pivots = rref(m)
-    # Inconsistent: pivot in the rhs column.
-    if ncols in pivots:
+    sol = solve_int(rows, [[v] for v in rhs])
+    if sol is None:
         return None
-    if len(pivots) < ncols:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return tuple(x)
+    d, x = sol
+    return tuple(Fraction(xr[0], d) for xr in x)
 
 
 def dot(a: Sequence, b: Sequence):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,7 +7,7 @@ import sys
 
 import pytest
 
-from dctk import cli, fixtures
+from dctk import cli, fixtures, polyhedron
 
 SQ2 = {
     "e1": {"form": "quadratic", "a": 1},
@@ -26,10 +28,23 @@ CLI = [sys.executable, "-m", "dctk.cli"]
 
 
 def run_cli(args):
+    """Run `cli.run(args)` in this process with stdout and stderr captured.
+
+    The result has the fields of a finished subprocess (returncode,
+    stdout, stderr); argparse's own errors land in stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(args)
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def run_cli_process(args):
     """Run the CLI in a child process, as the `dctk` console script would.
 
     The child inherits os.environ (PYTHONPATH included), so the suite runs
-    from a plain checkout without installing the package."""
+    from a plain checkout without installing the package.  Used where the
+    process boundary itself is under test: the exit code from main() and
+    byte-identical stdout."""
     return subprocess.run(CLI + args, capture_output=True, text=True)
 
 
@@ -195,13 +210,37 @@ class TestCertifyCommands:
         assert rep["equality"] is True
 
     def test_flow_gap(self):
-        p = run_cli([
+        # A real process: main() must turn run()'s code into the exit status.
+        p = run_cli_process([
             "certify", "flow",
             "--instance", json.dumps(fixtures.d2_instance().to_json()),
             "--flow", "[2,0]",
             "--potential", "[0,2]",
         ])
         assert p.returncode == cli.EXIT_CRITERIA
+
+    def test_flow_gap_writes_json_out(self, tmp_path):
+        out = tmp_path / "F.json"
+        p = run_cli([
+            "certify", "flow",
+            "--instance", json.dumps(fixtures.d2_instance().to_json()),
+            "--flow", "[2,0]",
+            "--potential", "[0,2]",
+            "--json-out", str(out),
+        ])
+        assert p.returncode == cli.EXIT_CRITERIA
+        assert json.loads(p.stdout)["status"] == "CRITERIA_VIOLATED"
+        assert out.read_bytes() == p.stdout.encode()
+
+    def test_json_out_unwritable_is_invalid(self, tmp_path):
+        p = run_cli([
+            "certify", "flow",
+            "--instance", json.dumps(fixtures.d2_instance().to_json()),
+            "--flow", "[2,0]",
+            "--potential", "[0,2]",
+            "--json-out", str(tmp_path / "missing" / "F.json"),
+        ])
+        assert p.returncode == cli.EXIT_INVALID
 
 
 class TestInverseCommand:
@@ -228,6 +267,29 @@ class TestProbeCommand:
         ])
         assert p.returncode == 0
         assert json.loads(p.stdout)["box_integer"] is True
+
+    def test_s3_dilation_witness(self):
+        s3_2 = polyhedron.dilation(fixtures.s3_system(), 2)
+        p = run_cli(["probe", "--system", json.dumps(s3_2.to_json()), "--window", "0..1"])
+        assert p.returncode == cli.EXIT_CRITERIA
+        assert p.stdout == (
+            '{"box_integer":false,"status":"CRITERIA_VIOLATED",'
+            '"witness":[1,1,1,"1/2","1/2","1/2"]}\n'
+        )
+
+    @pytest.mark.parametrize("row", [
+        {"coeffs": [1.5, 0], "rhs": 0, "kind": "geq"},
+        {"coeffs": [1, 0], "rhs": 2.0, "kind": "geq"},
+        {"coeffs": [True, 0], "rhs": 0, "kind": "geq"},
+        {"coeffs": [1, "1"], "rhs": 0, "kind": "geq"},
+    ])
+    def test_non_integer_row_is_invalid(self, row):
+        system = fixtures.p2_system().to_json()
+        system["rows"].append(row)
+        p = run_cli(["probe", "--system", json.dumps(system), "--window", "0..2"])
+        assert p.returncode == cli.EXIT_INVALID
+        assert p.stdout == ""
+        assert "integers" in p.stderr
 
 
 class TestSelftest:

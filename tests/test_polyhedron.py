@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from fractions import Fraction
@@ -6,7 +7,15 @@ from fractions import Fraction
 from dctk.conjugate import linear_cost, square_sum
 from dctk.errors import CriteriaViolated, NotPrimalFeasible, NotSignFeasible
 from dctk.extint import MINUS_INF, PLUS_INF
-from dctk.fixtures import p2_system, s3_system, vertex_hull_window
+from dctk.fixtures import (
+    p2_system,
+    random_digraph,
+    random_supermodular,
+    s3_system,
+    vertex_hull_window,
+)
+from dctk.mconvex import to_system
+from dctk.netflow import embedding_system, square_sum_instance
 from dctk.polyhedron import (
     EQ,
     GEQ,
@@ -27,9 +36,28 @@ from dctk.polyhedron import (
     verify_certificate,
 )
 
+from helpers import naive_probe_box_integer
+
 
 P2SYS = p2_system()
 SQ = square_sum(P2SYS.elements)
+
+
+class TestRow:
+    @pytest.mark.parametrize("coeffs, rhs", [
+        ((1.5, 0), 0),
+        ((1, 0), 2.0),
+        ((True, 0), 0),
+        ((1, 0), False),
+        ((Fraction(1), 0), 0),
+        ((1, "1"), 0),
+    ])
+    def test_rejects_non_integers(self, coeffs, rhs):
+        with pytest.raises(ValueError, match="integers"):
+            Row(coeffs, rhs, GEQ)
+
+    def test_accepts_integers(self):
+        assert Row((10**12, -1), -(10**12), EQ).rhs == -(10**12)
 
 
 class TestEnumerate:
@@ -236,6 +264,79 @@ class TestProbe:
     def test_s3_itself_is_integral(self):
         ok, _ = probe_box_integer(s3_system(), Window.uniform(6, 0, 1))
         assert ok
+
+    def test_witness_from_fixed_coordinate(self):
+        # 2*x1 + x2 = 0 with x2 fixed: the right-hand side alone gives an
+        # integral x1, the fixed coordinate's column does not.
+        sys = LinearSystem(("a", "b"), (Row((2, 1), 0, EQ),))
+        ok, witness = probe_box_integer(sys, Window.uniform(2, -2, 2))
+        assert not ok
+        assert witness == (Fraction(1, 2), Fraction(-1))
+
+
+def _random_flow_embedding(rng):
+    """Embedding of a random digraph (<= 3 nodes, <= 3 arcs) whose demand
+    comes from a random flow, so the system is feasible."""
+    d = random_digraph(rng, max_nodes=3, max_arcs=3)
+    m = [0] * len(d.nodes)
+    for t, h in d.arcs:
+        f = rng.randint(0, 2)
+        m[d.nodes.index(h)] += f
+        m[d.nodes.index(t)] -= f
+    return embedding_system(square_sum_instance(d, m))
+
+
+def _random_integer_system(rng):
+    """Small rows with coefficients in [-3, 3]: many have fractional
+    vertices, so the probe's witness path is exercised."""
+    n = rng.randint(2, 3)
+    rows = tuple(
+        Row(tuple(rng.randint(-3, 3) for _ in range(n)), rng.randint(-4, 4),
+            rng.choice((GEQ, GEQ, EQ)))
+        for _ in range(rng.randint(n, n + 3))
+    )
+    return LinearSystem(tuple(f"x{i}" for i in range(n)), rows)
+
+
+class TestProbeMatchesNaiveOracle:
+    """(ok, witness) equals that of the per-tuple Fraction probe in
+    tests/helpers.py, which scans in the same order."""
+
+    @staticmethod
+    def check(sys, win):
+        assert probe_box_integer(sys, win) == naive_probe_box_integer(sys, win)
+
+    def test_base_systems_and_dilations(self):
+        rng = random.Random(5)
+        for _ in range(12):
+            base = to_system(random_supermodular(rng, rng.randint(2, 3), value_bound=2))
+            for k in (1, 2, 3):
+                d = dilation(base, k)
+                self.check(d, vertex_hull_window(d))
+
+    def test_flow_embeddings_and_dilations(self):
+        rng = random.Random(6)
+        for _ in range(10):
+            emb = _random_flow_embedding(rng)
+            for k in (1, 2, 3):
+                d = dilation(emb, k)
+                self.check(d, vertex_hull_window(d, pad=1))
+
+    def test_integer_systems_with_witnesses(self):
+        rng = random.Random(7)
+        witnesses = 0
+        for _ in range(30):
+            sys = _random_integer_system(rng)
+            for k in (1, 2, 3):
+                d = dilation(sys, k)
+                win = Window.uniform(sys.n, -2, 2)
+                witnesses += not probe_box_integer(d, win)[0]
+                self.check(d, win)
+        assert witnesses >= 20
+
+    def test_s3_and_its_dilation(self):
+        self.check(s3_system(), Window.uniform(6, 0, 1))
+        self.check(dilation(s3_system(), 2), Window.uniform(6, 0, 1))
 
 
 class TestWindowHelpers:
