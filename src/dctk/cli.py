@@ -22,6 +22,7 @@ from .errors import (
     CriteriaViolated,
     DctkError,
     Infeasible,
+    IterationLimit,
     NoFeasibleWeight,
     NotFeasible,
     NotPrimalFeasible,
@@ -396,7 +397,7 @@ def run(argv: Sequence[str]) -> int:
         payload, code = {"status": "UNBOUNDED", "detail": str(e)}, EXIT_UNBOUNDED
     except (CriteriaViolated, ValueMismatch) as e:
         payload, code = {"status": "CRITERIA_VIOLATED", "detail": repr(e.args)}, EXIT_CRITERIA
-    except NoFeasibleWeight as e:
+    except (NoFeasibleWeight, IterationLimit) as e:
         payload, code = {"status": "INCONCLUSIVE", "detail": str(e)}, EXIT_INCONCLUSIVE
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)

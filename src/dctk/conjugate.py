@@ -10,9 +10,8 @@ computed here two independent ways: a generic monotone-slope search
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, IndeterminateDifference, UnsupportedForm
 from .extint import (
@@ -399,82 +398,49 @@ def conjugate_eval_with_argmax(
     return (k_star * ell - phi.value(k_star), k_star)
 
 
-# Half-width of the centered search window used for the bounded
-# infimal-convolution formulas (sums and interval restrictions).
-DEFAULT_CONV_WINDOW = 64
-
-
-def conjugate_closed(
-    phi: UnivariateConvex, ell: int, conv_window: int = DEFAULT_CONV_WINDOW
-) -> ExtInt:
+def conjugate_closed(phi: UnivariateConvex, ell: int) -> ExtInt:
     """Closed-form conjugate for the shape-specific constructors.
 
-    Raises UnsupportedForm for Table (callers fall back to
-    :func:`conjugate_eval`).  Sums and interval restrictions are reduced
-    by a bounded split search of half-width `conv_window`; convexity of
-    the summands makes the centered window safe at desk scale.
+    Each shape gives an attaining k in O(1) (:func:`_closed_argmax`) and
+    the value is k*ell - phi(k).  Raises UnsupportedForm for Table and
+    SumOf (callers fall back to :func:`conjugate_eval`).
     """
+    k = _closed_argmax(phi, ell)
+    return k * ell - phi.value(k) if is_finite(k) else PLUS_INF
+
+
+def _closed_argmax(phi: UnivariateConvex, ell: int) -> ExtInt:
+    """A k attaining sup_k (k*ell - phi(k)), or PLUS_INF / MINUS_INF when
+    k*ell - phi(k) grows without bound as k goes that way."""
     if isinstance(phi, Quadratic):
-        a = phi.a
-        f = (ell + a) // (2 * a)
-        return f * (ell - a * f)
+        return (ell + phi.a) // (2 * phi.a)
     if isinstance(phi, VShape):
         if ell < phi.c_minus:
-            if not is_finite(phi.A):
-                return PLUS_INF
-            return phi.A * ell - phi.c_minus * (phi.A - phi.k0)
+            return phi.A
         if ell > phi.c_plus:
-            if not is_finite(phi.B):
-                return PLUS_INF
-            return phi.B * ell - phi.c_plus * (phi.B - phi.k0)
-        return phi.k0 * ell
+            return phi.B
+        return phi.k0
     if isinstance(phi, FlatBottom):
         if ell < phi.c_minus:
-            if not is_finite(phi.A):
-                return PLUS_INF
-            return phi.A * ell - phi.c_minus * (phi.A - phi.a)
+            return phi.A
         if ell > phi.c_plus:
-            if not is_finite(phi.B):
-                return PLUS_INF
-            return phi.B * ell - phi.c_plus * (phi.B - phi.b)
-        if ell == 0:
-            return 0
-        if ell < 0:
-            return phi.a * ell if is_finite(phi.a) else PLUS_INF
-        return phi.b * ell if is_finite(phi.b) else PLUS_INF
+            return phi.B
+        # On [a, b] the objective is k*ell: a maximizes it for ell < 0, b
+        # for ell > 0, and any point of [a, b] for ell = 0.
+        if ell < 0 or (ell == 0 and is_finite(phi.a)):
+            return phi.a
+        return phi.b if ell > 0 or is_finite(phi.b) else 0
     if isinstance(phi, LinearPlus):
-        return conjugate_closed(phi.inner, ell - phi.c, conv_window)
+        return _closed_argmax(phi.inner, ell - phi.c)
     if isinstance(phi, Shifted):
-        return conjugate_closed(phi.inner, ell, conv_window) + phi.k0 * ell
+        return _closed_argmax(phi.inner, ell) + phi.k0
     if isinstance(phi, Restricted):
-        best: ExtInt = PLUS_INF
-        for l2 in range(ell - conv_window, ell + conv_window + 1):
-            box = max(phi.A * l2, phi.B * l2)
-            if not is_finite(box):
-                continue
-            inner = conjugate_closed(phi.inner, ell - l2, conv_window)
-            cand = inner + box
-            if cand < best:
-                best = cand
-        return best
-    if isinstance(phi, SumOf):
-        def conv(vals: List[UnivariateConvex], l: int) -> ExtInt:
-            if len(vals) == 1:
-                return conjugate_closed(vals[0], l, conv_window)
-            best: ExtInt = PLUS_INF
-            for l1 in range(l - conv_window, l + conv_window + 1):
-                left = conjugate_closed(vals[0], l1, conv_window)
-                if not is_finite(left):
-                    continue
-                right = conv(vals[1:], l - l1)
-                if not is_finite(right):
-                    continue
-                cand = left + right
-                if cand < best:
-                    best = cand
-            return best
-
-        return conv(list(phi.parts), ell)
+        # k*ell - inner(k) is concave, so its maximum over the interval
+        # sits at the inner argmax clipped to the interval.
+        lo, hi = phi.dom()
+        if lo > hi:
+            raise DomainError("function is nowhere finite")
+        return max(lo, ext_min(_closed_argmax(phi.inner, ell), hi))
     raise UnsupportedForm(f"no closed-form conjugate for {type(phi).__name__}")
 
 
@@ -571,6 +537,29 @@ class SeparableConvex:
     def _check_len(self, v: Sequence[int]):
         if len(v) != len(self.parts):
             raise ValueError(f"expected {len(self.parts)} components, got {len(v)}")
+
+
+def conjugate_table(Phi: SeparableConvex) -> Callable[[Sequence[int]], ExtInt]:
+    """Phi.conjugate for one search: each component's conjugate_eval
+    value is kept in a dict keyed by its entry of w, and the sum stops at
+    the first infinite component.  Make one per search call."""
+    parts = [p for _, p in Phi.parts]
+    if any(lo > hi for lo, hi in (p.dom() for p in parts)):
+        return Phi.conjugate  # raises DomainError on its first call, as before
+    memos: List[Dict[int, ExtInt]] = [{} for _ in parts]
+
+    def conj(w: Sequence[int]) -> ExtInt:
+        total = 0
+        for phi, memo, ell in zip(parts, memos, w):
+            v = memo.get(ell)
+            if v is None:
+                v = memo[ell] = conjugate_eval(phi, ell)
+            if v is PLUS_INF:
+                return PLUS_INF
+            total += v
+        return total
+
+    return conj
 
 
 def separable_conjugate(Phi: SeparableConvex, w: Sequence[int]) -> ExtInt:

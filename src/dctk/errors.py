@@ -37,6 +37,10 @@ class Unbounded(DctkError):
     """Objective unbounded from below."""
 
 
+class IterationLimit(DctkError):
+    """An iteration guard ran out before the search reached an answer."""
+
+
 class Infeasible(DctkError):
     """No feasible point exists.
 

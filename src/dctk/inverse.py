@@ -20,6 +20,7 @@ from .conjugate import (
     SeparableConvex,
     UnivariateConvex,
     VShape,
+    conjugate_table,
 )
 from .errors import NoFeasibleWeight, NotFeasible
 from .extint import MINUS_INF, PLUS_INF, ExtInt, is_finite
@@ -112,12 +113,13 @@ def inverse_dual_search(
     orthogonality (w*.z* = 0) and fitting (Phi'(w*-1) <= z* <= Phi'(w*))
     checks for the best pair.
     """
+    conj = conjugate_table(deviation)
     best: ExtInt = MINUS_INF
     arg: Optional[Tuple[int, ...]] = None
     for z in z_window.points():
         if not cone.cone_system.contains(z):
             continue
-        c = deviation.conjugate(z)
+        c = conj(z)
         if not is_finite(c):
             continue
         if -c > best:

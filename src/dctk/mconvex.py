@@ -14,11 +14,10 @@ meant to be independently checkable.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .conjugate import SeparableConvex, subdifferential_interval
+from .conjugate import SeparableConvex, conjugate_table, subdifferential_interval
 from .errors import CriteriaViolated, EmptyIntersection, Unbounded
 from .extint import MINUS_INF, PLUS_INF, ExtInt, is_finite
 from .polyhedron import EQ, GEQ, LinearSystem, MinMaxReport, Row, Window
@@ -315,7 +314,6 @@ def dual_certificate(
                 f"element {p.elements[s]}: all right slopes infinite, "
                 f"substituted {fallback}"
             )
-            warnings.warn(notes[-1], stacklevel=2)
             m = fallback
         w.append(m)
     return tuple(w), tuple(notes)
@@ -391,26 +389,26 @@ def m2_minimize_and_split(
         if v < best_p:
             best_p, arg_p = v, z
 
+    # w is coded as sum_j w_j * base**j; every entry of a sum w1 + w2 lies
+    # in [-2*bound, 2*bound], a balanced digit for base 4*bound + 1, so
+    # code(w1) + code(w2) = code(w1 + w2) is a key for the sum.
+    base = 4 * w_bound + 1
     grid = list(itertools.product(range(-w_bound, w_bound + 1), repeat=n))
-    l1 = {w: lovasz_extension(p1, w) for w in grid}
-    l2 = {w: lovasz_extension(p2, w) for w in grid}
-    conj_cache: Dict[Tuple[int, ...], ExtInt] = {}
+    codes = [sum(v * base**j for j, v in enumerate(w)) for w in grid]
+    ext1, ext2 = (
+        [(w, e, k) for w, k in zip(grid, codes) if (e := lovasz_extension(p, w)) is not MINUS_INF]
+        for p in (p1, p2)
+    )
+    conj = conjugate_table(Phi)
+    conj_of_sum: Dict[int, ExtInt] = {}
     best_d: ExtInt = MINUS_INF
     arg_d = None
-    for w1 in grid:
-        a = l1[w1]
-        if a is MINUS_INF:
-            continue
-        for w2 in grid:
-            b = l2[w2]
-            if b is MINUS_INF:
-                continue
-            wsum = tuple(x + y for x, y in zip(w1, w2))
-            c = conj_cache.get(wsum)
+    for w1, a, k1 in ext1:
+        for w2, b, k2 in ext2:
+            c = conj_of_sum.get(k1 + k2)
             if c is None:
-                c = Phi.conjugate(wsum)
-                conj_cache[wsum] = c
-            if not is_finite(c):
+                c = conj_of_sum[k1 + k2] = conj([x + y for x, y in zip(w1, w2)])
+            if c is PLUS_INF:
                 continue
             val = a + b - c
             if val > best_d:

@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 from .conjugate import Quadratic, Restricted, SeparableConvex, conjugate_eval, separable_to_json
 from .conjugate import from_json as phi_from_json
-from .errors import Infeasible, NotFeasible, Unbounded, ValueMismatch
+from .errors import Infeasible, IterationLimit, NotFeasible, Unbounded, ValueMismatch
 from .extint import PLUS_INF, ExtInt, bound_from_json, bound_to_json, is_finite
 from .polyhedron import GEQ, LinearSystem, MinMaxReport, Row
 
@@ -268,6 +268,23 @@ def _initial_flow(inst: FlowInstance, ends) -> List[int]:
             x[ai] += sgn
 
 
+def _unbounded_cycle(inst: FlowInstance, x: Sequence[int], cycle) -> bool:
+    """Whether the negative cycle can take any number of further units at
+    the same cost: every step has infinite room and its arc's marginal
+    cost has already reached its constant tail slope."""
+    for ai, sgn in cycle:
+        phi = inst.cost.parts[ai][1]
+        if sgn > 0:
+            tail = None if is_finite(inst.upper[ai]) else phi.tail_hi()
+            if tail is None or x[ai] < tail[1]:
+                return False
+        else:
+            tail = None if is_finite(inst.lower[ai]) else phi.tail_lo()
+            if tail is None or x[ai] - 1 > tail[1]:
+                return False
+    return True
+
+
 def _cancel_to_optimal(inst: FlowInstance, ends):
     """(x, dist): an optimal flow and the Bellman-Ford distances that
     prove it, by canceling negative cycles one unit at a time."""
@@ -277,9 +294,11 @@ def _cancel_to_optimal(inst: FlowInstance, ends):
         cycle, dist = _bellman_ford(n, _priced_arcs(inst, ends, x))
         if cycle is None:
             return x, dist
+        if _unbounded_cycle(inst, x, cycle):
+            raise Unbounded("negative cycle of unbounded room and constant cost")
         for ai, sgn in cycle:
             x[ai] += sgn
-    raise Unbounded("cycle canceling budget exhausted")
+    raise IterationLimit("cycle canceling budget of 100000 units exhausted")
 
 
 def min_convex_cost_flow(inst: FlowInstance) -> Tuple[int, ...]:

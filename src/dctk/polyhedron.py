@@ -12,10 +12,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import ratlin
-from .conjugate import SeparableConvex
+from .conjugate import SeparableConvex, conjugate_table
 from .errors import (
     CriteriaViolated,
     NotPrimalFeasible,
@@ -54,6 +55,7 @@ class LinearSystem:
     elements: Tuple[str, ...]
     rows: Tuple[Row, ...]
     _basic: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _vertex_ints: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.elements = tuple(self.elements)
@@ -213,20 +215,26 @@ def _basic_data(sys: LinearSystem):
     ]
     work += [(d, 0, EQ) for d in lineality]
 
-    vertices: List[Tuple[Fraction, ...]] = []
+    # A basic solution x is kept as the gcd-reduced (d, d*x), which is
+    # canonical, and x lies in the system iff d*x satisfies its rows
+    # scaled by d, in int.
+    scaled = []
     seen = set()
     for idxs in itertools.combinations(range(len(work)), n):
-        rows = [work[i][0] for i in idxs]
-        rhs = [work[i][1] for i in idxs]
-        x = ratlin.solve_unique(rows, rhs)
-        if x is None:
+        sol = ratlin.solve_int([work[i][0] for i in idxs], [[work[i][1]] for i in idxs])
+        if sol is None:
             continue
-        if x in seen:
+        d, x = sol
+        g = gcd(d, *(xr[0] for xr in x))
+        key = (d // g, tuple(xr[0] // g for xr in x))
+        if key in seen:
             continue
-        if sys.contains(x):
-            seen.add(x)
-            vertices.append(x)
-    vertices.sort()
+        seen.add(key)
+        d, xd = key
+        slacks = ((ratlin.dot(r.coeffs, xd) - r.rhs * d, r.kind) for r in sys.rows)
+        if all(s == 0 if kind == EQ else s >= 0 for s, kind in slacks):
+            scaled.append(key)
+    vertices = sorted(tuple(Fraction(v, d) for v in xd) for d, xd in scaled)
 
     rays: List[Tuple[int, ...]] = []
     rseen = set()
@@ -256,6 +264,11 @@ def _basic_data(sys: LinearSystem):
     rays.sort()
 
     sys._basic = (vertices, rays, lineality)
+    big_d = lcm(*(d for d, _ in scaled))
+    sys._vertex_ints = (
+        big_d,
+        [tuple(x.numerator * (big_d // x.denominator) for x in v) for v in vertices],
+    )
     return sys._basic
 
 
@@ -274,15 +287,16 @@ def lp_min(sys: LinearSystem, w: Sequence[int]):
     for d in rays:
         if ratlin.dot(w, d) < 0:
             return (MINUS_INF, None)
-    best = None
-    arg = None
-    for v in vertices:
-        val = ratlin.dot(w, v)
-        if best is None or val < best or (val == best and v < arg):
+    # The vertices scaled by one common denominator, in sorted order, so
+    # the first least value is the lexicographically least argmin.
+    big_d, ints = sys._vertex_ints
+    best = arg = None
+    for v, vi in zip(vertices, ints):
+        val = ratlin.dot(w, vi)
+        if best is None or val < best:
             best, arg = val, v
-    if isinstance(best, Fraction) and best.denominator == 1:
-        best = best.numerator
-    return (best, arg)
+    best = Fraction(best, big_d)
+    return (best.numerator if best.denominator == 1 else best, arg)
 
 
 # ---------------------------------------------------------------------------
@@ -363,28 +377,38 @@ def _sign_feasible_range(r: Row, bound: int):
 def dual_search_bruteforce(
     sys: LinearSystem, Phi: SeparableConvex, y_bound: int = 6
 ) -> MinMaxReport:
-    """max y.p - conj(Phi)(yQ) over sign-feasible integer y, |y| <= bound."""
+    """max y.p - conj(Phi)(yQ) over sign-feasible integer y, |y| <= bound.
+
+    y runs in lex order.  yQ, y.p and the support are summed once per
+    head (the multipliers of all rows but the last); the inner loop runs
+    the last multiplier t and adds t times the last row.
+    """
     n = sys.n
+    conj = conjugate_table(Phi)
+    *head_rows, last = sys.rows
+    ranges = [_sign_feasible_range(r, y_bound) for r in sys.rows]
     best: ExtInt = MINUS_INF
-    arg: Optional[DualVector] = None
+    arg: Optional[Tuple[int, ...]] = None
     support_ok = False
-    for yv in itertools.product(
-        *(_sign_feasible_range(r, y_bound) for r in sys.rows)
-    ):
-        y = DualVector(yv)
-        conj = Phi.conjugate(y.times_q(sys))
-        if not is_finite(conj):
-            continue
-        val = y.times_p(sys) - conj
-        if val > best:
-            best, arg = val, y
-            support_ok = y.support() <= 2 * n
-        elif val == best:
-            support_ok = support_ok or y.support() <= 2 * n
+    for head in itertools.product(*ranges[:-1]):
+        w0 = [sum(v * r.coeffs[j] for v, r in zip(head, head_rows)) for j in range(n)]
+        p0 = sum(v * r.rhs for v, r in zip(head, head_rows))
+        s0 = sum(1 for v in head if v)
+        for t in ranges[-1]:
+            c = conj([a + t * q for a, q in zip(w0, last.coeffs)])
+            if c is PLUS_INF:
+                continue
+            val = p0 + t * last.rhs - c
+            if val > best:
+                best, arg = val, head + (t,)
+                support_ok = s0 + (t != 0) <= 2 * n
+            elif val == best:
+                support_ok = support_ok or s0 + (t != 0) <= 2 * n
+    y = None if arg is None else DualVector(arg)
     return MinMaxReport(
         dual_value=best,
-        dual_witness=arg,
-        support_size=arg.support() if arg else 0,
+        dual_witness=y,
+        support_size=y.support() if y else 0,
         bounds_used={"y_bound": y_bound, "support_within_2n": support_ok},
     )
 
@@ -393,16 +417,17 @@ def mu_form_dual_search(
     sys: LinearSystem, Phi: SeparableConvex, w_window: Window
 ) -> MinMaxReport:
     """max mu_R(w) - conj(Phi)(w) over integral w in the window."""
+    conj = conjugate_table(Phi)
     best = None
     arg = None
     for w in w_window.points():
         mv, _ = lp_min(sys, w)
         if mv is MINUS_INF or mv is PLUS_INF:
             continue
-        conj = Phi.conjugate(w)
-        if not is_finite(conj):
+        c = conj(w)
+        if not is_finite(c):
             continue
-        val = mv - conj
+        val = mv - c
         if best is None or val > best:
             best, arg = val, w
     if best is None:

@@ -7,6 +7,8 @@ of the library's search logic, so agreement is meaningful.
 from __future__ import annotations
 
 import itertools
+import os
+import pathlib
 import random
 from fractions import Fraction
 from math import lcm
@@ -17,14 +19,27 @@ from dctk.conjugate import (
     LinearPlus,
     Quadratic,
     Restricted,
+    SeparableConvex,
     Shifted,
     SumOf,
     Table,
     UnivariateConvex,
     VShape,
+    square_sum,
 )
-from dctk.extint import MINUS_INF, ExtInt, is_finite
-from dctk.polyhedron import LinearSystem, Window
+from dctk.extint import MINUS_INF, PLUS_INF, ExtInt, is_finite
+from dctk.mconvex import SupermodularFn, lovasz_extension
+from dctk.polyhedron import EQ, GEQ, DualVector, LinearSystem, Window
+
+
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+
+
+def child_env(**extra: str) -> dict:
+    """os.environ with this checkout's src/ first on PYTHONPATH, so that a
+    child process imports the dctk under test without an install."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 def brute_conjugate(phi: UnivariateConvex, ell: int, lo: int = -30, hi: int = 30) -> ExtInt:
@@ -99,6 +114,32 @@ def univariate_corpus(count: int = 220, seed: int = 7) -> List[UnivariateConvex]
         else:
             out.append(random_closed_form(rng))
     return out
+
+
+def random_large_slope_form(rng: random.Random) -> UnivariateConvex:
+    """A closed-form shape with slopes up to 10**6 in size and an effective
+    domain of at most 121 points inside [-400, 400]."""
+    A = rng.randint(-400, 280)
+    B = A + rng.randint(0, 120)
+
+    def big():
+        return rng.randint(0, 10**6)
+
+    kind = rng.randrange(5)
+    if kind == 0:
+        inner: UnivariateConvex = Shifted(rng.randint(-500, 500), Quadratic(rng.randint(1, 50)))
+        return Restricted(A, B, LinearPlus(rng.randint(-10**6, 10**6), inner))
+    if kind == 1:
+        c1 = -big()
+        return VShape(rng.randint(A, B), c1, c1 + big(), A, B)
+    if kind == 2:
+        a = rng.randint(A, B)
+        return FlatBottom(a, rng.randint(a, B), -big(), big(), A, B)
+    if kind == 3:
+        c1 = -big()
+        return Restricted(A, B, VShape(rng.randint(-500, 500), c1, c1 + big()))
+    inner = FlatBottom(MINUS_INF, rng.randint(-500, 500), -big(), big())
+    return Shifted(rng.randint(-20, 20), Restricted(A, B, LinearPlus(rng.randint(-10**6, 10**6), inner)))
 
 
 def dom_range(phi: UnivariateConvex) -> Tuple[int, int]:
@@ -185,3 +226,147 @@ def naive_probe_box_integer(sys: LinearSystem, win: Window):
                     if any(v.denominator != 1 for v in x):
                         return (False, x)
     return (True, None)
+
+
+# ---------------------------------------------------------------------------
+# The dual searches and the exact LP, by plain scans
+
+
+def naive_dual_search(sys: LinearSystem, Phi: SeparableConvex, y_bound: int):
+    """(value, y, support_size, bounds_used) of the integer dual search by
+    one DualVector and one full conjugate per y, in lex order."""
+    n = sys.n
+    best: ExtInt = MINUS_INF
+    arg = None
+    support_ok = False
+    ranges = [
+        range(0, y_bound + 1) if r.kind == GEQ else range(-y_bound, y_bound + 1)
+        for r in sys.rows
+    ]
+    for yv in itertools.product(*ranges):
+        y = DualVector(yv)
+        conj = Phi.conjugate(y.times_q(sys))
+        if not is_finite(conj):
+            continue
+        val = y.times_p(sys) - conj
+        if val > best:
+            best, arg = val, y
+            support_ok = y.support() <= 2 * n
+        elif val == best:
+            support_ok = support_ok or y.support() <= 2 * n
+    return (
+        best,
+        arg,
+        arg.support() if arg else 0,
+        {"y_bound": y_bound, "support_within_2n": support_ok},
+    )
+
+
+def naive_mu_form(sys: LinearSystem, Phi: SeparableConvex, win: Window):
+    """(value, w) of max mu_R(w) - conj(Phi)(w) over the window, with
+    mu_R from :func:`frac_lp_min`."""
+    basic = frac_basic_data(sys)
+    best = arg = None
+    for w in win.points():
+        mv, _ = frac_lp_min(basic, w)
+        if mv is MINUS_INF or mv is PLUS_INF:
+            continue
+        c = Phi.conjugate(w)
+        if not is_finite(c):
+            continue
+        if best is None or mv - c > best:
+            best, arg = mv - c, w
+    if isinstance(best, Fraction) and best.denominator == 1:
+        best = best.numerator
+    return (MINUS_INF if best is None else best), arg
+
+
+def naive_m2_split(p1: SupermodularFn, p2: SupermodularFn, Phi: SeparableConvex, w_bound: int):
+    """(value, (w1, w2)) of the best weight splitting, by the full grid of
+    pairs with the sum built as a tuple (and its conjugate kept by that
+    tuple)."""
+    grid = list(itertools.product(range(-w_bound, w_bound + 1), repeat=p1.n))
+    ext1 = {w: lovasz_extension(p1, w) for w in grid}
+    ext2 = {w: lovasz_extension(p2, w) for w in grid}
+    conj = {}
+    best: ExtInt = MINUS_INF
+    arg = None
+    for w1 in grid:
+        a = ext1[w1]
+        if a is MINUS_INF:
+            continue
+        for w2 in grid:
+            b = ext2[w2]
+            if b is MINUS_INF:
+                continue
+            wsum = tuple(x + y for x, y in zip(w1, w2))
+            if wsum not in conj:
+                conj[wsum] = Phi.conjugate(wsum)
+            c = conj[wsum]
+            if not is_finite(c):
+                continue
+            if a + b - c > best:
+                best, arg = a + b - c, (w1, w2)
+    return best, arg
+
+
+def frac_basic_data(sys: LinearSystem):
+    """(vertices, rays, lineality) by one Fraction solve per basis."""
+    n = sys.n
+    lineality = frac_null_space([list(r.coeffs) for r in sys.rows], n)
+    work = [(r.coeffs, r.rhs, r.kind) for r in sys.rows] + [(d, 0, EQ) for d in lineality]
+    vertices = set()
+    for idxs in itertools.combinations(range(len(work)), n):
+        x = frac_solve_unique([work[i][0] for i in idxs], [work[i][1] for i in idxs])
+        if x is not None and sys.contains(x):
+            vertices.add(x)
+    rays = set()
+    for idxs in itertools.combinations(range(len(work)), n - 1):
+        basis = frac_null_space([work[i][0] for i in idxs], n)
+        if len(basis) != 1:
+            continue
+        for d in (basis[0], tuple(-v for v in basis[0])):
+            dots = [(sum(c * v for c, v in zip(coeffs, d)), kind) for coeffs, _, kind in work]
+            if all(v == 0 if kind == EQ else v >= 0 for v, kind in dots):
+                rays.add(d)
+    return sorted(vertices), sorted(rays), lineality
+
+
+def frac_lp_min(basic, w: Sequence[int]):
+    """(value, argmin) of min w.x by a Fraction scan of the vertices in
+    basic = frac_basic_data(sys); the value is an int when integral."""
+    vertices, rays, lineality = basic
+    if not vertices:
+        return (PLUS_INF, None)
+    if any(sum(a * b for a, b in zip(w, d)) != 0 for d in lineality):
+        return (MINUS_INF, None)
+    if any(sum(a * b for a, b in zip(w, d)) < 0 for d in rays):
+        return (MINUS_INF, None)
+    best, arg = min((sum(a * b for a, b in zip(w, v)), v) for v in vertices)
+    return (best.numerator if best.denominator == 1 else best, arg)
+
+
+def random_search_objective(rng: random.Random, elements: Sequence[str]) -> SeparableConvex:
+    """An objective for the dual searches: the square sum, or per element
+    one of large slopes (|c| up to 10**6), a bounded domain, or slopes
+    -1/+1 on all of Z (whose conjugate is infinite off [-1, 1], so most
+    sums stop at an infinite component)."""
+    if rng.random() < 0.25:
+        return square_sum(elements)
+    parts = []
+    for e in elements:
+        kind = rng.randrange(4)
+        if kind == 0:
+            c1 = -rng.randint(0, 10**6)
+            phi: UnivariateConvex = VShape(rng.randint(-2, 2), c1, c1 + rng.randint(0, 2 * 10**6))
+        elif kind == 1:
+            A = rng.randint(-3, 1)
+            phi = Restricted(A, A + rng.randint(0, 3), Quadratic(rng.randint(1, 3)))
+        elif kind == 2:
+            a = rng.randint(-2, 1)
+            phi = FlatBottom(a, a + rng.randint(0, 1), -rng.randint(1, 10**6),
+                             rng.randint(1, 10**6), a - 2, a + 3)
+        else:
+            phi = VShape(rng.randint(-1, 1), -1, 1)
+        parts.append((e, phi))
+    return SeparableConvex(tuple(parts))

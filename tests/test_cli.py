@@ -1,13 +1,14 @@
 import contextlib
 import io
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
 from dctk import cli, fixtures, polyhedron
+
+from helpers import child_env
 
 SQ2 = {
     "e1": {"form": "quadratic", "a": 1},
@@ -41,11 +42,11 @@ def run_cli(args):
 def run_cli_process(args):
     """Run the CLI in a child process, as the `dctk` console script would.
 
-    The child inherits os.environ (PYTHONPATH included), so the suite runs
-    from a plain checkout without installing the package.  Used where the
-    process boundary itself is under test: the exit code from main() and
-    byte-identical stdout."""
-    return subprocess.run(CLI + args, capture_output=True, text=True)
+    The child gets os.environ with src/ first on PYTHONPATH, so the suite
+    runs from a plain checkout without installing the package.  Used where
+    the process boundary itself is under test: the exit code from main()
+    and byte-identical stdout."""
+    return subprocess.run(CLI + args, capture_output=True, text=True, env=child_env())
 
 
 class TestConjugateCommand:
@@ -71,6 +72,22 @@ class TestConjugateCommand:
     def test_invalid_json(self):
         p = run_cli(["conjugate", "--phi", '{"form":"nope"}', "--ell", "0"])
         assert p.returncode == cli.EXIT_INVALID
+
+    def test_closed_restricted_far_argmax(self):
+        phi = {"form": "restricted", "A": -200, "B": 200, "inner": {"form": "quadratic", "a": 1}}
+        p = run_cli(["conjugate", "--closed", "--phi", json.dumps(phi), "--ell", "300"])
+        assert p.returncode == 0
+        assert p.stdout == '{"status":"OK","value":22500}\n'
+
+    def test_closed_sum_is_unsupported(self):
+        phi = {"form": "sum_of", "parts": [
+            {"form": "quadratic", "a": 1},
+            {"form": "vshape", "k0": 0, "c_minus": -100, "c_plus": 100, "A": None, "B": None},
+        ]}
+        p = run_cli(["conjugate", "--closed", "--phi", json.dumps(phi), "--ell", "300"])
+        assert p.returncode == cli.EXIT_INVALID and p.stdout == ""
+        p = run_cli(["conjugate", "--phi", json.dumps(phi), "--ell", "300"])
+        assert json.loads(p.stdout)["value"] == 10000
 
 
 class TestMinimizeCommands:
@@ -118,6 +135,28 @@ class TestMinimizeCommands:
         p = run_cli(["minimize", "flow", "--instance", json.dumps(bad)])
         assert p.returncode == cli.EXIT_INFEASIBLE
         assert json.loads(p.stdout) == {"status": "INFEASIBLE", "violating_set": ["t"]}
+
+    @staticmethod
+    def two_way(upper):
+        return {
+            "nodes": ["s", "t"],
+            "arcs": [["s", "t"], ["t", "s"]],
+            "m": {"s": 0, "t": 0},
+            "lower": [0, 0],
+            "upper": [upper, upper],
+            "cost": {"a0": {"form": "vshape", "k0": 0, "c_minus": -1, "c_plus": -1},
+                     "a1": {"form": "vshape", "k0": 0, "c_minus": 0, "c_plus": 0}},
+        }
+
+    def test_flow_unbounded(self):
+        p = run_cli(["minimize", "flow", "--instance", json.dumps(self.two_way(None))])
+        assert p.returncode == cli.EXIT_UNBOUNDED
+        assert json.loads(p.stdout)["status"] == "UNBOUNDED"
+
+    def test_flow_budget_exhausted_is_inconclusive(self):
+        p = run_cli(["minimize", "flow", "--instance", json.dumps(self.two_way(150000))])
+        assert p.returncode == cli.EXIT_INCONCLUSIVE
+        assert json.loads(p.stdout)["status"] == "INCONCLUSIVE"
 
     def test_flow_infeasible_finite_bounds(self):
         # {s, a} can pass on 2 + 2 units against a demand of 5.
@@ -316,7 +355,7 @@ class TestDeterminism:
             # bytes, not text: the comparison is of stdout byte for byte
             proc = subprocess.run(
                 CLI + args, capture_output=True,
-                env={**os.environ, "DCTK_THREADS": threads},
+                env=child_env(DCTK_THREADS=threads),
             )
             assert proc.returncode == 0, proc.stderr
             assert json.loads(proc.stdout)["status"] == "OK"

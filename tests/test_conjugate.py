@@ -14,6 +14,7 @@ from dctk.conjugate import (
     VShape,
     conjugate_closed,
     conjugate_eval,
+    conjugate_table,
     conjugate_eval_with_argmax,
     eval_at,
     from_json,
@@ -28,7 +29,13 @@ from dctk.conjugate import (
 from dctk.errors import DomainError, IndeterminateDifference, UnsupportedForm
 from dctk.extint import MINUS_INF, PLUS_INF, is_finite
 
-from helpers import brute_conjugate, dom_range, random_convex_table, univariate_corpus
+from helpers import (
+    brute_conjugate,
+    dom_range,
+    random_convex_table,
+    random_large_slope_form,
+    univariate_corpus,
+)
 
 
 class TestEval:
@@ -123,9 +130,46 @@ class TestConjugateClosed:
         with pytest.raises(UnsupportedForm):
             conjugate_closed(Table(0, (0, 1)), 1)
 
+    def test_sum_unsupported(self):
+        with pytest.raises(UnsupportedForm):
+            conjugate_closed(SumOf((Quadratic(1), VShape(0, -100, 100))), 300)
+        with pytest.raises(UnsupportedForm):
+            conjugate_closed(Restricted(0, 2, SumOf((Quadratic(1),))), 1)
+
+    def test_restricted_far_from_the_inner_argmax(self):
+        phi = Restricted(-200, 200, Quadratic(1))
+        assert conjugate_closed(phi, 300) == 22500 == brute_conjugate(phi, 300, -200, 200)
+        assert conjugate_closed(phi, -10**6) == 200 * 10**6 - 40000
+
+    def test_restricted_one_sided(self):
+        for phi in (
+            Restricted(MINUS_INF, 7, VShape(0, -3, 2)),
+            Restricted(-5, PLUS_INF, LinearPlus(4, Quadratic(2))),
+            Restricted(MINUS_INF, PLUS_INF, FlatBottom(MINUS_INF, 3, -1, 5)),
+            FlatBottom(-4, PLUS_INF, -2, 1),
+            FlatBottom(MINUS_INF, PLUS_INF, -2, 1),
+        ):
+            for ell in (-10**6, -4, -3, -1, 0, 1, 2, 3, 6, 10**6):
+                assert conjugate_closed(phi, ell) == conjugate_eval(phi, ell)
+
+    def test_large_slope_corpus_matches_bruteforce(self):
+        import random
+
+        rng = random.Random(17)
+        for _ in range(60):
+            phi = random_large_slope_form(rng)
+            lo, hi = dom_range(phi)
+            ells = [rng.randint(-10**6, 10**6) for _ in range(6)]
+            ells += [phi.value(lo + 1) - phi.value(lo)] if lo < hi else []
+            ells += [0, 1, -1]
+            for ell in ells:
+                expected = brute_conjugate(phi, ell, lo, hi)
+                assert conjugate_closed(phi, ell) == expected
+                assert conjugate_eval(phi, ell) == expected
+
     def test_matches_eval_on_corpus(self):
         for phi in univariate_corpus(80):
-            if isinstance(phi, Table):
+            if isinstance(phi, (Table, SumOf)):
                 continue
             for ell in range(-8, 9):
                 assert conjugate_closed(phi, ell) == conjugate_eval(phi, ell)
@@ -160,6 +204,26 @@ class TestSeparable:
             (("a", VShape(3, -1, 1)), ("b", VShape(1, -1, 1)))
         )
         assert separable_conjugate(Phi, (0, 2)) is PLUS_INF
+
+    def test_conjugate_table_matches_conjugate(self):
+        import itertools
+
+        Phi = SeparableConvex(
+            (("a", VShape(0, -1, 1)), ("b", Quadratic(2)), ("c", Restricted(-3, 2, Quadratic(1))))
+        )
+        conj = conjugate_table(Phi)
+        for _ in range(2):  # cold, then every value memoized
+            for w in itertools.product(range(-4, 5), repeat=3):
+                assert conj(w) == Phi.conjugate(w)
+
+    def test_conjugate_table_keeps_domain_error(self):
+        # conj of k -> k is infinite at 0, but the second part is finite
+        # nowhere, which conjugate_eval reports whatever the argument.
+        Phi = SeparableConvex(
+            (("a", VShape(0, 1, 1)), ("b", Restricted(5, 6, VShape(0, -1, 1, -1, 1))))
+        )
+        with pytest.raises(DomainError):
+            conjugate_table(Phi)((0, 0))
 
     def test_prime(self):
         Phi = square_sum(["a", "b"])

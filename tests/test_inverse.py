@@ -5,6 +5,7 @@ import pytest
 
 from dctk.conjugate import SeparableConvex, VShape
 from dctk.errors import NoFeasibleWeight, NotFeasible
+from dctk.extint import MINUS_INF, PLUS_INF
 from dctk.fixtures import p2_system, random_supermodular
 from dctk.inverse import (
     InverseInstance,
@@ -21,6 +22,8 @@ from dctk.inverse import (
 )
 from dctk.mconvex import enumerate_bases, to_system
 from dctk.polyhedron import EQ, GEQ, Window, lp_min
+
+from helpers import random_search_objective
 
 P2SYS = p2_system()
 DEV = l1_deviation((3, 1), P2SYS.elements)
@@ -132,6 +135,23 @@ class TestInverseDual:
             for w in itertools.product(range(-1, 6), repeat=2):
                 if is_minimizer(P2SYS, (2, 0), w):
                     assert -conj <= DEV.value(w)
+
+    def test_matches_plain_scan(self):
+        rng = random.Random(31)
+        for _ in range(20):
+            p = random_supermodular(rng, rng.randint(2, 3), 3)
+            cone = tangent_cone(to_system(p), rng.choice(enumerate_bases(p)))
+            dev = random_search_objective(rng, p.elements)
+            zwin = Window.uniform(p.n, -3, 3)
+            best, arg = MINUS_INF, None
+            for z in zwin.points():
+                if not cone.cone_system.contains(z):
+                    continue
+                conj = dev.conjugate(z)
+                if conj is not PLUS_INF and -conj > best:
+                    best, arg = -conj, z
+            rep = inverse_dual_search(cone, dev, zwin)
+            assert (rep.dual_value, rep.dual_witness) == (best, arg)
 
 
 class TestTargets:

@@ -1,9 +1,10 @@
 import itertools
 import random
+import warnings
 
 import pytest
 
-from dctk.conjugate import Quadratic, SeparableConvex, Shifted, linear_cost, square_sum
+from dctk.conjugate import Quadratic, Restricted, SeparableConvex, Shifted, linear_cost, square_sum
 from dctk.errors import CriteriaViolated, EmptyIntersection
 from dctk.extint import MINUS_INF, PLUS_INF
 from dctk.fixtures import (
@@ -31,6 +32,8 @@ from dctk.mconvex import (
     verify_mconvex_optimality,
 )
 from dctk.polyhedron import EQ, GEQ
+
+from helpers import naive_m2_split, random_search_objective
 
 P2 = p2()
 P2B = p2b()
@@ -231,6 +234,19 @@ class TestDualCertificate:
         w, _ = dual_certificate(P2, SQ, (1, 1))
         assert square_sum_dual_value(P2, w) == 2
 
+    def test_infinite_slopes_are_notes_not_warnings(self):
+        Phi = SeparableConvex(
+            (("e1", Restricted(0, 2, Quadratic(1))), ("e2", Restricted(0, 0, Quadratic(1))))
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, notes = dual_certificate(P2, Phi, (2, 0))
+        assert w == (3, 0)
+        assert notes == (
+            "element e1: all right slopes infinite, substituted 3",
+            "element e2: all right slopes infinite, substituted 0",
+        )
+
 
 class TestM2:
     def test_p2_p2b_square(self):
@@ -268,6 +284,25 @@ class TestM2:
                     - conj
                 )
                 assert dual <= primal
+
+
+class TestM2MatchesNaiveOracle:
+    """The split search gives the value and the first best (w1, w2) of the
+    full grid scan in tests/helpers.py."""
+
+    def test_random_pairs(self):
+        rng = random.Random(21)
+        checked = 0
+        while checked < 24:
+            n = rng.randint(2, 3)
+            p1, p2_ = random_supermodular(rng, n, 3), random_supermodular(rng, n, 3)
+            if not any(member(p2_, z) for z in enumerate_bases(p1)):
+                continue
+            Phi = random_search_objective(rng, p1.elements)
+            w_bound = 3 if checked % 6 == 0 else 2
+            rep = m2_minimize_and_split(p1, p2_, Phi, w_bound)
+            assert (rep.dual_value, rep.dual_witness) == naive_m2_split(p1, p2_, Phi, w_bound)
+            checked += 1
 
 
 class TestWindows:

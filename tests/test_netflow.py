@@ -2,8 +2,18 @@ import random
 
 import pytest
 
-from dctk.conjugate import FlatBottom, Quadratic, SeparableConvex, VShape, linear_fn
-from dctk.errors import Infeasible, NotFeasible, ValueMismatch
+from dctk.conjugate import (
+    FlatBottom,
+    LinearPlus,
+    Quadratic,
+    SeparableConvex,
+    Shifted,
+    SumOf,
+    VShape,
+    linear_fn,
+)
+from dctk import netflow
+from dctk.errors import Infeasible, IterationLimit, NotFeasible, Unbounded, ValueMismatch
 from dctk.extint import MINUS_INF, PLUS_INF, is_finite
 from dctk.fixtures import d2, d2_instance, random_digraph, random_flow_instance
 from dctk.netflow import (
@@ -170,6 +180,51 @@ class TestSolver:
                 assert inst.cost.value(x) == best
                 assert x == min(f for f in flows if inst.cost.value(f) == best)
         assert 0 < no_finite < 10
+
+    @staticmethod
+    def two_way(upper):
+        """s and t joined both ways, bounds [0, upper], costs -k and 0, no
+        demand."""
+        d = Digraph(("s", "t"), (("s", "t"), ("t", "s")))
+        inst = square_sum_instance(d, (0, 0), upper=(upper, upper))
+        return with_cost(inst, [linear_fn(-1), linear_fn(0)])
+
+    @pytest.fixture
+    def bellman_ford_runs(self, monkeypatch):
+        """A list that grows by one entry per Bellman-Ford run."""
+        runs = []
+        bellman_ford = netflow._bellman_ford
+        monkeypatch.setattr(netflow, "_bellman_ford", lambda *a: runs.append(1) or bellman_ford(*a))
+        return runs
+
+    def test_unbounded_cycle_is_recognized_at_once(self, bellman_ford_runs):
+        with pytest.raises(Unbounded):
+            min_convex_cost_flow(self.two_way(PLUS_INF))
+        assert len(bellman_ford_runs) == 1
+
+    def test_cycle_reaching_its_constant_slope_late(self, bellman_ford_runs):
+        # The cycle's marginal cost is -3, -2, -1, -1, ...: unbounded once
+        # two units have moved and the first arc's cost is in its tail.
+        ramp = SumOf((FlatBottom(1, PLUS_INF, -1, 0), FlatBottom(2, PLUS_INF, -1, 0)))
+        inst = self.two_way(PLUS_INF)
+        with pytest.raises(Unbounded):
+            min_convex_cost_flow(with_cost(inst, [LinearPlus(-1, ramp), linear_fn(0)]))
+        assert len(bellman_ford_runs) == 3
+
+    def test_backward_cycle_reaching_its_constant_slope_late(self, bellman_ford_runs):
+        # Lowering the free arc a0 earns 3, 2, 1, 1, ... per unit: its
+        # cost has slopes 1 up to k = -3, 2 at -2 and 3 from -1 on.
+        ramp = SumOf((FlatBottom(MINUS_INF, 0, -1, 1), FlatBottom(MINUS_INF, 1, -1, 1)))
+        d = Digraph(("s", "t"), (("s", "t"), ("s", "t")))
+        inst = square_sum_instance(d, (0, 0), lower=(MINUS_INF, 0))
+        with pytest.raises(Unbounded):
+            min_convex_cost_flow(with_cost(inst, [Shifted(-2, LinearPlus(1, ramp)), linear_fn(0)]))
+        assert len(bellman_ford_runs) == 3
+
+    def test_budget_exhausted_is_not_unbounded(self):
+        # The optimum is -150000, beyond the budget of unit cancellations.
+        with pytest.raises(IterationLimit):
+            min_convex_cost_flow(self.two_way(150000))
 
     def test_cost_domain_narrows_bounds(self):
         # Each arc costs +inf outside [1, 3]: a start at 0 must not read as

@@ -31,12 +31,20 @@ from dctk.polyhedron import (
     find_weight_in_box,
     lp_min,
     minimize_bruteforce,
+    _basic_data,
     mu_form_dual_search,
     probe_box_integer,
     verify_certificate,
 )
 
-from helpers import naive_probe_box_integer
+from helpers import (
+    frac_basic_data,
+    frac_lp_min,
+    naive_dual_search,
+    naive_mu_form,
+    naive_probe_box_integer,
+    random_search_objective,
+)
 
 
 P2SYS = p2_system()
@@ -171,6 +179,16 @@ class TestMinMaxSearches:
     def test_dual_zero_bound(self):
         rep = dual_search_bruteforce(P2SYS, SQ, 0)
         assert rep.dual_value == 0  # only y = 0: -conj(Phi)(0) = 0
+
+    def test_dual_support_from_a_later_tie(self):
+        # Three copies of x = 1: y.p - conj(yQ) = s - floor(s^2/4) for
+        # s = y1 + y2 + y3 is 1 at s = 1, 2, 3.  The lex-first best y has
+        # support 3 > 2n; a later tie, (0, 0, 1), has support 1.
+        sys = LinearSystem(("x",), (Row((1,), 1, EQ),) * 3)
+        rep = dual_search_bruteforce(sys, square_sum(("x",)), 1)
+        assert rep.dual_value == 1 and rep.dual_witness.y == (-1, 1, 1)
+        assert rep.support_size == 3
+        assert rep.bounds_used["support_within_2n"] is True
 
     def test_mu_form(self):
         rep = mu_form_dual_search(P2SYS, SQ, Window.uniform(2, 0, 4))
@@ -337,6 +355,69 @@ class TestProbeMatchesNaiveOracle:
     def test_s3_and_its_dilation(self):
         self.check(s3_system(), Window.uniform(6, 0, 1))
         self.check(dilation(s3_system(), 2), Window.uniform(6, 0, 1))
+
+
+def _oracle_systems(seed):
+    """Random base systems (n = 2-3), flow embeddings and 30 random
+    integer systems."""
+    rng = random.Random(seed)
+    out = [to_system(random_supermodular(rng, rng.randint(2, 3), value_bound=3)) for _ in range(10)]
+    out += [_random_flow_embedding(rng) for _ in range(10)]
+    out += [_random_integer_system(rng) for _ in range(30)]
+    return rng, out
+
+
+class TestSearchesMatchNaiveOracles:
+    """The integer dual search, the mu-form search, _basic_data and lp_min
+    give what the plain scans of tests/helpers.py give: the same values
+    of the same types, the same witnesses, support sizes and bounds."""
+
+    def test_dual_search(self):
+        rng, systems = _oracle_systems(11)
+        found = 0
+        for sys in systems:
+            # the largest bound whose y box has at most 1500 vectors
+            for y_bound in (3, 2, 1):
+                if (y_bound + 1) ** len(sys.rows) <= 1500:
+                    break
+            for _ in range(2):
+                Phi = random_search_objective(rng, sys.elements)
+                rep = dual_search_bruteforce(sys, Phi, y_bound)
+                got = (rep.dual_value, rep.dual_witness, rep.support_size, rep.bounds_used)
+                assert got == naive_dual_search(sys, Phi, y_bound)
+                found += rep.dual_witness is not None
+        assert found >= 60
+
+    def test_mu_form(self):
+        rng, systems = _oracle_systems(12)
+        for sys in systems:
+            Phi = random_search_objective(rng, sys.elements)
+            win = Window.uniform(sys.n, -2, 2)
+            rep = mu_form_dual_search(sys, Phi, win)
+            value, w = naive_mu_form(sys, Phi, win)
+            assert (rep.dual_value, rep.dual_witness) == (value, w)
+            assert type(rep.dual_value) is type(value)
+
+    def test_basic_data_and_lp_min(self):
+        _, systems = _oracle_systems(13)
+        types = set()
+        for sys in systems + [s3_system(), dilation(s3_system(), 2)]:
+            basic = frac_basic_data(sys)
+            assert _basic_data(sys) == basic
+            r = 2 if sys.n <= 3 else 1
+            for w in Window.uniform(sys.n, -r, r).points():
+                got, expected = lp_min(sys, w), frac_lp_min(basic, w)
+                assert got == expected
+                assert type(got[0]) is type(expected[0])
+                types.add(type(got[0]))
+        assert {int, Fraction} <= types
+
+    def test_lp_min_value_types(self):
+        half = LinearSystem(("x",), (Row((2,), 1, GEQ),))
+        assert lp_min(half, (1,)) == (Fraction(1, 2), (Fraction(1, 2),))
+        value, _ = lp_min(half, (2,))
+        assert value == 1 and type(value) is int
+        assert lp_min(half, (-1,)) == (MINUS_INF, None)
 
 
 class TestWindowHelpers:
