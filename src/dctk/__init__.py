@@ -16,7 +16,6 @@ from .conjugate import (
     conjugate_eval,
     is_fitting,
     right_derivative,
-    separable_conjugate,
     subdifferential_interval,
 )
 from .extint import MINUS_INF, PLUS_INF, ExtInt

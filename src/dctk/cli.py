@@ -30,7 +30,7 @@ from .errors import (
     Unbounded,
     ValueMismatch,
 )
-from .extint import is_finite
+from .extint import PLUS_INF, is_finite
 from .extint import to_json as ext_json
 
 EXIT_OK = 0
@@ -202,8 +202,13 @@ def _cmd_minimize_boxtdi(args) -> int:
     primal = polyhedron.minimize_bruteforce(sys_, Phi, win)
     dual = polyhedron.dual_search_bruteforce(sys_, Phi, args.y_bound)
     if not is_finite(primal.primal_value):
-        _emit({"status": "INFEASIBLE", "window": win.to_json()}, args.json_out)
-        return EXIT_INFEASIBLE
+        # Only an exact LP with no vertex proves the system empty.
+        if polyhedron.lp_min(sys_, (0,) * sys_.n)[0] is PLUS_INF:
+            _emit({"status": "INFEASIBLE", "window": win.to_json()}, args.json_out)
+            return EXIT_INFEASIBLE
+        detail = "no integer point in the window, but the system is not empty"
+        _emit({"status": "INCONCLUSIVE", "window": win.to_json(), "detail": detail}, args.json_out)
+        return EXIT_INCONCLUSIVE
     equal = primal.primal_value == dual.dual_value
     report = polyhedron.MinMaxReport(
         primal_value=primal.primal_value,
@@ -257,10 +262,8 @@ def _cmd_inverse(args) -> int:
     lo, hi = _parse_range(args.w_window)
     w_win = polyhedron.Window.uniform(sys_.n, lo, hi)
     w_star, value = inverse.inverse_minimize(inst, w_win)
-    red_sys, z0 = inverse.reduce_targets(sys_, targets)
-    cone = inverse.tangent_cone(red_sys, z0)
     z_win = inverse.default_z_window(dev)
-    dual = inverse.inverse_dual_search(cone, dev, z_win, w_star)
+    dual = inverse.inverse_dual_search(inst.cone, dev, z_win, w_star)
     equal = value == dual.dual_value
     payload = {
         "status": "OK" if equal else "INCONCLUSIVE",

@@ -307,11 +307,6 @@ class SumOf(UnivariateConvex):
 # Basic operations
 
 
-def eval_at(phi: UnivariateConvex, k: int) -> ExtInt:
-    """phi(k); PLUS_INF outside the effective domain."""
-    return phi.value(k)
-
-
 def right_derivative(phi: UnivariateConvex, k: int) -> ExtInt:
     """phi(k+1) - phi(k) under extended-integer rules."""
     v1 = phi.value(k + 1)
@@ -560,11 +555,6 @@ def conjugate_table(Phi: SeparableConvex) -> Callable[[Sequence[int]], ExtInt]:
         return total
 
     return conj
-
-
-def separable_conjugate(Phi: SeparableConvex, w: Sequence[int]) -> ExtInt:
-    """Componentwise conjugate sum."""
-    return Phi.conjugate(w)
 
 
 def square_sum(elements: Iterable[str], coeffs: Optional[Sequence[int]] = None) -> SeparableConvex:

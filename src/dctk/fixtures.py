@@ -23,7 +23,7 @@ from .conjugate import (
 from .extint import MINUS_INF, PLUS_INF, is_finite
 from .mconvex import SupermodularFn, to_system
 from .netflow import Digraph, FlowInstance, square_sum_instance
-from .polyhedron import EQ, GEQ, LinearSystem, Row, Window, _basic_data
+from .polyhedron import EQ, GEQ, LinearSystem, Row, Window
 
 
 def p2() -> SupermodularFn:
@@ -180,23 +180,6 @@ def random_flow_instance(seed_or_rng, cap: int = 3) -> FlowInstance:
         m[idx[t]] -= x0[ai]
     upper = tuple(cap for _ in d.arcs)
     return square_sum_instance(d, m, lower=(0,) * len(d.arcs), upper=upper)
-
-
-def vertex_hull_window(sys: LinearSystem, pad: int = 0) -> Window:
-    """Smallest integer box containing every vertex of the system."""
-    vertices, _, _ = _basic_data(sys)
-    if not vertices:
-        raise ValueError("system has no vertices")
-    n = sys.n
-    los = []
-    his = []
-    import math
-
-    for j in range(n):
-        vals = [v[j] for v in vertices]
-        los.append(math.floor(min(vals)) - pad)
-        his.append(math.ceil(max(vals)) + pad)
-    return Window(tuple(los), tuple(his))
 
 
 def base_window(p: SupermodularFn, pad: int = 0) -> Window:

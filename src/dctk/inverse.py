@@ -10,8 +10,8 @@ single target on the dilated system.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from . import ratlin
@@ -25,21 +25,14 @@ from .conjugate import (
 from .errors import NoFeasibleWeight, NotFeasible
 from .extint import MINUS_INF, PLUS_INF, ExtInt, is_finite
 from .polyhedron import (
-    EQ,
-    GEQ,
     LinearSystem,
     MinMaxReport,
-    Row,
+    TangentCone,
     Window,
     dilation,
-    lp_min,
+    normal_cone_points,
+    tangent_cone,
 )
-
-
-@dataclass(frozen=True)
-class TangentCone:
-    base_point: Tuple[int, ...]
-    cone_system: LinearSystem
 
 
 @dataclass(frozen=True)
@@ -53,45 +46,27 @@ class InverseInstance:
             if not self.parent.contains(z):
                 raise NotFeasible(f"target {z} violates the system")
 
-
-def tangent_cone(sys: LinearSystem, z0: Sequence[int]) -> TangentCone:
-    """Rows tight at z0 with right-hand sides zeroed; equality rows are
-    always included."""
-    z0 = tuple(z0)
-    if not sys.contains(z0):
-        raise NotFeasible(f"z0={z0} violates the system")
-    rows: List[Row] = []
-    for r in sys.rows:
-        if r.kind == EQ:
-            rows.append(Row(r.coeffs, 0, EQ))
-        elif r.slack(z0) == 0:
-            rows.append(Row(r.coeffs, 0, GEQ))
-    if not rows:
-        rows.append(Row((0,) * sys.n, 0, GEQ))
-    return TangentCone(z0, LinearSystem(sys.elements, tuple(rows)))
-
-
-def is_minimizer(sys: LinearSystem, z0: Sequence[int], w: Sequence[int]) -> bool:
-    """Exact rational check lp_min(sys, w) = w.z0."""
-    val, _ = lp_min(sys, w)
-    return val == ratlin.dot(w, z0)
+    @cached_property
+    def cone(self) -> TangentCone:
+        """The tangent cone at the targets' sum on the k-dilated system."""
+        return tangent_cone(*reduce_targets(self.parent, self.targets))
 
 
 def inverse_minimize(
     inst: InverseInstance, w_window: Window
 ) -> Tuple[Tuple[int, ...], ExtInt]:
-    """Exhaustive scan for the cheapest admissible integral cost.
-
-    Multi-target instances are reduced via the dilated system first;
-    the scan keeps only w making the (combined) target a w-minimizer.
-    """
-    sys, z0 = reduce_targets(inst.parent, inst.targets)
+    """Exhaustive scan for the cheapest admissible integral cost: the
+    normal cone at the (combined) target, in lex order, with the deviation
+    summed from one table per coordinate; the first least value wins."""
+    if len(inst.deviation.parts) != inst.parent.n:
+        raise ValueError(f"expected {inst.parent.n} deviation components")
+    ranges = [range(lo, hi + 1) for lo, hi in zip(w_window.lo, w_window.hi)]
+    parts = [phi for _, phi in inst.deviation.parts]
+    tables = [{k: phi.value(k) for k in r} for phi, r in zip(parts, ranges)]
     best: ExtInt = PLUS_INF
     arg: Optional[Tuple[int, ...]] = None
-    for w in w_window.points():
-        if not is_minimizer(sys, z0, w):
-            continue
-        v = inst.deviation.value(w)
+    for w in normal_cone_points(inst.cone, ranges):
+        v = sum(table[k] for table, k in zip(tables, w))
         if v < best:
             best, arg = v, w
     if arg is None:
@@ -145,22 +120,6 @@ def reduce_targets(
     sys: LinearSystem, targets: Sequence[Sequence[int]]
 ) -> Tuple[LinearSystem, Tuple[int, ...]]:
     """k targets on R become one target (their sum) on the k-dilation."""
-    k = len(targets)
-    if k < 1:
-        raise ValueError("need at least one target")
-    for z in targets:
-        if not sys.contains(z):
-            raise NotFeasible(f"target {tuple(z)} violates the system")
-    if k == 1:
-        return sys, tuple(targets[0])
-    z0 = tuple(sum(t[i] for t in targets) for i in range(sys.n))
-    return dilation(sys, k), z0
-
-
-def dilate_targets(
-    sys: LinearSystem, targets: Sequence[Sequence[int]]
-) -> Tuple[LinearSystem, Tuple[int, ...]]:
-    """Always-dilating variant of :func:`reduce_targets` (k=1 included)."""
     k = len(targets)
     if k < 1:
         raise ValueError("need at least one target")

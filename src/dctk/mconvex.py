@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .conjugate import SeparableConvex, conjugate_table, subdifferential_interval
-from .errors import CriteriaViolated, EmptyIntersection, Unbounded
+from .errors import CriteriaViolated, EmptyIntersection, IterationLimit, Unbounded
 from .extint import MINUS_INF, PLUS_INF, ExtInt, is_finite
 from .polyhedron import EQ, GEQ, LinearSystem, MinMaxReport, Row, Window
 
@@ -269,7 +269,7 @@ def minimize_separable(p: SupermodularFn, Phi: SeparableConvex) -> Tuple[int, ..
         z[s] -= 1
         z[t] += 1
         cur -= best_drop
-    raise Unbounded("descent budget exhausted")
+    raise IterationLimit("descent budget exhausted")
 
 
 def tight_sets(p: SupermodularFn, z: Sequence[int]) -> List[int]:

@@ -1,9 +1,10 @@
 """Integral linear systems [Q'x >= p', Q=x = p=] at desk scale.
 
 Windowed integer-point enumeration, exact rational LP by basic-solution
-enumeration, dual searches for the separable-convex min-max formulas,
-the disjoint-pair feasibility test, dilations, and a box-integrality
-probe.  All arithmetic is exact (ints and Fractions); all witnesses are
+enumeration, tangent cones and a scan of their normal cones, dual
+searches for the separable-convex min-max formulas, the disjoint-pair
+feasibility test, dilations, and a box-integrality probe.  All
+arithmetic is exact (ints and Fractions); all witnesses are
 lexicographically least for determinism.
 """
 
@@ -12,13 +13,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, List, Optional, Sequence, Tuple
+from math import ceil, floor, gcd, lcm
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import ratlin
 from .conjugate import SeparableConvex, conjugate_table
 from .errors import (
     CriteriaViolated,
+    NotFeasible,
     NotPrimalFeasible,
     NotSignFeasible,
 )
@@ -184,7 +186,6 @@ class MinMaxReport:
             "support_size": self.support_size,
             "bounds_used": self.bounds_used,
             "notes": list(self.notes),
-            "verified": self.equality,
         }
 
 
@@ -297,6 +298,71 @@ def lp_min(sys: LinearSystem, w: Sequence[int]):
             best, arg = val, v
     best = Fraction(best, big_d)
     return (best.numerator if best.denominator == 1 else best, arg)
+
+
+def vertex_hull_window(sys: LinearSystem, pad: int = 0) -> Window:
+    """Smallest integer box containing every vertex of the system,
+    widened by pad on each side."""
+    vertices, _, _ = _basic_data(sys)
+    if not vertices:
+        raise ValueError("system has no vertices")
+    return Window(
+        tuple(floor(min(v[j] for v in vertices)) - pad for j in range(sys.n)),
+        tuple(ceil(max(v[j] for v in vertices)) + pad for j in range(sys.n)),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Tangent and normal cones
+
+
+@dataclass(frozen=True)
+class TangentCone:
+    """The rows tight at a point, right-hand sides zeroed, and generators:
+    the cone is span(lineality) + the nonnegative combinations of rays."""
+
+    cone_system: LinearSystem
+    rays: Tuple[Tuple[int, ...], ...]
+    lineality: Tuple[Tuple[int, ...], ...]
+
+
+def tangent_cone(sys: LinearSystem, z0: Sequence[int]) -> TangentCone:
+    """The tangent cone at z0; equality rows are always included.  Its
+    generators come from :func:`_basic_data` on the cone system, which has
+    only the few rows tight at z0."""
+    z0 = tuple(z0)
+    if not sys.contains(z0):
+        raise NotFeasible(f"z0={z0} violates the system")
+    rows: List[Row] = []
+    for r in sys.rows:
+        if r.kind == EQ:
+            rows.append(Row(r.coeffs, 0, EQ))
+        elif r.slack(z0) == 0:
+            rows.append(Row(r.coeffs, 0, GEQ))
+    if not rows:
+        rows.append(Row((0,) * sys.n, 0, GEQ))
+    cone_sys = LinearSystem(sys.elements, tuple(rows))
+    _, rays, lineality = _basic_data(cone_sys)
+    return TangentCone(cone_sys, tuple(rays), tuple(lineality))
+
+
+def normal_cone_points(
+    cone: TangentCone, ranges: Sequence[range]
+) -> Iterator[Tuple[int, ...]]:
+    """The integral w in the box of ranges that the cone's point minimizes,
+    in lex order: w.g >= 0 on the rays and on both signs of each lineality
+    vector.  Each generator's dot product is summed once per head (all
+    entries of w but the last); the inner loop steps the last entry t and
+    adds t times the generator's last entry."""
+    negated = tuple(tuple(-x for x in g) for g in cone.lineality)
+    gens = [(g[:-1], g[-1]) for g in cone.rays + cone.lineality + negated]
+    for head in itertools.product(*ranges[:-1]):
+        ts = ranges[-1]
+        for g, c in gens:
+            h = ratlin.dot(g, head)
+            ts = [t for t in ts if h + t * c >= 0]
+        for t in ts:
+            yield head + (t,)
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +545,8 @@ def find_weight_in_box(
     u: Sequence[ExtInt],
     w_window: Window,
 ) -> Optional[Tuple[int, ...]]:
-    """First integral w in the window, clipped to [ell, u], with
-    mu_R(w) = w.z*; None if the scan is exhausted."""
-    z_star = tuple(z_star)
+    """First integral w in lex order in the window, clipped to [ell, u],
+    with mu_R(w) = w.z*; None if the scan is exhausted."""
     ranges = []
     for lo, hi, l, v in zip(w_window.lo, w_window.hi, ell, u):
         a = max(lo, l) if is_finite(l) else lo
@@ -489,11 +554,7 @@ def find_weight_in_box(
         if a > b:
             return None
         ranges.append(range(a, b + 1))
-    for w in itertools.product(*ranges):
-        val, _ = lp_min(sys, w)
-        if val == ratlin.dot(w, z_star):
-            return w
-    return None
+    return next(normal_cone_points(tangent_cone(sys, z_star), ranges), None)
 
 
 def dilation(sys: LinearSystem, k: int) -> LinearSystem:

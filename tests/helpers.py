@@ -6,6 +6,7 @@ of the library's search logic, so agreement is meaningful.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import pathlib
@@ -27,9 +28,12 @@ from dctk.conjugate import (
     VShape,
     square_sum,
 )
+from dctk.errors import NoFeasibleWeight
 from dctk.extint import MINUS_INF, PLUS_INF, ExtInt, is_finite
+from dctk.fixtures import random_digraph
 from dctk.mconvex import SupermodularFn, lovasz_extension
-from dctk.polyhedron import EQ, GEQ, DualVector, LinearSystem, Window
+from dctk.netflow import embedding_system, square_sum_instance
+from dctk.polyhedron import EQ, GEQ, DualVector, LinearSystem, Row, Window, dilation
 
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
@@ -146,6 +150,30 @@ def dom_range(phi: UnivariateConvex) -> Tuple[int, int]:
     lo, hi = phi.dom()
     assert is_finite(lo) and is_finite(hi)
     return lo, hi
+
+
+def random_flow_embedding(rng: random.Random) -> LinearSystem:
+    """Embedding of a random digraph (<= 3 nodes, <= 3 arcs) whose demand
+    comes from a random flow, so the system is feasible."""
+    d = random_digraph(rng, max_nodes=3, max_arcs=3)
+    m = [0] * len(d.nodes)
+    for t, h in d.arcs:
+        f = rng.randint(0, 2)
+        m[d.nodes.index(h)] += f
+        m[d.nodes.index(t)] -= f
+    return embedding_system(square_sum_instance(d, m))
+
+
+def random_integer_system(rng: random.Random) -> LinearSystem:
+    """Small rows with coefficients in [-3, 3]: many have fractional
+    vertices, so the probe's witness path is exercised."""
+    n = rng.randint(2, 3)
+    rows = tuple(
+        Row(tuple(rng.randint(-3, 3) for _ in range(n)), rng.randint(-4, 4),
+            rng.choice((GEQ, GEQ, EQ)))
+        for _ in range(rng.randint(n, n + 3))
+    )
+    return LinearSystem(tuple(f"x{i}" for i in range(n)), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +372,50 @@ def frac_lp_min(basic, w: Sequence[int]):
         return (MINUS_INF, None)
     best, arg = min((sum(a * b for a, b in zip(w, v)), v) for v in vertices)
     return (best.numerator if best.denominator == 1 else best, arg)
+
+
+# ---------------------------------------------------------------------------
+# Inverse optimization, by one exact LP per weight
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_basic_data(elements, rows):
+    return frac_basic_data(LinearSystem(elements, rows))
+
+
+def is_minimizer(sys: LinearSystem, z0: Sequence[int], w: Sequence[int]) -> bool:
+    """z0 minimizes w over the system: the Fraction LP minimum equals w.z0."""
+    val, _ = frac_lp_min(_cached_basic_data(sys.elements, sys.rows), w)
+    return val == sum(a * b for a, b in zip(w, z0))
+
+
+def naive_inverse_minimize(inst, w_window: Window):
+    """(w, value) of the cheapest w in the window that makes the targets
+    optimal, by one exact LP per w in lex order (the first least value
+    wins); the k targets become their sum on the k-dilation."""
+    targets = inst.targets
+    z0 = tuple(sum(t[i] for t in targets) for i in range(inst.parent.n))
+    sys = dilation(inst.parent, len(targets))
+    best: ExtInt = PLUS_INF
+    arg = None
+    for w in w_window.points():
+        if is_minimizer(sys, z0, w):
+            v = inst.deviation.value(w)
+            if v < best:
+                best, arg = v, w
+    if arg is None:
+        raise NoFeasibleWeight("no integral cost in the window makes the target optimal")
+    return arg, best
+
+
+def naive_find_weight_in_box(sys: LinearSystem, z_star, ell, u, w_window: Window):
+    """First w in lex order in the window and in [ell, u] that z* minimizes
+    by one exact LP per w; None if there is none."""
+    for w in w_window.points():
+        if all((not is_finite(l) or l <= wi) and (not is_finite(v) or wi <= v)
+               for l, wi, v in zip(ell, w, u)) and is_minimizer(sys, z_star, w):
+            return w
+    return None
 
 
 def random_search_objective(rng: random.Random, elements: Sequence[str]) -> SeparableConvex:

@@ -33,16 +33,14 @@ from dctk.fixtures import (
     random_supermodular,
     random_weight,
     s3_system,
-    vertex_hull_window,
 )
 from dctk.inverse import (
     InverseInstance,
     default_z_window,
-    dilate_targets,
     inverse_dual_search,
     inverse_minimize,
-    is_minimizer,
     l1_deviation,
+    reduce_targets,
     tangent_cone,
 )
 from dctk.mconvex import (
@@ -76,9 +74,10 @@ from dctk.polyhedron import (
     mu_form_dual_search,
     probe_box_integer,
     verify_certificate,
+    vertex_hull_window,
 )
 
-from helpers import brute_conjugate, dom_range, univariate_corpus
+from helpers import brute_conjugate, dom_range, is_minimizer, univariate_corpus
 
 ELL_RANGE = range(-12, 13)
 
@@ -410,7 +409,7 @@ def test_criterion_9_inverse_duality():
             inst = InverseInstance(sys, targets, dev)
             w, v = inverse_minimize(inst, wwin)
             assert all(is_minimizer(sys, t, w) for t in targets)
-            big_sys, z0 = dilate_targets(sys, targets)
+            big_sys, z0 = reduce_targets(sys, targets)
             cone = tangent_cone(big_sys, z0)
             rep = inverse_dual_search(cone, dev, default_z_window(dev), w)
             assert rep.dual_value == v

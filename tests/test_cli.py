@@ -202,6 +202,34 @@ class TestMinimizeCommands:
         assert p.returncode == 0
         rep = json.loads(p.stdout)["report"]
         assert rep["primal_value"] == rep["dual_value"] == 2
+        assert "verified" not in rep
+
+    # rows a >= 10 and b >= 10 (feasible), and a >= 1 with -a >= 0 (empty)
+    @pytest.mark.parametrize("rows, code, stdout", [
+        ([[[1, 0], 10], [[0, 1], 10]], cli.EXIT_INCONCLUSIVE,
+         '{"detail":"no integer point in the window, but the system is not empty",'
+         '"status":"INCONCLUSIVE","window":{"hi":[3,3],"lo":[0,0]}}\n'),
+        ([[[1, 0], 1], [[-1, 0], 0]], cli.EXIT_INFEASIBLE,
+         '{"status":"INFEASIBLE","window":{"hi":[3,3],"lo":[0,0]}}\n'),
+    ], ids=["empty-window", "empty-system"])
+    def test_boxtdi_infeasible_only_without_lp_vertex(self, rows, code, stdout):
+        system = {"elements": ["e1", "e2"], "rows": [
+            {"coeffs": c, "rhs": r, "kind": "geq"} for c, r in rows]}
+        p = run_cli([
+            "minimize", "boxtdi", "--instance", json.dumps(system),
+            "--phi", json.dumps(SQ2), "--window", "0..3",
+        ])
+        assert (p.returncode, p.stdout) == (code, stdout)
+
+    def test_mconvex_budget_exhausted_is_inconclusive(self):
+        # z1 + z2 = 0 with z >= -30000: the optimum (0, 0) lies further
+        # from the greedy start than the descent budget reaches.
+        inst = {"n": 2, "p": {"0": 0, "1": -30000, "2": -30000, "3": 0},
+                "elements": ["e1", "e2"]}
+        p = run_cli(["minimize", "mconvex", "--instance", json.dumps(inst),
+                     "--phi", json.dumps(SQ2)])
+        assert p.returncode == cli.EXIT_INCONCLUSIVE
+        assert p.stdout == '{"detail":"descent budget exhausted","status":"INCONCLUSIVE"}\n'
 
 
 class TestCertifyCommands:

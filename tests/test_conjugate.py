@@ -16,12 +16,10 @@ from dctk.conjugate import (
     conjugate_eval,
     conjugate_table,
     conjugate_eval_with_argmax,
-    eval_at,
     from_json,
     is_fitting,
     materialize_table,
     right_derivative,
-    separable_conjugate,
     square_sum,
     subdifferential_interval,
     to_json,
@@ -40,13 +38,13 @@ from helpers import (
 
 class TestEval:
     def test_quadratic(self):
-        assert eval_at(Quadratic(1), 3) == 9
+        assert Quadratic(1).value(3) == 9
 
     def test_vshape(self):
-        assert eval_at(VShape(3, -1, 1), 5) == 2
+        assert VShape(3, -1, 1).value(5) == 2
 
     def test_restricted_outside(self):
-        assert eval_at(Restricted(0, 2, Quadratic(1)), -1) is PLUS_INF
+        assert Restricted(0, 2, Quadratic(1)).value(-1) is PLUS_INF
 
     def test_table_convexity_rejected(self):
         with pytest.raises(ValueError):
@@ -196,14 +194,14 @@ class TestFitting:
 class TestSeparable:
     def test_square_sum_conjugate(self):
         Phi = square_sum(["a", "b"])
-        assert separable_conjugate(Phi, (3, 3)) == 4
-        assert separable_conjugate(Phi, (0, 0)) == 0
+        assert Phi.conjugate((3, 3)) == 4
+        assert Phi.conjugate((0, 0)) == 0
 
     def test_abs_conjugate_infinite(self):
         Phi = SeparableConvex(
             (("a", VShape(3, -1, 1)), ("b", VShape(1, -1, 1)))
         )
-        assert separable_conjugate(Phi, (0, 2)) is PLUS_INF
+        assert Phi.conjugate((0, 2)) is PLUS_INF
 
     def test_conjugate_table_matches_conjugate(self):
         import itertools

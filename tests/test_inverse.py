@@ -6,24 +6,39 @@ import pytest
 from dctk.conjugate import SeparableConvex, VShape
 from dctk.errors import NoFeasibleWeight, NotFeasible
 from dctk.extint import MINUS_INF, PLUS_INF
-from dctk.fixtures import p2_system, random_supermodular
+from dctk.fixtures import p2_system, random_supermodular, s3_system
 from dctk.inverse import (
     InverseInstance,
     box_deviation,
     default_z_window,
-    dilate_targets,
     inverse_dual_search,
     inverse_minimize,
-    is_minimizer,
     l1_deviation,
     reduce_targets,
     tangent_cone,
     weighted_l1_deviation,
 )
 from dctk.mconvex import enumerate_bases, to_system
-from dctk.polyhedron import EQ, GEQ, Window, lp_min
+from dctk.polyhedron import (
+    EQ,
+    GEQ,
+    LinearSystem,
+    Row,
+    Window,
+    dilation,
+    enumerate_integer_points,
+    find_weight_in_box,
+    normal_cone_points,
+)
 
-from helpers import random_search_objective
+from helpers import (
+    is_minimizer,
+    naive_find_weight_in_box,
+    naive_inverse_minimize,
+    random_flow_embedding,
+    random_integer_system,
+    random_search_objective,
+)
 
 P2SYS = p2_system()
 DEV = l1_deviation((3, 1), P2SYS.elements)
@@ -156,7 +171,7 @@ class TestInverseDual:
 
 class TestTargets:
     def test_dilate_pair(self):
-        sys2, z0 = dilate_targets(P2SYS, [(1, 1), (2, 0)])
+        sys2, z0 = reduce_targets(P2SYS, [(1, 1), (2, 0)])
         assert sys2.rows[2].rhs == 4 and z0 == (3, 1)
 
     def test_reduce_single_is_identity(self):
@@ -164,16 +179,16 @@ class TestTargets:
         assert sys1 == P2SYS and z0 == (1, 1)
 
     def test_dilate_same_target(self):
-        sys2, z0 = dilate_targets(P2SYS, [(0, 2), (0, 2)])
+        sys2, z0 = reduce_targets(P2SYS, [(0, 2), (0, 2)])
         assert sys2.rows[2].rhs == 4 and z0 == (0, 4)
 
     def test_bad_target(self):
         with pytest.raises(NotFeasible):
-            dilate_targets(P2SYS, [(1, 0)])
+            reduce_targets(P2SYS, [(1, 0)])
 
     def test_multi_target_consistency(self):
         targets = [(1, 1), (2, 0)]
-        sys2, z0 = dilate_targets(P2SYS, targets)
+        sys2, z0 = reduce_targets(P2SYS, targets)
         for w in itertools.product(range(-3, 4), repeat=2):
             each = all(is_minimizer(P2SYS, t, w) for t in targets)
             assert is_minimizer(sys2, z0, w) == each
@@ -196,3 +211,104 @@ class TestDeviationBuilders:
 
         win = default_z_window(square_sum(("a", "b")))
         assert win.lo == (-6, -6) and win.hi == (6, 6)
+
+
+def _cone_cases():
+    """(system, targets) pairs whose tangent cones the scans are checked
+    on: base systems with n = 2-4 and k = 1, 2 and 3 targets, flow
+    embeddings and random integer systems, s3 at a vertex and its
+    2-dilation at a sum of two vertices, p2 at (1, 1), whose cone has
+    lineality, and the centre of a box, whose cone is the zero row."""
+    rng = random.Random(17)
+    cases = []
+    for n, count in ((2, 4), (3, 3), (4, 1)):
+        for _ in range(count):
+            p = random_supermodular(rng, n, value_bound=2)
+            bases = enumerate_bases(p)
+            for k in (1, 2, 3):
+                cases.append((to_system(p), tuple(rng.choice(bases) for _ in range(k))))
+    for build in (random_flow_embedding, random_integer_system):
+        for _ in range(8):
+            sys = build(rng)
+            points = enumerate_integer_points(sys, Window.uniform(sys.n, -3, 3))
+            if points:
+                cases.append((sys, (rng.choice(points),)))
+    s3 = s3_system()
+    cases.append((s3, ((1, 1, 1, 0, 0, 0),)))
+    cases.append((s3, ((1, 1, 1, 0, 0, 0), (0, 1, 0, 0, 1, 0))))
+    cases.append((P2SYS, ((1, 1),)))
+    box = LinearSystem(("a", "b"), tuple(
+        Row(c, r, GEQ) for c, r in (((1, 0), 0), ((0, 1), 0), ((-1, 0), -2), ((0, -1), -2))))
+    cases.append((box, ((1, 1),)))
+    return cases
+
+
+def _window(n):
+    return Window.uniform(n, -2, 2) if n <= 4 else Window.uniform(n, -1, 1)
+
+
+def _reduced(sys, targets):
+    return dilation(sys, len(targets)), tuple(map(sum, zip(*targets)))
+
+
+class TestNormalConeMatchesOracle:
+    """The normal-cone scan, find_weight_in_box and inverse_minimize give
+    what one exact Fraction LP per weight gives (tests/helpers.py)."""
+
+    def test_scan_is_the_set_of_lp_minimizing_weights(self):
+        sizes = set()
+        for sys, targets in _cone_cases():
+            big, z0 = _reduced(sys, targets)
+            win = _window(sys.n)
+            ranges = [range(lo, hi + 1) for lo, hi in zip(win.lo, win.hi)]
+            got = list(normal_cone_points(tangent_cone(big, z0), ranges))
+            assert got == [w for w in win.points() if is_minimizer(big, z0, w)]
+            sizes.add(len(got))
+        assert 1 in sizes and len(sizes) >= 8
+
+    def test_lineality_and_zero_row_cones(self):
+        cone = tangent_cone(P2SYS, (1, 1))
+        assert cone.rays == () and cone.lineality != ()
+        ranges = [range(-2, 3)] * 2
+        assert list(normal_cone_points(cone, ranges)) == [(v, v) for v in range(-2, 3)]
+        *_, (box, targets) = _cone_cases()
+        cone = tangent_cone(box, targets[0])
+        assert [r.coeffs for r in cone.cone_system.rows] == [(0, 0)]
+        assert list(normal_cone_points(cone, ranges)) == [(0, 0)]
+
+    def test_find_weight_in_box(self):
+        rng = random.Random(19)
+        found = 0
+        for sys, targets in _cone_cases():
+            big, z0 = _reduced(sys, targets)
+            win = _window(sys.n)
+            for _ in range(3):
+                ell = tuple(rng.choice((MINUS_INF, rng.randint(-3, 2))) for _ in range(sys.n))
+                u = tuple(rng.choice((PLUS_INF, rng.randint(-2, 3))) for _ in range(sys.n))
+                got = find_weight_in_box(big, z0, ell, u, win)
+                assert got == naive_find_weight_in_box(big, z0, ell, u, win)
+                found += got is not None
+        assert found >= 40
+
+    def test_inverse_minimize(self):
+        rng = random.Random(23)
+        outcomes = []
+        for sys, targets in _cone_cases():
+            for _ in range(2):
+                if rng.random() < 0.5:
+                    dev = random_search_objective(rng, sys.elements)
+                else:
+                    w0 = tuple(rng.randint(-2, 2) for _ in range(sys.n))
+                    dev = l1_deviation(w0, sys.elements)
+                inst = InverseInstance(sys, targets, dev)
+                win = _window(sys.n)
+                got, expected = [], []
+                for scan, out in ((inverse_minimize, got), (naive_inverse_minimize, expected)):
+                    try:
+                        out.append(scan(inst, win))
+                    except NoFeasibleWeight:
+                        out.append(None)
+                assert got == expected
+                outcomes.append(got[0])
+        assert None in outcomes
+        assert sum(o is not None and o[1] is not PLUS_INF for o in outcomes) >= 60

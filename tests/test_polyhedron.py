@@ -9,13 +9,10 @@ from dctk.errors import CriteriaViolated, NotPrimalFeasible, NotSignFeasible
 from dctk.extint import MINUS_INF, PLUS_INF
 from dctk.fixtures import (
     p2_system,
-    random_digraph,
     random_supermodular,
     s3_system,
-    vertex_hull_window,
 )
 from dctk.mconvex import to_system
-from dctk.netflow import embedding_system, square_sum_instance
 from dctk.polyhedron import (
     EQ,
     GEQ,
@@ -35,6 +32,7 @@ from dctk.polyhedron import (
     mu_form_dual_search,
     probe_box_integer,
     verify_certificate,
+    vertex_hull_window,
 )
 
 from helpers import (
@@ -43,6 +41,8 @@ from helpers import (
     naive_dual_search,
     naive_mu_form,
     naive_probe_box_integer,
+    random_flow_embedding,
+    random_integer_system,
     random_search_objective,
 )
 
@@ -292,30 +292,6 @@ class TestProbe:
         assert witness == (Fraction(1, 2), Fraction(-1))
 
 
-def _random_flow_embedding(rng):
-    """Embedding of a random digraph (<= 3 nodes, <= 3 arcs) whose demand
-    comes from a random flow, so the system is feasible."""
-    d = random_digraph(rng, max_nodes=3, max_arcs=3)
-    m = [0] * len(d.nodes)
-    for t, h in d.arcs:
-        f = rng.randint(0, 2)
-        m[d.nodes.index(h)] += f
-        m[d.nodes.index(t)] -= f
-    return embedding_system(square_sum_instance(d, m))
-
-
-def _random_integer_system(rng):
-    """Small rows with coefficients in [-3, 3]: many have fractional
-    vertices, so the probe's witness path is exercised."""
-    n = rng.randint(2, 3)
-    rows = tuple(
-        Row(tuple(rng.randint(-3, 3) for _ in range(n)), rng.randint(-4, 4),
-            rng.choice((GEQ, GEQ, EQ)))
-        for _ in range(rng.randint(n, n + 3))
-    )
-    return LinearSystem(tuple(f"x{i}" for i in range(n)), rows)
-
-
 class TestProbeMatchesNaiveOracle:
     """(ok, witness) equals that of the per-tuple Fraction probe in
     tests/helpers.py, which scans in the same order."""
@@ -335,7 +311,7 @@ class TestProbeMatchesNaiveOracle:
     def test_flow_embeddings_and_dilations(self):
         rng = random.Random(6)
         for _ in range(10):
-            emb = _random_flow_embedding(rng)
+            emb = random_flow_embedding(rng)
             for k in (1, 2, 3):
                 d = dilation(emb, k)
                 self.check(d, vertex_hull_window(d, pad=1))
@@ -344,7 +320,7 @@ class TestProbeMatchesNaiveOracle:
         rng = random.Random(7)
         witnesses = 0
         for _ in range(30):
-            sys = _random_integer_system(rng)
+            sys = random_integer_system(rng)
             for k in (1, 2, 3):
                 d = dilation(sys, k)
                 win = Window.uniform(sys.n, -2, 2)
@@ -362,8 +338,8 @@ def _oracle_systems(seed):
     integer systems."""
     rng = random.Random(seed)
     out = [to_system(random_supermodular(rng, rng.randint(2, 3), value_bound=3)) for _ in range(10)]
-    out += [_random_flow_embedding(rng) for _ in range(10)]
-    out += [_random_integer_system(rng) for _ in range(30)]
+    out += [random_flow_embedding(rng) for _ in range(10)]
+    out += [random_integer_system(rng) for _ in range(30)]
     return rng, out
 
 
