@@ -5,13 +5,16 @@ Subcommands: conjugate, minimize {mconvex,m2,flow,boxtdi}, certify
 accept either inline JSON or a path to a JSON file.  Output is
 canonical JSON (sorted keys, compact separators, no floats); exit codes
 are 0 ok, 2 infeasible, 3 unbounded, 4 invalid input, 5 criteria
-violated, 6 inconclusive (bounded search exhausted, or primal and
-dual values differ).
+violated, 6 inconclusive (a search that stopped without a proof, or
+primal and dual values differ).  The parser is built once per process,
+on the first run(); each leaf command carries its handler, and run()
+prints every outcome, success or failure, from one place.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence, Tuple
@@ -21,9 +24,8 @@ from . import fixtures, inverse, mconvex, netflow, polyhedron
 from .errors import (
     CriteriaViolated,
     DctkError,
+    Inconclusive,
     Infeasible,
-    IterationLimit,
-    NoFeasibleWeight,
     NotFeasible,
     NotPrimalFeasible,
     NotSignFeasible,
@@ -39,6 +41,8 @@ EXIT_UNBOUNDED = 3
 EXIT_INVALID = 4
 EXIT_CRITERIA = 5
 EXIT_INCONCLUSIVE = 6
+
+Outcome = Tuple[dict, int]  # (payload to print, exit code)
 
 
 def _load_json(arg: str):
@@ -68,133 +72,131 @@ def _emit(payload: dict, json_out: Optional[str]) -> None:
             fh.write(text + "\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The whole tree, built on the first run() of a process and reused:
+    parse_args keeps no state in the parser between calls."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json-out")
     ap = argparse.ArgumentParser(prog="dctk")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    c = sub.add_parser("conjugate", help="evaluate a discrete conjugate")
+    def leaf(parent, name, cmd, **kw):
+        p = parent.add_parser(name, parents=[common], **kw)
+        p.set_defaults(cmd=cmd)
+        return p
+
+    c = leaf(sub, "conjugate", _cmd_conjugate, help="evaluate a discrete conjugate")
     c.add_argument("--phi", required=True)
     c.add_argument("--ell", required=True, type=int)
     c.add_argument("--closed", action="store_true")
-    c.add_argument("--json-out")
 
     m = sub.add_parser("minimize", help="minimize a separable convex function")
     msub = m.add_subparsers(dest="subject", required=True)
 
-    mm = msub.add_parser("mconvex")
+    mm = leaf(msub, "mconvex", _cmd_mconvex)
     mm.add_argument("--instance", required=True)
     mm.add_argument("--phi", required=True)
-    mm.add_argument("--json-out")
 
-    m2 = msub.add_parser("m2")
+    m2 = leaf(msub, "m2", _cmd_minimize_m2)
     m2.add_argument("--instance", required=True)
     m2.add_argument("--phi", required=True)
     m2.add_argument("--w-window", default="3")
-    m2.add_argument("--json-out")
 
-    mf = msub.add_parser("flow")
+    mf = leaf(msub, "flow", _cmd_minimize_flow)
     mf.add_argument("--instance", required=True)
-    mf.add_argument("--json-out")
 
-    mb = msub.add_parser("boxtdi")
+    mb = leaf(msub, "boxtdi", _cmd_minimize_boxtdi)
     mb.add_argument("--instance", required=True)
     mb.add_argument("--phi", required=True)
     mb.add_argument("--window", required=True)
     mb.add_argument("--y-bound", type=int, default=6)
-    mb.add_argument("--json-out")
 
     ce = sub.add_parser("certify", help="verify a primal/dual pair")
     csub = ce.add_subparsers(dest="subject", required=True)
 
-    cm = csub.add_parser("mconvex")
+    cm = leaf(csub, "mconvex", _cmd_certify_mconvex)
     cm.add_argument("--instance", required=True)
     cm.add_argument("--phi", required=True)
     cm.add_argument("--point", required=True)
     cm.add_argument("--weights")
-    cm.add_argument("--json-out")
 
-    cf = csub.add_parser("flow")
+    cf = leaf(csub, "flow", _cmd_certify_flow)
     cf.add_argument("--instance", required=True)
     cf.add_argument("--flow", required=True)
     cf.add_argument("--potential", required=True)
-    cf.add_argument("--json-out")
 
-    iv = sub.add_parser("inverse", help="inverse optimization")
+    iv = leaf(sub, "inverse", _cmd_inverse, help="inverse optimization")
     iv.add_argument("--system", required=True)
     iv.add_argument("--target", action="append", required=True)
     iv.add_argument("--deviation", required=True)
     iv.add_argument("--w-window", default="6")
-    iv.add_argument("--json-out")
 
-    pr = sub.add_parser("probe", help="box-integrality probe")
+    pr = leaf(sub, "probe", _cmd_probe, help="box-integrality probe")
     pr.add_argument("--system", required=True)
     pr.add_argument("--window", required=True)
-    pr.add_argument("--json-out")
 
-    st = sub.add_parser("selftest", help="run the bundled fixture corpus")
+    st = leaf(sub, "selftest", _cmd_selftest, help="run the bundled fixture corpus")
     st.add_argument("--seed", type=int, default=1)
-    st.add_argument("--json-out")
 
     return ap
 
 
-def _cmd_conjugate(args) -> int:
-    phi = cj.from_json(_load_json(args.phi))
-    if args.closed:
-        value = cj.conjugate_closed(phi, args.ell)
-    else:
-        value = cj.conjugate_eval(phi, args.ell)
-    _emit({"status": "OK", "value": ext_json(value)}, args.json_out)
-    return EXIT_OK
+def _verdict(payload: dict, equal: bool) -> Outcome:
+    """OK (exit 0) when primal and dual values agree, else INCONCLUSIVE."""
+    status, code = ("OK", EXIT_OK) if equal else ("INCONCLUSIVE", EXIT_INCONCLUSIVE)
+    return {"status": status, **payload}, code
 
 
-def _cmd_minimize_mconvex(args) -> int:
+def _report(report: polyhedron.MinMaxReport) -> Outcome:
+    """A checked report prints as OK; only its exit code tells equality."""
+    code = EXIT_OK if report.equality else EXIT_INCONCLUSIVE
+    return {"status": "OK", "report": report.to_json()}, code
+
+
+def _cmd_mconvex(args, point: Optional[str] = None, weights: Optional[str] = None) -> Outcome:
+    """minimize mconvex, and certify mconvex: verify a point (by default
+    the minimizer) with weights (by default the slope certificate)."""
     p = mconvex.SupermodularFn.from_json(_load_json(args.instance))
     Phi = cj.separable_from_json(_load_json(args.phi), p.elements)
-    z = mconvex.minimize_separable(p, Phi)
-    w, notes = mconvex.dual_certificate(p, Phi, z)
+    z = mconvex.minimize_separable(p, Phi) if point is None else tuple(_load_json(point))
+    if weights:
+        w, notes = tuple(_load_json(weights)), ()
+    else:
+        w, notes = mconvex.dual_certificate(p, Phi, z)
     report = mconvex.verify_mconvex_optimality(p, Phi, z, w)
     report.notes = report.notes + notes
-    _emit({"status": "OK", "report": report.to_json()}, args.json_out)
-    return EXIT_OK if report.equality else EXIT_INCONCLUSIVE
+    return _report(report)
 
 
-def _cmd_minimize_m2(args) -> int:
+def _cmd_conjugate(args) -> Outcome:
+    phi = cj.from_json(_load_json(args.phi))
+    value = (cj.conjugate_closed if args.closed else cj.conjugate_eval)(phi, args.ell)
+    return {"status": "OK", "value": ext_json(value)}, EXIT_OK
+
+
+def _cmd_minimize_m2(args) -> Outcome:
     obj = _load_json(args.instance)
     p1 = mconvex.SupermodularFn.from_json(obj["p1"])
     p2 = mconvex.SupermodularFn.from_json(obj["p2"])
     Phi = cj.separable_from_json(_load_json(args.phi), p1.elements)
     lo, hi = _parse_range(args.w_window)
-    report = mconvex.m2_minimize_and_split(p1, p2, Phi, w_bound=max(abs(lo), abs(hi)))
-    _emit({"status": "OK", "report": report.to_json()}, args.json_out)
-    return EXIT_OK if report.equality else EXIT_INCONCLUSIVE
+    return _report(mconvex.m2_minimize_and_split(p1, p2, Phi, w_bound=max(abs(lo), abs(hi))))
 
 
-def _cmd_minimize_flow(args) -> int:
+def _cmd_minimize_flow(args) -> Outcome:
     inst = netflow.FlowInstance.from_json(_load_json(args.instance))
     try:
         x, pi = netflow.optimal_potential(inst)
     except Infeasible as e:
-        _emit(
-            {"status": "INFEASIBLE", "violating_set": list(e.violating_set)},
-            args.json_out,
-        )
-        return EXIT_INFEASIBLE
+        return {"status": "INFEASIBLE", "violating_set": list(e.violating_set)}, EXIT_INFEASIBLE
     value = inst.cost.value(x)
     dual = netflow.flow_dual_value(inst, pi)
-    equal = value == dual
-    payload = {
-        "status": "OK" if equal else "INCONCLUSIVE",
-        "flow": list(x),
-        "value": ext_json(value),
-        "potential": list(pi),
-        "dual_value": ext_json(dual),
-    }
-    _emit(payload, args.json_out)
-    return EXIT_OK if equal else EXIT_INCONCLUSIVE
+    payload = {"flow": list(x), "value": ext_json(value), "potential": list(pi)}
+    return _verdict({**payload, "dual_value": ext_json(dual)}, value == dual)
 
 
-def _cmd_minimize_boxtdi(args) -> int:
+def _cmd_minimize_boxtdi(args) -> Outcome:
     sys_ = polyhedron.LinearSystem.from_json(_load_json(args.instance))
     Phi = cj.separable_from_json(_load_json(args.phi), sys_.elements)
     lo, hi = _parse_range(args.window)
@@ -204,11 +206,10 @@ def _cmd_minimize_boxtdi(args) -> int:
     if not is_finite(primal.primal_value):
         # Only an exact LP with no vertex proves the system empty.
         if polyhedron.lp_min(sys_, (0,) * sys_.n)[0] is PLUS_INF:
-            _emit({"status": "INFEASIBLE", "window": win.to_json()}, args.json_out)
-            return EXIT_INFEASIBLE
+            return {"status": "INFEASIBLE", "window": win.to_json()}, EXIT_INFEASIBLE
         detail = "no integer point in the window, but the system is not empty"
-        _emit({"status": "INCONCLUSIVE", "window": win.to_json(), "detail": detail}, args.json_out)
-        return EXIT_INCONCLUSIVE
+        payload = {"status": "INCONCLUSIVE", "window": win.to_json(), "detail": detail}
+        return payload, EXIT_INCONCLUSIVE
     equal = primal.primal_value == dual.dual_value
     report = polyhedron.MinMaxReport(
         primal_value=primal.primal_value,
@@ -219,42 +220,23 @@ def _cmd_minimize_boxtdi(args) -> int:
         support_size=dual.support_size,
         bounds_used={**primal.bounds_used, **dual.bounds_used},
     )
-    _emit(
-        {"status": "OK" if equal else "INCONCLUSIVE", "report": report.to_json()},
-        args.json_out,
-    )
-    return EXIT_OK if equal else EXIT_INCONCLUSIVE
+    return _verdict({"report": report.to_json()}, equal)
 
 
-def _cmd_certify_mconvex(args) -> int:
-    p = mconvex.SupermodularFn.from_json(_load_json(args.instance))
-    Phi = cj.separable_from_json(_load_json(args.phi), p.elements)
-    z = tuple(_load_json(args.point))
-    if args.weights:
-        w = tuple(_load_json(args.weights))
-        notes: Tuple[str, ...] = ()
-    else:
-        w, notes = mconvex.dual_certificate(p, Phi, z)
-    report = mconvex.verify_mconvex_optimality(p, Phi, z, w)
-    report.notes = report.notes + notes
-    _emit({"status": "OK", "report": report.to_json()}, args.json_out)
-    return EXIT_OK if report.equality else EXIT_INCONCLUSIVE
+def _cmd_certify_mconvex(args) -> Outcome:
+    return _cmd_mconvex(args, args.point, args.weights)
 
 
-def _cmd_certify_flow(args) -> int:
+def _cmd_certify_flow(args) -> Outcome:
     inst = netflow.FlowInstance.from_json(_load_json(args.instance))
     x = tuple(_load_json(args.flow))
-    pi_obj = _load_json(args.potential)
-    if isinstance(pi_obj, dict):
-        pi = tuple(pi_obj[v] for v in inst.digraph.nodes)
-    else:
-        pi = tuple(pi_obj)
-    report = netflow.certify_flow(inst, x, pi)
-    _emit({"status": "OK", "report": report.to_json()}, args.json_out)
-    return EXIT_OK
+    pi = _load_json(args.potential)
+    if isinstance(pi, dict):
+        pi = [pi[v] for v in inst.digraph.nodes]
+    return _report(netflow.certify_flow(inst, x, tuple(pi)))
 
 
-def _cmd_inverse(args) -> int:
+def _cmd_inverse(args) -> Outcome:
     sys_ = polyhedron.LinearSystem.from_json(_load_json(args.system))
     targets = tuple(tuple(_load_json(t)) for t in args.target)
     dev = cj.separable_from_json(_load_json(args.deviation), sys_.elements)
@@ -264,9 +246,7 @@ def _cmd_inverse(args) -> int:
     w_star, value = inverse.inverse_minimize(inst, w_win)
     z_win = inverse.default_z_window(dev)
     dual = inverse.inverse_dual_search(inst.cone, dev, z_win, w_star)
-    equal = value == dual.dual_value
     payload = {
-        "status": "OK" if equal else "INCONCLUSIVE",
         "w_star": list(w_star),
         "value": ext_json(value),
         "dual_value": ext_json(dual.dual_value),
@@ -277,11 +257,10 @@ def _cmd_inverse(args) -> int:
         },
         "bounds_used": {"w_window": w_win.to_json(), "z_window": z_win.to_json()},
     }
-    _emit(payload, args.json_out)
-    return EXIT_OK if equal else EXIT_INCONCLUSIVE
+    return _verdict(payload, value == dual.dual_value)
 
 
-def _cmd_probe(args) -> int:
+def _cmd_probe(args) -> Outcome:
     sys_ = polyhedron.LinearSystem.from_json(_load_json(args.system))
     lo, hi = _parse_range(args.window)
     win = polyhedron.Window.uniform(sys_.n, lo, hi)
@@ -294,19 +273,17 @@ def _cmd_probe(args) -> int:
         else [f"{v.numerator}/{v.denominator}" if v.denominator != 1 else v.numerator
               for v in witness],
     }
-    _emit(payload, args.json_out)
-    return EXIT_OK if ok else EXIT_CRITERIA
+    return payload, EXIT_OK if ok else EXIT_CRITERIA
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args) -> Outcome:
     failures = run_selftest(args.seed)
     payload = {
         "status": "OK" if not failures else "CRITERIA_VIOLATED",
         "seed": args.seed,
         "failures": failures,
     }
-    _emit(payload, args.json_out)
-    return EXIT_OK if not failures else EXIT_CRITERIA
+    return payload, EXIT_OK if not failures else EXIT_CRITERIA
 
 
 def run_selftest(seed: int = 1) -> list:
@@ -362,56 +339,39 @@ def run_selftest(seed: int = 1) -> list:
     return failures
 
 
-def run(argv: Sequence[str]) -> int:
-    ap = _build_parser()
+# A library error maps to the first row whose types it matches: the
+# status printed, the exit code and how its detail is written.
+_FAILURES = (
+    (Infeasible, "INFEASIBLE", EXIT_INFEASIBLE, str),
+    ((NotFeasible, NotPrimalFeasible, NotSignFeasible), "CRITERIA_VIOLATED", EXIT_CRITERIA, str),
+    (Unbounded, "UNBOUNDED", EXIT_UNBOUNDED, str),
+    ((CriteriaViolated, ValueMismatch), "CRITERIA_VIOLATED", EXIT_CRITERIA,
+     lambda e: repr(e.args)),
+    (Inconclusive, "INCONCLUSIVE", EXIT_INCONCLUSIVE, str),
+)
+
+
+def _outcome(args) -> Outcome:
     try:
-        args = ap.parse_args(argv)
+        return args.cmd(args)
+    except DctkError as e:
+        for types, status, code, detail in _FAILURES:
+            if isinstance(e, types):
+                return {"status": status, "detail": detail(e)}, code
+        raise
+
+
+def run(argv: Sequence[str]) -> int:
+    try:
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_INVALID if e.code not in (0, None) else 0
     try:
-        if args.verb == "conjugate":
-            return _cmd_conjugate(args)
-        if args.verb == "minimize":
-            if args.subject == "mconvex":
-                return _cmd_minimize_mconvex(args)
-            if args.subject == "m2":
-                return _cmd_minimize_m2(args)
-            if args.subject == "flow":
-                return _cmd_minimize_flow(args)
-            if args.subject == "boxtdi":
-                return _cmd_minimize_boxtdi(args)
-        if args.verb == "certify":
-            if args.subject == "mconvex":
-                return _cmd_certify_mconvex(args)
-            if args.subject == "flow":
-                return _cmd_certify_flow(args)
-        if args.verb == "inverse":
-            return _cmd_inverse(args)
-        if args.verb == "probe":
-            return _cmd_probe(args)
-        if args.verb == "selftest":
-            return _cmd_selftest(args)
-        return EXIT_INVALID
-    except Infeasible as e:
-        payload, code = {"status": "INFEASIBLE", "detail": str(e)}, EXIT_INFEASIBLE
-    except (NotFeasible, NotPrimalFeasible, NotSignFeasible) as e:
-        payload, code = {"status": "CRITERIA_VIOLATED", "detail": str(e)}, EXIT_CRITERIA
-    except Unbounded as e:
-        payload, code = {"status": "UNBOUNDED", "detail": str(e)}, EXIT_UNBOUNDED
-    except (CriteriaViolated, ValueMismatch) as e:
-        payload, code = {"status": "CRITERIA_VIOLATED", "detail": repr(e.args)}, EXIT_CRITERIA
-    except (NoFeasibleWeight, IterationLimit) as e:
-        payload, code = {"status": "INCONCLUSIVE", "detail": str(e)}, EXIT_INCONCLUSIVE
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    except DctkError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    # A failure report honours --json-out like any other payload.
-    try:
+        payload, code = _outcome(args)
+        # Failure reports honour --json-out like any other payload.
         _emit(payload, args.json_out)
-    except OSError as e:
+    except (DctkError, ValueError, KeyError, TypeError, OSError) as e:
+        # Any other library error, bad input, or an unwritable --json-out.
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     return code

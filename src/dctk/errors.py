@@ -37,7 +37,11 @@ class Unbounded(DctkError):
     """Objective unbounded from below."""
 
 
-class IterationLimit(DctkError):
+class Inconclusive(DctkError):
+    """The search stopped without proving an answer either way."""
+
+
+class IterationLimit(Inconclusive):
     """An iteration guard ran out before the search reached an answer."""
 
 
@@ -64,5 +68,5 @@ class ValueMismatch(DctkError):
     """Primal and dual certificate values disagree; args carry the gap."""
 
 
-class NoFeasibleWeight(DctkError):
+class NoFeasibleWeight(Inconclusive):
     """No admissible weight vector exists inside the search window."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .conjugate import SeparableConvex, conjugate_table, subdifferential_interval
-from .errors import CriteriaViolated, EmptyIntersection, IterationLimit, Unbounded
+from .errors import CriteriaViolated, EmptyIntersection, Inconclusive, IterationLimit, Unbounded
 from .extint import MINUS_INF, PLUS_INF, ExtInt, is_finite
 from .polyhedron import EQ, GEQ, LinearSystem, MinMaxReport, Row, Window
 
@@ -174,7 +174,7 @@ def greedy_min(p: SupermodularFn, w: Sequence[int]) -> Tuple[int, ...]:
         prefix |= 1 << i
         cur = p.table[prefix]
         if not is_finite(cur) or not is_finite(prev):
-            raise Unbounded(
+            raise Inconclusive(
                 "greedy prefix hits a MINUS_INF value; base components undefined"
             )
         z[i] = cur - prev
@@ -203,7 +203,7 @@ def enumerate_bases(p: SupermodularFn) -> List[Tuple[int, ...]]:
     """
     los, his = base_bounds(p)
     if any(not is_finite(b) for b in los) or any(not is_finite(b) for b in his):
-        raise Unbounded("base polyhedron has an unbounded component")
+        raise Inconclusive("base polyhedron has an unbounded component")
     full = p.full
     pbar = complement(p)
     out: List[Tuple[int, ...]] = []
@@ -243,7 +243,7 @@ def minimize_separable(p: SupermodularFn, Phi: SeparableConvex) -> Tuple[int, ..
     z = list(greedy_min(p, (0,) * p.n))
     cur = Phi.value(z)
     if not is_finite(cur):
-        raise Unbounded("objective infinite at the starting base")
+        raise Inconclusive("objective infinite at the starting base")
     budget = 10 * p.n * 1000 + 1000
     for _ in range(budget):
         best_drop = 0
@@ -379,7 +379,11 @@ def m2_minimize_and_split(
     if p1.n != p2.n:
         raise ValueError("ground sets differ")
     n = p1.n
-    common = [z for z in enumerate_bases(p1) if member(p2, z)]
+    # Enumerate a side whose bases are bounded: the common set, and its
+    # lex order, are the same from either side.
+    bounded = all(map(is_finite, itertools.chain(*base_bounds(p1))))
+    a, b = (p1, p2) if bounded else (p2, p1)
+    common = [z for z in enumerate_bases(a) if member(b, z)]
     if not common:
         raise EmptyIntersection("no integral point in both base sets")
     best_p: ExtInt = PLUS_INF

@@ -23,6 +23,8 @@ DEV2 = {
 
 QUAD3 = {"form": "quadratic", "a": 3}
 D2 = fixtures.d2_instance().to_json()
+P2, P2B = fixtures.p2().to_json(), fixtures.p2b().to_json()
+P2_SYSTEM = fixtures.p2_system().to_json()
 
 
 CLI = [sys.executable, "-m", "dctk.cli"]
@@ -47,6 +49,87 @@ def run_cli_process(args):
     the process boundary itself is under test: the exit code from main()
     and byte-identical stdout."""
     return subprocess.run(CLI + args, capture_output=True, text=True, env=child_env())
+
+
+# One case per leaf command (two for conjugate), each on a named fixture,
+# pinned to the exact stdout bytes and exit code.
+GOLDEN = {
+    "conjugate": (
+        ["conjugate", "--phi", '{"form":"quadratic","a":1}', "--ell", "3"],
+        '{"status":"OK","value":2}'),
+    "conjugate-closed": (
+        ["conjugate", "--closed", "--phi", '{"form":"quadratic","a":1}', "--ell", "3"],
+        '{"status":"OK","value":2}'),
+    "minimize-mconvex": (
+        ["minimize", "mconvex", "--instance", json.dumps(P2), "--phi", json.dumps(SQ2)],
+        '{"report":{"bounds_used":{},"dual_value":2,"dual_witness":[3,3],"equality":true,'
+        '"notes":[],"primal_value":2,"primal_witness":[1,1],"support_size":2},"status":"OK"}'),
+    "minimize-m2": (
+        ["minimize", "m2", "--instance", json.dumps({"p1": P2, "p2": P2B}),
+         "--phi", json.dumps(SQ2)],
+        '{"report":{"bounds_used":{"w_bound":3},"dual_value":2,"dual_witness":[[-2,-2],[3,3]],'
+        '"equality":true,"notes":[],"primal_value":2,"primal_witness":[1,1],"support_size":4},'
+        '"status":"OK"}'),
+    "minimize-flow": (
+        ["minimize", "flow", "--instance", json.dumps(D2)],
+        '{"dual_value":2,"flow":[1,1],"potential":[0,1],"status":"OK","value":2}'),
+    "minimize-boxtdi": (
+        ["minimize", "boxtdi", "--instance", json.dumps(P2_SYSTEM), "--phi", json.dumps(SQ2),
+         "--window", "0..2"],
+        '{"report":{"bounds_used":{"support_within_2n":true,"window":{"hi":[2,2],"lo":[0,0]},'
+        '"y_bound":6},"dual_value":2,"dual_witness":[0,0,1],"equality":true,"notes":[],'
+        '"primal_value":2,"primal_witness":[1,1],"support_size":1},"status":"OK"}'),
+    "certify-mconvex": (
+        ["certify", "mconvex", "--instance", json.dumps(P2), "--phi", json.dumps(SQ2),
+         "--point", "[1,1]"],
+        '{"report":{"bounds_used":{},"dual_value":2,"dual_witness":[3,3],"equality":true,'
+        '"notes":[],"primal_value":2,"primal_witness":[1,1],"support_size":2},"status":"OK"}'),
+    "certify-flow": (
+        ["certify", "flow", "--instance", json.dumps(D2), "--flow", "[1,1]",
+         "--potential", "[0,2]"],
+        '{"report":{"bounds_used":{},"dual_value":2,"dual_witness":[0,2],"equality":true,'
+        '"notes":[],"primal_value":2,"primal_witness":[1,1],"support_size":1},"status":"OK"}'),
+    "inverse": (
+        ["inverse", "--system", json.dumps(P2_SYSTEM), "--target", "[2,0]",
+         "--deviation", json.dumps(DEV2), "--w-window=-1..5"],
+        '{"bounds_used":{"w_window":{"hi":[5,5],"lo":[-1,-1]},"z_window":{"hi":[1,1],'
+        '"lo":[-1,-1]}},"checks":{"fitting":true,"orthogonal":true},"dual_value":2,'
+        '"dual_witness":[-1,1],"status":"OK","value":2,"w_star":[1,1]}'),
+    "probe": (
+        ["probe", "--system", json.dumps(P2_SYSTEM), "--window", "0..2"],
+        '{"box_integer":true,"status":"OK","witness":null}'),
+    "selftest": (
+        ["selftest", "--seed", "1"],
+        '{"failures":[],"seed":1,"status":"OK"}'),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_golden_stdout(name):
+    argv, stdout = GOLDEN[name]
+    p = run_cli(argv)
+    assert (p.returncode, p.stdout) == (cli.EXIT_OK, stdout + "\n")
+
+
+def test_reused_parser_carries_no_state(tmp_path):
+    """Each call of one process's run() answers as a fresh process does:
+    no appended --target, default or --json-out leaks into the next."""
+    system, dev = json.dumps(P2_SYSTEM), json.dumps(DEV2)
+    inverse = ["inverse", "--system", system, "--deviation", dev, "--w-window=-1..5"]
+    probe = ["probe", "--system", system, "--window", "0..2"]
+    out = tmp_path / "F.json"
+    for argv in (
+        ["probe", "--system", system],                  # argparse error, exit 4
+        inverse + ["--target", "[2,0]", "--target", "[0,2]"],
+        inverse + ["--target", "[2,0]"],
+        probe + ["--json-out", str(out)],
+        probe,
+    ):
+        here, fresh = run_cli(argv), run_cli_process(argv)
+        assert (here.returncode, here.stdout) == (fresh.returncode, fresh.stdout)
+        if out.exists():
+            assert "--json-out" in argv and out.read_text() == here.stdout
+            out.unlink()
 
 
 class TestConjugateCommand:
@@ -231,6 +314,35 @@ class TestMinimizeCommands:
         assert p.returncode == cli.EXIT_INCONCLUSIVE
         assert p.stdout == '{"detail":"descent budget exhausted","status":"INCONCLUSIVE"}\n'
 
+    # The line z1 + z2 = 0, unbounded both ways, and the line with z >= -5
+    # (and z >= -1); the optimum of z1^2 + z2^2 is (0, 0) on each.
+    LINE = {"n": 2, "p": {"0": 0, "1": None, "2": None, "3": 0}, "elements": ["e1", "e2"]}
+    LINE5 = {**LINE, "p": {"0": 0, "1": -5, "2": -5, "3": 0}}
+    LINE1 = {**LINE, "p": {"0": 0, "1": -1, "2": -1, "3": 0}}
+
+    def test_mconvex_minus_inf_greedy_prefix_is_inconclusive(self):
+        p = run_cli(["minimize", "mconvex", "--instance", json.dumps(self.LINE),
+                     "--phi", json.dumps(SQ2)])
+        assert (p.returncode, p.stdout) == (cli.EXIT_INCONCLUSIVE, (
+            '{"detail":"greedy prefix hits a MINUS_INF value; base components undefined",'
+            '"status":"INCONCLUSIVE"}\n'))
+
+    def test_mconvex_infinite_start_is_inconclusive(self):
+        phi = {**SQ2, "e1": {"form": "restricted", "A": 0, "B": 0, "inner": SQ2["e1"]}}
+        p = run_cli(["minimize", "mconvex", "--instance", json.dumps(self.LINE5),
+                     "--phi", json.dumps(phi)])
+        assert (p.returncode, p.stdout) == (cli.EXIT_INCONCLUSIVE, (
+            '{"detail":"objective infinite at the starting base","status":"INCONCLUSIVE"}\n'))
+
+    @pytest.mark.parametrize("order", [("LINE", "LINE1"), ("LINE1", "LINE")])
+    def test_m2_with_one_unbounded_side(self, order):
+        inst = {key: getattr(self, name) for key, name in zip(("p1", "p2"), order)}
+        p = run_cli(["minimize", "m2", "--instance", json.dumps(inst), "--phi", json.dumps(SQ2)])
+        assert (p.returncode, p.stdout) == (cli.EXIT_OK, (
+            '{"report":{"bounds_used":{"w_bound":3},"dual_value":0,"dual_witness":[[-3,-3],[2,2]],'
+            '"equality":true,"notes":[],"primal_value":0,"primal_witness":[0,0],"support_size":4},'
+            '"status":"OK"}\n'))
+
 
 class TestCertifyCommands:
     def test_mconvex_point(self):
@@ -372,18 +484,18 @@ class TestSelftest:
 
 
 class TestDeterminism:
-    def test_byte_identical_across_thread_counts(self):
+    def test_byte_identical_across_hash_seeds(self):
         args = [
             "minimize", "mconvex",
             "--instance", json.dumps(fixtures.p2().to_json()),
             "--phi", json.dumps(SQ2),
         ]
         outs = set()
-        for threads in ("1", "4"):
+        for seed in ("0", "1"):
             # bytes, not text: the comparison is of stdout byte for byte
             proc = subprocess.run(
                 CLI + args, capture_output=True,
-                env=child_env(DCTK_THREADS=threads),
+                env=child_env(PYTHONHASHSEED=seed),
             )
             assert proc.returncode == 0, proc.stderr
             assert json.loads(proc.stdout)["status"] == "OK"
