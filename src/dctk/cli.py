@@ -148,12 +148,6 @@ def _verdict(payload: dict, equal: bool) -> Outcome:
     return {"status": status, **payload}, code
 
 
-def _report(report: polyhedron.MinMaxReport) -> Outcome:
-    """A checked report prints as OK; only its exit code tells equality."""
-    code = EXIT_OK if report.equality else EXIT_INCONCLUSIVE
-    return {"status": "OK", "report": report.to_json()}, code
-
-
 def _cmd_mconvex(args, point: Optional[str] = None, weights: Optional[str] = None) -> Outcome:
     """minimize mconvex, and certify mconvex: verify a point (by default
     the minimizer) with weights (by default the slope certificate)."""
@@ -166,7 +160,7 @@ def _cmd_mconvex(args, point: Optional[str] = None, weights: Optional[str] = Non
         w, notes = mconvex.dual_certificate(p, Phi, z)
     report = mconvex.verify_mconvex_optimality(p, Phi, z, w)
     report.notes = report.notes + notes
-    return _report(report)
+    return _verdict({"report": report.to_json()}, report.equality)
 
 
 def _cmd_conjugate(args) -> Outcome:
@@ -181,7 +175,8 @@ def _cmd_minimize_m2(args) -> Outcome:
     p2 = mconvex.SupermodularFn.from_json(obj["p2"])
     Phi = cj.separable_from_json(_load_json(args.phi), p1.elements)
     lo, hi = _parse_range(args.w_window)
-    return _report(mconvex.m2_minimize_and_split(p1, p2, Phi, w_bound=max(abs(lo), abs(hi))))
+    report = mconvex.m2_minimize_and_split(p1, p2, Phi, w_bound=max(abs(lo), abs(hi)))
+    return _verdict({"report": report.to_json()}, report.equality)
 
 
 def _cmd_minimize_flow(args) -> Outcome:
@@ -233,7 +228,8 @@ def _cmd_certify_flow(args) -> Outcome:
     pi = _load_json(args.potential)
     if isinstance(pi, dict):
         pi = [pi[v] for v in inst.digraph.nodes]
-    return _report(netflow.certify_flow(inst, x, tuple(pi)))
+    report = netflow.certify_flow(inst, x, tuple(pi))
+    return _verdict({"report": report.to_json()}, report.equality)
 
 
 def _cmd_inverse(args) -> Outcome:

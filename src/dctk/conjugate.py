@@ -451,13 +451,8 @@ def is_fitting(
     phi: UnivariateConvex, k_star: int, ell_star: int
 ) -> Tuple[bool, FittingWitness]:
     """Sandwich test phi'(k*-1) <= ell* <= phi'(k*)."""
-    lo, hi = phi.dom()
-    if not (lo <= k_star <= hi):
-        raise DomainError(f"k*={k_star} outside dom {lo}..{hi}")
-    lower = _slope(phi, k_star - 1, lo, hi)
-    upper = _slope(phi, k_star, lo, hi)
-    ok = lower <= ell_star <= upper
-    return ok, FittingWitness(k_star, ell_star, lower, upper)
+    lower, upper = subdifferential_interval(phi, k_star)
+    return lower <= ell_star <= upper, FittingWitness(k_star, ell_star, lower, upper)
 
 
 def subdifferential_interval(
@@ -492,10 +487,6 @@ class SeparableConvex:
 
     parts: Tuple[Tuple[str, UnivariateConvex], ...]
 
-    @classmethod
-    def from_dict(cls, d: Dict[str, UnivariateConvex]) -> "SeparableConvex":
-        return cls(tuple(d.items()))
-
     @property
     def elements(self) -> Tuple[str, ...]:
         return tuple(name for name, _ in self.parts)
@@ -522,6 +513,14 @@ class SeparableConvex:
     def prime_minus(self, z: Sequence[int]) -> List[ExtInt]:
         """Componentwise left slopes phi_s'(z(s) - 1)."""
         return self.prime([v - 1 for v in z])
+
+    def first_unfit(self, z: Sequence[int], w: Sequence[int]) -> Optional[int]:
+        """Index of the first s outside the fitting sandwich
+        phi_s'(z(s)-1) <= w(s) <= phi_s'(z(s)), or None when w fits z."""
+        for i, (lo, wi, hi) in enumerate(zip(self.prime_minus(z), w, self.prime(z))):
+            if not lo <= wi <= hi:
+                return i
+        return None
 
     def conjugate(self, w: Sequence[int]) -> ExtInt:
         self._check_len(w)

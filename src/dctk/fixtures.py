@@ -9,19 +9,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from math import comb
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from .conjugate import (
-    Quadratic,
-    SeparableConvex,
-    Shifted,
-    VShape,
-    linear_cost,
-    square_sum,
-)
-from .extint import MINUS_INF, PLUS_INF, is_finite
-from .mconvex import SupermodularFn, to_system
+from .conjugate import Quadratic, SeparableConvex, Shifted, VShape, square_sum
+from .extint import is_finite
+from .mconvex import SupermodularFn
 from .netflow import Digraph, FlowInstance, square_sum_instance
 from .polyhedron import EQ, GEQ, LinearSystem, Row, Window
 

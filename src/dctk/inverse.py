@@ -105,14 +105,8 @@ def inverse_dual_search(
         bounds_used={"z_window": z_window.to_json()},
     )
     if w_star is not None and arg is not None:
-        ortho = ratlin.dot(w_star, arg) == 0
-        lower = deviation.prime_minus(w_star)
-        upper = deviation.prime(w_star)
-        fitting = all(
-            lo <= zi <= hi for lo, zi, hi in zip(lower, arg, upper)
-        )
-        report.bounds_used["orthogonal"] = ortho
-        report.bounds_used["fitting"] = fitting
+        report.bounds_used["orthogonal"] = ratlin.dot(w_star, arg) == 0
+        report.bounds_used["fitting"] = deviation.first_unfit(w_star, arg) is None
     return report
 
 

@@ -6,21 +6,25 @@ x(S) = p(S)}.  This module provides the linear extension, Edmonds
 greedy, exchange descent for separable convex objectives, tight-set
 machinery, and the slope-based dual certificate with its verifier.
 
-Subset scans are plain 2^n enumeration with a hard cap; that replaces
-any clever submodular minimization on purpose, since everything here is
-meant to be independently checkable.
+The descent and the certificate both read the dependence function
+(:func:`dependence`): one scan of the z-tight sets decides every
+exchange of a step, so neither calls :func:`member`, which serves
+verification and the M2 intersection.  Subset scans are plain 2^n
+enumeration with a hard cap; that replaces any clever submodular
+minimization on purpose, since everything here is meant to be
+independently checkable.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .conjugate import SeparableConvex, conjugate_table, subdifferential_interval
+from .conjugate import SeparableConvex, conjugate_table
 from .errors import CriteriaViolated, EmptyIntersection, Inconclusive, IterationLimit, Unbounded
 from .extint import MINUS_INF, PLUS_INF, ExtInt, is_finite
-from .polyhedron import EQ, GEQ, LinearSystem, MinMaxReport, Row, Window
+from .polyhedron import EQ, GEQ, LinearSystem, MinMaxReport, Row
 
 MAX_GROUND = 20
 
@@ -237,38 +241,34 @@ def minimize_separable(p: SupermodularFn, Phi: SeparableConvex) -> Tuple[int, ..
     """Steepest single-exchange descent from the w=0 greedy base.
 
     Each step moves a unit from s to t when z - chi_s + chi_t stays a
-    base and strictly decreases Phi; ties broken by largest decrease,
-    then (s, t) lexicographic.
+    base (t in dep[s]) and strictly decreases Phi, by left[s] - right[t]
+    for Phi separable; ties broken by largest decrease, then (s, t)
+    lexicographic.  Both slopes finite means Phi stays finite.
     """
     z = list(greedy_min(p, (0,) * p.n))
-    cur = Phi.value(z)
-    if not is_finite(cur):
+    if not is_finite(Phi.value(z)):
         raise Inconclusive("objective infinite at the starting base")
     budget = 10 * p.n * 1000 + 1000
     for _ in range(budget):
+        dep = dependence(p, z)
+        left = Phi.prime_minus(z)
+        right = Phi.prime(z)
         best_drop = 0
         best_move = None
         for s in range(p.n):
+            if not is_finite(left[s]):
+                continue
             for t in range(p.n):
-                if s == t:
-                    continue
-                z[s] -= 1
-                z[t] += 1
-                if member(p, z):
-                    v = Phi.value(z)
-                    if is_finite(v):
-                        drop = cur - v
-                        if drop > best_drop:
-                            best_drop = drop
-                            best_move = (s, t)
-                z[s] += 1
-                z[t] -= 1
+                if t != s and dep[s] >> t & 1 and is_finite(right[t]):
+                    drop = left[s] - right[t]
+                    if drop > best_drop:
+                        best_drop = drop
+                        best_move = (s, t)
         if best_move is None:
             return tuple(z)
         s, t = best_move
         z[s] -= 1
         z[t] += 1
-        cur -= best_drop
     raise IterationLimit("descent budget exhausted")
 
 
@@ -282,28 +282,31 @@ def tight_sets(p: SupermodularFn, z: Sequence[int]) -> List[int]:
     return out
 
 
-def smallest_tight_set(p: SupermodularFn, z: Sequence[int], s: int) -> int:
-    """Mask of the smallest z-tight set containing element s (0-based)."""
-    acc = p.full
+def dependence(p: SupermodularFn, z: Sequence[int]) -> List[int]:
+    """dep[s]: mask of the smallest z-tight set containing element s,
+    from one scan of the tight sets.  For a base z, z - chi_s + chi_t
+    is a base exactly when t is in dep[s] (an integral z leaves a set
+    holding s but not t only when it is tight)."""
+    dep = [p.full] * p.n
     for mask in tight_sets(p, z):
-        if mask >> s & 1:
-            acc &= mask
-    return acc
+        for s in range(p.n):
+            if mask >> s & 1:
+                dep[s] &= mask
+    return dep
 
 
 def dual_certificate(
     p: SupermodularFn, Phi: SeparableConvex, z_star: Sequence[int]
 ) -> Tuple[Tuple[int, ...], Tuple[str, ...]]:
-    """w*(s) = min right slope of Phi over the smallest z*-tight set
-    containing s.  Returns (w*, notes); a note records every element
+    """w*(s) = min right slope of Phi over dep[s], the smallest z*-tight
+    set containing s.  Returns (w*, notes); a note records every element
     where all candidate slopes were infinite and the left slope (or 0)
     was substituted instead."""
     slopes = Phi.prime(z_star)
     left = Phi.prime_minus(z_star)
     w: List[int] = []
     notes: List[str] = []
-    for s in range(p.n):
-        t_mask = smallest_tight_set(p, z_star, s)
+    for s, t_mask in enumerate(dependence(p, z_star)):
         m: ExtInt = PLUS_INF
         for t in range(p.n):
             if t_mask >> t & 1 and slopes[t] < m:
@@ -345,11 +348,9 @@ def verify_mconvex_optimality(
         v = p.table[mask]
         if not is_finite(v) or _mask_sum(z_star, mask) != v:
             raise CriteriaViolated("top-set-not-tight", mask)
-    lower = Phi.prime_minus(z_star)
-    upper = Phi.prime(z_star)
-    for i, (lo, wi, hi) in enumerate(zip(lower, w_star, upper)):
-        if not (lo <= wi <= hi):
-            raise CriteriaViolated("fitting", p.elements[i])
+    i = Phi.first_unfit(z_star, w_star)
+    if i is not None:
+        raise CriteriaViolated("fitting", p.elements[i])
     primal = Phi.value(z_star)
     dual = lovasz_extension(p, w_star) - Phi.conjugate(w_star)
     return MinMaxReport(

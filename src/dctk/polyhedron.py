@@ -373,10 +373,7 @@ def check_compatibility(
     sys: LinearSystem, z: Sequence[int], y: DualVector, Phi: SeparableConvex
 ) -> bool:
     """Componentwise sandwich Phi'(z-1) <= yQ <= Phi'(z)."""
-    w = y.times_q(sys)
-    lower = Phi.prime_minus(z)
-    upper = Phi.prime(z)
-    return all(lo <= wi <= hi for lo, wi, hi in zip(lower, w, upper))
+    return Phi.first_unfit(z, y.times_q(sys)) is None
 
 
 def verify_certificate(
@@ -396,13 +393,9 @@ def verify_certificate(
     for i, (yi, r) in enumerate(zip(y.y, sys.rows)):
         if r.kind == GEQ and yi * r.slack(z) != 0:
             raise CriteriaViolated("slackness", i)
-    if not check_compatibility(sys, z, y, Phi):
-        w = y.times_q(sys)
-        lower = Phi.prime_minus(z)
-        upper = Phi.prime(z)
-        for j, (lo, wi, hi) in enumerate(zip(lower, w, upper)):
-            if not (lo <= wi <= hi):
-                raise CriteriaViolated("compatibility", sys.elements[j])
+    j = Phi.first_unfit(z, y.times_q(sys))
+    if j is not None:
+        raise CriteriaViolated("compatibility", sys.elements[j])
     primal = Phi.value(z)
     dual = y.times_p(sys) - Phi.conjugate(y.times_q(sys))
     return MinMaxReport(

@@ -28,10 +28,10 @@ from dctk.conjugate import (
     VShape,
     square_sum,
 )
-from dctk.errors import NoFeasibleWeight
+from dctk.errors import Inconclusive, IterationLimit, NoFeasibleWeight
 from dctk.extint import MINUS_INF, PLUS_INF, ExtInt, is_finite
 from dctk.fixtures import random_digraph
-from dctk.mconvex import SupermodularFn, lovasz_extension
+from dctk.mconvex import SupermodularFn, greedy_min, lovasz_extension, member
 from dctk.netflow import embedding_system, square_sum_instance
 from dctk.polyhedron import EQ, GEQ, DualVector, LinearSystem, Row, Window, dilation
 
@@ -442,3 +442,60 @@ def random_search_objective(rng: random.Random, elements: Sequence[str]) -> Sepa
             phi = VShape(rng.randint(-1, 1), -1, 1)
         parts.append((e, phi))
     return SeparableConvex(tuple(parts))
+
+
+# ---------------------------------------------------------------------------
+# M-convex descent and its certificate, by membership tests and rescans
+
+
+def naive_minimize_separable(p: SupermodularFn, Phi: SeparableConvex) -> Tuple[int, ...]:
+    """The unit-exchange descent with every candidate move tried: move,
+    test membership by the 2^n scan, evaluate Phi afresh, undo.  Same
+    start, budget, errors and tie-breaking (largest strict decrease,
+    then (s, t) lexicographic) as the library."""
+    z = list(greedy_min(p, (0,) * p.n))
+    cur = Phi.value(z)
+    if not is_finite(cur):
+        raise Inconclusive("objective infinite at the starting base")
+    for _ in range(10 * p.n * 1000 + 1000):
+        best_drop = 0
+        best_move = None
+        for s in range(p.n):
+            for t in range(p.n):
+                if s == t:
+                    continue
+                z[s] -= 1
+                z[t] += 1
+                if member(p, z):
+                    v = Phi.value(z)
+                    if is_finite(v) and cur - v > best_drop:
+                        best_drop, best_move = cur - v, (s, t)
+                z[s] += 1
+                z[t] -= 1
+        if best_move is None:
+            return tuple(z)
+        s, t = best_move
+        z[s] -= 1
+        z[t] += 1
+        cur -= best_drop
+    raise IterationLimit("descent budget exhausted")
+
+
+def naive_dual_certificate(p: SupermodularFn, Phi: SeparableConvex, z: Sequence[int]):
+    """(w, notes) with w(s) the least right slope over the smallest z-tight
+    set holding s, found by its own 2^n rescan for each s."""
+    right, left = Phi.prime(z), Phi.prime_minus(z)
+    w, notes = [], []
+    for s in range(p.n):
+        smallest = p.full
+        for mask in range(1, p.full + 1):
+            v = p.table[mask]
+            tight = is_finite(v) and sum(z[i] for i in range(p.n) if mask >> i & 1) == v
+            if tight and mask >> s & 1:
+                smallest &= mask
+        m = min((right[t] for t in range(p.n) if smallest >> t & 1), default=PLUS_INF)
+        if not is_finite(m):
+            m = left[s] if is_finite(left[s]) else 0
+            notes.append(f"element {p.elements[s]}: all right slopes infinite, substituted {m}")
+        w.append(m)
+    return tuple(w), tuple(notes)

@@ -343,6 +343,17 @@ class TestMinimizeCommands:
             '"equality":true,"notes":[],"primal_value":0,"primal_witness":[0,0],"support_size":4},'
             '"status":"OK"}\n'))
 
+    def test_m2_gap_is_inconclusive(self):
+        # With |w_i| <= 1 the best split reaches 4 against the minimum 10:
+        # a report whose dual falls short is never printed as OK.
+        quad5 = {"form": "quadratic", "a": 5}
+        p = run_cli(["minimize", "m2", "--instance", json.dumps({"p1": P2, "p2": P2B}),
+                     "--phi", json.dumps({"e1": quad5, "e2": quad5}), "--w-window", "1"])
+        assert (p.returncode, p.stdout) == (cli.EXIT_INCONCLUSIVE, (
+            '{"report":{"bounds_used":{"w_bound":1},"dual_value":4,"dual_witness":[[1,1],[1,1]],'
+            '"equality":false,"notes":[],"primal_value":10,"primal_witness":[1,1],"support_size":4},'
+            '"status":"INCONCLUSIVE"}\n'))
+
 
 class TestCertifyCommands:
     def test_mconvex_point(self):

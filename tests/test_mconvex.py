@@ -5,18 +5,20 @@ import warnings
 import pytest
 
 from dctk.conjugate import Quadratic, Restricted, SeparableConvex, Shifted, linear_cost, square_sum
-from dctk.errors import CriteriaViolated, EmptyIntersection
+from dctk.errors import CriteriaViolated, DctkError, EmptyIntersection
 from dctk.extint import MINUS_INF, PLUS_INF
 from dctk.fixtures import (
     base_window,
     p2,
     p2b,
+    random_separable,
     random_supermodular,
     random_weight,
 )
 from dctk.mconvex import (
     SupermodularFn,
     complement,
+    dependence,
     dual_certificate,
     enumerate_bases,
     greedy_min,
@@ -24,7 +26,6 @@ from dctk.mconvex import (
     m2_minimize_and_split,
     member,
     minimize_separable,
-    smallest_tight_set,
     square_sum_dual_value,
     strict_top_sets,
     to_system,
@@ -33,7 +34,12 @@ from dctk.mconvex import (
 )
 from dctk.polyhedron import EQ, GEQ
 
-from helpers import naive_m2_split, random_search_objective
+from helpers import (
+    naive_dual_certificate,
+    naive_m2_split,
+    naive_minimize_separable,
+    random_search_objective,
+)
 
 P2 = p2()
 P2B = p2b()
@@ -151,8 +157,6 @@ class TestMinimize:
 
     def test_local_equals_global_random(self):
         rng = random.Random(5)
-        from dctk.fixtures import random_separable
-
         for _ in range(40):
             n = rng.randint(2, 4)
             p = random_supermodular(rng, n)
@@ -164,9 +168,9 @@ class TestMinimize:
 
 class TestTightSets:
     def test_smallest(self):
-        assert smallest_tight_set(P2, (1, 1), 0) == 0b11
-        assert smallest_tight_set(P2, (0, 2), 0) == 0b01
-        assert smallest_tight_set(P2, (2, 0), 1) == 0b10
+        assert dependence(P2, (1, 1)) == [0b11, 0b11]
+        assert dependence(P2, (0, 2)) == [0b01, 0b11]
+        assert dependence(P2, (2, 0)) == [0b11, 0b10]
 
     def test_ring_family(self):
         rng = random.Random(23)
@@ -183,13 +187,14 @@ class TestTightSets:
                     assert union in masks
 
     def test_exchange_feasibility(self):
-        # z - chi_s + chi_t stays a base iff no z-tight set holds s but not t.
+        # z - chi_s + chi_t stays a base iff t lies in dep[s], the smallest
+        # z-tight set holding s.
         rng = random.Random(31)
         for _ in range(30):
             n = rng.randint(2, 4)
             p = random_supermodular(rng, n)
             z = greedy_min(p, random_weight(rng, n))
-            masks = tight_sets(p, z)
+            dep = dependence(p, z)
             for s in range(n):
                 for t in range(n):
                     if s == t:
@@ -197,10 +202,84 @@ class TestTightSets:
                     z2 = list(z)
                     z2[s] -= 1
                     z2[t] += 1
-                    blocked = any(
-                        m >> s & 1 and not m >> t & 1 for m in masks
-                    )
-                    assert member(p, z2) == (not blocked)
+                    assert member(p, z2) == bool(dep[s] >> t & 1)
+
+
+def order_ideal_supermodular(rng, n):
+    """random_supermodular with MINUS_INF off the ideals of a random
+    relation: X keeps its value iff it holds i whenever it holds j, for
+    each drawn pair (i, j).  Ideals form a lattice, so p stays
+    supermodular; a pair with i > j puts MINUS_INF on a greedy prefix."""
+    p = random_supermodular(rng, n)
+    pairs = [(i, j) for i, j in itertools.permutations(range(n), 2)
+             if rng.random() < (0.25 if i < j else 0.02)]
+    return SupermodularFn(n, tuple(
+        v if all(m >> i & 1 or not m >> j & 1 for i, j in pairs) else MINUS_INF
+        for m, v in enumerate(p.table)))
+
+
+def outcome(f, *args):
+    """f(*args), or the class and message of the library error it raises."""
+    try:
+        return f(*args)
+    except DctkError as e:
+        return type(e), str(e)
+
+
+class TestDescentMatchesNaiveOracle:
+    """The dependence-based descent and certificate give the point, the
+    error and the (w, notes) of the move-and-test oracles in helpers.py."""
+
+    @staticmethod
+    def restrict_near(rng, p, Phi):
+        """Clip some parts of Phi to a few points around the greedy start,
+        so that slopes there are infinite."""
+        try:
+            z0 = greedy_min(p, (0,) * p.n)
+        except DctkError:
+            return Phi
+        return SeparableConvex(tuple(
+            (e, Restricted(k - rng.randint(0, 2), k + rng.randint(0, 2), phi))
+            if rng.random() < 0.4 else (e, phi)
+            for (e, phi), k in zip(Phi.parts, z0)))
+
+    def check(self, rng, p, Phi):
+        z = outcome(minimize_separable, p, Phi)
+        assert z == outcome(naive_minimize_separable, p, Phi)
+        points = [z] if isinstance(z[0], int) else []
+        w = outcome(greedy_min, p, random_weight(rng, p.n))
+        if isinstance(w[0], int):
+            points.append(w)
+        for x in points:
+            assert dual_certificate(p, Phi, x) == naive_dual_certificate(p, Phi, x)
+        return len(points)
+
+    def test_random_instances(self):
+        rng = random.Random(47)
+        certified = 0
+        for i in range(180):
+            n = 2 + i % 6
+            if i % 3 == 0:
+                p = order_ideal_supermodular(rng, n)
+                Phi = random_separable(rng, p.elements)
+            else:
+                p = random_supermodular(rng, n)
+                Phi = (random_search_objective if i % 3 == 1 else random_separable)(rng, p.elements)
+            if rng.random() < 0.6:
+                Phi = self.restrict_near(rng, p, Phi)
+            certified += self.check(rng, p, Phi)
+        assert certified > 200
+
+    def test_lines(self):
+        # z1 + z2 = 0, unbounded both ways, with z >= -5, z >= -1 and
+        # z >= -30000 (beyond the budget of 21000 unit steps).
+        rng = random.Random(3)
+        sq = square_sum(("e1", "e2"))
+        clipped = SeparableConvex((("e1", Restricted(0, 0, Quadratic(1))), ("e2", Quadratic(1))))
+        for low in (MINUS_INF, -5, -1, -30000):
+            p = SupermodularFn(2, (0, low, low, 0))
+            for Phi in (sq, clipped):
+                self.check(rng, p, Phi)
 
 
 class TestDualCertificate:
