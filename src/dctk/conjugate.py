@@ -619,6 +619,10 @@ def to_json(phi: UnivariateConvex):
 def from_json(obj) -> UnivariateConvex:
     if not isinstance(obj, dict) or "form" not in obj:
         raise ValueError("expected a tagged object with a 'form' key")
+    for key in ("k0", "a", "c", "c_minus", "c_plus"):
+        # flat_bottom's "a" is a bound, where null means unbounded.
+        if obj.get(key) is not None and type(obj[key]) is not int:
+            raise ValueError(f"{key!r} must be an integer, got {obj[key]!r}")
     form = obj["form"]
     if form == "table":
         return Table(obj["k0"], tuple(obj["values"]))

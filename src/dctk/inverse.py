@@ -30,7 +30,8 @@ from .polyhedron import (
     TangentCone,
     Window,
     dilation,
-    normal_cone_points,
+    enumerate_integer_points,
+    normal_cone,
     tangent_cone,
 )
 
@@ -42,9 +43,7 @@ class InverseInstance:
     deviation: SeparableConvex
 
     def __post_init__(self):
-        for z in self.targets:
-            if not self.parent.contains(z):
-                raise NotFeasible(f"target {z} violates the system")
+        check_targets(self.parent, self.targets)
 
     @cached_property
     def cone(self) -> TangentCone:
@@ -60,12 +59,13 @@ def inverse_minimize(
     summed from one table per coordinate; the first least value wins."""
     if len(inst.deviation.parts) != inst.parent.n:
         raise ValueError(f"expected {inst.parent.n} deviation components")
-    ranges = [range(lo, hi + 1) for lo, hi in zip(w_window.lo, w_window.hi)]
-    parts = [phi for _, phi in inst.deviation.parts]
-    tables = [{k: phi.value(k) for k in r} for phi, r in zip(parts, ranges)]
+    tables = [
+        {k: phi.value(k) for k in range(lo, hi + 1)}
+        for (_, phi), lo, hi in zip(inst.deviation.parts, w_window.lo, w_window.hi)
+    ]
     best: ExtInt = PLUS_INF
     arg: Optional[Tuple[int, ...]] = None
-    for w in normal_cone_points(inst.cone, ranges):
+    for w in enumerate_integer_points(normal_cone(inst.cone), w_window):
         v = sum(table[k] for table, k in zip(tables, w))
         if v < best:
             best, arg = v, w
@@ -91,9 +91,7 @@ def inverse_dual_search(
     conj = conjugate_table(deviation)
     best: ExtInt = MINUS_INF
     arg: Optional[Tuple[int, ...]] = None
-    for z in z_window.points():
-        if not cone.cone_system.contains(z):
-            continue
+    for z in enumerate_integer_points(cone.cone_system, z_window):
         c = conj(z)
         if not is_finite(c):
             continue
@@ -110,6 +108,15 @@ def inverse_dual_search(
     return report
 
 
+def check_targets(sys: LinearSystem, targets: Sequence[Sequence[int]]) -> None:
+    """Each target has n entries and is a point of the system."""
+    for z in targets:
+        if len(z) != sys.n:
+            raise ValueError(f"target {tuple(z)} needs {sys.n} entries")
+        if not sys.contains(z):
+            raise NotFeasible(f"target {tuple(z)} violates the system")
+
+
 def reduce_targets(
     sys: LinearSystem, targets: Sequence[Sequence[int]]
 ) -> Tuple[LinearSystem, Tuple[int, ...]]:
@@ -117,9 +124,7 @@ def reduce_targets(
     k = len(targets)
     if k < 1:
         raise ValueError("need at least one target")
-    for z in targets:
-        if not sys.contains(z):
-            raise NotFeasible(f"target {tuple(z)} violates the system")
+    check_targets(sys, targets)
     z0 = tuple(sum(t[i] for t in targets) for i in range(sys.n))
     return dilation(sys, k), z0
 

@@ -24,7 +24,7 @@ from typing import Dict, List, Sequence, Tuple
 from .conjugate import SeparableConvex, conjugate_table
 from .errors import CriteriaViolated, EmptyIntersection, Inconclusive, IterationLimit, Unbounded
 from .extint import MINUS_INF, PLUS_INF, ExtInt, is_finite
-from .polyhedron import EQ, GEQ, LinearSystem, MinMaxReport, Row
+from .polyhedron import EQ, GEQ, LinearSystem, MinMaxReport, Row, Window, enumerate_integer_points
 
 MAX_GROUND = 20
 
@@ -199,42 +199,12 @@ def base_bounds(p: SupermodularFn) -> Tuple[Tuple[ExtInt, ...], Tuple[ExtInt, ..
 
 
 def enumerate_bases(p: SupermodularFn) -> List[Tuple[int, ...]]:
-    """All integral bases, lex order, by pruned depth-first search.
-
-    Pruning uses the necessary window p(X) <= z(X) <= pbar(X) on every
-    subset X of the fixed prefix; the final membership test keeps the
-    enumeration sound regardless of the pruning strength.
-    """
+    """All integral bases in lex order: the integer points of
+    :func:`to_system` in the box of :func:`base_bounds`."""
     los, his = base_bounds(p)
-    if any(not is_finite(b) for b in los) or any(not is_finite(b) for b in his):
+    if not all(map(is_finite, los + his)):
         raise Inconclusive("base polyhedron has an unbounded component")
-    full = p.full
-    pbar = complement(p)
-    out: List[Tuple[int, ...]] = []
-
-    def rec(i: int, z: List[int]):
-        if i == p.n:
-            if member(p, z):
-                out.append(tuple(z))
-            return
-        for v in range(los[i], his[i] + 1):
-            z.append(v)
-            ok = True
-            for mask in range(1, 1 << (i + 1)):
-                if not mask >> i & 1:
-                    continue
-                s = _mask_sum(z, mask)
-                lo = p.table[mask]
-                hi = pbar[mask]
-                if (is_finite(lo) and s < lo) or (is_finite(hi) and s > hi):
-                    ok = False
-                    break
-            if ok:
-                rec(i + 1, z)
-            z.pop()
-
-    rec(0, [])
-    return out
+    return list(enumerate_integer_points(to_system(p), Window(los, his)))
 
 
 def minimize_separable(p: SupermodularFn, Phi: SeparableConvex) -> Tuple[int, ...]:
@@ -342,6 +312,8 @@ def verify_mconvex_optimality(
 ) -> MinMaxReport:
     """Check the two optimality criteria and report the min-max equality
     Phi(z*) = phat(w*) - conj(Phi)(w*)."""
+    if len(z_star) != p.n or len(w_star) != p.n:
+        raise ValueError(f"point and weights need {p.n} entries each")
     if not member(p, z_star):
         raise CriteriaViolated("membership", tuple(z_star))
     for mask in strict_top_sets(p, w_star):

@@ -22,7 +22,6 @@ is certified by the node set its last breadth-first search reached.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
@@ -31,7 +30,7 @@ from .conjugate import Quadratic, Restricted, SeparableConvex, conjugate_eval, s
 from .conjugate import from_json as phi_from_json
 from .errors import Infeasible, IterationLimit, NotFeasible, Unbounded, ValueMismatch
 from .extint import PLUS_INF, ExtInt, bound_from_json, bound_to_json, is_finite
-from .polyhedron import GEQ, LinearSystem, MinMaxReport, Row
+from .polyhedron import EQ, GEQ, LinearSystem, MinMaxReport, Row, Window, enumerate_integer_points
 
 
 @dataclass(frozen=True)
@@ -383,17 +382,17 @@ def certify_flow(inst: FlowInstance, x: Sequence[int], pi: Sequence[int]) -> Min
 
 
 def enumerate_flows(inst: FlowInstance, cap: int = 10) -> List[Tuple[int, ...]]:
-    """All integral flows with bounds clipped to [-cap, cap]; oracle use."""
-    ranges = []
-    for lo, hi in zip(inst.lower, inst.upper):
-        a = lo if is_finite(lo) else -cap
-        b = hi if is_finite(hi) else cap
-        ranges.append(range(a, b + 1))
-    out = []
-    for x in itertools.product(*ranges):
-        if inst.is_feasible_flow(x):
-            out.append(x)
-    return out
+    """All integral flows, lex order, bounds clipped to [-cap, cap]; oracle use."""
+    lo = tuple(v if is_finite(v) else -cap for v in inst.lower)
+    hi = tuple(v if is_finite(v) else cap for v in inst.upper)
+    if any(a > b for a, b in zip(lo, hi)):
+        return []  # a finite bound lies beyond the cap
+    d = inst.digraph
+    if not d.arcs:
+        return [] if any(inst.m) else [()]
+    rows = tuple(Row(r, m, EQ) for r, m in zip(incidence_matrix(d), inst.m))
+    system = LinearSystem(tuple(f"a{i}" for i in range(len(d.arcs))), rows)
+    return list(enumerate_integer_points(system, Window(lo, hi)))
 
 
 def embedding_system(inst: FlowInstance) -> LinearSystem:

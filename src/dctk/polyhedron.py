@@ -1,11 +1,11 @@
 """Integral linear systems [Q'x >= p', Q=x = p=] at desk scale.
 
-Windowed integer-point enumeration, exact rational LP by basic-solution
-enumeration, tangent cones and a scan of their normal cones, dual
-searches for the separable-convex min-max formulas, the disjoint-pair
-feasibility test, dilations, and a box-integrality probe.  All
-arithmetic is exact (ints and Fractions); all witnesses are
-lexicographically least for determinism.
+One lazy lex-order kernel lists a system's integer points in a box
+(:func:`enumerate_integer_points`) for every such scan in dctk.  Also
+exact rational LP by basic-solution enumeration, tangent cones and
+their normal cones as systems, dual searches for the separable-convex
+min-max formulas, the disjoint-pair feasibility test, dilations, and a
+box-integrality probe.  Arithmetic is exact; witnesses are lex-least.
 """
 
 from __future__ import annotations
@@ -193,9 +193,46 @@ class MinMaxReport:
 # Enumeration and exact LP
 
 
-def enumerate_integer_points(sys: LinearSystem, win: Window) -> List[Tuple[int, ...]]:
-    """All integer points of the system inside the window, lex order."""
-    return [z for z in win.points() if sys.contains(z)]
+def enumerate_integer_points(sys: LinearSystem, win: Window) -> Iterator[Tuple[int, ...]]:
+    """The integer points of the system in the window, lazily, in lex order.
+
+    A depth-first scan fixes one coordinate at a time.  Each row a.x >= b
+    (an equality row adds its negation) has a room: its largest value
+    over the window, given the coordinates fixed so far, minus b.  Only
+    values of x_i that keep the room >= 0 are tried: x_i >= hi_i -
+    room // a_i if a_i > 0, x_i <= lo_i + room // -a_i if a_i < 0, any
+    x_i if a_i = 0.  A row with no room at the start, such as 0 >= 1,
+    admits no point; else a prefix that no completion meets is dropped,
+    and a full point meets every row.
+    """
+    lo, hi = win.lo, win.hi
+    rows = [(r.coeffs, r.rhs) for r in sys.rows]
+    rows += [(tuple(-a for a in r.coeffs), -r.rhs) for r in sys.rows if r.kind == EQ]
+    room = [sum(a * (h if a > 0 else l) for a, l, h in zip(c, lo, hi)) - b for c, b in rows]
+    # Per coordinate i: (row, a_i, the row's largest term a_i * x_i) where a_i != 0.
+    cols = [
+        [(k, c[i], c[i] * (hi[i] if c[i] > 0 else lo[i])) for k, (c, _) in enumerate(rows) if c[i]]
+        for i in range(sys.n)
+    ]
+    last = sys.n - 1
+
+    def scan(i: int, head: Tuple[int, ...], room: List[int]) -> Iterator[Tuple[int, ...]]:
+        a, b = lo[i], hi[i]
+        for k, c, _ in cols[i]:
+            if c > 0:
+                a = max(a, hi[i] - room[k] // c)
+            else:
+                b = min(b, lo[i] + room[k] // -c)
+        for t in range(a, b + 1):
+            if i == last:
+                yield head + (t,)
+                continue
+            fixed = room.copy()
+            for k, c, top in cols[i]:
+                fixed[k] += c * t - top
+            yield from scan(i + 1, head + (t,), fixed)
+
+    return scan(0, (), room) if min(room) >= 0 else iter(())
 
 
 def _basic_data(sys: LinearSystem):
@@ -237,32 +274,14 @@ def _basic_data(sys: LinearSystem):
             scaled.append(key)
     vertices = sorted(tuple(Fraction(v, d) for v in xd) for d, xd in scaled)
 
-    rays: List[Tuple[int, ...]] = []
-    rseen = set()
-
-    def in_cone(d) -> bool:
-        for coeffs, _, kind in work:
-            v = ratlin.dot(coeffs, d)
-            if kind == EQ:
-                if v != 0:
-                    return False
-            elif v < 0:
-                return False
-        return True
-
+    # The rays are the edge directions that lie in the recession cone.
+    recession = LinearSystem(sys.elements, tuple(Row(c, 0, kind) for c, _, kind in work))
+    edges = set()
     for idxs in itertools.combinations(range(len(work)), n - 1):
-        rows = [work[i][0] for i in idxs]
-        basis = ratlin.null_space(rows, n)
-        if len(basis) != 1:
-            continue
-        g = basis[0]
-        for d in (g, tuple(-v for v in g)):
-            if d in rseen:
-                continue
-            if in_cone(d):
-                rseen.add(d)
-                rays.append(d)
-    rays.sort()
+        basis = ratlin.null_space([work[i][0] for i in idxs], n)
+        if len(basis) == 1:
+            edges.update((basis[0], tuple(-v for v in basis[0])))
+    rays = sorted(d for d in edges if recession.contains(d))
 
     sys._basic = (vertices, rays, lineality)
     big_d = lcm(*(d for d, _ in scaled))
@@ -346,23 +365,13 @@ def tangent_cone(sys: LinearSystem, z0: Sequence[int]) -> TangentCone:
     return TangentCone(cone_sys, tuple(rays), tuple(lineality))
 
 
-def normal_cone_points(
-    cone: TangentCone, ranges: Sequence[range]
-) -> Iterator[Tuple[int, ...]]:
-    """The integral w in the box of ranges that the cone's point minimizes,
-    in lex order: w.g >= 0 on the rays and on both signs of each lineality
-    vector.  Each generator's dot product is summed once per head (all
-    entries of w but the last); the inner loop steps the last entry t and
-    adds t times the generator's last entry."""
-    negated = tuple(tuple(-x for x in g) for g in cone.lineality)
-    gens = [(g[:-1], g[-1]) for g in cone.rays + cone.lineality + negated]
-    for head in itertools.product(*ranges[:-1]):
-        ts = ranges[-1]
-        for g, c in gens:
-            h = ratlin.dot(g, head)
-            ts = [t for t in ts if h + t * c >= 0]
-        for t in ts:
-            yield head + (t,)
+def normal_cone(cone: TangentCone) -> LinearSystem:
+    """The weights w that the cone's point minimizes, as a system: w.d >= 0
+    per ray and w.l = 0 per lineality vector, or the zero row when the
+    cone has neither (it is then all of R^n)."""
+    rows = [Row(d, 0, GEQ) for d in cone.rays] + [Row(d, 0, EQ) for d in cone.lineality]
+    n = cone.cone_system.n
+    return LinearSystem(cone.cone_system.elements, tuple(rows) or (Row((0,) * n, 0, GEQ),))
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +423,7 @@ def minimize_bruteforce(
     """Windowed exact minimum of Phi over the integer points."""
     best: ExtInt = PLUS_INF
     arg = None
-    for z in win.points():
-        if not sys.contains(z):
-            continue
+    for z in enumerate_integer_points(sys, win):
         v = Phi.value(z)
         if v < best:
             best, arg = v, z
@@ -425,12 +432,6 @@ def minimize_bruteforce(
         primal_witness=arg,
         bounds_used={"window": win.to_json()},
     )
-
-
-def _sign_feasible_range(r: Row, bound: int):
-    if r.kind == GEQ:
-        return range(0, bound + 1)
-    return range(-bound, bound + 1)
 
 
 def dual_search_bruteforce(
@@ -445,7 +446,7 @@ def dual_search_bruteforce(
     n = sys.n
     conj = conjugate_table(Phi)
     *head_rows, last = sys.rows
-    ranges = [_sign_feasible_range(r, y_bound) for r in sys.rows]
+    ranges = [range(0 if r.kind == GEQ else -y_bound, y_bound + 1) for r in sys.rows]
     best: ExtInt = MINUS_INF
     arg: Optional[Tuple[int, ...]] = None
     support_ok = False
@@ -514,19 +515,14 @@ def feasibility_condition(
     z* + chi(S+) - chi(S-) still in R, require sum ell(S-) <= sum u(S+).
 
     Returns (True, None) or (False, (S_minus, S_plus)) with the first
-    violating pair in scan order.
+    violating pair in the lex order of z* + chi(S+) - chi(S-).
     """
-    n = sys.n
     z_star = tuple(z_star)
-    for assignment in itertools.product((0, -1, 1), repeat=n):
-        z2 = tuple(z + a for z, a in zip(z_star, assignment))
-        if not sys.contains(z2):
-            continue
-        s_minus = tuple(i for i, a in enumerate(assignment) if a == -1)
-        s_plus = tuple(i for i, a in enumerate(assignment) if a == 1)
-        lhs = ext_sum(ell[i] for i in s_minus)
-        rhs = ext_sum(u[i] for i in s_plus)
-        if lhs > rhs:
+    box = Window(tuple(v - 1 for v in z_star), tuple(v + 1 for v in z_star))
+    for z2 in enumerate_integer_points(sys, box):
+        s_minus = tuple(i for i, (a, b) in enumerate(zip(z_star, z2)) if b < a)
+        s_plus = tuple(i for i, (a, b) in enumerate(zip(z_star, z2)) if b > a)
+        if ext_sum(ell[i] for i in s_minus) > ext_sum(u[i] for i in s_plus):
             return (False, (s_minus, s_plus))
     return (True, None)
 
@@ -540,14 +536,12 @@ def find_weight_in_box(
 ) -> Optional[Tuple[int, ...]]:
     """First integral w in lex order in the window, clipped to [ell, u],
     with mu_R(w) = w.z*; None if the scan is exhausted."""
-    ranges = []
-    for lo, hi, l, v in zip(w_window.lo, w_window.hi, ell, u):
-        a = max(lo, l) if is_finite(l) else lo
-        b = min(hi, v) if is_finite(v) else hi
-        if a > b:
-            return None
-        ranges.append(range(a, b + 1))
-    return next(normal_cone_points(tangent_cone(sys, z_star), ranges), None)
+    lo = tuple(max(a, l) if is_finite(l) else a for a, l in zip(w_window.lo, ell))
+    hi = tuple(min(b, v) if is_finite(v) else b for b, v in zip(w_window.hi, u))
+    if any(a > b for a, b in zip(lo, hi)):
+        return None
+    cone = normal_cone(tangent_cone(sys, z_star))
+    return next(enumerate_integer_points(cone, Window(lo, hi)), None)
 
 
 def dilation(sys: LinearSystem, k: int) -> LinearSystem:

@@ -290,6 +290,11 @@ def naive_dual_search(sys: LinearSystem, Phi: SeparableConvex, y_bound: int):
     )
 
 
+def naive_integer_points(sys: LinearSystem, win: Window) -> List[Tuple[int, ...]]:
+    """Every point of the window that satisfies every row, lex order."""
+    return [z for z in win.points() if sys.contains(z)]
+
+
 def naive_mu_form(sys: LinearSystem, Phi: SeparableConvex, win: Window):
     """(value, w) of max mu_R(w) - conj(Phi)(w) over the window, with
     mu_R from :func:`frac_lp_min`."""

@@ -26,6 +26,20 @@ D2 = fixtures.d2_instance().to_json()
 P2, P2B = fixtures.p2().to_json(), fixtures.p2b().to_json()
 P2_SYSTEM = fixtures.p2_system().to_json()
 
+# Two base sets on three elements with four common bases, and a mixed
+# objective over them.
+M2_N3 = [{"n": 3, "p": {str(mask): v for mask, v in enumerate(table)}}
+         for table in ((0, -1, 1, 1, -1, -1, 0, 1), (0, -1, 1, 1, -2, -2, 0, 1))]
+PHI3 = {
+    "e1": {"form": "quadratic", "a": 1},
+    "e2": {"form": "vshape", "k0": 1, "c_minus": -2, "c_plus": 1},
+    "e3": {"form": "quadratic", "a": 2},
+}
+BOX2 = {
+    "e1": {"form": "flat_bottom", "a": 3, "b": 4, "c_minus": -1, "c_plus": 2, "A": -4, "B": 6},
+    "e2": {"form": "flat_bottom", "a": 0, "b": 1, "c_minus": -2, "c_plus": 1, "A": -4, "B": 6},
+}
+
 
 CLI = [sys.executable, "-m", "dctk.cli"]
 
@@ -94,6 +108,19 @@ GOLDEN = {
          "--deviation", json.dumps(DEV2), "--w-window=-1..5"],
         '{"bounds_used":{"w_window":{"hi":[5,5],"lo":[-1,-1]},"z_window":{"hi":[1,1],'
         '"lo":[-1,-1]}},"checks":{"fitting":true,"orthogonal":true},"dual_value":2,'
+        '"dual_witness":[-1,1],"status":"OK","value":2,"w_star":[1,1]}'),
+    "minimize-m2-n3": (
+        ["minimize", "m2", "--instance", json.dumps({"p1": M2_N3[0], "p2": M2_N3[1]}),
+         "--phi", json.dumps(PHI3)],
+        '{"report":{"bounds_used":{"w_bound":3},"dual_value":0,"dual_witness":[[-3,-3,-3],[2,2,1]],'
+        '"equality":true,"notes":[],"primal_value":0,"primal_witness":[0,1,0],"support_size":6},'
+        '"status":"OK"}'),
+    "inverse-box-deviation": (
+        # The deviation's finite domain leaves the z-window at its +-6 fallback.
+        ["inverse", "--system", json.dumps(P2_SYSTEM), "--target", "[2,0]",
+         "--deviation", json.dumps(BOX2), "--w-window=-3..4"],
+        '{"bounds_used":{"w_window":{"hi":[4,4],"lo":[-3,-3]},"z_window":{"hi":[6,6],'
+        '"lo":[-6,-6]}},"checks":{"fitting":true,"orthogonal":true},"dual_value":2,'
         '"dual_witness":[-1,1],"status":"OK","value":2,"w_star":[1,1]}'),
     "probe": (
         ["probe", "--system", json.dumps(P2_SYSTEM), "--window", "0..2"],
@@ -431,6 +458,31 @@ class TestCertifyCommands:
             "--json-out", str(tmp_path / "missing" / "F.json"),
         ])
         assert p.returncode == cli.EXIT_INVALID
+
+
+class TestBadInput:
+    """Input of the wrong length or type exits 4 with a message, not a
+    traceback."""
+
+    CERTIFY = ["certify", "mconvex", "--instance", json.dumps(P2), "--phi", json.dumps(SQ2)]
+    INVERSE = ["inverse", "--system", json.dumps(P2_SYSTEM), "--deviation", json.dumps(DEV2)]
+
+    @pytest.mark.parametrize("argv, needle", [
+        (CERTIFY + ["--point", "[0,2]", "--weights", "[0]"], "need 2 entries"),
+        (CERTIFY + ["--point", "[1,1]", "--weights", "[3,3,7]"], "need 2 entries"),
+        (INVERSE + ["--target", "[2]"], "target (2,) needs 2 entries"),
+        (INVERSE + ["--target", "[1,1,4]"], "target (1, 1, 4) needs 2 entries"),
+        (["conjugate", "--ell", "-1", "--phi",
+          '{"form":"flat_bottom","a":0,"b":2,"c_minus":-1.5,"c_plus":1}'], "'c_minus'"),
+        (["conjugate", "--ell", "0", "--phi",
+          '{"form":"vshape","k0":0,"c_minus":-1,"c_plus":true}'], "'c_plus'"),
+        (["conjugate", "--ell", "0", "--phi", '{"form":"quadratic","a":1.5}'], "'a'"),
+    ], ids=["short-weights", "long-weights", "short-target", "long-target",
+            "float-c_minus", "bool-c_plus", "float-a"])
+    def test_exits_invalid_with_message(self, argv, needle):
+        p = run_cli(argv)
+        assert (p.returncode, p.stdout) == (cli.EXIT_INVALID, "")
+        assert p.stderr.startswith("error:") and needle in p.stderr
 
 
 class TestInverseCommand:

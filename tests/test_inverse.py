@@ -28,11 +28,12 @@ from dctk.polyhedron import (
     dilation,
     enumerate_integer_points,
     find_weight_in_box,
-    normal_cone_points,
+    normal_cone,
 )
 
 from helpers import (
     is_minimizer,
+    naive_integer_points,
     naive_find_weight_in_box,
     naive_inverse_minimize,
     random_flow_embedding,
@@ -230,7 +231,7 @@ def _cone_cases():
     for build in (random_flow_embedding, random_integer_system):
         for _ in range(8):
             sys = build(rng)
-            points = enumerate_integer_points(sys, Window.uniform(sys.n, -3, 3))
+            points = list(enumerate_integer_points(sys, Window.uniform(sys.n, -3, 3)))
             if points:
                 cases.append((sys, (rng.choice(points),)))
     s3 = s3_system()
@@ -260,8 +261,7 @@ class TestNormalConeMatchesOracle:
         for sys, targets in _cone_cases():
             big, z0 = _reduced(sys, targets)
             win = _window(sys.n)
-            ranges = [range(lo, hi + 1) for lo, hi in zip(win.lo, win.hi)]
-            got = list(normal_cone_points(tangent_cone(big, z0), ranges))
+            got = list(enumerate_integer_points(normal_cone(tangent_cone(big, z0)), win))
             assert got == [w for w in win.points() if is_minimizer(big, z0, w)]
             sizes.add(len(got))
         assert 1 in sizes and len(sizes) >= 8
@@ -269,12 +269,30 @@ class TestNormalConeMatchesOracle:
     def test_lineality_and_zero_row_cones(self):
         cone = tangent_cone(P2SYS, (1, 1))
         assert cone.rays == () and cone.lineality != ()
-        ranges = [range(-2, 3)] * 2
-        assert list(normal_cone_points(cone, ranges)) == [(v, v) for v in range(-2, 3)]
+        win = Window.uniform(2, -2, 2)
+        expected = [(v, v) for v in range(-2, 3)]
+        assert list(enumerate_integer_points(normal_cone(cone), win)) == expected
         *_, (box, targets) = _cone_cases()
         cone = tangent_cone(box, targets[0])
         assert [r.coeffs for r in cone.cone_system.rows] == [(0, 0)]
-        assert list(normal_cone_points(cone, ranges)) == [(0, 0)]
+        assert list(enumerate_integer_points(normal_cone(cone), win)) == [(0, 0)]
+
+    def test_kernel_on_cone_systems_matches_naive_oracle(self):
+        """On each tangent cone and its normal cone the integer-point
+        kernel lists what the naive window scan lists.  A single point's
+        normal cone is the zero row: every weight of the window."""
+        point = LinearSystem(("a", "b"), (Row((1, 0), 1, EQ), Row((0, 1), 2, EQ)))
+        for sys, targets in _cone_cases() + [(point, ((1, 2),))]:
+            big, z0 = _reduced(sys, targets)
+            cone = tangent_cone(big, z0)
+            win = _window(sys.n)
+            for system in (normal_cone(cone), cone.cone_system):
+                got = list(enumerate_integer_points(system, win))
+                assert got == naive_integer_points(system, win)
+        zero_row = normal_cone(tangent_cone(point, (1, 2)))
+        assert [(r.coeffs, r.kind) for r in zero_row.rows] == [((0, 0), GEQ)]
+        win = Window.uniform(2, -2, 2)
+        assert list(enumerate_integer_points(zero_row, win)) == list(win.points())
 
     def test_find_weight_in_box(self):
         rng = random.Random(19)

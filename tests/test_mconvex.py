@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import warnings
@@ -5,8 +6,8 @@ import warnings
 import pytest
 
 from dctk.conjugate import Quadratic, Restricted, SeparableConvex, Shifted, linear_cost, square_sum
-from dctk.errors import CriteriaViolated, DctkError, EmptyIntersection
-from dctk.extint import MINUS_INF, PLUS_INF
+from dctk.errors import CriteriaViolated, DctkError, EmptyIntersection, Inconclusive
+from dctk.extint import MINUS_INF, PLUS_INF, is_finite
 from dctk.fixtures import (
     base_window,
     p2,
@@ -17,6 +18,7 @@ from dctk.fixtures import (
 )
 from dctk.mconvex import (
     SupermodularFn,
+    base_bounds,
     complement,
     dependence,
     dual_certificate,
@@ -32,7 +34,7 @@ from dctk.mconvex import (
     tight_sets,
     verify_mconvex_optimality,
 )
-from dctk.polyhedron import EQ, GEQ
+from dctk.polyhedron import EQ, GEQ, Window
 
 from helpers import (
     naive_dual_certificate,
@@ -224,6 +226,27 @@ def outcome(f, *args):
         return f(*args)
     except DctkError as e:
         return type(e), str(e)
+
+
+class TestEnumerateBases:
+    def test_matches_naive_oracle(self):
+        """p with MINUS_INF entries, n = 1-4: the bases are the members of
+        the base_bounds box, or the bounds are infinite and the
+        enumeration is inconclusive."""
+        rng = random.Random(47)
+        outcomes = collections.Counter()
+        for _ in range(120):
+            p = order_ideal_supermodular(rng, rng.randint(1, 4))
+            los, his = base_bounds(p)
+            if not all(map(is_finite, los + his)):
+                with pytest.raises(Inconclusive, match="unbounded component"):
+                    enumerate_bases(p)
+                outcomes["unbounded"] += 1
+                continue
+            expected = [z for z in Window(los, his).points() if member(p, z)]
+            assert enumerate_bases(p) == expected
+            outcomes[min(len(expected), 2)] += 1
+        assert min(outcomes.values()) >= 10 and len(outcomes) == 3, outcomes
 
 
 class TestDescentMatchesNaiveOracle:

@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -319,6 +320,41 @@ class TestCertify:
         for a in range(-bound, bound + 1):
             for b in range(-bound, bound + 1):
                 assert flow_dual_value(inst, (a, b)) <= primal
+
+
+class TestEnumerateFlows:
+    def test_matches_naive_scan(self):
+        """The flows of the bound box clipped to [-cap, cap], against a scan
+        of that box with is_feasible_flow.  A finite bound beyond the cap
+        on the open side leaves an empty box, hence no flow."""
+        rng = random.Random(53)
+        outcomes = collections.Counter()
+        for _ in range(200):
+            d = random_digraph(rng, max_nodes=3, max_arcs=3)
+            x0 = [rng.randint(-2, 2) for _ in d.arcs]
+            m = [0] * len(d.nodes)
+            for (t, h), x in zip(d.arcs, x0):
+                m[d.nodes.index(h)] += x
+                m[d.nodes.index(t)] -= x
+            lower, upper = [], []
+            for _ in d.arcs:
+                a = rng.choice((MINUS_INF, rng.randint(-3, 2), 4))
+                b = rng.choice((PLUS_INF, rng.randint(-2, 3), -4))
+                lower.append(min(a, b))
+                upper.append(max(a, b))
+            inst = square_sum_instance(d, m, lower, upper)
+            cap = rng.choice((1, 3))
+            lo = [v if is_finite(v) else -cap for v in lower]
+            hi = [v if is_finite(v) else cap for v in upper]
+            if any(a > b for a, b in zip(lo, hi)):
+                expected, kind = [], "beyond the cap"
+            else:
+                box = Window(tuple(lo), tuple(hi))
+                expected = [x for x in box.points() if inst.is_feasible_flow(x)]
+                kind = "flows" if expected else "none"
+            assert enumerate_flows(inst, cap) == expected
+            outcomes[kind] += 1
+        assert min(outcomes.values()) >= 20 and len(outcomes) == 3, outcomes
 
 
 class TestEmbedding:

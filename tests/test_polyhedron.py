@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -12,7 +13,7 @@ from dctk.fixtures import (
     random_supermodular,
     s3_system,
 )
-from dctk.mconvex import to_system
+from dctk.mconvex import base_bounds, enumerate_bases, to_system
 from dctk.polyhedron import (
     EQ,
     GEQ,
@@ -39,6 +40,7 @@ from helpers import (
     frac_basic_data,
     frac_lp_min,
     naive_dual_search,
+    naive_integer_points,
     naive_mu_form,
     naive_probe_box_integer,
     random_flow_embedding,
@@ -70,16 +72,83 @@ class TestRow:
 
 class TestEnumerate:
     def test_p2(self):
-        pts = enumerate_integer_points(P2SYS, Window.uniform(2, 0, 2))
+        pts = list(enumerate_integer_points(P2SYS, Window.uniform(2, 0, 2)))
         assert pts == [(0, 2), (1, 1), (2, 0)]
 
     def test_empty(self):
         sys = LinearSystem(("x",), (Row((1,), 1, GEQ), Row((-1,), 0, GEQ)))
-        assert enumerate_integer_points(sys, Window.uniform(1, -3, 3)) == []
+        assert list(enumerate_integer_points(sys, Window.uniform(1, -3, 3))) == []
 
     def test_single_equality(self):
         sys = LinearSystem(("x",), (Row((1,), 0, EQ),))
-        assert enumerate_integer_points(sys, Window.uniform(1, -3, 3)) == [(0,)]
+        assert list(enumerate_integer_points(sys, Window.uniform(1, -3, 3))) == [(0,)]
+
+    def test_is_lazy(self):
+        # The first of the points of x1 + x2 + x3 = 2 comes before the
+        # scan meets the other four million heads of the window.
+        sys = LinearSystem(("a", "b", "c"), (Row((1, 1, 1), 2, EQ),))
+        assert next(enumerate_integer_points(sys, Window.uniform(3, 0, 2000))) == (0, 0, 2)
+
+    def test_drops_prefixes_no_completion_meets(self):
+        # Each coordinate is pinned as soon as it is fixed: the scan never
+        # steps through the 10**9 values of a coordinate.
+        sys = LinearSystem(("a", "b", "c"), (Row((1, 1, 1), 3 * 10**9, EQ),))
+        got = list(enumerate_integer_points(sys, Window.uniform(3, 0, 10**9)))
+        assert got == [(10**9,) * 3]
+
+    @pytest.mark.parametrize("c, rhs, kind, expected", [
+        (2, 3, GEQ, [2, 3]),            # t >= ceil(3/2)
+        (-2, -3, GEQ, [-3, -2, -1, 0, 1]),  # t <= floor(3/2)
+        (-2, 3, GEQ, [-3, -2]),         # t <= floor(-3/2)
+        (2, 4, EQ, [2]),
+        (2, 3, EQ, []),                 # 2 does not divide 3
+        (-3, 6, EQ, [-2]),
+        (-3, 5, EQ, []),
+        (0, 1, GEQ, []),
+        (0, -1, GEQ, [-3, -2, -1, 0, 1, 2, 3]),
+        (0, 0, EQ, [-3, -2, -1, 0, 1, 2, 3]),
+        (0, -1, EQ, []),
+        (0, 1, EQ, []),
+    ])
+    def test_clip_of_the_last_coordinate(self, c, rhs, kind, expected):
+        sys = LinearSystem(("x",), (Row((c,), rhs, kind),))
+        got = list(enumerate_integer_points(sys, Window.uniform(1, -3, 3)))
+        assert got == [(t,) for t in expected]
+
+    def test_matches_naive_oracle(self):
+        """Random systems, n = 1-4, coefficients -3..3, in small windows
+        that often miss the system."""
+        rng = random.Random(41)
+        seen = collections.Counter()
+        for _ in range(400):
+            n = rng.randint(1, 4)
+            rows = tuple(
+                Row(tuple(rng.randint(-3, 3) for _ in range(n)), rng.randint(-5, 5),
+                    rng.choice((GEQ, GEQ, EQ)))
+                for _ in range(rng.randint(1, n + 2)))
+            sys = LinearSystem(tuple(f"x{i}" for i in range(n)), rows)
+            lo = tuple(rng.randint(-4, 2) for _ in range(n))
+            win = Window(lo, tuple(v + rng.randint(0, 3) for v in lo))
+            got = list(enumerate_integer_points(sys, win))
+            assert got == naive_integer_points(sys, win)
+            seen["empty" if not got else "points"] += 1
+            for r in rows:
+                c = r.coeffs[-1]
+                seen["zero" if c == 0 else "negative" if c < 0 else "positive"] += 1
+                seen["equality, |c| >= 2"] += r.kind == EQ and abs(c) >= 2
+        assert min(seen.values()) >= 50, seen
+
+    def test_base_and_embedding_systems_match_naive_oracle(self):
+        rng = random.Random(43)
+        for _ in range(40):
+            p = random_supermodular(rng, rng.randint(1, 4), value_bound=3)
+            sys, box = to_system(p), Window(*base_bounds(p))
+            expected = naive_integer_points(sys, box)
+            assert list(enumerate_integer_points(sys, box)) == expected == enumerate_bases(p)
+        for _ in range(40):
+            sys = random_flow_embedding(rng)
+            win = Window.uniform(sys.n, -1, 3)
+            assert list(enumerate_integer_points(sys, win)) == naive_integer_points(sys, win)
 
 
 class TestLpMin:
@@ -203,7 +272,7 @@ class TestMinMaxSearches:
         assert rep.dual_value == 0
 
     def test_weak_duality_exhaustive(self):
-        pts = enumerate_integer_points(P2SYS, Window.uniform(2, 0, 3))
+        pts = list(enumerate_integer_points(P2SYS, Window.uniform(2, 0, 3)))
         for yv in itertools.product(range(0, 4), range(0, 4), range(-3, 4)):
             y = DualVector(yv)
             conj = SQ.conjugate(y.times_q(P2SYS))
