@@ -175,7 +175,11 @@ def _cmd_minimize_m2(args) -> Outcome:
     p2 = mconvex.SupermodularFn.from_json(obj["p2"])
     Phi = cj.separable_from_json(_load_json(args.phi), p1.elements)
     lo, hi = _parse_range(args.w_window)
-    report = mconvex.m2_minimize_and_split(p1, p2, Phi, w_bound=max(abs(lo), abs(hi)))
+    if lo > hi:
+        raise ValueError(f"--w-window {lo}..{hi} is empty")
+    if lo != -hi:
+        raise ValueError(f"--w-window {lo}..{hi}: the split window is ±K, {-hi}..{hi} or {lo}..{-lo}")
+    report = mconvex.m2_minimize_and_split(p1, p2, Phi, w_bound=hi)
     return _verdict({"report": report.to_json()}, report.equality)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import getitem
 from typing import List, Optional, Sequence, Tuple
 
 from . import ratlin
@@ -51,22 +52,31 @@ class InverseInstance:
         return tangent_cone(*reduce_targets(self.parent, self.targets))
 
 
+class _Values(dict):
+    """k -> phi.value(k), each computed when first asked for."""
+
+    def __init__(self, phi: UnivariateConvex):
+        self.phi = phi
+
+    def __missing__(self, k: int) -> ExtInt:
+        v = self[k] = self.phi.value(k)
+        return v
+
+
 def inverse_minimize(
     inst: InverseInstance, w_window: Window
 ) -> Tuple[Tuple[int, ...], ExtInt]:
     """Exhaustive scan for the cheapest admissible integral cost: the
-    normal cone at the (combined) target, in lex order, with the deviation
-    summed from one table per coordinate; the first least value wins."""
+    normal cone at the (combined) target, in lex order, with each
+    coordinate's deviation value kept once computed; the first least
+    value wins."""
     if len(inst.deviation.parts) != inst.parent.n:
         raise ValueError(f"expected {inst.parent.n} deviation components")
-    tables = [
-        {k: phi.value(k) for k in range(lo, hi + 1)}
-        for (_, phi), lo, hi in zip(inst.deviation.parts, w_window.lo, w_window.hi)
-    ]
+    tables = [_Values(phi) for _, phi in inst.deviation.parts]
     best: ExtInt = PLUS_INF
     arg: Optional[Tuple[int, ...]] = None
     for w in enumerate_integer_points(normal_cone(inst.cone), w_window):
-        v = sum(table[k] for table, k in zip(tables, w))
+        v = sum(map(getitem, tables, w))
         if v < best:
             best, arg = v, w
     if arg is None:

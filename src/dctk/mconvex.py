@@ -17,11 +17,12 @@ independently checkable.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .conjugate import SeparableConvex, conjugate_table
+from .conjugate import SeparableConvex, conjugate_eval
 from .errors import CriteriaViolated, EmptyIntersection, Inconclusive, IterationLimit, Unbounded
 from .extint import MINUS_INF, PLUS_INF, ExtInt, is_finite
 from .polyhedron import EQ, GEQ, LinearSystem, MinMaxReport, Row, Window, enumerate_integer_points
@@ -348,9 +349,19 @@ def m2_minimize_and_split(
 ) -> MinMaxReport:
     """Primal minimum over the intersection of the two integral base
     sets, and the best weight splitting (w1, w2) with each |w_i| <= bound:
-    phat1(w1) + phat2(w2) - conj(Phi)(w1 + w2)."""
+    phat1(w1) + phat2(w2) - conj(Phi)(w1 + w2).
+
+    For z* a common base (the primal witness, if any), a split is worth
+    -g1(w1) - g2(w2) - h(w1 + w2), with g_i(w) = w.z* - phat_i(w) >= 0 and
+    h(s) = conj(Phi)(s) - s.z* (h + Phi(z*) >= 0 is the Fenchel-Young
+    gap).  The sums s run by increasing h, each with w1 by increasing g1,
+    until -h - g1 is below the best value; ties go to the lowest grid
+    indices, so value and witness are those of the lex-order grid scan.
+    """
     if p1.n != p2.n:
         raise ValueError("ground sets differ")
+    if w_bound < 0:
+        raise ValueError(f"w_bound must be >= 0, got {w_bound}")
     n = p1.n
     # Enumerate a side whose bases are bounded: the common set, and its
     # lex order, are the same from either side.
@@ -365,31 +376,59 @@ def m2_minimize_and_split(
         v = Phi.value(z)
         if v < best_p:
             best_p, arg_p = v, z
+    z_star = common[0] if arg_p is None else arg_p
 
-    # w is coded as sum_j w_j * base**j; every entry of a sum w1 + w2 lies
-    # in [-2*bound, 2*bound], a balanced digit for base 4*bound + 1, so
-    # code(w1) + code(w2) = code(w1 + w2) is a key for the sum.
-    base = 4 * w_bound + 1
-    grid = list(itertools.product(range(-w_bound, w_bound + 1), repeat=n))
-    codes = [sum(v * base**j for j, v in enumerate(w)) for w in grid]
-    ext1, ext2 = (
-        [(w, e, k) for w, k in zip(grid, codes) if (e := lovasz_extension(p, w)) is not MINUS_INF]
-        for p in (p1, p2)
+    # w is coded as sum_j w_j * base**j; every entry of s - w1 lies in
+    # [-3*bound, 3*bound], a balanced digit for base 6*bound + 1, so the
+    # code of s less the code of w1 is the code of w2 = s - w1.
+    base = 6 * w_bound + 1
+    grid = [(w, sum(v * base**j for j, v in enumerate(w)))
+            for w in itertools.product(range(-w_bound, w_bound + 1), repeat=n)]
+    side1 = sorted(
+        (sum(x * y for x, y in zip(w, z_star)) - e, i, w, e, k)
+        for i, (w, k) in enumerate(grid) if (e := lovasz_extension(p1, w)) is not MINUS_INF
     )
-    conj = conjugate_table(Phi)
-    conj_of_sum: Dict[int, ExtInt] = {}
+    side2 = {k: (i, w, e) for i, (w, k) in enumerate(grid) if (e := lovasz_extension(p2, w)) is not MINUS_INF}
+    # h is separable: per coordinate, its finite (h_j, s_j, conj_j), sorted.
+    cols = [
+        sorted(
+            (c - v * zj, v, c)
+            for v in range(-2 * w_bound, 2 * w_bound + 1)
+            if (c := conjugate_eval(phi, v)) is not PLUS_INF
+        )
+        for (_, phi), zj in zip(Phi.parts, z_star)
+    ]
+
+    def sums():
+        """(h(s), the entries of cols that make s) by increasing h: index
+        vectors come off a heap, each reached once by raising coordinates
+        in order."""
+        heap = [(sum(col[0][0] for col in cols), (0,) * n, 0)] if all(cols) else []
+        while heap:
+            h, idx, k = heapq.heappop(heap)
+            picked = [col[i] for col, i in zip(cols, idx)]
+            yield h, picked
+            for j in range(k, n):
+                if idx[j] + 1 < len(cols[j]):
+                    up = h - cols[j][idx[j]][0] + cols[j][idx[j] + 1][0]
+                    heapq.heappush(heap, (up, idx[:j] + (idx[j] + 1,) + idx[j + 1:], j))
+
     best_d: ExtInt = MINUS_INF
-    arg_d = None
-    for w1, a, k1 in ext1:
-        for w2, b, k2 in ext2:
-            c = conj_of_sum.get(k1 + k2)
-            if c is None:
-                c = conj_of_sum[k1 + k2] = conj([x + y for x, y in zip(w1, w2)])
-            if c is PLUS_INF:
-                continue
-            val = a + b - c
-            if val > best_d:
-                best_d, arg_d = val, (w1, w2)
+    arg_d = first = None  # the best split and its grid indices
+    for h, picked in sums():
+        if -h < best_d:
+            break
+        ks = sum(e[1] * base**j for j, e in enumerate(picked))
+        c = sum(e[2] for e in picked)
+        for g1, i1, w1, e1, k1 in side1:
+            if -h - g1 < best_d:
+                break
+            hit = side2.get(ks - k1)
+            if hit is not None:
+                i2, w2, e2 = hit
+                val = e1 + e2 - c
+                if val > best_d or (val == best_d and (i1, i2) < first):
+                    best_d, arg_d, first = val, (w1, w2), (i1, i2)
     return MinMaxReport(
         primal_value=best_p,
         dual_value=best_d,

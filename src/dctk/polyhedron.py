@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import ratlin
 from .conjugate import SeparableConvex, conjugate_table
@@ -112,10 +112,17 @@ class Window:
     def uniform(cls, n: int, lo: int, hi: int) -> "Window":
         return cls((lo,) * n, (hi,) * n)
 
-    def points(self) -> Iterable[Tuple[int, ...]]:
-        return itertools.product(
-            *(range(l, h + 1) for l, h in zip(self.lo, self.hi))
-        )
+    def points(self) -> Iterator[Tuple[int, ...]]:
+        """Every integer point, lazily, in lex order (no range is copied)."""
+
+        def scan(head: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
+            if len(head) == len(self.lo):
+                yield head
+                return
+            for t in range(self.lo[len(head)], self.hi[len(head)] + 1):
+                yield from scan(head + (t,))
+
+        return scan(())
 
     def __contains__(self, x) -> bool:
         return all(l <= v <= h for l, v, h in zip(self.lo, x, self.hi))
@@ -434,36 +441,69 @@ def minimize_bruteforce(
     )
 
 
+def _bound_point(sys: LinearSystem, Phi: SeparableConvex) -> Optional[Tuple[int, ...]]:
+    """The first integral vertex of the system with the least Phi, or None
+    if none has a finite Phi.  Weak duality at it bounds the dual searches."""
+    ints = [tuple(map(int, v)) for v in _basic_data(sys)[0] if all(x.denominator == 1 for x in v)]
+    z = min(ints, key=Phi.value, default=None)
+    return z if z is not None and is_finite(Phi.value(z)) else None
+
+
 def dual_search_bruteforce(
     sys: LinearSystem, Phi: SeparableConvex, y_bound: int = 6
 ) -> MinMaxReport:
     """max y.p - conj(Phi)(yQ) over sign-feasible integer y, |y| <= bound.
 
-    y runs in lex order.  yQ, y.p and the support are summed once per
-    head (the multipliers of all rows but the last); the inner loop runs
-    the last multiplier t and adds t times the last row.
+    y runs depth-first in lex order.  For z the bound point, y is worth
+    Phi(z) - sum_i y_i slack_i(z) - h(yQ), with h(w) = conj(Phi)(w) - w.z
+    + Phi(z) >= 0 (Fenchel-Young) and y_i slack_i(z) >= 0: Phi(z) less the
+    prefix's slack terms bounds each completion and falls as a multiplier
+    rises, so a row's loop stops once it is below the best value.  The
+    last row's value is concave in its multiplier; that loop also stops
+    once the value is below the best and falling, or +inf after finite.
+    Pruning is strict: value, first witness and support_within_2n are
+    those of the full scan.
     """
-    n = sys.n
+    if y_bound < 0:
+        raise ValueError(f"y_bound must be >= 0, got {y_bound}")
     conj = conjugate_table(Phi)
-    *head_rows, last = sys.rows
-    ranges = [range(0 if r.kind == GEQ else -y_bound, y_bound + 1) for r in sys.rows]
+    rows = sys.rows
+    z = _bound_point(sys, Phi)
+    slack = [0 if z is None else r.slack(z) for r in rows]
     best: ExtInt = MINUS_INF
     arg: Optional[Tuple[int, ...]] = None
     support_ok = False
-    for head in itertools.product(*ranges[:-1]):
-        w0 = [sum(v * r.coeffs[j] for v, r in zip(head, head_rows)) for j in range(n)]
-        p0 = sum(v * r.rhs for v, r in zip(head, head_rows))
-        s0 = sum(1 for v in head if v)
-        for t in ranges[-1]:
-            c = conj([a + t * q for a, q in zip(w0, last.coeffs)])
-            if c is PLUS_INF:
+
+    def scan(head: Tuple[int, ...], w: List[int], pv: int, room: ExtInt) -> None:
+        nonlocal best, arg, support_ok
+        i = len(head)
+        r = rows[i]
+        prev = None  # the last finite value, in the last row
+        for t in range(0 if r.kind == GEQ else -y_bound, y_bound + 1):
+            bound = room - t * slack[i]
+            if bound < best:
+                break
+            wt = [a + t * q for a, q in zip(w, r.coeffs)]
+            if i + 1 < len(rows):
+                scan(head + (t,), wt, pv + t * r.rhs, bound)
                 continue
-            val = p0 + t * last.rhs - c
-            if val > best:
-                best, arg = val, head + (t,)
-                support_ok = s0 + (t != 0) <= 2 * n
-            elif val == best:
-                support_ok = support_ok or s0 + (t != 0) <= 2 * n
+            c = conj(wt)
+            if c is PLUS_INF:
+                if prev is not None:
+                    break
+                continue
+            val = pv + t * r.rhs - c
+            if val >= best:
+                small = sum(1 for v in head if v) + (t != 0) <= 2 * sys.n
+                if val > best:
+                    best, arg, support_ok = val, head + (t,), small
+                else:
+                    support_ok = support_ok or small
+            elif prev is not None and val < prev:
+                break
+            prev = val
+
+    scan((), [0] * sys.n, 0, PLUS_INF if z is None else Phi.value(z))
     y = None if arg is None else DualVector(arg)
     return MinMaxReport(
         dual_value=best,
@@ -476,16 +516,19 @@ def dual_search_bruteforce(
 def mu_form_dual_search(
     sys: LinearSystem, Phi: SeparableConvex, w_window: Window
 ) -> MinMaxReport:
-    """max mu_R(w) - conj(Phi)(w) over integral w in the window."""
+    """max mu_R(w) - conj(Phi)(w) over integral w in the window.  A w
+    whose bound w.z - conj(Phi)(w) (mu_R(w) <= w.z for the bound point z)
+    is below the best value is skipped without its exact LP."""
     conj = conjugate_table(Phi)
+    z = _bound_point(sys, Phi)
     best = None
     arg = None
     for w in w_window.points():
+        c = conj(w)
+        if c is PLUS_INF or (best is not None and z is not None and ratlin.dot(w, z) - c < best):
+            continue
         mv, _ = lp_min(sys, w)
         if mv is MINUS_INF or mv is PLUS_INF:
-            continue
-        c = conj(w)
-        if not is_finite(c):
             continue
         val = mv - c
         if best is None or val > best:

@@ -11,6 +11,9 @@ import itertools
 import os
 import pathlib
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm
 from typing import List, Optional, Sequence, Tuple
@@ -44,6 +47,18 @@ def child_env(**extra: str) -> dict:
     child process imports the dctk under test without an install."""
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def run_under_memory_limit(code: str) -> subprocess.CompletedProcess:
+    """`python -c code` in a child whose address space is capped at 2 GB:
+    a scan that builds a huge window before its first point dies there of
+    MemoryError instead of filling the machine."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env(), preexec_fn=cap, timeout=300)
 
 
 def brute_conjugate(phi: UnivariateConvex, ell: int, lo: int = -30, hi: int = 30) -> ExtInt:
@@ -446,6 +461,16 @@ def random_search_objective(rng: random.Random, elements: Sequence[str]) -> Sepa
         else:
             phi = VShape(rng.randint(-1, 1), -1, 1)
         parts.append((e, phi))
+    return SeparableConvex(tuple(parts))
+
+
+def large_slope_objective(rng: random.Random, elements: Sequence[str]) -> SeparableConvex:
+    """Per element a V or a flat bottom with both slopes up to 10**6 in
+    size, so the conjugate is finite almost everywhere and large."""
+    parts = []
+    for e in elements:
+        c1, c2, k = rng.randint(1, 10**6), rng.randint(1, 10**6), rng.randint(-2, 2)
+        parts.append((e, rng.choice((VShape(k, -c1, c2), FlatBottom(k, k + 1, -c1, c2, k - 3, k + 3)))))
     return SeparableConvex(tuple(parts))
 
 

@@ -466,6 +466,9 @@ class TestBadInput:
 
     CERTIFY = ["certify", "mconvex", "--instance", json.dumps(P2), "--phi", json.dumps(SQ2)]
     INVERSE = ["inverse", "--system", json.dumps(P2_SYSTEM), "--deviation", json.dumps(DEV2)]
+    BOXTDI = ["minimize", "boxtdi", "--instance", json.dumps(P2_SYSTEM), "--phi", json.dumps(SQ2),
+              "--window", "0..2"]
+    M2 = ["minimize", "m2", "--instance", json.dumps({"p1": P2, "p2": P2B}), "--phi", json.dumps(SQ2)]
 
     @pytest.mark.parametrize("argv, needle", [
         (CERTIFY + ["--point", "[0,2]", "--weights", "[0]"], "need 2 entries"),
@@ -477,8 +480,12 @@ class TestBadInput:
         (["conjugate", "--ell", "0", "--phi",
           '{"form":"vshape","k0":0,"c_minus":-1,"c_plus":true}'], "'c_plus'"),
         (["conjugate", "--ell", "0", "--phi", '{"form":"quadratic","a":1.5}'], "'a'"),
+        (BOXTDI + ["--y-bound", "-1"], "y_bound must be >= 0"),
+        (M2 + ["--w-window=2..1"], "--w-window 2..1 is empty"),
+        (M2 + ["--w-window=-1..3"], "the split window is ±K"),
     ], ids=["short-weights", "long-weights", "short-target", "long-target",
-            "float-c_minus", "bool-c_plus", "float-a"])
+            "float-c_minus", "bool-c_plus", "float-a", "negative-y-bound", "empty-split-window",
+            "asymmetric-split-window"])
     def test_exits_invalid_with_message(self, argv, needle):
         p = run_cli(argv)
         assert (p.returncode, p.stdout) == (cli.EXIT_INVALID, "")

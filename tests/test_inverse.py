@@ -39,6 +39,7 @@ from helpers import (
     random_flow_embedding,
     random_integer_system,
     random_search_objective,
+    run_under_memory_limit,
 )
 
 P2SYS = p2_system()
@@ -125,6 +126,19 @@ class TestInverseMinimize:
         with pytest.raises(NoFeasibleWeight):
             # w1 <= w2 is impossible inside this window slice.
             inverse_minimize(inst, Window(lo=(5, 0), hi=(5, 0)))
+
+    def test_deviation_filled_on_demand_under_a_memory_limit(self):
+        # No row is tight at the target, so the normal cone is {0}: one
+        # weight in a window of 2 * 10**9 + 1 values per coordinate.
+        p = run_under_memory_limit(
+            "from dctk.inverse import InverseInstance, inverse_minimize, l1_deviation\n"
+            "from dctk.polyhedron import GEQ, LinearSystem, Row, Window\n"
+            "rows = tuple(Row(c, -5, GEQ) for c in ((1, 0), (-1, 0), (0, 1), (0, -1)))\n"
+            "box = LinearSystem(('a', 'b'), rows)\n"
+            "inst = InverseInstance(box, ((0, 0),), l1_deviation((1, -1), box.elements))\n"
+            "print(inverse_minimize(inst, Window.uniform(2, -10**9, 10**9)))"
+        )
+        assert (p.returncode, p.stdout) == (0, "((0, 0), 2)\n"), p.stderr
 
 
 class TestInverseDual:

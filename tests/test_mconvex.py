@@ -1,11 +1,22 @@
 import collections
+import heapq
 import itertools
 import random
+import types
 import warnings
 
 import pytest
 
-from dctk.conjugate import Quadratic, Restricted, SeparableConvex, Shifted, linear_cost, square_sum
+from dctk import mconvex
+from dctk.conjugate import (
+    Quadratic,
+    Restricted,
+    SeparableConvex,
+    Shifted,
+    VShape,
+    linear_cost,
+    square_sum,
+)
 from dctk.errors import CriteriaViolated, DctkError, EmptyIntersection, Inconclusive
 from dctk.extint import MINUS_INF, PLUS_INF, is_finite
 from dctk.fixtures import (
@@ -37,6 +48,7 @@ from dctk.mconvex import (
 from dctk.polyhedron import EQ, GEQ, Window
 
 from helpers import (
+    large_slope_objective,
     naive_dual_certificate,
     naive_m2_split,
     naive_minimize_separable,
@@ -388,9 +400,28 @@ class TestM2:
                 assert dual <= primal
 
 
+def common_pairs(seed, count):
+    """rng and count random pairs (n = 2-3) whose base sets meet."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, 3)
+        p1, p2_ = random_supermodular(rng, n, 3), random_supermodular(rng, n, 3)
+        if any(member(p2_, z) for z in enumerate_bases(p1)):
+            out.append((p1, p2_))
+    return rng, out
+
+
+def check_split(p1, p2_, Phi, w_bound):
+    rep = m2_minimize_and_split(p1, p2_, Phi, w_bound)
+    assert (rep.dual_value, rep.dual_witness) == naive_m2_split(p1, p2_, Phi, w_bound)
+    return rep
+
+
 class TestM2MatchesNaiveOracle:
     """The split search gives the value and the first best (w1, w2) of the
-    full grid scan in tests/helpers.py."""
+    full grid scan in tests/helpers.py, also on the cases its gap pruning
+    could get wrong."""
 
     def test_random_pairs(self):
         rng = random.Random(21)
@@ -405,6 +436,67 @@ class TestM2MatchesNaiveOracle:
             rep = m2_minimize_and_split(p1, p2_, Phi, w_bound)
             assert (rep.dual_value, rep.dual_witness) == naive_m2_split(p1, p2_, Phi, w_bound)
             checked += 1
+
+    def test_objective_infinite_at_every_common_base(self):
+        # Phi is finite only where its first coordinate is 50, beyond every
+        # base: the primal is +inf, the dual finite.
+        _, pairs = common_pairs(22, 8)
+        for p1, p2_ in pairs:
+            parts = ((p1.elements[0], Restricted(50, 50, Quadratic(1))),)
+            Phi = SeparableConvex(parts + tuple((e, Quadratic(1)) for e in p1.elements[1:]))
+            rep = check_split(p1, p2_, Phi, 2)
+            assert rep.primal_value is PLUS_INF and is_finite(rep.dual_value)
+
+    def test_gap_inside_the_bound(self):
+        # Weight bounds 0 and 1 cut the best split off.
+        _, pairs = common_pairs(23, 8)
+        gaps = 0
+        for p1, p2_ in pairs:
+            for w_bound in (0, 1):
+                rep = check_split(p1, p2_, square_sum(p1.elements, (3,) * p1.n), w_bound)
+                gaps += rep.dual_value < rep.primal_value
+        assert gaps >= 4
+
+    def test_ties(self):
+        # A linear Phi has a finite conjugate only at its cost vector c, so
+        # every split summing to c competes, and several attain the best.
+        rng, pairs = common_pairs(24, 8)
+        for p1, p2_ in pairs:
+            c = tuple(rng.randint(-2, 2) for _ in range(p1.n))
+            rep = check_split(p1, p2_, linear_cost(p1.elements, c), 2)
+            assert is_finite(rep.dual_value)
+            grid = itertools.product(range(-2, 3), repeat=p1.n)
+            best = [w1 for w1 in grid if all(abs(a - b) <= 2 for a, b in zip(c, w1))
+                    and lovasz_extension(p1, w1) + lovasz_extension(p2_, tuple(a - b for a, b in zip(c, w1)))
+                    == rep.dual_value]
+            assert len(best) >= 2
+
+    def test_slopes_up_to_a_million(self):
+        rng, pairs = common_pairs(25, 10)
+        for p1, p2_ in pairs:
+            check_split(p1, p2_, large_slope_objective(rng, p1.elements), 2)
+
+
+def test_split_search_evaluates_few_sums(monkeypatch):
+    # n = 3, weight bound 3: of the 13**3 sums w1 + w2 the search takes
+    # few off its heap before every run is cut off.
+    pops = []
+
+    def counting_pop(heap):
+        pops.append(1)
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(mconvex, "heapq", types.SimpleNamespace(heappush=heapq.heappush, heappop=counting_pop))
+    p1, p2_ = (SupermodularFn(3, t) for t in ((0, -1, 1, 1, -1, -1, 0, 1), (0, -1, 1, 1, -2, -2, 0, 1)))
+    Phi = SeparableConvex((("e1", Quadratic(1)), ("e2", VShape(1, -2, 1)), ("e3", Quadratic(2))))
+    rep = check_split(p1, p2_, Phi, 3)
+    assert rep.dual_value == rep.primal_value == 0
+    assert 0 < len(pops) * 20 <= 13**3
+
+
+def test_split_rejects_a_negative_bound():
+    with pytest.raises(ValueError, match="w_bound must be >= 0"):
+        m2_minimize_and_split(P2, P2B, SQ, -1)
 
 
 class TestWindows:

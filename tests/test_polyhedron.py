@@ -5,7 +5,8 @@ import random
 import pytest
 from fractions import Fraction
 
-from dctk.conjugate import linear_cost, square_sum
+from dctk import polyhedron
+from dctk.conjugate import Quadratic, Restricted, SeparableConvex, linear_cost, square_sum
 from dctk.errors import CriteriaViolated, NotPrimalFeasible, NotSignFeasible
 from dctk.extint import MINUS_INF, PLUS_INF
 from dctk.fixtures import (
@@ -30,6 +31,7 @@ from dctk.polyhedron import (
     lp_min,
     minimize_bruteforce,
     _basic_data,
+    _bound_point,
     mu_form_dual_search,
     probe_box_integer,
     verify_certificate,
@@ -39,6 +41,7 @@ from dctk.polyhedron import (
 from helpers import (
     frac_basic_data,
     frac_lp_min,
+    large_slope_objective,
     naive_dual_search,
     naive_integer_points,
     naive_mu_form,
@@ -46,6 +49,7 @@ from helpers import (
     random_flow_embedding,
     random_integer_system,
     random_search_objective,
+    run_under_memory_limit,
 )
 
 
@@ -249,6 +253,10 @@ class TestMinMaxSearches:
         rep = dual_search_bruteforce(P2SYS, SQ, 0)
         assert rep.dual_value == 0  # only y = 0: -conj(Phi)(0) = 0
 
+    def test_dual_rejects_a_negative_bound(self):
+        with pytest.raises(ValueError, match="y_bound must be >= 0"):
+            dual_search_bruteforce(P2SYS, SQ, -1)
+
     def test_dual_support_from_a_later_tie(self):
         # Three copies of x = 1: y.p - conj(yQ) = s - floor(s^2/4) for
         # s = y1 + y2 + y3 is 1 at s = 1, 2, 3.  The lex-first best y has
@@ -415,7 +423,8 @@ def _oracle_systems(seed):
 class TestSearchesMatchNaiveOracles:
     """The integer dual search, the mu-form search, _basic_data and lp_min
     give what the plain scans of tests/helpers.py give: the same values
-    of the same types, the same witnesses, support sizes and bounds."""
+    of the same types, the same witnesses, support sizes and bounds; also
+    on the cases the gap pruning of the two searches could get wrong."""
 
     def test_dual_search(self):
         rng, systems = _oracle_systems(11)
@@ -464,8 +473,130 @@ class TestSearchesMatchNaiveOracles:
         assert value == 1 and type(value) is int
         assert lp_min(half, (-1,)) == (MINUS_INF, None)
 
+    @staticmethod
+    def check(sys, Phi, y_bound, r=2):
+        rep = dual_search_bruteforce(sys, Phi, y_bound)
+        got = (rep.dual_value, rep.dual_witness, rep.support_size, rep.bounds_used)
+        assert got == naive_dual_search(sys, Phi, y_bound)
+        win = Window.uniform(sys.n, -r, r)
+        mu = mu_form_dual_search(sys, Phi, win)
+        assert (mu.dual_value, mu.dual_witness) == naive_mu_form(sys, Phi, win)
+        return rep
+
+    def test_no_bound_point(self):
+        # No integral vertex (the first two), or Phi = +inf at every
+        # integral vertex (P2 pinned to (1, 1)): nothing is pruned by slack.
+        half = LinearSystem(("x",), (Row((2,), 1, GEQ), Row((-2,), -3, GEQ)))
+        frac = LinearSystem(("a", "b"), (Row((2, 0), 1, GEQ), Row((0, 2), 1, GEQ),
+                                         Row((-2, -2), -5, GEQ)))
+        pinned = SeparableConvex(tuple((e, Restricted(1, 1, Quadratic(1))) for e in P2SYS.elements))
+        for sys, Phi in ((half, square_sum(half.elements)), (frac, square_sum(frac.elements)),
+                         (P2SYS, pinned)):
+            assert _bound_point(sys, Phi) is None
+            for y_bound in (0, 1, 3):
+                self.check(sys, Phi, y_bound)
+
+    def test_gap_inside_the_bound(self):
+        # The best dual value stays below Phi at the bound point: with y
+        # bound 1 on s3 (3 is its primal minimum), and on P2 (whose bound
+        # point (0, 2) has Phi = 4, above the minimum 2).
+        s3 = s3_system()
+        Phi = square_sum(s3.elements, (1, 2, 1, 3, 1, 2))
+        rep = self.check(s3, Phi, 1, r=1)
+        assert rep.dual_value == 2 < Phi.value(_bound_point(s3, Phi)) == 3
+        assert SQ.value(_bound_point(P2SYS, SQ)) == 4
+        assert [self.check(P2SYS, SQ, y_bound).dual_value for y_bound in (0, 1, 3)] == [0, 2, 2]
+
+    def test_ties_with_different_supports(self):
+        # Repeated rows: several y attain the best value, with different
+        # supports; the first must be kept and every tie seen.
+        four = LinearSystem(("x",), (Row((1,), 1, EQ),) * 4)
+        twice = LinearSystem(P2SYS.elements, P2SYS.rows * 2)
+        for sys, Phi, y_bound in ((four, square_sum(("x",)), 1), (twice, SQ, 2),
+                                  (twice, linear_cost(P2SYS.elements, (3, 1)), 2)):
+            rep = self.check(sys, Phi, y_bound)
+            ranges = [range(0 if r.kind == GEQ else -y_bound, y_bound + 1) for r in sys.rows]
+            best = [DualVector(y) for y in itertools.product(*ranges)
+                    if y_dual_value(sys, Phi, DualVector(y)) == rep.dual_value]
+            assert len({y.support() for y in best}) >= 2
+
+    def test_slopes_up_to_a_million(self):
+        rng = random.Random(14)
+        systems = [P2SYS, s3_system()] + [random_flow_embedding(rng) for _ in range(4)]
+        systems += [random_integer_system(rng) for _ in range(4)]
+        for sys in systems:
+            small = len(sys.rows) > 5 or sys.n > 3
+            self.check(sys, large_slope_objective(rng, sys.elements), 1 if small else 2, r=1 if small else 2)
+
+
+def y_dual_value(sys, Phi, y):
+    conj = Phi.conjugate(y.times_q(sys))
+    return MINUS_INF if conj is PLUS_INF else y.times_p(sys) - conj
+
+
+class TestSearchWork:
+    """On fixed instances the pruned searches evaluate a small share of
+    their boxes: conjugates for the integer dual, exact LPs for the
+    mu-form.  (A counter of the box from the arguments cannot show this.)"""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = collections.Counter()
+        table, lp = polyhedron.conjugate_table, polyhedron.lp_min
+
+        def counting_table(Phi):
+            conj = table(Phi)
+
+            def count(w):
+                calls["conj"] += 1
+                return conj(w)
+
+            return count
+
+        def counting_lp(sys, w):
+            calls["lp"] += 1
+            return lp(sys, w)
+
+        monkeypatch.setattr(polyhedron, "conjugate_table", counting_table)
+        monkeypatch.setattr(polyhedron, "lp_min", counting_lp)
+        return calls
+
+    @pytest.mark.parametrize("y_bound, share", [(6, 5), (12, 10)])
+    def test_integer_dual(self, calls, y_bound, share):
+        rep = dual_search_bruteforce(P2SYS, SQ, y_bound)
+        assert rep.dual_value == 2 and rep.dual_witness.y == (0, 0, 1)
+        box = (y_bound + 1) ** 2 * (2 * y_bound + 1)
+        assert 0 < calls["conj"] * share <= box
+
+    def test_integer_dual_on_a_path_embedding(self, calls):
+        # The two-arc path u -> v -> w carrying 2 units: five rows.
+        sys = LinearSystem(("uv", "vw"), (
+            Row((1, 0), 0, GEQ), Row((0, 1), 0, GEQ),
+            Row((-1, 0), -2, EQ), Row((1, -1), 0, EQ), Row((0, 1), 2, EQ),
+        ))
+        rep = dual_search_bruteforce(sys, square_sum(sys.elements), 6)
+        assert rep.dual_value == 8
+        assert 0 < calls["conj"] * 50 <= 7 ** 2 * 13 ** 3
+
+    def test_mu_form(self, calls):
+        rep = mu_form_dual_search(P2SYS, SQ, Window.uniform(2, -6, 6))
+        assert rep.dual_value == 2 and rep.dual_witness == (1, 1)
+        assert 0 < calls["lp"] * 3 <= 2 * 13 ** 2
+
 
 class TestWindowHelpers:
     def test_vertex_hull(self):
         win = vertex_hull_window(P2SYS)
         assert win.lo == (0, 0) and win.hi == (2, 2)
+
+    def test_points_are_lazy_under_a_memory_limit(self):
+        # The first point of a 10**9-wide box, before any range is copied.
+        p = run_under_memory_limit(
+            "from dctk.polyhedron import Window\n"
+            "print(next(Window.uniform(3, 0, 10**9).points()))"
+        )
+        assert (p.returncode, p.stdout) == (0, "(0, 0, 0)\n"), p.stderr
+
+    def test_points_in_lex_order(self):
+        win = Window((-2, 0, 1), (1, 2, 1))
+        assert list(win.points()) == list(itertools.product(range(-2, 2), range(0, 3), range(1, 2)))
