@@ -464,19 +464,6 @@ def subdifferential_interval(
     return (_slope(phi, k_star - 1, lo, hi), _slope(phi, k_star, lo, hi))
 
 
-def materialize_table(phi: UnivariateConvex, lo: int, hi: int) -> Table:
-    """Snapshot phi on [lo, hi] intersected with its domain as a Table."""
-    dlo, dhi = phi.dom()
-    lo = max(lo, dlo) if is_finite(dlo) else lo
-    hi = min(hi, dhi) if is_finite(dhi) else hi
-    if lo > hi:
-        raise DomainError("window misses the effective domain")
-    vals = tuple(phi.value(k) for k in range(lo, hi + 1))
-    if any(not is_finite(v) for v in vals):
-        raise DomainError("window contains infinite values")
-    return Table(lo, vals)
-
-
 # ---------------------------------------------------------------------------
 # Separable functions
 

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Sequence, Tuple
+from typing import Sequence
 
 from .conjugate import Quadratic, SeparableConvex, Shifted, VShape, square_sum
-from .extint import is_finite
 from .mconvex import SupermodularFn
 from .netflow import Digraph, FlowInstance, square_sum_instance
-from .polyhedron import EQ, GEQ, LinearSystem, Row, Window
+from .polyhedron import EQ, GEQ, LinearSystem, Row
 
 
 def p2() -> SupermodularFn:
@@ -117,11 +116,6 @@ def random_supermodular(
     return SupermodularFn(n, tuple(table))
 
 
-def random_weight(seed_or_rng, n: int, bound: int = 4) -> Tuple[int, ...]:
-    rng = _rng(seed_or_rng)
-    return tuple(rng.randint(-bound, bound) for _ in range(n))
-
-
 def random_separable(seed_or_rng, elements: Sequence[str]) -> SeparableConvex:
     """Objective drawn from the shapes the duality corpus exercises:
     square-sum, weighted squares, shifted squares, absolute deviations."""
@@ -141,47 +135,4 @@ def random_separable(seed_or_rng, elements: Sequence[str]) -> SeparableConvex:
         )
     return SeparableConvex(
         tuple((e, VShape(rng.randint(-2, 2), -1, 1)) for e in elements)
-    )
-
-
-def random_digraph(seed_or_rng, max_nodes: int = 4, max_arcs: int = 6) -> Digraph:
-    rng = _rng(seed_or_rng)
-    nv = rng.randint(2, max_nodes)
-    nodes = tuple(f"v{i}" for i in range(nv))
-    na = rng.randint(1, max_arcs)
-    arcs = []
-    for _ in range(na):
-        u = rng.randrange(nv)
-        v = rng.randrange(nv)
-        while v == u:
-            v = rng.randrange(nv)
-        arcs.append((nodes[u], nodes[v]))
-    return Digraph(nodes, tuple(arcs))
-
-
-def random_flow_instance(seed_or_rng, cap: int = 3) -> FlowInstance:
-    """Square-sum instance whose demand vector comes from a random
-    feasible flow, so feasibility is guaranteed by construction."""
-    rng = _rng(seed_or_rng)
-    d = random_digraph(rng)
-    x0 = [rng.randint(0, cap) for _ in d.arcs]
-    idx = {v: i for i, v in enumerate(d.nodes)}
-    m = [0] * len(d.nodes)
-    for ai, (t, h) in enumerate(d.arcs):
-        m[idx[h]] += x0[ai]
-        m[idx[t]] -= x0[ai]
-    upper = tuple(cap for _ in d.arcs)
-    return square_sum_instance(d, m, lower=(0,) * len(d.arcs), upper=upper)
-
-
-def base_window(p: SupermodularFn, pad: int = 0) -> Window:
-    """Componentwise bounds containing every integral base."""
-    from .mconvex import base_bounds
-
-    los, his = base_bounds(p)
-    if any(not is_finite(v) for v in los + his):
-        raise ValueError("unbounded base polyhedron")
-    return Window(
-        tuple(v - pad for v in los),
-        tuple(v + pad for v in his),
     )

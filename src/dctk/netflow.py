@@ -30,7 +30,7 @@ from .conjugate import Quadratic, Restricted, SeparableConvex, conjugate_eval, s
 from .conjugate import from_json as phi_from_json
 from .errors import Infeasible, IterationLimit, NotFeasible, Unbounded, ValueMismatch
 from .extint import PLUS_INF, ExtInt, bound_from_json, bound_to_json, is_finite
-from .polyhedron import EQ, GEQ, LinearSystem, MinMaxReport, Row, Window, enumerate_integer_points
+from .polyhedron import MinMaxReport
 
 
 @dataclass(frozen=True)
@@ -379,34 +379,3 @@ def certify_flow(inst: FlowInstance, x: Sequence[int], pi: Sequence[int]) -> Min
         equality=True,
         support_size=sum(1 for v in pi if v != 0),
     )
-
-
-def enumerate_flows(inst: FlowInstance, cap: int = 10) -> List[Tuple[int, ...]]:
-    """All integral flows, lex order, bounds clipped to [-cap, cap]; oracle use."""
-    lo = tuple(v if is_finite(v) else -cap for v in inst.lower)
-    hi = tuple(v if is_finite(v) else cap for v in inst.upper)
-    if any(a > b for a, b in zip(lo, hi)):
-        return []  # a finite bound lies beyond the cap
-    d = inst.digraph
-    if not d.arcs:
-        return [] if any(inst.m) else [()]
-    rows = tuple(Row(r, m, EQ) for r, m in zip(incidence_matrix(d), inst.m))
-    system = LinearSystem(tuple(f"a{i}" for i in range(len(d.arcs))), rows)
-    return list(enumerate_integer_points(system, Window(lo, hi)))
-
-
-def embedding_system(inst: FlowInstance) -> LinearSystem:
-    """The [incidence; identity] >= (m; 0) encoding of nonnegative
-    m-flows as a linear system over the arcs.
-
-    Because m sums to zero, the incidence inequalities are forced to
-    equality at every feasible point, so the relaxation is exact while
-    keeping every dual multiplier sign-constrained.
-    """
-    d = inst.digraph
-    na = len(d.arcs)
-    rows = [Row(tuple(r), inst.m[i], GEQ) for i, r in enumerate(incidence_matrix(d))]
-    for j in range(na):
-        rows.append(Row(tuple(1 if k == j else 0 for k in range(na)), 0, GEQ))
-    elements = tuple(f"a{i}" for i in range(na))
-    return LinearSystem(elements, tuple(rows))

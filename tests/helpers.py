@@ -31,12 +31,20 @@ from dctk.conjugate import (
     VShape,
     square_sum,
 )
-from dctk.errors import Inconclusive, IterationLimit, NoFeasibleWeight
+from dctk.errors import DomainError, Inconclusive, IterationLimit, NoFeasibleWeight
 from dctk.extint import MINUS_INF, PLUS_INF, ExtInt, is_finite
-from dctk.fixtures import random_digraph
-from dctk.mconvex import SupermodularFn, greedy_min, lovasz_extension, member
-from dctk.netflow import embedding_system, square_sum_instance
-from dctk.polyhedron import EQ, GEQ, DualVector, LinearSystem, Row, Window, dilation
+from dctk.mconvex import SupermodularFn, base_bounds, greedy_min, lovasz_extension
+from dctk.netflow import Digraph, FlowInstance, incidence_matrix, square_sum_instance
+from dctk.polyhedron import (
+    EQ,
+    GEQ,
+    DualVector,
+    LinearSystem,
+    Row,
+    Window,
+    dilation,
+    enumerate_integer_points,
+)
 
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
@@ -165,6 +173,92 @@ def dom_range(phi: UnivariateConvex) -> Tuple[int, int]:
     lo, hi = phi.dom()
     assert is_finite(lo) and is_finite(hi)
     return lo, hi
+
+
+def random_weight(rng: random.Random, n: int, bound: int = 4) -> Tuple[int, ...]:
+    return tuple(rng.randint(-bound, bound) for _ in range(n))
+
+
+def random_digraph(rng: random.Random, max_nodes: int = 4, max_arcs: int = 6) -> Digraph:
+    nv = rng.randint(2, max_nodes)
+    nodes = tuple(f"v{i}" for i in range(nv))
+    arcs = []
+    for _ in range(rng.randint(1, max_arcs)):
+        u = rng.randrange(nv)
+        v = rng.randrange(nv)
+        while v == u:
+            v = rng.randrange(nv)
+        arcs.append((nodes[u], nodes[v]))
+    return Digraph(nodes, tuple(arcs))
+
+
+def random_flow_instance(rng: random.Random, cap: int = 3) -> FlowInstance:
+    """Square-sum instance whose demand vector comes from a random
+    feasible flow, so feasibility is guaranteed by construction."""
+    d = random_digraph(rng)
+    x0 = [rng.randint(0, cap) for _ in d.arcs]
+    idx = {v: i for i, v in enumerate(d.nodes)}
+    m = [0] * len(d.nodes)
+    for ai, (t, h) in enumerate(d.arcs):
+        m[idx[h]] += x0[ai]
+        m[idx[t]] -= x0[ai]
+    upper = tuple(cap for _ in d.arcs)
+    return square_sum_instance(d, m, lower=(0,) * len(d.arcs), upper=upper)
+
+
+def embedding_system(inst: FlowInstance) -> LinearSystem:
+    """The [incidence; identity] >= (m; 0) encoding of nonnegative
+    m-flows as a linear system over the arcs.
+
+    Because m sums to zero, the incidence inequalities are forced to
+    equality at every feasible point, so the relaxation is exact while
+    keeping every dual multiplier sign-constrained.
+    """
+    na = len(inst.digraph.arcs)
+    rows = [Row(tuple(r), inst.m[i], GEQ) for i, r in enumerate(incidence_matrix(inst.digraph))]
+    for j in range(na):
+        rows.append(Row(tuple(1 if k == j else 0 for k in range(na)), 0, GEQ))
+    return LinearSystem(tuple(f"a{i}" for i in range(na)), tuple(rows))
+
+
+def enumerate_flows(inst: FlowInstance, cap: int = 10) -> List[Tuple[int, ...]]:
+    """All integral flows, lex order, bounds clipped to [-cap, cap]."""
+    lo = tuple(v if is_finite(v) else -cap for v in inst.lower)
+    hi = tuple(v if is_finite(v) else cap for v in inst.upper)
+    if any(a > b for a, b in zip(lo, hi)):
+        return []  # a finite bound lies beyond the cap
+    d = inst.digraph
+    if not d.arcs:
+        return [] if any(inst.m) else [()]
+    rows = tuple(Row(r, m, EQ) for r, m in zip(incidence_matrix(d), inst.m))
+    system = LinearSystem(tuple(f"a{i}" for i in range(len(d.arcs))), rows)
+    return list(enumerate_integer_points(system, Window(lo, hi)))
+
+
+def base_window(p: SupermodularFn, pad: int = 0) -> Window:
+    """Componentwise bounds containing every integral base."""
+    los, his = base_bounds(p)
+    if any(not is_finite(v) for v in los + his):
+        raise ValueError("unbounded base polyhedron")
+    return Window(tuple(v - pad for v in los), tuple(v + pad for v in his))
+
+
+def materialize_table(phi: UnivariateConvex, lo: int, hi: int) -> Table:
+    """Snapshot phi on [lo, hi] intersected with its domain as a Table."""
+    dlo, dhi = phi.dom()
+    lo = max(lo, dlo) if is_finite(dlo) else lo
+    hi = min(hi, dhi) if is_finite(dhi) else hi
+    if lo > hi:
+        raise DomainError("window misses the effective domain")
+    vals = tuple(phi.value(k) for k in range(lo, hi + 1))
+    if any(not is_finite(v) for v in vals):
+        raise DomainError("window contains infinite values")
+    return Table(lo, vals)
+
+
+def square_sum_dual_value(p: SupermodularFn, w: Sequence[int]) -> ExtInt:
+    """phat(w) - sum floor(w/2)*ceil(w/2); the square-sum dual expression."""
+    return lovasz_extension(p, w) - sum((v // 2) * ((v + 1) // 2) for v in w)
 
 
 def random_flow_embedding(rng: random.Random) -> LinearSystem:
@@ -475,6 +569,42 @@ def large_slope_objective(rng: random.Random, elements: Sequence[str]) -> Separa
 
 
 # ---------------------------------------------------------------------------
+# Mask tables, by one sum or one pair at a time
+
+
+def pair_scan_violation(table: Sequence[ExtInt]) -> Optional[Tuple[int, int]]:
+    """The lex-first pair of non-nested finite masks x < y with
+    p(x) + p(y) > p(x & y) + p(x | y) (a MINUS_INF meet or join counts),
+    or None: the all-pairs definition of supermodularity."""
+    for x, y in itertools.combinations(range(len(table)), 2):
+        if x & y in (x, y) or not is_finite(table[x]) or not is_finite(table[y]):
+            continue
+        if table[x] + table[y] > table[x & y] + table[x | y]:
+            return x, y
+    return None
+
+
+def subset_sum(z: Sequence[int], mask: int) -> int:
+    return sum(v for i, v in enumerate(z) if mask >> i & 1)
+
+
+def naive_tight_sets(p: SupermodularFn, z: Sequence[int]) -> List[int]:
+    return [x for x in range(1, p.full + 1)
+            if is_finite(p.table[x]) and subset_sum(z, x) == p.table[x]]
+
+
+def naive_member(p: SupermodularFn, z: Sequence[int]) -> bool:
+    return subset_sum(z, p.full) == p.table[p.full] and all(
+        subset_sum(z, x) >= p.table[x] for x in range(p.full) if is_finite(p.table[x]))
+
+
+def naive_dependence(p: SupermodularFn, z: Sequence[int]) -> List[int]:
+    """dep[s]: the AND of the z-tight masks holding s (S when none do)."""
+    return [functools.reduce(int.__and__, (x for x in naive_tight_sets(p, z) if x >> s & 1), p.full)
+            for s in range(p.n)]
+
+
+# ---------------------------------------------------------------------------
 # M-convex descent and its certificate, by membership tests and rescans
 
 
@@ -496,7 +626,7 @@ def naive_minimize_separable(p: SupermodularFn, Phi: SeparableConvex) -> Tuple[i
                     continue
                 z[s] -= 1
                 z[t] += 1
-                if member(p, z):
+                if naive_member(p, z):
                     v = Phi.value(z)
                     if is_finite(v) and cur - v > best_drop:
                         best_drop, best_move = cur - v, (s, t)
@@ -516,13 +646,7 @@ def naive_dual_certificate(p: SupermodularFn, Phi: SeparableConvex, z: Sequence[
     set holding s, found by its own 2^n rescan for each s."""
     right, left = Phi.prime(z), Phi.prime_minus(z)
     w, notes = [], []
-    for s in range(p.n):
-        smallest = p.full
-        for mask in range(1, p.full + 1):
-            v = p.table[mask]
-            tight = is_finite(v) and sum(z[i] for i in range(p.n) if mask >> i & 1) == v
-            if tight and mask >> s & 1:
-                smallest &= mask
+    for s, smallest in enumerate(naive_dependence(p, z)):
         m = min((right[t] for t in range(p.n) if smallest >> t & 1), default=PLUS_INF)
         if not is_finite(m):
             m = left[s] if is_finite(left[s]) else 0

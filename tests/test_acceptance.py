@@ -27,11 +27,8 @@ from dctk.extint import MINUS_INF, PLUS_INF, is_finite
 from dctk.fixtures import (
     d2_instance,
     p2_system,
-    random_digraph,
-    random_flow_instance,
     random_separable,
     random_supermodular,
-    random_weight,
     s3_system,
 )
 from dctk.inverse import (
@@ -58,8 +55,6 @@ from dctk.mconvex import (
 from dctk.netflow import (
     Digraph,
     certify_flow,
-    embedding_system,
-    enumerate_flows,
     min_convex_cost_flow,
     optimal_potential,
     square_sum_instance,
@@ -77,7 +72,17 @@ from dctk.polyhedron import (
     vertex_hull_window,
 )
 
-from helpers import brute_conjugate, dom_range, is_minimizer, univariate_corpus
+from helpers import (
+    brute_conjugate,
+    dom_range,
+    embedding_system,
+    enumerate_flows,
+    is_minimizer,
+    random_digraph,
+    random_flow_instance,
+    random_weight,
+    univariate_corpus,
+)
 
 ELL_RANGE = range(-12, 13)
 

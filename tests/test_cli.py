@@ -361,6 +361,40 @@ class TestMinimizeCommands:
         assert (p.returncode, p.stdout) == (cli.EXIT_INCONCLUSIVE, (
             '{"detail":"objective infinite at the starting base","status":"INCONCLUSIVE"}\n'))
 
+    @pytest.mark.parametrize("table, masks", [
+        ((0, 2, 2, 2), "1, 2"),
+        # Finite on the ring family 0, {1}, {2,3}, S: no square of single
+        # elements sees p{1} + p{2,3} > p(empty) + p(S).
+        ((0, 10, None, None, None, None, 10, 0), "1, 6"),
+    ], ids=["square", "ring-family"])
+    def test_mconvex_not_supermodular_is_invalid(self, table, masks):
+        inst = {"n": len(table).bit_length() - 1, "p": dict(zip(map(str, range(len(table))), table))}
+        p = run_cli(["minimize", "mconvex", "--instance", json.dumps(inst),
+                     "--phi", json.dumps(PHI3)])
+        assert (p.returncode, p.stdout) == (cli.EXIT_INVALID, "")
+        assert p.stderr == f"error: supermodularity fails at masks {masks}\n"
+
+    @pytest.mark.parametrize("value", [0.5, True, "1"])
+    def test_mconvex_non_integer_value_is_invalid(self, value):
+        inst = {"n": 2, "p": {"0": 0, "1": value, "2": 0, "3": 2}}
+        p = run_cli(["minimize", "mconvex", "--instance", json.dumps(inst),
+                     "--phi", json.dumps(SQ2)])
+        assert (p.returncode, p.stdout) == (cli.EXIT_INVALID, "")
+        assert p.stderr == f"error: p takes integers and MINUS_INF only, got {value!r}\n"
+
+    def test_mconvex_above_fourteen_is_unchecked(self):
+        # p is 0 but for p{1,2} = -1, which breaks supermodularity; only
+        # n <= 14 is checked, and the report says so.
+        n = 15
+        inst = {"n": n, "p": {str(x): -(x == 3) for x in range(1 << n)}}
+        phi = {f"e{i + 1}": SQ2["e1"] for i in range(n)}
+        args = ["--instance", json.dumps(inst), "--phi", json.dumps(phi)]
+        for argv in (["minimize", "mconvex"], ["certify", "mconvex", "--point", json.dumps([0] * n)]):
+            p = run_cli(argv + args)
+            assert p.returncode == cli.EXIT_OK
+            assert json.loads(p.stdout)["report"]["notes"] == [
+                "supermodularity of p unchecked (n > 14)"]
+
     @pytest.mark.parametrize("order", [("LINE", "LINE1"), ("LINE1", "LINE")])
     def test_m2_with_one_unbounded_side(self, order):
         inst = {key: getattr(self, name) for key, name in zip(("p1", "p2"), order)}

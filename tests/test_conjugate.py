@@ -18,7 +18,6 @@ from dctk.conjugate import (
     conjugate_eval_with_argmax,
     from_json,
     is_fitting,
-    materialize_table,
     right_derivative,
     square_sum,
     subdifferential_interval,
@@ -30,6 +29,7 @@ from dctk.extint import MINUS_INF, PLUS_INF, is_finite
 from helpers import (
     brute_conjugate,
     dom_range,
+    materialize_table,
     random_convex_table,
     random_large_slope_form,
     univariate_corpus,

@@ -2,6 +2,7 @@ import collections
 import heapq
 import itertools
 import random
+import re
 import types
 import warnings
 
@@ -19,14 +20,7 @@ from dctk.conjugate import (
 )
 from dctk.errors import CriteriaViolated, DctkError, EmptyIntersection, Inconclusive
 from dctk.extint import MINUS_INF, PLUS_INF, is_finite
-from dctk.fixtures import (
-    base_window,
-    p2,
-    p2b,
-    random_separable,
-    random_supermodular,
-    random_weight,
-)
+from dctk.fixtures import p2, p2b, random_separable, random_supermodular
 from dctk.mconvex import (
     SupermodularFn,
     base_bounds,
@@ -39,7 +33,6 @@ from dctk.mconvex import (
     m2_minimize_and_split,
     member,
     minimize_separable,
-    square_sum_dual_value,
     strict_top_sets,
     to_system,
     tight_sets,
@@ -48,11 +41,18 @@ from dctk.mconvex import (
 from dctk.polyhedron import EQ, GEQ, Window
 
 from helpers import (
+    base_window,
     large_slope_objective,
     naive_dual_certificate,
     naive_m2_split,
+    naive_dependence,
+    naive_member,
     naive_minimize_separable,
+    naive_tight_sets,
+    pair_scan_violation,
     random_search_objective,
+    random_weight,
+    square_sum_dual_value,
 )
 
 P2 = p2()
@@ -65,6 +65,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SupermodularFn(2, (0, 2, 2, 2))  # 2+2 > 0+2
 
+    @pytest.mark.parametrize("value", [PLUS_INF, 0.5, True])
+    def test_rejects_non_integer_values(self, value):
+        with pytest.raises(ValueError, match="integers and MINUS_INF only"):
+            SupermodularFn(2, (0, value, 0, 2))
+
     def test_rejects_nonzero_empty(self):
         with pytest.raises(ValueError):
             SupermodularFn(1, (1, 0))
@@ -76,6 +81,135 @@ class TestConstruction:
     def test_json_round_trip(self):
         p = SupermodularFn(2, (0, MINUS_INF, 0, 2))
         assert SupermodularFn.from_json(p.to_json()) == p
+
+
+# Finite on the ring family 0, {1}, {2,3}, S, where p{1} + p{2,3} >
+# p(empty) + p(S); every square X, X+s, X+t, X+s+t of single elements
+# meets a MINUS_INF mask, so the plain square test misses it.
+COUNTEREXAMPLE = (0, 10, MINUS_INF, MINUS_INF, MINUS_INF, MINUS_INF, 10, 0)
+
+
+def supermodular_table(rng, n):
+    """A modular part plus nonnegative interactions on random pairs and
+    triples: each term is supermodular, so the sum is."""
+    m = [rng.randint(-4, 4) for _ in range(n)]
+    groups = [(rng.sample(range(n), k), rng.randint(1, 3))
+              for k in (2, 2, 2, 3) if k <= n and rng.random() < 0.7]
+    return [sum(m[i] for i in range(n) if x >> i & 1)
+            + sum(c for g, c in groups if all(x >> i & 1 for i in g))
+            for x in range(1 << n)]
+
+
+def ring_knockout(rng, n, table):
+    """MINUS_INF off the ring family of random arcs i => j (X holds j
+    whenever it holds i)."""
+    arcs = [(i, j) for i, j in itertools.permutations(range(n), 2) if rng.random() < 0.2]
+    return [v if all(not x >> i & 1 or x >> j & 1 for i, j in arcs) else MINUS_INF
+            for x, v in enumerate(table)]
+
+
+def random_table(rng, n, kind):
+    table = supermodular_table(rng, n)
+    if kind in (1, 4):
+        table = ring_knockout(rng, n, table)
+    elif kind == 2:
+        # MINUS_INF on random proper masks: mostly not a ring family.
+        table = [v if x in (0, len(table) - 1) or rng.random() > 0.2 else MINUS_INF
+                 for x, v in enumerate(table)]
+    if kind in (3, 4):
+        finite = [x for x in range(1, len(table) - 1) if is_finite(table[x])]
+        if finite:
+            table[rng.choice(finite)] += rng.choice((-2, -1, 1, 2))
+    return tuple(table)
+
+
+def check_outcome(n, table):
+    """The verdict of the constructor, which must be the pair scan's; a
+    rejection must name two finite, non-nested masks whose meet or join
+    is MINUS_INF or whose values break the inequality."""
+    try:
+        p = SupermodularFn(n, table)
+    except ValueError as e:
+        assert pair_scan_violation(table) is not None, table
+        a, b = map(int, re.fullmatch(r"supermodularity fails at masks (\d+), (\d+)", str(e)).groups())
+        assert a < b and a & b not in (a, b)
+        assert is_finite(table[a]) and is_finite(table[b])
+        closed = is_finite(table[a & b]) and is_finite(table[a | b])
+        assert not closed or table[a] + table[b] > table[a & b] + table[a | b]
+        return "lattice" if not closed else "inequality"
+    assert pair_scan_violation(table) is None, table
+    return p
+
+
+class TestSupermodularCheck:
+    """The local-square check on Birkhoff's ring family against the
+    all-pairs definition."""
+
+    def test_counterexample(self):
+        with pytest.raises(ValueError, match="fails at masks 1, 6$"):
+            SupermodularFn(3, COUNTEREXAMPLE)
+        assert pair_scan_violation(COUNTEREXAMPLE) == (1, 6)
+
+    def test_agrees_with_pair_scan(self):
+        rng = random.Random(11)
+        seen = collections.Counter()
+        for i in range(900):
+            n = 1 + i % 7
+            out = check_outcome(n, random_table(rng, n, i % 5))
+            seen[out if isinstance(out, str) else ("accept", i % 5)] += 1
+        assert seen["lattice"] >= 50 and seen["inequality"] >= 50, seen
+        assert all(seen["accept", kind] >= 30 for kind in range(5)), seen
+
+    def test_checks_up_to_fourteen(self):
+        n = mconvex.CHECKED_GROUND
+        assert n == 14
+        table = [0] * (1 << n)
+        table[0b11] = -1  # p{1} + p{2} > p(empty) + p{1,2}
+        with pytest.raises(ValueError, match="fails at masks 1, 2$"):
+            SupermodularFn(n, tuple(table))
+
+    def test_fifteen_is_unchecked_and_says_so(self):
+        n = 15
+        table = [0] * (1 << n)
+        table[0b11] = -1
+        p = SupermodularFn(n, tuple(table))  # no check above the limit
+        Phi = square_sum(p.elements)
+        z = minimize_separable(p, Phi)
+        rep = verify_mconvex_optimality(p, Phi, z, dual_certificate(p, Phi, z)[0])
+        assert rep.notes == ("supermodularity of p unchecked (n > 14)",)
+        small = verify_mconvex_optimality(P2, SQ, (1, 1), (3, 3))
+        assert small.notes == ()
+
+
+class TestMaskScansMatchOracles:
+    """tight_sets, member and dependence read one subset-sum table; the
+    oracles sum each mask on its own."""
+
+    def test_random_points(self):
+        rng = random.Random(13)
+        kinds = collections.Counter()
+        for i in range(400):
+            n = 1 + i % 7
+            table = random_table(rng, n, i % 3 if i % 2 else 1)
+            if pair_scan_violation(table) is not None:
+                continue
+            p = SupermodularFn(n, table)
+            points = [tuple(rng.randint(-6, 6) for _ in range(n))]
+            try:
+                z = greedy_min(p, random_weight(rng, n))
+            except DctkError:
+                pass
+            else:
+                points.append(z)
+                s, t = rng.randrange(n), rng.randrange(n)
+                points.append(tuple(v - (j == s) + (j == t) for j, v in enumerate(z)))
+            for z in points:
+                is_base = naive_member(p, z)
+                kinds[is_base] += 1
+                assert member(p, z) == is_base
+                assert tight_sets(p, z) == naive_tight_sets(p, z)
+                assert dependence(p, z) == naive_dependence(p, z)
+        assert kinds[True] >= 150 and kinds[False] >= 150, kinds
 
 
 class TestComplement:

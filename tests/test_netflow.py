@@ -16,13 +16,11 @@ from dctk.conjugate import (
 from dctk import netflow
 from dctk.errors import Infeasible, IterationLimit, NotFeasible, Unbounded, ValueMismatch
 from dctk.extint import MINUS_INF, PLUS_INF, is_finite
-from dctk.fixtures import d2, d2_instance, random_digraph, random_flow_instance
+from dctk.fixtures import d2, d2_instance
 from dctk.netflow import (
     Digraph,
     FlowInstance,
     certify_flow,
-    embedding_system,
-    enumerate_flows,
     flow_dual_value,
     incidence_matrix,
     min_convex_cost_flow,
@@ -30,6 +28,8 @@ from dctk.netflow import (
     square_sum_instance,
 )
 from dctk.polyhedron import Window, dual_search_bruteforce, minimize_bruteforce
+
+from helpers import embedding_system, enumerate_flows, random_digraph, random_flow_instance
 
 D2 = d2()
 FREE2 = square_sum_instance(D2, (-2, 2), lower=(MINUS_INF,) * 2, upper=(PLUS_INF,) * 2)
