@@ -6,6 +6,13 @@ exact rational LP by basic-solution enumeration, tangent cones and
 their normal cones as systems, dual searches for the separable-convex
 min-max formulas, the disjoint-pair feasibility test, dilations, and a
 box-integrality probe.  Arithmetic is exact; witnesses are lex-least.
+
+Basis enumerations read each basis's minor (:class:`ratlin.Minors`)
+before they eliminate: a basis with minor 0 is singular and skipped.
+The box probe also skips a basis with minor +-1, whose points are all
+integral, and scans the fixed coordinates' values of the rest with the
+integer-point kernel, on the window and system rows written over those
+values.
 """
 
 from __future__ import annotations
@@ -60,10 +67,17 @@ class LinearSystem:
     _vertex_ints: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # A string would be split into its characters: only a list will do.
+        if not isinstance(self.elements, (list, tuple)) or not all(
+            isinstance(e, str) for e in self.elements
+        ):
+            raise ValueError("elements must be a list of strings")
         self.elements = tuple(self.elements)
         self.rows = tuple(self.rows)
         if not self.elements:
             raise ValueError("need at least one element")
+        if len(set(self.elements)) < len(self.elements):
+            raise ValueError("elements must be distinct")
         if not self.rows:
             raise ValueError("need at least one row")
         n = len(self.elements)
@@ -90,7 +104,7 @@ class LinearSystem:
     @classmethod
     def from_json(cls, obj) -> "LinearSystem":
         return cls(
-            tuple(obj["elements"]),
+            obj["elements"],
             tuple(
                 Row(tuple(r["coeffs"]), r["rhs"], r["kind"]) for r in obj["rows"]
             ),
@@ -260,16 +274,20 @@ def _basic_data(sys: LinearSystem):
     ]
     work += [(d, 0, EQ) for d in lineality]
 
+    # Every basis below is n rows (a vertex) or n - 1 rows (an edge) of
+    # work, and one table holds the minors of them all.
+    minors = ratlin.Minors([c for c, _, _ in work], n)
+    cols = tuple(range(n))
+
     # A basic solution x is kept as the gcd-reduced (d, d*x), which is
     # canonical, and x lies in the system iff d*x satisfies its rows
-    # scaled by d, in int.
+    # scaled by d, in int.  A singular basis is skipped unsolved.
     scaled = []
     seen = set()
     for idxs in itertools.combinations(range(len(work)), n):
-        sol = ratlin.solve_int([work[i][0] for i in idxs], [[work[i][1]] for i in idxs])
-        if sol is None:
+        if not minors[idxs][cols]:
             continue
-        d, x = sol
+        d, x = ratlin.solve_int([work[i][0] for i in idxs], [[work[i][1]] for i in idxs])
         g = gcd(d, *(xr[0] for xr in x))
         key = (d // g, tuple(xr[0] // g for xr in x))
         if key in seen:
@@ -282,12 +300,16 @@ def _basic_data(sys: LinearSystem):
     vertices = sorted(tuple(Fraction(v, d) for v in xd) for d, xd in scaled)
 
     # The rays are the edge directions that lie in the recession cone.
+    # n - 1 rows R meet in a line iff their cofactor vector v_j = (-1)^j
+    # det A[R, cols - j] is nonzero, and then v spans it: a row of R on
+    # top of A[R] makes a square matrix with a repeated row, det 0 = r.v.
     recession = LinearSystem(sys.elements, tuple(Row(c, 0, kind) for c, _, kind in work))
     edges = set()
     for idxs in itertools.combinations(range(len(work)), n - 1):
-        basis = ratlin.null_space([work[i][0] for i in idxs], n)
-        if len(basis) == 1:
-            edges.update((basis[0], tuple(-v for v in basis[0])))
+        v = [(-1) ** j * minors[idxs][cols[:j] + cols[j + 1:]] for j in cols]
+        if any(v):
+            g = gcd(*v)
+            edges.update((tuple(e // g for e in v), tuple(-e // g for e in v)))
     rays = sorted(d for d in edges if recession.contains(d))
 
     sys._basic = (vertices, rays, lineality)
@@ -603,38 +625,76 @@ def probe_box_integer(sys: LinearSystem, win: Window):
     A vertex of sys /\\ box is cut out by n independent tight constraints
     drawn from the system rows and coordinate fixings x_i = v with
     integral v in the window, so it suffices to enumerate those bases
-    directly instead of looping over boxes.  Each basis is eliminated
-    once, with the fixed coordinates' columns as extra right-hand sides;
-    each tuple of values then costs integer dot products on d*x.  Returns
-    (True, None) when every such basic feasible point is integral, else
-    (False, witness) for the first fractional one in scan order.
+    directly instead of looping over boxes.  A basis of rows R that
+    leaves the columns F free is nonsingular iff det A[R, F] != 0, and by
+    Cramer's rule every point it gives is integral when that minor is
+    +-1 (Chervet, Grappe and Robert, Math. Programming 188, 2021).  So
+    the minors are read first, each computed once by :class:`ratlin.Minors`,
+    and only a basis with |det| >= 2 is eliminated, once, with the fixed
+    coordinates' columns as extra right-hand sides.  Its values are then
+    scanned by :func:`enumerate_integer_points` on rows in value space
+    (:func:`_value_rows`), so no tuple outside the window or the system
+    is built.  Returns (True, None) when every such basic feasible point
+    is integral, else (False, witness) for the first fractional one in
+    scan order: k fixed coordinates, which ones, which rows, then the
+    values in lex order.
     """
     n = sys.n
     rows = sys.rows
-    coord_values = [range(l, h + 1) for l, h in zip(win.lo, win.hi)]
+    minors = ratlin.Minors([r.coeffs for r in rows], n)
     for k in range(0, n + 1):
         for coords in itertools.combinations(range(n), k):
-            free = [j for j in range(n) if j not in coords]
+            free = tuple(j for j in range(n) if j not in coords)
             for ridxs in itertools.combinations(range(len(rows)), n - k):
+                if abs(minors[ridxs][free]) < 2:
+                    continue  # singular, or every point it gives is integral
                 basis = [rows[i] for i in ridxs]
-                sol = ratlin.solve_int(
+                d, sol_rows = ratlin.solve_int(
                     [[r.coeffs[j] for j in free] for r in basis],
                     [[r.rhs] + [-r.coeffs[c] for c in coords] for r in basis],
                 )
-                if sol is None:
-                    continue
-                d, sol_rows = sol
                 if all(v % d == 0 for xr in sol_rows for v in xr):
                     continue  # every value tuple gives an integral point
-                # x lies in sys and win iff d*x lies in both scaled by d.
-                sys_d = dilation(sys, d)
-                win_d = Window(tuple(l * d for l in win.lo), tuple(h * d for h in win.hi))
-                for vals in itertools.product(*(coord_values[c] for c in coords)):
+                vrows = _value_rows(sys, win, coords, free, d, sol_rows)
+                if coords:
+                    vsys = LinearSystem(tuple(sys.elements[c] for c in coords), vrows)
+                    vwin = Window(tuple(win.lo[c] for c in coords), tuple(win.hi[c] for c in coords))
+                    points = enumerate_integer_points(vsys, vwin)
+                else:
+                    points = [()] if all(r.satisfied_by(()) for r in vrows) else []
+                for vals in points:
                     xd = [0] * n
                     for c, v in zip(coords, vals):
                         xd[c] = v * d
                     for j, xr in zip(free, sol_rows):
                         xd[j] = xr[0] + ratlin.dot(xr[1:], vals)
-                    if xd in win_d and sys_d.contains(xd) and any(v % d for v in xd):
+                    if any(xd[j] % d for j in free):
                         return (False, tuple(Fraction(v, d) for v in xd))
     return (True, None)
+
+
+def _value_rows(
+    sys: LinearSystem,
+    win: Window,
+    coords: Tuple[int, ...],
+    free: Tuple[int, ...],
+    d: int,
+    sol_rows: List[List[int]],
+) -> Tuple[Row, ...]:
+    """The rows, over the values v of the fixed coordinates, that say the
+    basis's point x lies in the window and the system.  The basis gives
+    d*x_c = d*v_c and d*x_j = x0_j + c_j.v for free j (the row of
+    sol_rows for x_j is (x0_j, *c_j)), so each window bound on a free x_j
+    and each system row, scaled by d, is one integer row in v."""
+    rows = []
+    for j, (x0, *c) in zip(free, sol_rows):
+        rows.append(Row(tuple(c), win.lo[j] * d - x0, GEQ))
+        rows.append(Row(tuple(-v for v in c), x0 - win.hi[j] * d, GEQ))
+    for r in sys.rows:
+        terms = [(r.coeffs[j], xr) for j, xr in zip(free, sol_rows) if r.coeffs[j]]
+        coeffs = tuple(
+            r.coeffs[c] * d + sum(a * xr[1 + i] for a, xr in terms)
+            for i, c in enumerate(coords)
+        )
+        rows.append(Row(coeffs, r.rhs * d - sum(a * xr[0] for a, xr in terms), r.kind))
+    return tuple(rows)

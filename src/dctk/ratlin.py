@@ -5,14 +5,17 @@ identity and multistep integer-preserving Gaussian elimination") serves
 every solve: it keeps the matrix in ``int`` throughout, because each
 division by the previous pivot is exact, and reports a common
 denominator instead of building :class:`fractions.Fraction` entries.
-Callers build Fractions only for the results they return.
+Callers build Fractions only for the results they return.  Where many
+square submatrices of one matrix are wanted, :class:`Minors` gives their
+determinants, each from the minors one size smaller, computed once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 Vec = Tuple[Fraction, ...]
 
@@ -49,6 +52,46 @@ def solve_int(
         return None
     sign = 1 if prev > 0 else -1
     return prev * sign, [[sign * v for v in r[n:]] for r in m[:n]]
+
+
+class Minors(dict):
+    """det A[R, F] as ``minors[R][F]``, for a row tuple R and a column
+    tuple F of one size, each in increasing order; ``minors[()][()]`` is 1.
+
+    The minors on the rows R, over every F, are computed together on the
+    first read of ``minors[R]``: each is the Laplace expansion of A[R, F]
+    along its first row, sum_j (-1)^j a[R_0, F_j] det A[R - R_0, F - F_j],
+    read from ``minors[R - R_0]``, one size smaller.  So each minor is
+    computed once, and a scan that stops early has computed only the row
+    tuples it read and those below them.  Read in full, an m-row matrix
+    has C(m + ncols, ncols) minors.
+    """
+
+    def __init__(self, a: Sequence[Sequence[int]], ncols: int):
+        super().__init__({(): {(): 1}})
+        self.a = a
+        self.ncols = ncols
+        # Per size: every column tuple with, per column, the tuple
+        # without it and whether the column's position is odd.
+        self.expand: Dict[int, list] = {}
+
+    def __missing__(self, rows: Tuple[int, ...]) -> Dict[Tuple[int, ...], int]:
+        size = len(rows)
+        if size not in self.expand:
+            self.expand[size] = [
+                (cols, [(c, cols[:j] + cols[j + 1:], j & 1) for j, c in enumerate(cols)])
+                for cols in combinations(range(self.ncols), size)
+            ]
+        first, below = self.a[rows[0]], self[rows[1:]]
+        dets = self[rows] = {}
+        for cols, terms in self.expand[size]:
+            det = 0
+            for c, rest, odd in terms:
+                v = first[c]
+                if v:
+                    det += -v * below[rest] if odd else v * below[rest]
+            dets[cols] = det
+        return dets
 
 
 def null_space(rows: Sequence[Sequence[int]], ncols: int) -> List[Tuple[int, ...]]:

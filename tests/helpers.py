@@ -285,6 +285,26 @@ def random_integer_system(rng: random.Random) -> LinearSystem:
     return LinearSystem(tuple(f"x{i}" for i in range(n)), rows)
 
 
+def large_coefficient_system(rng: random.Random) -> LinearSystem:
+    """Rows with coefficients up to 10**6 in absolute value through a
+    point of -2..2 (n = 2-3): some are a small row times a large factor,
+    the rest large in every entry.  The minors run to about 10**18 and
+    both probe verdicts occur."""
+    n = rng.randint(2, 3)
+    x0 = [rng.randint(-2, 2) for _ in range(n)]
+    rows = []
+    for _ in range(rng.randint(n, n + 2)):
+        if rng.random() < 0.5:
+            scale = rng.choice((1, 7, 10**3, 10**6))
+            coeffs = [scale * rng.randint(-1, 1) for _ in range(n)]
+        else:
+            coeffs = [rng.randint(-10**6, 10**6) for _ in range(n)]
+        kind = rng.choice((GEQ, GEQ, EQ))
+        slack = 0 if kind == EQ else rng.choice((0, 0, 1, rng.randint(0, 10**6)))
+        rows.append(Row(tuple(coeffs), sum(a * x for a, x in zip(coeffs, x0)) - slack, kind))
+    return LinearSystem(tuple(f"x{i}" for i in range(n)), tuple(rows))
+
+
 # ---------------------------------------------------------------------------
 # Exact linear algebra and the box probe, by plain Fraction arithmetic
 
@@ -310,6 +330,26 @@ def frac_rref(rows: Sequence[Sequence]) -> Tuple[List[List[Fraction]], List[int]
         pivots.append(c)
         r += 1
     return m, pivots
+
+
+def frac_det(rows: Sequence[Sequence[int]]) -> int:
+    """The determinant of a square matrix by Gaussian elimination over
+    Fractions, one sign flip per row swap; 1 for the empty matrix."""
+    m = [[Fraction(v) for v in r] for r in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        piv = next((i for i in range(c, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    assert det.denominator == 1
+    return int(det)
 
 
 def frac_solve_unique(rows, rhs) -> Optional[Tuple[Fraction, ...]]:

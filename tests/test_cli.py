@@ -574,6 +574,17 @@ class TestProbeCommand:
         assert p.stdout == ""
         assert "integers" in p.stderr
 
+    @pytest.mark.parametrize("elements, needle", [
+        ("ab", "a list of strings"),
+        (["a", "a"], "distinct"),
+        ([1, 2], "a list of strings"),
+    ], ids=["string", "repeated", "integers"])
+    def test_bad_elements_are_invalid(self, elements, needle):
+        system = {**fixtures.p2_system().to_json(), "elements": elements}
+        p = run_cli(["probe", "--system", json.dumps(system), "--window", "0..2"])
+        assert (p.returncode, p.stdout) == (cli.EXIT_INVALID, "")
+        assert needle in p.stderr
+
 
 class TestSelftest:
     def test_passes_and_is_deterministic(self):

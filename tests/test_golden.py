@@ -1,4 +1,4 @@
-"""Golden output of the M-convex commands.
+"""Golden output of the M-convex commands and of the box probe.
 
 `tests/data/mconvex_golden.json` holds, for seeded instances with
 n = 4..8, the argv of `minimize mconvex` and of `certify mconvex` in
@@ -15,8 +15,14 @@ certificate ("optimal"), another base with the derived certificate
 ("other"), the minimizer with its left slopes as weights ("slopes"),
 and another base with random weights ("random").
 
+`tests/data/probe_golden.json` holds `probe` runs on seeded base
+systems and flow embeddings in their vertex-hull windows, on random
+integer systems in -2..2 (many have fractional witnesses), each at the
+dilations k = 1-3, and on 2*s3 in the unit cube.  A change to the probe's
+basis scan or value scan that moves a witness or a status shows here.
+
 Regenerate (only when a change of output is intended and recorded):
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [mconvex|probe]
 """
 
 from __future__ import annotations
@@ -27,17 +33,25 @@ import itertools
 import json
 import pathlib
 import random
+import sys
 
 import pytest
 
 from dctk import cli, conjugate as cj
 from dctk.errors import DctkError
 from dctk.extint import MINUS_INF, is_finite
-from dctk.mconvex import SupermodularFn, greedy_min, minimize_separable
+from dctk.fixtures import random_supermodular, s3_system
+from dctk.mconvex import SupermodularFn, greedy_min, minimize_separable, to_system
+from dctk.polyhedron import dilation, vertex_hull_window
 
-DATA = pathlib.Path(__file__).resolve().parent / "data" / "mconvex_golden.json"
+from helpers import random_flow_embedding, random_integer_system
+
+DIR = pathlib.Path(__file__).resolve().parent / "data"
+DATA = DIR / "mconvex_golden.json"
+PROBE_DATA = DIR / "probe_golden.json"
 SEED = 20201
 COUNT = 20
+PROBE_SEED = 20212
 
 
 def capture(argv):
@@ -114,27 +128,67 @@ def build_ops(seed=SEED, count=COUNT):
     return ops
 
 
-def _cases():
+def _probe_argv(system, lo, hi):
+    return ["probe", "--system", _dumps(system.to_json()), f"--window={lo}..{hi}"]
+
+
+def build_probe_ops(seed=PROBE_SEED):
+    """The argv lists: six base systems (n = 2-3) and four flow embeddings
+    in their vertex-hull windows (the flows padded by one), sixteen integer
+    systems in -2..2, each at k = 1-3, then 2*s3 in the unit cube."""
+    rng = random.Random(seed)
+    ops = []
+    hulls = [(to_system(random_supermodular(rng, rng.randint(2, 3), value_bound=2)), 0)
+             for _ in range(6)]
+    hulls += [(random_flow_embedding(rng), 1) for _ in range(4)]
+    for system, pad in hulls:
+        for k in (1, 2, 3):
+            d = dilation(system, k)
+            win = vertex_hull_window(d, pad)
+            ops.append(_probe_argv(d, min(win.lo), max(win.hi)))
+    for _ in range(16):
+        system = random_integer_system(rng)
+        ops += [_probe_argv(dilation(system, k), -2, 2) for k in (1, 2, 3)]
+    ops.append(_probe_argv(dilation(s3_system(), 2), 0, 1))
+    return ops
+
+
+GOLDEN = {"mconvex": (DATA, build_ops), "probe": (PROBE_DATA, build_probe_ops)}
+
+
+def _cases(path):
     """The recorded cases; none before the file is first written, when
-    the coverage test below fails."""
-    return json.loads(DATA.read_text(encoding="utf-8")) if DATA.exists() else []
+    the coverage tests below fail."""
+    return json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
 
 
 def test_corpus_covers_every_outcome():
-    codes = {c["exit"] for c in _cases()}
+    codes = {c["exit"] for c in _cases(DATA)}
     assert {0, 4, 5, 6} <= codes
 
 
-@pytest.mark.parametrize("case", _cases(), ids=lambda c: " ".join(c["argv"][:2]))
+def test_probe_corpus_has_both_verdicts():
+    codes = [c["exit"] for c in _cases(PROBE_DATA)]
+    assert codes.count(0) >= 20 and codes.count(5) >= 10, codes
+
+
+@pytest.mark.parametrize("case", _cases(DATA), ids=lambda c: " ".join(c["argv"][:2]))
 def test_output_is_unchanged(case):
     assert capture(case["argv"]) == (case["stdout"], case["exit"])
 
 
+@pytest.mark.parametrize("case", _cases(PROBE_DATA), ids=lambda c: c["argv"][0])
+def test_probe_output_is_unchanged(case):
+    assert capture(case["argv"]) == (case["stdout"], case["exit"])
+
+
 if __name__ == "__main__":
-    cases = []
-    for argv in build_ops():
-        stdout, code = capture(argv)
-        cases.append({"argv": argv, "stdout": stdout, "exit": code})
-    DATA.parent.mkdir(exist_ok=True)
-    DATA.write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
-    print(f"{len(cases)} cases written to {DATA}")
+    for name in sys.argv[1:] or GOLDEN:
+        path, build = GOLDEN[name]
+        cases = []
+        for argv in build():
+            stdout, code = capture(argv)
+            cases.append({"argv": argv, "stdout": stdout, "exit": code})
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
+        print(f"{len(cases)} cases written to {path}")

@@ -5,7 +5,7 @@ import random
 import pytest
 from fractions import Fraction
 
-from dctk import polyhedron
+from dctk import polyhedron, ratlin
 from dctk.conjugate import Quadratic, Restricted, SeparableConvex, linear_cost, square_sum
 from dctk.errors import CriteriaViolated, NotPrimalFeasible, NotSignFeasible
 from dctk.extint import MINUS_INF, PLUS_INF
@@ -40,7 +40,9 @@ from dctk.polyhedron import (
 
 from helpers import (
     frac_basic_data,
+    frac_det,
     frac_lp_min,
+    large_coefficient_system,
     large_slope_objective,
     naive_dual_search,
     naive_integer_points,
@@ -368,6 +370,64 @@ class TestProbe:
         assert not ok
         assert witness == (Fraction(1, 2), Fraction(-1))
 
+    def test_large_window_scans_values_not_ranges(self):
+        # The fixed coordinates' values come from the integer-point scan,
+        # which never copies the 10**9 + 1 values of a window range.
+        p = run_under_memory_limit(
+            "from dctk.fixtures import s3_system\n"
+            "from dctk.polyhedron import Window, dilation, probe_box_integer\n"
+            "ok, x = probe_box_integer(dilation(s3_system(), 2), Window.uniform(6, 0, 10**9))\n"
+            "print(ok, *x)"
+        )
+        assert (p.returncode, p.stdout) == (0, "False 1 1 1 1/2 1/2 1/2\n"), p.stderr
+
+
+def _bases_with_large_minors(sys):
+    """The probe's bases (fixed coordinates, rows) whose minor has
+    |det| >= 2, by Fraction determinants."""
+    n, rows = sys.n, sys.rows
+    count = 0
+    for k in range(n + 1):
+        for coords in itertools.combinations(range(n), k):
+            free = [j for j in range(n) if j not in coords]
+            for ridxs in itertools.combinations(range(len(rows)), n - k):
+                count += abs(frac_det([[rows[i].coeffs[j] for j in free] for i in ridxs])) >= 2
+    return count
+
+
+class TestProbeWork:
+    """Only a basis whose minor has |det| >= 2 is eliminated."""
+
+    @staticmethod
+    def solves(monkeypatch, sys, win):
+        calls = []
+        solve = ratlin.solve_int
+        monkeypatch.setattr(ratlin, "solve_int", lambda a, b: calls.append(a) or solve(a, b))
+        assert probe_box_integer(sys, win) == (True, None)
+        monkeypatch.undo()
+        return len(calls)
+
+    def test_once_per_basis_with_a_large_minor(self, monkeypatch):
+        rng = random.Random(17)
+        total = 0
+        for _ in range(6):
+            base = to_system(random_supermodular(rng, 3, value_bound=2))
+            expected = _bases_with_large_minors(base)
+            for k in (1, 2, 3):
+                d = dilation(base, k)
+                assert self.solves(monkeypatch, d, Window.uniform(3, -3 * k, 3 * k)) == expected
+            total += expected
+        assert total >= 6
+
+    def test_none_on_a_totally_unimodular_system(self, monkeypatch):
+        # Incidence rows and the identity: every minor is 0 or +-1.
+        rng = random.Random(18)
+        for _ in range(10):
+            emb = random_flow_embedding(rng)
+            assert _bases_with_large_minors(emb) == 0
+            for k in (1, 2, 3):
+                assert self.solves(monkeypatch, dilation(emb, k), Window.uniform(emb.n, -1, 3 * k)) == 0
+
 
 class TestProbeMatchesNaiveOracle:
     """(ok, witness) equals that of the per-tuple Fraction probe in
@@ -404,6 +464,18 @@ class TestProbeMatchesNaiveOracle:
                 witnesses += not probe_box_integer(d, win)[0]
                 self.check(d, win)
         assert witnesses >= 20
+
+    def test_large_coefficients(self):
+        rng = random.Random(8)
+        verdicts = collections.Counter()
+        for _ in range(30):
+            sys = large_coefficient_system(rng)
+            for k in (1, 2, 3):
+                d = dilation(sys, k)
+                win = Window.uniform(sys.n, -2, 2)
+                verdicts[probe_box_integer(d, win)[0]] += 1
+                self.check(d, win)
+        assert min(verdicts.values()) >= 15, verdicts
 
     def test_s3_and_its_dilation(self):
         self.check(s3_system(), Window.uniform(6, 0, 1))

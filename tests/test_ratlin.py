@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from dctk.ratlin import null_space, solve_int, solve_unique
+from dctk.ratlin import Minors, null_space, solve_int, solve_unique
 
-from helpers import frac_null_space, frac_solve_unique
+from helpers import frac_det, frac_null_space, frac_solve_unique
 
 
 def _matrix(rng, m, n, bound):
@@ -103,3 +103,41 @@ def test_null_space_is_primitive_with_positive_free_entry():
     assert null_space([[1, 2, 4]], 3) == [(-2, 1, 0), (-4, 0, 1)]
     assert null_space([[6, 4]], 2) == [(-2, 3)]
     assert null_space([[0, 0], [0, 0]], 2) == [(1, 0), (0, 1)]
+
+
+def _minor_matrices(seed):
+    """Random m x n matrices, m, n = 1-5, with entries up to 3 or up to
+    10**6, some with a zero row or a repeated row."""
+    rng = random.Random(seed)
+    out = []
+    for m, n in itertools.product(range(1, 6), range(1, 6)):
+        for bound in (3, 10**6):
+            a = _matrix(rng, m, n, bound)
+            out.append(a)
+            if m > 1:
+                out.append([[0] * n] + a[1:])
+                out.append(a[:-1] + [list(a[0])])
+    return out
+
+
+def test_minors_match_fraction_determinants():
+    zero = 0
+    for a in _minor_matrices(5):
+        n = len(a[0])
+        table = Minors(a, n)
+        for size in range(min(len(a), n) + 1):
+            for rows in itertools.combinations(range(len(a)), size):
+                for cols in itertools.combinations(range(n), size):
+                    det = table[rows][cols]
+                    assert det == frac_det([[a[i][j] for j in cols] for i in rows]), (a, rows, cols)
+                    zero += det == 0
+    assert zero >= 1000
+
+
+def test_minors_of_a_permutation():
+    # The odd permutation matrix of (1 0 2): det -1, and its first two
+    # rows have minor -1 on columns 0, 1 and 0 on columns 0, 2.
+    table = Minors([[0, 1, 0], [1, 0, 0], [0, 0, 1]], 3)
+    assert table[0, 1, 2][0, 1, 2] == -1
+    assert table[0, 1][0, 1] == -1 and table[0, 1][0, 2] == 0
+    assert table[()][()] == 1
