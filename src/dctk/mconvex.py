@@ -36,7 +36,16 @@ from typing import List, Sequence, Tuple
 from .conjugate import SeparableConvex, conjugate_eval
 from .errors import CriteriaViolated, EmptyIntersection, Inconclusive, IterationLimit, Unbounded
 from .extint import MINUS_INF, PLUS_INF, ExtInt, is_finite
-from .polyhedron import EQ, GEQ, LinearSystem, MinMaxReport, Row, Window, enumerate_integer_points
+from .polyhedron import (
+    EQ,
+    GEQ,
+    LinearSystem,
+    MinMaxReport,
+    Row,
+    Window,
+    check_elements,
+    enumerate_integer_points,
+)
 
 MAX_GROUND = 20
 CHECKED_GROUND = 14  # larger tables are taken as supermodular unchecked
@@ -66,10 +75,11 @@ class SupermodularFn:
             # read as MINUS_INF wherever is_finite decides.
             if v is not MINUS_INF and type(v) is not int:
                 raise ValueError(f"p takes integers and MINUS_INF only, got {v!r}")
-        if not self.elements:
-            object.__setattr__(
-                self, "elements", tuple(f"e{i + 1}" for i in range(self.n))
-            )
+        object.__setattr__(
+            self,
+            "elements",
+            check_elements(self.elements) or tuple(f"e{i + 1}" for i in range(self.n)),
+        )
         if len(self.elements) != self.n:
             raise ValueError("element names must match n")
         if self.n <= CHECKED_GROUND:
@@ -144,8 +154,7 @@ class SupermodularFn:
         for mask in range(1 << n):
             v = obj["p"][str(mask)]
             table.append(MINUS_INF if v is None else v)
-        elems = tuple(obj.get("elements", ()))
-        return cls(n, tuple(table), elems)
+        return cls(n, tuple(table), obj.get("elements", ()))
 
 
 def _subset_sums(z: Sequence[int]) -> List[int]:

@@ -7,10 +7,10 @@ their normal cones as systems, dual searches for the separable-convex
 min-max formulas, the disjoint-pair feasibility test, dilations, and a
 box-integrality probe.  Arithmetic is exact; witnesses are lex-least.
 
-Basis enumerations read each basis's minor (:class:`ratlin.Minors`)
-before they eliminate: a basis with minor 0 is singular and skipped.
-The box probe also skips a basis with minor +-1, whose points are all
-integral, and scans the fixed coordinates' values of the rest with the
+The box probe reads each basis's minor from one :class:`ratlin.Minors`
+table before it eliminates: a basis with minor 0 is singular and one
+with minor +-1 gives only integral points, so neither is eliminated.
+The fixed coordinates' values of the rest are scanned with the
 integer-point kernel, on the window and system rows written over those
 values.
 """
@@ -59,6 +59,16 @@ class Row:
         return ratlin.dot(self.coeffs, x) - self.rhs
 
 
+def check_elements(elements) -> Tuple[str, ...]:
+    """The element names as a tuple, if they are a list (or tuple) of
+    distinct strings; a string would be split into its characters."""
+    if not isinstance(elements, (list, tuple)) or not all(isinstance(e, str) for e in elements):
+        raise ValueError("elements must be a list of strings")
+    if len(set(elements)) < len(elements):
+        raise ValueError("elements must be distinct")
+    return tuple(elements)
+
+
 @dataclass
 class LinearSystem:
     elements: Tuple[str, ...]
@@ -67,17 +77,10 @@ class LinearSystem:
     _vertex_ints: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # A string would be split into its characters: only a list will do.
-        if not isinstance(self.elements, (list, tuple)) or not all(
-            isinstance(e, str) for e in self.elements
-        ):
-            raise ValueError("elements must be a list of strings")
-        self.elements = tuple(self.elements)
+        self.elements = check_elements(self.elements)
         self.rows = tuple(self.rows)
         if not self.elements:
             raise ValueError("need at least one element")
-        if len(set(self.elements)) < len(self.elements):
-            raise ValueError("elements must be distinct")
         if not self.rows:
             raise ValueError("need at least one row")
         n = len(self.elements)
@@ -274,20 +277,16 @@ def _basic_data(sys: LinearSystem):
     ]
     work += [(d, 0, EQ) for d in lineality]
 
-    # Every basis below is n rows (a vertex) or n - 1 rows (an edge) of
-    # work, and one table holds the minors of them all.
-    minors = ratlin.Minors([c for c, _, _ in work], n)
-    cols = tuple(range(n))
-
     # A basic solution x is kept as the gcd-reduced (d, d*x), which is
     # canonical, and x lies in the system iff d*x satisfies its rows
-    # scaled by d, in int.  A singular basis is skipped unsolved.
+    # scaled by d, in int.
     scaled = []
     seen = set()
     for idxs in itertools.combinations(range(len(work)), n):
-        if not minors[idxs][cols]:
+        sol = ratlin.solve_int([work[i][0] for i in idxs], [[work[i][1]] for i in idxs])
+        if sol is None:
             continue
-        d, x = ratlin.solve_int([work[i][0] for i in idxs], [[work[i][1]] for i in idxs])
+        d, x = sol
         g = gcd(d, *(xr[0] for xr in x))
         key = (d // g, tuple(xr[0] // g for xr in x))
         if key in seen:
@@ -300,16 +299,12 @@ def _basic_data(sys: LinearSystem):
     vertices = sorted(tuple(Fraction(v, d) for v in xd) for d, xd in scaled)
 
     # The rays are the edge directions that lie in the recession cone.
-    # n - 1 rows R meet in a line iff their cofactor vector v_j = (-1)^j
-    # det A[R, cols - j] is nonzero, and then v spans it: a row of R on
-    # top of A[R] makes a square matrix with a repeated row, det 0 = r.v.
     recession = LinearSystem(sys.elements, tuple(Row(c, 0, kind) for c, _, kind in work))
     edges = set()
     for idxs in itertools.combinations(range(len(work)), n - 1):
-        v = [(-1) ** j * minors[idxs][cols[:j] + cols[j + 1:]] for j in cols]
-        if any(v):
-            g = gcd(*v)
-            edges.update((tuple(e // g for e in v), tuple(-e // g for e in v)))
+        basis = ratlin.null_space([work[i][0] for i in idxs], n)
+        if len(basis) == 1:
+            edges.update((basis[0], tuple(-v for v in basis[0])))
     rays = sorted(d for d in edges if recession.contains(d))
 
     sys._basic = (vertices, rays, lineality)
@@ -670,6 +665,7 @@ def probe_box_integer(sys: LinearSystem, win: Window):
                         xd[j] = xr[0] + ratlin.dot(xr[1:], vals)
                     if any(xd[j] % d for j in free):
                         return (False, tuple(Fraction(v, d) for v in xd))
+        minors.drop(n - k)  # later levels read only smaller row tuples
     return (True, None)
 
 

@@ -93,6 +93,13 @@ class Minors(dict):
             dets[cols] = det
         return dets
 
+    def drop(self, size: int) -> None:
+        """Forget the minors on row tuples of this size, for a scan that
+        reads no more of them; those of smaller tuples stay."""
+        for rows in [r for r in self if len(r) == size]:
+            del self[rows]
+        self.expand.pop(size, None)
+
 
 def null_space(rows: Sequence[Sequence[int]], ncols: int) -> List[Tuple[int, ...]]:
     """Integer basis of {x: rows @ x = 0}: one primitive vector per free

@@ -224,6 +224,21 @@ class TestMinimizeCommands:
         rep = json.loads(p.stdout)["report"]
         assert rep["primal_value"] == rep["dual_value"] == 2
 
+    @pytest.mark.parametrize("elements, needle", [
+        ("ab", "a list of strings"),
+        (["a", "a"], "distinct"),
+        ([1, 2], "a list of strings"),
+    ], ids=["string", "repeated", "integers"])
+    @pytest.mark.parametrize("command", ["mconvex", "m2"])
+    def test_bad_elements_are_invalid(self, command, elements, needle):
+        # Both commands read p through SupermodularFn, so both reject the
+        # names that LinearSystem rejects.
+        p1 = {**fixtures.p2().to_json(), "elements": elements}
+        inst = p1 if command == "mconvex" else {"p1": p1, "p2": fixtures.p2b().to_json()}
+        p = run_cli(["minimize", command, "--instance", json.dumps(inst), "--phi", json.dumps(SQ2)])
+        assert (p.returncode, p.stdout) == (cli.EXIT_INVALID, "")
+        assert needle in p.stderr
+
     def test_flow(self):
         p = run_cli([
             "minimize", "flow",

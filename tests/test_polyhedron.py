@@ -182,6 +182,21 @@ class TestLpMin:
         assert lp_min(sys, (1, 0))[0] is MINUS_INF
         assert lp_min(sys, (1, -1))[0] == 0
 
+    def test_simplex_in_20_dimensions(self):
+        # 21 rows in 20 variables: 21 vertex bases and 210 edge bases, each
+        # eliminated once.  A table of every minor of the rows would hold
+        # some 8e7 entries here and die of MemoryError under the cap.
+        p = run_under_memory_limit(
+            "from dctk.polyhedron import EQ, GEQ, LinearSystem, Row, lp_min, tangent_cone\n"
+            "n = 20\n"
+            "rows = [Row(tuple(int(i == j) for j in range(n)), 0, GEQ) for i in range(n)]\n"
+            "sys = LinearSystem([f'x{i}' for i in range(n)], rows + [Row((1,) * n, 3, EQ)])\n"
+            "val, arg = lp_min(sys, range(1, n + 1))\n"
+            "cone = tangent_cone(sys, (3,) + (0,) * (n - 1))\n"
+            "print(val, *arg, len(cone.rays))"
+        )
+        assert (p.returncode, p.stdout) == (0, "3 3" + " 0" * 19 + " 19\n"), p.stderr
+
     def test_below_integer_points(self):
         for w in itertools.product(range(-3, 4), repeat=2):
             val, _ = lp_min(P2SYS, w)

@@ -141,3 +141,14 @@ def test_minors_of_a_permutation():
     assert table[0, 1, 2][0, 1, 2] == -1
     assert table[0, 1][0, 1] == -1 and table[0, 1][0, 2] == 0
     assert table[()][()] == 1
+
+
+def test_minors_drop_forgets_one_size():
+    a = _matrix(random.Random(7), 4, 3, 5)
+    table = Minors(a, 3)
+    full = {rows: dict(table[rows]) for rows in itertools.combinations(range(4), 3)}
+    table.drop(3)
+    assert all(len(rows) < 3 for rows in table)
+    assert any(len(rows) == 2 for rows in table)
+    # A later read of the dropped size computes the same minors again.
+    assert {rows: table[rows] for rows in full} == full
