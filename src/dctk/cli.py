@@ -201,7 +201,6 @@ def _cmd_minimize_boxtdi(args) -> Outcome:
     lo, hi = _parse_range(args.window)
     win = polyhedron.Window.uniform(sys_.n, lo, hi)
     primal = polyhedron.minimize_bruteforce(sys_, Phi, win)
-    dual = polyhedron.dual_search_bruteforce(sys_, Phi, args.y_bound)
     if not is_finite(primal.primal_value):
         # Only an exact LP with no vertex proves the system empty.
         if polyhedron.lp_min(sys_, (0,) * sys_.n)[0] is PLUS_INF:
@@ -209,6 +208,9 @@ def _cmd_minimize_boxtdi(args) -> Outcome:
         detail = "no integer point in the window, but the system is not empty"
         payload = {"status": "INCONCLUSIVE", "window": win.to_json(), "detail": detail}
         return payload, EXIT_INCONCLUSIVE
+    # The dual is read at the primal witness, passed by position: perfbench's
+    # tracer hands keyword arguments on to its y-box counter, which takes no z.
+    dual = polyhedron.dual_search_bruteforce(sys_, Phi, args.y_bound, primal.primal_witness)
     equal = primal.primal_value == dual.dual_value
     report = polyhedron.MinMaxReport(
         primal_value=primal.primal_value,

@@ -9,7 +9,10 @@ machinery, and the slope-based dual certificate with its verifier.
 The descent and the certificate both read the dependence function
 (:func:`dependence`): one scan of the z-tight sets decides every
 exchange of a step, so neither calls :func:`member`, which serves
-verification and the M2 intersection.
+verification and the M2 intersection.  The M2 weight splitting reads it
+too: a split worth Phi at the common base z* asks w_k[t] >= w_k[s] for t
+in dep_k[s], so it is the first point of one small system, and the grid
+of splits is scanned only when that system is empty.
 
 Two kernels serve every 2^n scan of a mask table.  The input check
 (:meth:`SupermodularFn._check_supermodular`, run for n <= CHECKED_GROUND)
@@ -31,7 +34,7 @@ import heapq
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .conjugate import SeparableConvex, conjugate_eval
 from .errors import CriteriaViolated, EmptyIntersection, Inconclusive, IterationLimit, Unbounded
@@ -45,6 +48,7 @@ from .polyhedron import (
     Window,
     check_elements,
     enumerate_integer_points,
+    fitting_points,
 )
 
 MAX_GROUND = 20
@@ -400,8 +404,15 @@ def m2_minimize_and_split(
     For z* a common base (the primal witness, if any), a split is worth
     -g1(w1) - g2(w2) - h(w1 + w2), with g_i(w) = w.z* - phat_i(w) >= 0 and
     h(s) = conj(Phi)(s) - s.z* (h + Phi(z*) >= 0 is the Fenchel-Young
-    gap).  The sums s run by increasing h, each with w1 by increasing g1,
-    until -h - g1 is below the best value; ties go to the lowest grid
+    gap).  So a split is worth at most Phi(z*), and reaches it exactly
+    when z* minimizes w1 over the bases of p1 and w2 over those of p2
+    (w_k[t] >= w_k[s] for t in dep_k[s], :func:`dependence`) and w1 + w2
+    fits z* (Murota's weight splitting, Discrete Convex Analysis, ch. 8).
+    The first such (w1, w2) in lex order (:func:`_split_certificate`)
+    is the answer, when there is one.
+
+    Otherwise the sums s run by increasing h, each with w1 by increasing
+    g1, until -h - g1 is below the best value; ties go to the lowest grid
     indices, so value and witness are those of the lex-order grid scan.
     """
     if p1.n != p2.n:
@@ -422,8 +433,51 @@ def m2_minimize_and_split(
         v = Phi.value(z)
         if v < best_p:
             best_p, arg_p = v, z
-    z_star = common[0] if arg_p is None else arg_p
+    arg_d = None if arg_p is None else _split_certificate(p1, p2, Phi, arg_p, w_bound)
+    if arg_d is not None:
+        best_d = best_p
+    else:
+        best_d, arg_d = _split_search(p1, p2, Phi, common[0] if arg_p is None else arg_p, w_bound)
+    return MinMaxReport(
+        primal_value=best_p,
+        dual_value=best_d,
+        primal_witness=arg_p,
+        dual_witness=arg_d,
+        equality=(best_p == best_d),
+        support_size=0 if arg_d is None else sum(
+            1 for v in arg_d[0] + arg_d[1] if v != 0
+        ),
+        bounds_used={"w_bound": w_bound},
+    )
 
+
+def _split_certificate(
+    p1: SupermodularFn, p2: SupermodularFn, Phi: SeparableConvex, z_star: Tuple[int, ...], w_bound: int
+) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """The lex-first split (w1, w2) in the window worth Phi(z*), or None:
+    an exchange row w_k[t] - w_k[s] >= 0 per side k and t != s in dep_k[s],
+    and the fitting rows on w1 + w2, over the unknowns (w1, w2)."""
+    n = p1.n
+    rows = []
+    for k, p in enumerate((p1, p2)):
+        for s, dep in enumerate(dependence(p, z_star)):
+            for t in range(n):
+                if t != s and dep >> t & 1:
+                    c = [0] * (2 * n)
+                    c[k * n + t], c[k * n + s] = 1, -1
+                    rows.append(Row(tuple(c), 0, GEQ))
+    cols = [tuple(int(i % n == j) for i in range(2 * n)) for j in range(n)]
+    win = Window.uniform(2 * n, -w_bound, w_bound)
+    first = next(fitting_points(Phi, z_star, cols, win, rows), None)
+    return None if first is None else (first[:n], first[n:])
+
+
+def _split_search(
+    p1: SupermodularFn, p2: SupermodularFn, Phi: SeparableConvex, z_star: Tuple[int, ...], w_bound: int
+) -> Tuple[ExtInt, Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]]:
+    """(value, (w1, w2)) of the best split in the window, by the pruned
+    grid scan described in :func:`m2_minimize_and_split`."""
+    n = p1.n
     # w is coded as sum_j w_j * base**j; every entry of s - w1 lies in
     # [-3*bound, 3*bound], a balanced digit for base 6*bound + 1, so the
     # code of s less the code of w1 is the code of w2 = s - w1.
@@ -475,14 +529,4 @@ def m2_minimize_and_split(
                 val = e1 + e2 - c
                 if val > best_d or (val == best_d and (i1, i2) < first):
                     best_d, arg_d, first = val, (w1, w2), (i1, i2)
-    return MinMaxReport(
-        primal_value=best_p,
-        dual_value=best_d,
-        primal_witness=arg_p,
-        dual_witness=arg_d,
-        equality=(best_p == best_d),
-        support_size=0 if arg_d is None else sum(
-            1 for v in arg_d[0] + arg_d[1] if v != 0
-        ),
-        bounds_used={"w_bound": w_bound},
-    )
+    return best_d, arg_d

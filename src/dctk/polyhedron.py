@@ -7,6 +7,12 @@ their normal cones as systems, dual searches for the separable-convex
 min-max formulas, the disjoint-pair feasibility test, dilations, and a
 box-integrality probe.  Arithmetic is exact; witnesses are lex-least.
 
+The dual searches first read their answer at a primal point z: the
+duals worth Phi(z), the most weak duality allows, are the integer
+points of one small system (complementary slackness or the normal cone
+at z, and the fitting box of z), whose lex-first point is the scan's
+first maximizer.  The windowed scans run only when that system is empty.
+
 The box probe reads each basis's minor from one :class:`ratlin.Minors`
 table before it eliminates: a basis with minor 0 is singular and one
 with minor +-1 gives only integral points, so neither is eliminated.
@@ -466,27 +472,78 @@ def _bound_point(sys: LinearSystem, Phi: SeparableConvex) -> Optional[Tuple[int,
     return z if z is not None and is_finite(Phi.value(z)) else None
 
 
+def fitting_points(
+    Phi: SeparableConvex,
+    z: Sequence[int],
+    cols: Sequence[Tuple[int, ...]],
+    win: Window,
+    rows: Sequence[Row] = (),
+) -> Iterator[Tuple[int, ...]]:
+    """The integral u in the window that meet the rows and make w fit z,
+    Phi'(z-1) <= w <= Phi'(z), where w_j = cols[j].u: lazily, in lex
+    order, by :func:`enumerate_integer_points`.  An infinite slope gives
+    no row."""
+    rows = list(rows)
+    for c, lo, hi in zip(cols, Phi.prime_minus(z), Phi.prime(z)):
+        if is_finite(lo):
+            rows.append(Row(c, lo, GEQ))
+        if is_finite(hi):
+            rows.append(Row(tuple(-v for v in c), -hi, GEQ))
+    k = len(win.lo)
+    unknowns = LinearSystem(tuple(f"u{i}" for i in range(k)), tuple(rows) or (Row((0,) * k, 0, GEQ),))
+    return enumerate_integer_points(unknowns, win)
+
+
 def dual_search_bruteforce(
-    sys: LinearSystem, Phi: SeparableConvex, y_bound: int = 6
+    sys: LinearSystem,
+    Phi: SeparableConvex,
+    y_bound: int = 6,
+    z: Optional[Sequence[int]] = None,
 ) -> MinMaxReport:
     """max y.p - conj(Phi)(yQ) over sign-feasible integer y, |y| <= bound.
 
-    y runs depth-first in lex order.  For z the bound point, y is worth
-    Phi(z) - sum_i y_i slack_i(z) - h(yQ), with h(w) = conj(Phi)(w) - w.z
-    + Phi(z) >= 0 (Fenchel-Young) and y_i slack_i(z) >= 0: Phi(z) less the
-    prefix's slack terms bounds each completion and falls as a multiplier
-    rises, so a row's loop stops once it is below the best value.  The
-    last row's value is concave in its multiplier; that loop also stops
-    once the value is below the best and falling, or +inf after finite.
-    Pruning is strict: value, first witness and support_within_2n are
-    those of the full scan.
+    z is a point of the system with Phi(z) finite (a primal witness), by
+    default the bound point.  Every y is worth at most Phi(z), and those
+    worth Phi(z) are the y with y_i = 0 where slack_i(z) > 0 and yQ in
+    the fitting box of z (:func:`fitting_points`).  The first of them in
+    lex order is the first maximizer of the scan below, so when there is
+    one it is the answer, and support_within_2n reads on along the same
+    points for one with support <= 2n.
+
+    Otherwise (no z, or no y reaches Phi(z)) y runs depth-first in lex
+    order.  y is worth Phi(z) - sum_i y_i slack_i(z) - h(yQ), with h(w) =
+    conj(Phi)(w) - w.z + Phi(z) >= 0 (Fenchel-Young) and y_i slack_i(z) >=
+    0: Phi(z) less the prefix's slack terms bounds each completion and
+    falls as a multiplier rises, so a row's loop stops once it is below
+    the best value.  The last row's value is concave in its multiplier;
+    that loop also stops once the value is below the best and falling,
+    or +inf after finite.  Pruning is strict: value, first witness and
+    support_within_2n are those of the full scan.
     """
     if y_bound < 0:
         raise ValueError(f"y_bound must be >= 0, got {y_bound}")
-    conj = conjugate_table(Phi)
     rows = sys.rows
-    z = _bound_point(sys, Phi)
+    if z is None:
+        z = _bound_point(sys, Phi)
+    elif not (sys.contains(z) and is_finite(Phi.value(z))):
+        raise ValueError(f"z={tuple(z)} is not a point of the system with finite Phi")
     slack = [0 if z is None else r.slack(z) for r in rows]
+    if z is not None:
+        lo = tuple(0 if s or r.kind == GEQ else -y_bound for r, s in zip(rows, slack))
+        hi = tuple(0 if s else y_bound for s in slack)
+        cols = [tuple(r.coeffs[j] for r in rows) for j in range(sys.n)]
+        certificates = fitting_points(Phi, z, cols, Window(lo, hi))
+        first = next(certificates, None)
+        if first is not None:
+            y = DualVector(first)
+            small = any(sum(1 for v in u if v) <= 2 * sys.n for u in itertools.chain((first,), certificates))
+            return MinMaxReport(
+                dual_value=Phi.value(z),
+                dual_witness=y,
+                support_size=y.support(),
+                bounds_used={"y_bound": y_bound, "support_within_2n": small},
+            )
+    conj = conjugate_table(Phi)
     best: ExtInt = MINUS_INF
     arg: Optional[Tuple[int, ...]] = None
     support_ok = False
@@ -533,11 +590,22 @@ def dual_search_bruteforce(
 def mu_form_dual_search(
     sys: LinearSystem, Phi: SeparableConvex, w_window: Window
 ) -> MinMaxReport:
-    """max mu_R(w) - conj(Phi)(w) over integral w in the window.  A w
-    whose bound w.z - conj(Phi)(w) (mu_R(w) <= w.z for the bound point z)
-    is below the best value is skipped without its exact LP."""
-    conj = conjugate_table(Phi)
+    """max mu_R(w) - conj(Phi)(w) over integral w in the window.
+
+    For z the bound point, every w is worth at most Phi(z), and those
+    worth Phi(z) are the w in the normal cone at z (mu_R(w) = w.z) and in
+    its fitting box: :func:`find_weight_in_box` with the box
+    Phi'(z-1) <= w <= Phi'(z).  Its first w in lex order is the scan's
+    first maximizer, found with no exact LP.  Otherwise every w is
+    scanned, and one whose bound w.z - conj(Phi)(w) is below the best
+    value is skipped without its exact LP."""
     z = _bound_point(sys, Phi)
+    if z is not None:
+        w = find_weight_in_box(sys, z, Phi.prime_minus(z), Phi.prime(z), w_window)
+        if w is not None:
+            return MinMaxReport(dual_value=Phi.value(z), dual_witness=w,
+                                bounds_used={"w_window": w_window.to_json()})
+    conj = conjugate_table(Phi)
     best = None
     arg = None
     for w in w_window.points():

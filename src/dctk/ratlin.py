@@ -12,12 +12,9 @@ determinants, each from the minors one size smaller, computed once.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
-
-Vec = Tuple[Fraction, ...]
 
 
 def solve_int(
@@ -120,18 +117,6 @@ def null_space(rows: Sequence[Sequence[int]], ncols: int) -> List[Tuple[int, ...
         g = gcd(*v)
         basis.append(tuple(e // g for e in v))
     return basis
-
-
-def solve_unique(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Optional[Vec]:
-    """Solve a square (or overdetermined-consistent) system with a unique
-    solution; None if singular or inconsistent."""
-    if not rows:
-        return None
-    sol = solve_int(rows, [[v] for v in rhs])
-    if sol is None:
-        return None
-    d, x = sol
-    return tuple(Fraction(xr[0], d) for xr in x)
 
 
 def dot(a: Sequence, b: Sequence):

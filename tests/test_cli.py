@@ -346,6 +346,23 @@ class TestMinimizeCommands:
         ])
         assert (p.returncode, p.stdout) == (code, stdout)
 
+    def test_boxtdi_empty_window_searches_no_dual(self, monkeypatch):
+        # No integer point in the window: the answer needs no dual, so
+        # no conjugate table is built.
+        tables = []
+        table = polyhedron.conjugate_table
+        monkeypatch.setattr(polyhedron, "conjugate_table", lambda Phi: tables.append(Phi) or table(Phi))
+        system = {"elements": ["e1", "e2"], "rows": [
+            {"coeffs": [1, 0], "rhs": 10, "kind": "geq"}, {"coeffs": [0, 1], "rhs": 10, "kind": "geq"}]}
+        p = run_cli([
+            "minimize", "boxtdi", "--instance", json.dumps(system),
+            "--phi", json.dumps(SQ2), "--window", "0..3", "--y-bound", "12",
+        ])
+        assert (p.returncode, p.stdout) == (cli.EXIT_INCONCLUSIVE, (
+            '{"detail":"no integer point in the window, but the system is not empty",'
+            '"status":"INCONCLUSIVE","window":{"hi":[3,3],"lo":[0,0]}}\n'))
+        assert tables == []
+
     def test_mconvex_budget_exhausted_is_inconclusive(self):
         # z1 + z2 = 0 with z >= -30000: the optimum (0, 0) lies further
         # from the greedy start than the descent budget reaches.

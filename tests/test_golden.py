@@ -21,8 +21,20 @@ integer systems in -2..2 (many have fractional witnesses), each at the
 dilations k = 1-3, and on 2*s3 in the unit cube.  A change to the probe's
 basis scan or value scan that moves a witness or a status shows here.
 
+`tests/data/dual_golden.json` holds `minimize boxtdi` runs on seeded base
+systems, flow embeddings, random integer systems and s3 in their
+vertex-hull windows (padded by one), and `minimize m2` runs on seeded
+pairs whose base sets meet, with square sums, mixed objectives (large
+slopes, finite domains) and, for boxtdi, large-slope ones, at several
+dual bounds.  It was written while both duals were still found by
+windowed scans.  Some answers are certified (exit 0), some are
+INCONCLUSIVE (exit 6: a bound too small, a system that is not box-TDI,
+or a window with no integer point), so a change to how the integer dual
+or the weight splitting is found that moves a value, a witness or a
+status shows here.
+
 Regenerate (only when a change of output is intended and recorded):
-    PYTHONPATH=src python tests/test_golden.py [mconvex|probe]
+    PYTHONPATH=src python tests/test_golden.py [mconvex|probe|dual]
 """
 
 from __future__ import annotations
@@ -41,17 +53,24 @@ from dctk import cli, conjugate as cj
 from dctk.errors import DctkError
 from dctk.extint import MINUS_INF, is_finite
 from dctk.fixtures import random_supermodular, s3_system
-from dctk.mconvex import SupermodularFn, greedy_min, minimize_separable, to_system
-from dctk.polyhedron import dilation, vertex_hull_window
+from dctk.mconvex import SupermodularFn, enumerate_bases, greedy_min, member, minimize_separable, to_system
+from dctk.polyhedron import dilation, enumerate_integer_points, vertex_hull_window
 
-from helpers import random_flow_embedding, random_integer_system
+from helpers import (
+    large_slope_objective,
+    random_flow_embedding,
+    random_integer_system,
+    random_search_objective,
+)
 
 DIR = pathlib.Path(__file__).resolve().parent / "data"
 DATA = DIR / "mconvex_golden.json"
 PROBE_DATA = DIR / "probe_golden.json"
+DUAL_DATA = DIR / "dual_golden.json"
 SEED = 20201
 COUNT = 20
 PROBE_SEED = 20212
+DUAL_SEED = 20213
 
 
 def capture(argv):
@@ -153,7 +172,57 @@ def build_probe_ops(seed=PROBE_SEED):
     return ops
 
 
-GOLDEN = {"mconvex": (DATA, build_ops), "probe": (PROBE_DATA, build_probe_ops)}
+def build_dual_ops(seed=DUAL_SEED):
+    """The argv lists: `minimize boxtdi` on six base systems (n = 2-3),
+    four flow embeddings, four random integer systems with an integer
+    point in their window and s3, each with a square sum, a mixed
+    objective and a large-slope one, at a y bound of 0 or 1 for the
+    mixed one and else the largest of 6, 3, 2, 1 whose y box has at most
+    4000 vectors; then `minimize m2` on ten pairs (n = 2-3), each with a
+    square sum, a weighted square sum and a mixed objective, at a weight
+    bound of 0 to 3."""
+    rng = random.Random(seed)
+    systems = [to_system(random_supermodular(rng, rng.randint(2, 3), value_bound=2))
+               for _ in range(6)]
+    systems += [random_flow_embedding(rng) for _ in range(4)]
+    while len(systems) < 14:
+        system = random_integer_system(rng)
+        with contextlib.suppress(ValueError):  # no vertex: infeasible
+            if next(enumerate_integer_points(system, vertex_hull_window(system, 1)), None):
+                systems.append(system)
+    systems.append(s3_system())
+    ops = []
+    for system in systems:
+        win = vertex_hull_window(system, 1)
+        big = next(y for y in (6, 3, 2, 1) if (y + 1) ** len(system.rows) <= 4000)
+        objectives = (cj.square_sum(system.elements), random_search_objective(rng, system.elements),
+                      large_slope_objective(rng, system.elements))
+        for Phi, y_bound in zip(objectives, (big, rng.randint(0, 1), big)):
+            ops.append(["minimize", "boxtdi", "--instance", _dumps(system.to_json()),
+                        "--phi", _dumps(cj.separable_to_json(Phi)),
+                        f"--window={min(win.lo)}..{max(win.hi)}", "--y-bound", str(y_bound)])
+    pairs = 0
+    while pairs < 10:
+        n = rng.randint(2, 3)
+        p1, p2 = (random_supermodular(rng, n, value_bound=2) for _ in range(2))
+        if not any(member(p2, z) for z in enumerate_bases(p1)):
+            continue
+        pairs += 1
+        inst = _dumps({"p1": p1.to_json(), "p2": p2.to_json()})
+        weights = [rng.randint(1, 3) for _ in range(n)]
+        objectives = (cj.square_sum(p1.elements), cj.square_sum(p1.elements, weights),
+                      random_search_objective(rng, p1.elements))
+        for Phi, w_bound in zip(objectives, (rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 3))):
+            ops.append(["minimize", "m2", "--instance", inst,
+                        "--phi", _dumps(cj.separable_to_json(Phi)), "--w-window", str(w_bound)])
+    return ops
+
+
+GOLDEN = {
+    "mconvex": (DATA, build_ops),
+    "probe": (PROBE_DATA, build_probe_ops),
+    "dual": (DUAL_DATA, build_dual_ops),
+}
 
 
 def _cases(path):
@@ -172,6 +241,13 @@ def test_probe_corpus_has_both_verdicts():
     assert codes.count(0) >= 20 and codes.count(5) >= 10, codes
 
 
+def test_dual_corpus_has_both_verdicts():
+    cases = _cases(DUAL_DATA)
+    for subject in ("boxtdi", "m2"):
+        codes = [c["exit"] for c in cases if c["argv"][1] == subject]
+        assert codes.count(0) >= 5 and codes.count(6) >= 5, (subject, codes)
+
+
 @pytest.mark.parametrize("case", _cases(DATA), ids=lambda c: " ".join(c["argv"][:2]))
 def test_output_is_unchanged(case):
     assert capture(case["argv"]) == (case["stdout"], case["exit"])
@@ -179,6 +255,11 @@ def test_output_is_unchanged(case):
 
 @pytest.mark.parametrize("case", _cases(PROBE_DATA), ids=lambda c: c["argv"][0])
 def test_probe_output_is_unchanged(case):
+    assert capture(case["argv"]) == (case["stdout"], case["exit"])
+
+
+@pytest.mark.parametrize("case", _cases(DUAL_DATA), ids=lambda c: " ".join(c["argv"][:2]))
+def test_dual_output_is_unchanged(case):
     assert capture(case["argv"]) == (case["stdout"], case["exit"])
 
 

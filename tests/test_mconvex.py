@@ -611,21 +611,78 @@ class TestM2MatchesNaiveOracle:
             check_split(p1, p2_, large_slope_objective(rng, p1.elements), 2)
 
 
-def test_split_search_evaluates_few_sums(monkeypatch):
-    # n = 3, weight bound 3: of the 13**3 sums w1 + w2 the search takes
-    # few off its heap before every run is cut off.
-    pops = []
+class TestSplitCertificateMatchesNaiveOracle:
+    """Where a split reaches Phi at the primal witness it is read off the
+    exchange and fitting rows, elsewhere the grid is scanned; either way
+    value and witness are the full grid scan's, and the corpus reaches
+    both branches (one that evaluates no Lovasz extension is the
+    certificate's)."""
 
-    def counting_pop(heap):
-        pops.append(1)
-        return heapq.heappop(heap)
+    def test_random_pairs(self, monkeypatch):
+        scans = []
+        monkeypatch.setattr(mconvex, "lovasz_extension",
+                            lambda p, w: scans.append(p) or lovasz_extension(p, w))
+        rng, pairs = common_pairs(26, 12)
+        branches = collections.Counter()
+        for i, (p1, p2_) in enumerate(pairs):
+            objectives = (square_sum(p1.elements, [rng.randint(1, 3) for _ in range(p1.n)]),
+                          random_search_objective(rng, p1.elements), large_slope_objective(rng, p1.elements))
+            for Phi in objectives:
+                for w_bound in (0, 1, 2) if p1.n == 2 or i % 3 == 0 else (0, 1):
+                    before = len(scans)
+                    rep = m2_minimize_and_split(p1, p2_, Phi, w_bound)
+                    branches["scan" if len(scans) > before else "certificate"] += 1
+                    assert (rep.dual_value, rep.dual_witness) == naive_m2_split(p1, p2_, Phi, w_bound)
+        assert branches["certificate"] >= 10 and branches["scan"] >= 10, branches
 
-    monkeypatch.setattr(mconvex, "heapq", types.SimpleNamespace(heappush=heapq.heappush, heappop=counting_pop))
-    p1, p2_ = (SupermodularFn(3, t) for t in ((0, -1, 1, 1, -1, -1, 0, 1), (0, -1, 1, 1, -2, -2, 0, 1)))
+
+@pytest.fixture
+def split_work(monkeypatch):
+    """Counts of the split scan's heap pops, Lovasz extensions and
+    conjugate evaluations."""
+    work = collections.Counter()
+
+    def counting(name, fn):
+        def count(*args):
+            work[name] += 1
+            return fn(*args)
+
+        return count
+
+    monkeypatch.setattr(mconvex, "heapq", types.SimpleNamespace(
+        heappush=heapq.heappush, heappop=counting("pops", heapq.heappop)))
+    monkeypatch.setattr(mconvex, "lovasz_extension", counting("lovasz", mconvex.lovasz_extension))
+    monkeypatch.setattr(mconvex, "conjugate_eval", counting("conj", mconvex.conjugate_eval))
+    return work
+
+
+# Two base sets on three elements with four common bases.
+P1_N3, P2_N3 = (SupermodularFn(3, t) for t in ((0, -1, 1, 1, -1, -1, 0, 1), (0, -1, 1, 1, -2, -2, 0, 1)))
+
+
+def test_split_search_evaluates_few_sums(split_work):
+    # n = 3, weight bound 3, and an objective whose slopes at the optimum
+    # no split within the bound fits: of the 13**3 sums w1 + w2 the scan
+    # takes few off its heap before every run is cut off.
+    Phi = SeparableConvex((("e1", Shifted(4, Quadratic(2))), ("e2", VShape(1, -4, 2)), ("e3", Quadratic(4))))
+    rep = check_split(P1_N3, P2_N3, Phi, 3)
+    assert (rep.dual_value, rep.primal_value) == (18, 22)
+    assert 0 < split_work["pops"] * 20 <= 13**3
+
+
+def test_split_certificate_evaluates_nothing(split_work):
+    # A split worth Phi at the primal witness is read off the exchange
+    # and fitting rows: no heap, no Lovasz extension, no conjugate.
     Phi = SeparableConvex((("e1", Quadratic(1)), ("e2", VShape(1, -2, 1)), ("e3", Quadratic(2))))
-    rep = check_split(p1, p2_, Phi, 3)
+    rep = m2_minimize_and_split(P1_N3, P2_N3, Phi, 3)
+    assert split_work == {}
     assert rep.dual_value == rep.primal_value == 0
-    assert 0 < len(pops) * 20 <= 13**3
+    assert (rep.dual_value, rep.dual_witness) == naive_m2_split(P1_N3, P2_N3, Phi, 3)
+    # p2, p2b and 5 times the square sum: the best split within bound 1
+    # is worth 4, below the primal 10, so the scan runs.
+    rep = m2_minimize_and_split(P2, P2B, square_sum(P2.elements, (5, 5)), 1)
+    assert (rep.dual_value, rep.primal_value) == (4, 10)
+    assert split_work["pops"] > 0
 
 
 def test_split_rejects_a_negative_bound():

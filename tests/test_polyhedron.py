@@ -15,6 +15,7 @@ from dctk.fixtures import (
     s3_system,
 )
 from dctk.mconvex import base_bounds, enumerate_bases, to_system
+from dctk.netflow import Digraph, square_sum_instance
 from dctk.polyhedron import (
     EQ,
     GEQ,
@@ -39,6 +40,7 @@ from dctk.polyhedron import (
 )
 
 from helpers import (
+    embedding_system,
     frac_basic_data,
     frac_det,
     frac_lp_min,
@@ -616,15 +618,112 @@ class TestSearchesMatchNaiveOracles:
             self.check(sys, large_slope_objective(rng, sys.elements), 1 if small else 2, r=1 if small else 2)
 
 
+def _small_embedding(rng, rows):
+    """A 4-row (two parallel arcs) or 5-row (a two-arc path or star) flow
+    embedding, with the demand of a random flow of 0-3 per arc."""
+    if rows == 4:
+        g = Digraph(("s", "t"), (("s", "t"), ("s", "t")))
+    else:
+        g = Digraph(("u", "v", "w"), rng.choice(((("u", "v"), ("v", "w")), (("u", "v"), ("u", "w")))))
+    m = dict.fromkeys(g.nodes, 0)
+    for t, h in g.arcs:
+        f = rng.randint(0, 3)
+        m[t], m[h] = m[t] - f, m[h] + f
+    return embedding_system(square_sum_instance(g, [m[v] for v in g.nodes]))
+
+
+def _certificate_corpus(seed):
+    """rng and systems: base systems (n = 2-3), 4- and 5-row flow
+    embeddings, P2 and s3."""
+    rng = random.Random(seed)
+    systems = [to_system(random_supermodular(rng, rng.randint(2, 3), value_bound=2)) for _ in range(5)]
+    systems += [_small_embedding(rng, rows) for rows in (4, 4, 4, 5, 5, 5)]
+    return rng, systems + [P2SYS, s3_system()]
+
+
+class TestCertificatesMatchNaiveOracles:
+    """Where a dual reaches Phi at the primal point, the integer dual and
+    the mu-form read it off their optimality systems; elsewhere they scan.
+    Either way they give what the plain scans give, at the bound point,
+    at the windowed minimum and at a feasible point that is not optimal,
+    and the corpus reaches both branches (a branch that builds no
+    conjugate table is the certificate's)."""
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        tables = []
+        table = polyhedron.conjugate_table
+        monkeypatch.setattr(polyhedron, "conjugate_table", lambda Phi: tables.append(Phi) or table(Phi))
+        return tables
+
+    @staticmethod
+    def objectives(rng, elements):
+        return (square_sum(elements), random_search_objective(rng, elements),
+                large_slope_objective(rng, elements))
+
+    def test_integer_dual(self, tables):
+        rng, systems = _certificate_corpus(31)
+        branches = collections.Counter()
+        for sys in systems:
+            win = vertex_hull_window(sys, 1)
+            big = max(y for y in (1, 2, 3) if (2 * y + 1) ** len(sys.rows) <= 4000)
+            for Phi in self.objectives(rng, sys.elements):
+                finite = [z for z in enumerate_integer_points(sys, win) if Phi.value(z) is not PLUS_INF]
+                best = minimize_bruteforce(sys, Phi, win).primal_witness
+                worse = [z for z in finite if Phi.value(z) > Phi.value(best)] if finite else []
+                points = [None] + ([best] if finite else []) + worse[:1]
+                for y_bound in sorted({0, 1, big}):
+                    expected = naive_dual_search(sys, Phi, y_bound)
+                    for z in points:
+                        before = len(tables)
+                        rep = dual_search_bruteforce(sys, Phi, y_bound, z)
+                        branches["scan" if len(tables) > before else "certificate"] += 1
+                        got = (rep.dual_value, rep.dual_witness, rep.support_size, rep.bounds_used)
+                        assert got == expected, (sys, Phi, y_bound, z)
+        assert branches["certificate"] >= 20 and branches["scan"] >= 20, branches
+
+    def test_mu_form(self, tables):
+        rng, systems = _certificate_corpus(32)
+        branches = collections.Counter()
+        for sys in systems:
+            for Phi in self.objectives(rng, sys.elements):
+                for r in (1, 2) if sys.n <= 3 else (1,):
+                    win = Window.uniform(sys.n, -r, r)
+                    before = len(tables)
+                    rep = mu_form_dual_search(sys, Phi, win)
+                    branches["scan" if len(tables) > before else "certificate"] += 1
+                    value, w = naive_mu_form(sys, Phi, win)
+                    assert (rep.dual_value, rep.dual_witness) == (value, w), (sys, Phi, r)
+                    assert type(rep.dual_value) is type(value)
+        assert branches["certificate"] >= 10 and branches["scan"] >= 10, branches
+
+    def test_a_point_outside_the_system_is_refused(self):
+        with pytest.raises(ValueError, match="not a point of the system"):
+            dual_search_bruteforce(P2SYS, SQ, 2, (3, 3))
+        pinned = SeparableConvex(tuple((e, Restricted(1, 1, Quadratic(1))) for e in P2SYS.elements))
+        with pytest.raises(ValueError, match="finite Phi"):
+            dual_search_bruteforce(P2SYS, pinned, 2, (0, 2))
+
+
 def y_dual_value(sys, Phi, y):
     conj = Phi.conjugate(y.times_q(sys))
     return MINUS_INF if conj is PLUS_INF else y.times_p(sys) - conj
 
 
+# The two-arc path u -> v -> w carrying 2 units: five rows, three of them
+# equalities, and the one point (2, 2).
+PATH = LinearSystem(("uv", "vw"), (
+    Row((1, 0), 0, GEQ), Row((0, 1), 0, GEQ),
+    Row((-1, 0), -2, EQ), Row((1, -1), 0, EQ), Row((0, 1), 2, EQ),
+))
+
+
 class TestSearchWork:
-    """On fixed instances the pruned searches evaluate a small share of
-    their boxes: conjugates for the integer dual, exact LPs for the
-    mu-form.  (A counter of the box from the arguments cannot show this.)"""
+    """Where a dual reaches Phi at the primal point, the searches read it
+    off its optimality system and evaluate nothing.  Where none does, the
+    pruned scans evaluate a share of their boxes: conjugates for the
+    integer dual, exact LPs for the mu-form.  (A counter of the box from
+    the arguments cannot show this.)"""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -632,6 +731,7 @@ class TestSearchWork:
         table, lp = polyhedron.conjugate_table, polyhedron.lp_min
 
         def counting_table(Phi):
+            calls["table"] += 1
             conj = table(Phi)
 
             def count(w):
@@ -650,25 +750,35 @@ class TestSearchWork:
 
     @pytest.mark.parametrize("y_bound, share", [(6, 5), (12, 10)])
     def test_integer_dual(self, calls, y_bound, share):
+        # The bound point (0, 2) is not optimal, so no y reaches Phi there.
         rep = dual_search_bruteforce(P2SYS, SQ, y_bound)
         assert rep.dual_value == 2 and rep.dual_witness.y == (0, 0, 1)
         box = (y_bound + 1) ** 2 * (2 * y_bound + 1)
         assert 0 < calls["conj"] * share <= box
 
     def test_integer_dual_on_a_path_embedding(self, calls):
-        # The two-arc path u -> v -> w carrying 2 units: five rows.
-        sys = LinearSystem(("uv", "vw"), (
-            Row((1, 0), 0, GEQ), Row((0, 1), 0, GEQ),
-            Row((-1, 0), -2, EQ), Row((1, -1), 0, EQ), Row((0, 1), 2, EQ),
-        ))
-        rep = dual_search_bruteforce(sys, square_sum(sys.elements), 6)
-        assert rep.dual_value == 8
-        assert 0 < calls["conj"] * 50 <= 7 ** 2 * 13 ** 3
+        # With Phi three times the square sum, a y with yQ in the fitting
+        # box [9, 15]^2 of (2, 2) needs a multiplier above 6: the scan
+        # runs and stops short of Phi = 24.  Three equality rows leave its
+        # gap pruning little to cut.
+        rep = dual_search_bruteforce(PATH, square_sum(PATH.elements, (3, 3)), 6)
+        assert rep.dual_value == 18
+        assert 0 < calls["conj"] * 4 <= 7 ** 2 * 13 ** 3
 
     def test_mu_form(self, calls):
         rep = mu_form_dual_search(P2SYS, SQ, Window.uniform(2, -6, 6))
         assert rep.dual_value == 2 and rep.dual_witness == (1, 1)
         assert 0 < calls["lp"] * 3 <= 2 * 13 ** 2
+
+    def test_certificates_evaluate_nothing(self, calls):
+        rep = dual_search_bruteforce(PATH, square_sum(PATH.elements), 6)
+        assert (rep.dual_value, rep.dual_witness.y) == (8, (0, 0, -6, -3, 0))
+        # At the windowed minimum (1, 1) of P2, not at the bound point.
+        rep = dual_search_bruteforce(P2SYS, SQ, 6, (1, 1))
+        assert (rep.dual_value, rep.dual_witness.y) == (2, (0, 0, 1))
+        mu = mu_form_dual_search(PATH, square_sum(PATH.elements), Window.uniform(2, -6, 6))
+        assert (mu.dual_value, mu.dual_witness) == (8, (3, 3))
+        assert calls == {}
 
 
 class TestWindowHelpers:

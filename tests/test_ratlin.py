@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from dctk.ratlin import Minors, null_space, solve_int, solve_unique
+from dctk.ratlin import Minors, null_space, solve_int
 
 from helpers import frac_det, frac_null_space, frac_solve_unique
 
@@ -46,14 +46,19 @@ KINDS = [pytest.param(SMALL, id="small"), pytest.param(LARGE, id="large")]
 
 @pytest.mark.parametrize("systems", KINDS)
 def test_solve_unique_matches_oracle(systems):
+    """One right-hand side: solve_int gives the unique solution, as d and
+    d*x, exactly when the Fraction oracle finds one."""
     unique = 0
     for rows, rhs in systems:
-        got = solve_unique(rows, rhs)
-        assert got == frac_solve_unique(rows, rhs), (rows, rhs)
-        if got is not None:
-            unique += 1
-            assert type(got) is tuple
-            assert all(type(v) is Fraction for v in got)
+        sol = solve_int(rows, [[v] for v in rhs])
+        expected = frac_solve_unique(rows, rhs)
+        if sol is None:
+            assert expected is None, (rows, rhs)
+            continue
+        unique += 1
+        d, x = sol
+        assert type(d) is int and d > 0 and all(type(xr[0]) is int for xr in x)
+        assert tuple(Fraction(xr[0], d) for xr in x) == expected, (rows, rhs)
     # The corpus holds both outcomes in quantity.
     assert 50 <= unique <= len(systems) - 50
 
@@ -92,7 +97,6 @@ def test_solve_int_scales_every_column(systems):
 
 
 def test_no_rows():
-    assert solve_unique([], []) is None
     assert null_space([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert solve_int([], []) == (1, [])
 
