@@ -33,8 +33,19 @@ or a window with no integer point), so a change to how the integer dual
 or the weight splitting is found that moves a value, a witness or a
 status shows here.
 
+`tests/data/conjugate_golden.json` holds, for every form (tables,
+quadratics, V-shapes, flat bottoms, tilts, shifts, restrictions and sums,
+bare and nested, some with slopes up to 10**6), the stdout, stderr and
+exit code of `conjugate` with and without `--closed` at slopes ell at
+each finite limit slope of the form and one either side of it, at the
+first and last slopes of a finite domain, and up to 10**9 in size; and
+`inverse.default_z_window` of the form as a one-element deviation.  It
+was written while the conjugate was found by a slope search bracketed
+by per-shape tails, so a change to how the argmax or the slope range is
+found that moves a value, a refusal or a window shows here.
+
 Regenerate (only when a change of output is intended and recorded):
-    PYTHONPATH=src python tests/test_golden.py [mconvex|probe|dual]
+    PYTHONPATH=src python tests/test_golden.py [mconvex|probe|dual|conjugate]
 """
 
 from __future__ import annotations
@@ -51,15 +62,18 @@ import pytest
 
 from dctk import cli, conjugate as cj
 from dctk.errors import DctkError
-from dctk.extint import MINUS_INF, is_finite
+from dctk.extint import MINUS_INF, PLUS_INF, is_finite
+from dctk.inverse import default_z_window
 from dctk.fixtures import random_supermodular, s3_system
 from dctk.mconvex import SupermodularFn, enumerate_bases, greedy_min, member, minimize_separable, to_system
 from dctk.polyhedron import dilation, enumerate_integer_points, vertex_hull_window
 
 from helpers import (
     large_slope_objective,
+    random_convex_table,
     random_flow_embedding,
     random_integer_system,
+    random_large_slope_form,
     random_search_objective,
 )
 
@@ -67,18 +81,26 @@ DIR = pathlib.Path(__file__).resolve().parent / "data"
 DATA = DIR / "mconvex_golden.json"
 PROBE_DATA = DIR / "probe_golden.json"
 DUAL_DATA = DIR / "dual_golden.json"
+CONJUGATE_DATA = DIR / "conjugate_golden.json"
 SEED = 20201
 COUNT = 20
 PROBE_SEED = 20212
 DUAL_SEED = 20213
+CONJUGATE_SEED = 20214
+
+
+def capture_all(argv):
+    """(stdout, stderr, exit code) of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return out.getvalue(), err.getvalue(), code
 
 
 def capture(argv):
     """(stdout, exit code) of one in-process CLI run."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.run(argv)
-    return out.getvalue(), code
+    stdout, _, code = capture_all(argv)
+    return stdout, code
 
 
 def _table(rng, n, kind):
@@ -218,10 +240,116 @@ def build_dual_ops(seed=DUAL_SEED):
     return ops
 
 
+def conjugate_forms(seed=CONJUGATE_SEED):
+    """Every form, bare and nested: unbounded and one-sided domains,
+    constant tails on either side (where a sum's slope search must stop
+    at a slope equal to its limit), slopes up to 10**6, tilts, shifts and
+    restrictions over tables and sums, and empty domains."""
+    rng = random.Random(seed)
+    V, F, Q = cj.VShape, cj.FlatBottom, cj.Quadratic
+    big = 10**6
+    ramp = cj.SumOf((F(1, PLUS_INF, -1, 0), F(2, PLUS_INF, -1, 0)))
+    vsum = cj.SumOf((V(0, -1, 1), V(3, -2, 2)))
+    qsum = cj.SumOf((Q(2), V(-1, -big, big)))
+    finite_sum = cj.SumOf((cj.Restricted(-4, 6, Q(1)), V(1, -3, 2)))
+    tables = [random_convex_table(rng) for _ in range(3)]
+    tables.append(cj.Table(-2, (3 * big, big, 0, big // 2, 2 * big)))
+    forms = tables + [
+        Q(1), Q(3), Q(500),
+        V(0, -1, 1), V(2, -3, 5, MINUS_INF, 7), V(-1, -2, 4, -6, PLUS_INF), V(0, -2, 3, -4, 4),
+        V(5, 7, 7), V(10**6, -1, -1), V(0, -big, big), V(-3, -big, 2 * big, -10, PLUS_INF),
+        F(-1, 2, -3, 4), F(MINUS_INF, 3, -1, 5), F(-4, PLUS_INF, -2, 1),
+        F(MINUS_INF, PLUS_INF, -2, 1), F(0, 0, 0, 0), F(-2, 1, -big, big, -5, 6),
+        F(1, 4, -2, 3, MINUS_INF, 9), F(MINUS_INF, 0, -big, big, MINUS_INF, 3),
+        vsum, ramp, qsum, finite_sum,
+        cj.SumOf((F(MINUS_INF, 0, -1, 1), F(MINUS_INF, 1, -1, 1))),
+        cj.SumOf((V(0, -big, big), V(2, -big, big), Q(1))),
+        cj.LinearPlus(3, Q(1)), cj.LinearPlus(-big, V(4, -2, 2)),
+        cj.LinearPlus(2, F(MINUS_INF, 1, -1, 3)), cj.LinearPlus(-5, tables[0]),
+        cj.LinearPlus(2, vsum), cj.LinearPlus(-1, ramp), cj.LinearPlus(big, qsum),
+        cj.Shifted(4, Q(2)), cj.Shifted(-3, V(0, -1, 2, MINUS_INF, 5)),
+        cj.Shifted(-7, tables[1]), cj.Shifted(5, vsum), cj.Shifted(-2, ramp),
+        cj.Restricted(-200, 200, Q(1)), cj.Restricted(MINUS_INF, 7, V(0, -3, 2)),
+        cj.Restricted(-5, PLUS_INF, cj.LinearPlus(4, Q(2))),
+        cj.Restricted(MINUS_INF, PLUS_INF, F(MINUS_INF, 3, -1, 5)),
+        cj.Restricted(-1, 2, tables[2]), cj.Restricted(5, 6, tables[2]),
+        cj.Restricted(-3, PLUS_INF, vsum), cj.Restricted(MINUS_INF, 1, ramp),
+        cj.Restricted(0, 4, qsum), cj.Restricted(20, 30, finite_sum),
+        cj.SumOf((cj.Restricted(MINUS_INF, 0, V(0, -1, 1)), cj.Restricted(5, PLUS_INF, V(6, -1, 1)))),
+        cj.LinearPlus(1, cj.Restricted(3, 4, cj.SumOf((cj.Restricted(0, 1, Q(1)), Q(1))))),
+        cj.Shifted(-2, cj.LinearPlus(1, cj.SumOf((F(MINUS_INF, 0, -1, 1), F(MINUS_INF, 1, -1, 1))))),
+        cj.LinearPlus(-3, cj.Shifted(2, cj.Restricted(MINUS_INF, 4, vsum))),
+        cj.Shifted(3, cj.LinearPlus(-2, cj.Restricted(-6, PLUS_INF, F(MINUS_INF, 1, -4, 2)))),
+    ]
+    forms += [random_large_slope_form(rng) for _ in range(12)]
+    return forms
+
+
+def _limit_slope(phi, k1, k2):
+    """The slope far out on one side when it is the same at k1 and k2
+    (a constant tail), else None; every kink of the corpus lies inside
+    [-10**6, 10**6]."""
+    s1, s2 = cj.right_derivative(phi, k1), cj.right_derivative(phi, k2)
+    return s1 if s1 == s2 else None
+
+
+def conjugate_ells(phi, rng):
+    """Slopes to evaluate phi's conjugate at: each finite limit slope and
+    the first and last slopes of a finite domain, with one either side;
+    0, +-1, +-10**9 and random ones up to 10**9."""
+    lo, hi = phi.dom()
+    marks = []
+    if lo <= hi:
+        if not is_finite(hi):
+            marks.append(_limit_slope(phi, 10**7, 2 * 10**7))
+        elif lo < hi:
+            marks.append(cj.right_derivative(phi, hi - 1))
+        if not is_finite(lo):
+            marks.append(_limit_slope(phi, -10**7, -2 * 10**7))
+        elif lo < hi:
+            marks.append(cj.right_derivative(phi, lo))
+    ells = {0, 1, -1, 10**9, -10**9, rng.randint(-10**9, 10**9), rng.randint(-10**6, 10**6)}
+    ells |= {s + d for s in marks if s is not None for d in (-1, 0, 1)}
+    return sorted(ells)
+
+
+def conjugate_argv(phi_json, ell, closed):
+    return ["conjugate", "--phi", _dumps(phi_json), f"--ell={ell}", *(["--closed"] if closed else [])]
+
+
+def build_conjugate_cases(seed=CONJUGATE_SEED):
+    """Per form: its `conjugate` runs, open and closed, at each of its
+    slopes, and its default z window as a one-element deviation."""
+    rng = random.Random(seed)
+    cases = []
+    for phi in conjugate_forms(seed):
+        runs = []
+        for ell in conjugate_ells(phi, rng):
+            for closed in (False, True):
+                stdout, stderr, code = capture_all(conjugate_argv(cj.to_json(phi), ell, closed))
+                runs.append({"ell": ell, "closed": closed, "stdout": stdout, "stderr": stderr,
+                             "exit": code})
+        win = default_z_window(cj.SeparableConvex((("e", phi),)))
+        cases.append({"phi": cj.to_json(phi), "runs": runs, "z_window": [win.lo[0], win.hi[0]]})
+    return cases
+
+
+def _record(build):
+    """The cases of an argv-list builder, with what each run printed."""
+    def cases():
+        out = []
+        for argv in build():
+            stdout, code = capture(argv)
+            out.append({"argv": argv, "stdout": stdout, "exit": code})
+        return out
+    return cases
+
+
 GOLDEN = {
-    "mconvex": (DATA, build_ops),
-    "probe": (PROBE_DATA, build_probe_ops),
-    "dual": (DUAL_DATA, build_dual_ops),
+    "mconvex": (DATA, _record(build_ops)),
+    "probe": (PROBE_DATA, _record(build_probe_ops)),
+    "dual": (DUAL_DATA, _record(build_dual_ops)),
+    "conjugate": (CONJUGATE_DATA, build_conjugate_cases),
 }
 
 
@@ -248,6 +376,19 @@ def test_dual_corpus_has_both_verdicts():
         assert codes.count(0) >= 5 and codes.count(6) >= 5, (subject, codes)
 
 
+def test_conjugate_corpus_covers_every_outcome():
+    cases = _cases(CONJUGATE_DATA)
+    runs = [r for c in cases for r in c["runs"]]
+    forms = {c["phi"]["form"] for c in cases}
+    assert forms == {"table", "quadratic", "vshape", "flat_bottom", "linear_plus",
+                     "shifted", "restricted", "sum_of"}
+    assert {r["exit"] for r in runs} == {0, 4}
+    assert sum('"+inf"' in r["stdout"] for r in runs) >= 100
+    assert sum("UnsupportedForm" in r["stderr"] or "no closed-form" in r["stderr"]
+               for r in runs) >= 50
+    assert any("nowhere finite" in r["stderr"] for r in runs)
+
+
 @pytest.mark.parametrize("case", _cases(DATA), ids=lambda c: " ".join(c["argv"][:2]))
 def test_output_is_unchanged(case):
     assert capture(case["argv"]) == (case["stdout"], case["exit"])
@@ -263,13 +404,19 @@ def test_dual_output_is_unchanged(case):
     assert capture(case["argv"]) == (case["stdout"], case["exit"])
 
 
+@pytest.mark.parametrize("case", _cases(CONJUGATE_DATA), ids=lambda c: c["phi"]["form"])
+def test_conjugate_output_is_unchanged(case):
+    for run in case["runs"]:
+        argv = conjugate_argv(case["phi"], run["ell"], run["closed"])
+        assert capture_all(argv) == (run["stdout"], run["stderr"], run["exit"]), argv
+    win = default_z_window(cj.SeparableConvex((("e", cj.from_json(case["phi"])),)))
+    assert [win.lo[0], win.hi[0]] == case["z_window"]
+
+
 if __name__ == "__main__":
     for name in sys.argv[1:] or GOLDEN:
         path, build = GOLDEN[name]
-        cases = []
-        for argv in build():
-            stdout, code = capture(argv)
-            cases.append({"argv": argv, "stdout": stdout, "exit": code})
+        cases = build()
         path.parent.mkdir(exist_ok=True)
         path.write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
         print(f"{len(cases)} cases written to {path}")
