@@ -89,7 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c = leaf(sub, "conjugate", _cmd_conjugate, help="evaluate a discrete conjugate")
     c.add_argument("--phi", required=True)
     c.add_argument("--ell", required=True, type=int)
-    c.add_argument("--closed", action="store_true")
+    c.add_argument("--closed", action="store_true",
+                   help="refuse tables and sums, whose argmax is a search (exit 4)")
 
     m = sub.add_parser("minimize", help="minimize a separable convex function")
     msub = m.add_subparsers(dest="subject", required=True)

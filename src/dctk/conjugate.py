@@ -3,9 +3,9 @@
 A univariate function phi maps Z to Z union {+inf} and satisfies
 phi(k-1) + phi(k+1) >= 2*phi(k) on its (contiguous) effective domain.
 Its discrete conjugate is  conj(phi)(l) = sup_k (k*l - phi(k)),
-computed here two independent ways: a generic monotone-slope search
-(:func:`conjugate_eval`) and per-shape closed formulas
-(:func:`conjugate_closed`).  Both are exact over arbitrary-precision ints.
+attained at a k with phi'(k-1) <= l <= phi'(k).  Each shape gives such
+a k in O(1); tables and sums find it by a search on the monotone slopes.
+Values are exact over arbitrary-precision ints.
 """
 
 from __future__ import annotations
@@ -25,15 +25,16 @@ from .extint import (
     is_finite,
 )
 
-# A "tail" describes the slope sequence phi'(k) on an unbounded side of
-# the domain: (c, K) means the slope equals c for all k <= K (low side)
-# or all k >= K (high side); None means the slopes diverge to -inf/+inf.
-Tail = Optional[Tuple[int, int]]
-
-
 @dataclass(frozen=True)
 class UnivariateConvex:
-    """Base class; subclasses are the concrete constructors."""
+    """Base class; subclasses are the concrete constructors.
+
+    argmax(ell) is a k attaining sup_k (k*ell - phi(k)), or PLUS_INF /
+    MINUS_INF when k*ell - phi(k) grows without bound as k goes that way.
+    slope_range() is the least and greatest slope of phi, MINUS_INF /
+    PLUS_INF past a finite end of the domain or where the slopes
+    diverge: the conjugate is finite exactly on that interval.
+    """
 
     def dom(self) -> Tuple[ExtInt, ExtInt]:
         raise NotImplementedError
@@ -41,10 +42,10 @@ class UnivariateConvex:
     def value(self, k: int) -> ExtInt:
         raise NotImplementedError
 
-    def tail_lo(self) -> Tail:
+    def argmax(self, ell: int) -> ExtInt:
         raise NotImplementedError
 
-    def tail_hi(self) -> Tail:
+    def slope_range(self) -> Tuple[ExtInt, ExtInt]:
         raise NotImplementedError
 
 
@@ -77,10 +78,11 @@ class Table(UnivariateConvex):
             return self.values[i]
         return PLUS_INF
 
-    def tail_lo(self):  # pragma: no cover - domain is always bounded
-        raise AssertionError("Table domain is bounded")
+    def argmax(self, ell: int) -> ExtInt:
+        return _search_argmax(self, ell)
 
-    tail_hi = tail_lo
+    def slope_range(self):
+        return (MINUS_INF, PLUS_INF)
 
 
 @dataclass(frozen=True)
@@ -99,11 +101,11 @@ class Quadratic(UnivariateConvex):
     def value(self, k: int) -> ExtInt:
         return self.a * k * k
 
-    def tail_lo(self):
-        return None
+    def argmax(self, ell: int) -> ExtInt:
+        return (ell + self.a) // (2 * self.a)
 
-    def tail_hi(self):
-        return None
+    def slope_range(self):
+        return (MINUS_INF, PLUS_INF)
 
 
 @dataclass(frozen=True)
@@ -135,11 +137,16 @@ class VShape(UnivariateConvex):
         c = self.c_minus if k <= self.k0 else self.c_plus
         return c * (k - self.k0)
 
-    def tail_lo(self):
-        return (self.c_minus, self.k0 - 1)
+    def argmax(self, ell: int) -> ExtInt:
+        if ell < self.c_minus:
+            return self.A
+        if ell > self.c_plus:
+            return self.B
+        return self.k0
 
-    def tail_hi(self):
-        return (self.c_plus, self.k0)
+    def slope_range(self):
+        return (MINUS_INF if is_finite(self.A) else self.c_minus,
+                PLUS_INF if is_finite(self.B) else self.c_plus)
 
 
 @dataclass(frozen=True)
@@ -171,17 +178,21 @@ class FlatBottom(UnivariateConvex):
             return self.c_minus * (k - self.a)
         return self.c_plus * (k - self.b)
 
-    def tail_lo(self):
-        if is_finite(self.a):
-            return (self.c_minus, self.a - 1)
-        anchor = self.b - 1 if is_finite(self.b) else 0
-        return (0, anchor)
+    def argmax(self, ell: int) -> ExtInt:
+        if ell < self.c_minus:
+            return self.A
+        if ell > self.c_plus:
+            return self.B
+        # On [a, b] the objective is k*ell: a maximizes it for ell < 0, b
+        # for ell > 0, and any point of [a, b] for ell = 0.
+        if ell < 0 or (ell == 0 and is_finite(self.a)):
+            return self.a
+        return self.b if ell > 0 or is_finite(self.b) else 0
 
-    def tail_hi(self):
-        if is_finite(self.b):
-            return (self.c_plus, self.b)
-        anchor = self.a if is_finite(self.a) else 0
-        return (0, anchor)
+    def slope_range(self):
+        lo = MINUS_INF if is_finite(self.A) else self.c_minus if is_finite(self.a) else 0
+        hi = PLUS_INF if is_finite(self.B) else self.c_plus if is_finite(self.b) else 0
+        return (lo, hi)
 
 
 @dataclass(frozen=True)
@@ -197,14 +208,12 @@ class LinearPlus(UnivariateConvex):
     def value(self, k: int) -> ExtInt:
         return self.inner.value(k) + self.c * k
 
-    def _shift_tail(self, t: Tail) -> Tail:
-        return None if t is None else (t[0] + self.c, t[1])
+    def argmax(self, ell: int) -> ExtInt:
+        return self.inner.argmax(ell - self.c)
 
-    def tail_lo(self):
-        return self._shift_tail(self.inner.tail_lo())
-
-    def tail_hi(self):
-        return self._shift_tail(self.inner.tail_hi())
+    def slope_range(self):
+        lo, hi = self.inner.slope_range()
+        return (lo + self.c, hi + self.c)
 
 
 @dataclass(frozen=True)
@@ -221,14 +230,11 @@ class Shifted(UnivariateConvex):
     def value(self, k: int) -> ExtInt:
         return self.inner.value(k - self.k0)
 
-    def _shift_tail(self, t: Tail) -> Tail:
-        return None if t is None else (t[0], t[1] + self.k0)
+    def argmax(self, ell: int) -> ExtInt:
+        return self.inner.argmax(ell) + self.k0
 
-    def tail_lo(self):
-        return self._shift_tail(self.inner.tail_lo())
-
-    def tail_hi(self):
-        return self._shift_tail(self.inner.tail_hi())
+    def slope_range(self):
+        return self.inner.slope_range()
 
 
 @dataclass(frozen=True)
@@ -252,12 +258,15 @@ class Restricted(UnivariateConvex):
             return PLUS_INF
         return self.inner.value(k)
 
-    def tail_lo(self):
-        # Only consulted when dom lo is -inf, hence A is -inf too.
-        return self.inner.tail_lo()
+    def argmax(self, ell: int) -> ExtInt:
+        # k*ell - inner(k) is concave, so its maximum over the interval
+        # sits at the inner argmax clipped to the interval.
+        lo, hi = _nonempty_dom(self)
+        return max(lo, ext_min(self.inner.argmax(ell), hi))
 
-    def tail_hi(self):
-        return self.inner.tail_hi()
+    def slope_range(self):
+        lo, hi = self.inner.slope_range()
+        return (MINUS_INF if is_finite(self.A) else lo, PLUS_INF if is_finite(self.B) else hi)
 
 
 @dataclass(frozen=True)
@@ -282,25 +291,12 @@ class SumOf(UnivariateConvex):
     def value(self, k: int) -> ExtInt:
         return ext_sum(p.value(k) for p in self.parts)
 
-    def tail_lo(self):
-        c, ks = 0, []
-        for p in self.parts:
-            t = p.tail_lo()
-            if t is None:
-                return None
-            c += t[0]
-            ks.append(t[1])
-        return (c, min(ks))
+    def argmax(self, ell: int) -> ExtInt:
+        return _search_argmax(self, ell)
 
-    def tail_hi(self):
-        c, ks = 0, []
-        for p in self.parts:
-            t = p.tail_hi()
-            if t is None:
-                return None
-            c += t[0]
-            ks.append(t[1])
-        return (c, max(ks))
+    def slope_range(self):
+        ranges = [p.slope_range() for p in self.parts]
+        return (ext_sum(lo for lo, _ in ranges), ext_sum(hi for _, hi in ranges))
 
 
 # ---------------------------------------------------------------------------
@@ -330,113 +326,68 @@ def _slope(phi: UnivariateConvex, k: int, lo: ExtInt, hi: ExtInt) -> ExtInt:
     return right_derivative(phi, k)
 
 
-def conjugate_eval(phi: UnivariateConvex, ell: int) -> ExtInt:
-    """sup_k (k*ell - phi(k)) by binary search on the monotone slopes."""
-    value, _ = conjugate_eval_with_argmax(phi, ell)
-    return value
-
-
-def conjugate_eval_with_argmax(
-    phi: UnivariateConvex, ell: int
-) -> Tuple[ExtInt, Optional[int]]:
-    """Like :func:`conjugate_eval` but also reports an attaining k (or None)."""
+def _nonempty_dom(phi: UnivariateConvex) -> Tuple[ExtInt, ExtInt]:
     lo, hi = phi.dom()
     if lo > hi:
         raise DomainError("function is nowhere finite")
+    return lo, hi
 
-    # Upper search bound.
+
+def _search_argmax(phi: UnivariateConvex, ell: int) -> ExtInt:
+    """A k with phi'(k-1) <= ell <= phi'(k), which attains the supremum,
+    for the shapes with no closed form (tables and sums): the least k in
+    a bracket with phi'(k) >= ell, by bisection on the monotone slopes.
+    On an unbounded side the bracket gallops out from 0.  Downwards it
+    stops at a slope below ell or at one equal to the lower limit slope:
+    then ell is that limit, and every k further down attains the same
+    value."""
+    lo, hi = _nonempty_dom(phi)
+    smin, smax = phi.slope_range()
+    if ell > smax:
+        return PLUS_INF
+    if ell < smin:
+        return MINUS_INF
     if is_finite(hi):
-        hi_k = hi
+        b = hi
     else:
-        tail = phi.tail_hi()
-        if tail is None:
-            k = max(0, lo) if is_finite(lo) else 0
-            step = 1
-            while _slope(phi, k, lo, hi) < ell:
-                k += step
-                step *= 2
-            hi_k = k
-        else:
-            c, anchor = tail
-            if ell > c:
-                return (PLUS_INF, None)
-            hi_k = anchor
-
-    # Lower search bound.
+        b, step = (max(0, lo) if is_finite(lo) else 0), 1
+        while _slope(phi, b, lo, hi) < ell:
+            b, step = b + step, 2 * step
     if is_finite(lo):
-        lo_k = lo
+        a = lo
     else:
-        tail = phi.tail_lo()
-        if tail is None:
-            k = min(0, hi_k)
-            step = 1
-            while _slope(phi, k, lo, hi) >= ell:
-                k -= step
-                step *= 2
-            lo_k = k
-        else:
-            c, anchor = tail
-            if ell < c:
-                return (PLUS_INF, None)
-            lo_k = min(anchor, hi_k)
-
-    # Smallest k in [lo_k, hi_k] with phi'(k) >= ell; there the pair
-    # (k, ell) is fitting and the supremum is attained.
-    a, b = lo_k, hi_k
+        # At ell == smin the bracket stops at the first slope equal to it.
+        bar = ell + 1 if ell == smin else ell
+        a, step = min(0, b), 1
+        while _slope(phi, a, lo, hi) >= bar:
+            a, step = a - step, 2 * step
     while a < b:
         mid = (a + b) // 2
         if _slope(phi, mid, lo, hi) >= ell:
             b = mid
         else:
             a = mid + 1
-    k_star = a
-    return (k_star * ell - phi.value(k_star), k_star)
+    return a
 
 
-def conjugate_closed(phi: UnivariateConvex, ell: int) -> ExtInt:
-    """Closed-form conjugate for the shape-specific constructors.
-
-    Each shape gives an attaining k in O(1) (:func:`_closed_argmax`) and
-    the value is k*ell - phi(k).  Raises UnsupportedForm for Table and
-    SumOf (callers fall back to :func:`conjugate_eval`).
-    """
-    k = _closed_argmax(phi, ell)
+def conjugate_eval(phi: UnivariateConvex, ell: int) -> ExtInt:
+    """sup_k (k*ell - phi(k)), the value at phi.argmax(ell)."""
+    k = phi.argmax(ell)
     return k * ell - phi.value(k) if is_finite(k) else PLUS_INF
 
 
-def _closed_argmax(phi: UnivariateConvex, ell: int) -> ExtInt:
-    """A k attaining sup_k (k*ell - phi(k)), or PLUS_INF / MINUS_INF when
-    k*ell - phi(k) grows without bound as k goes that way."""
-    if isinstance(phi, Quadratic):
-        return (ell + phi.a) // (2 * phi.a)
-    if isinstance(phi, VShape):
-        if ell < phi.c_minus:
-            return phi.A
-        if ell > phi.c_plus:
-            return phi.B
-        return phi.k0
-    if isinstance(phi, FlatBottom):
-        if ell < phi.c_minus:
-            return phi.A
-        if ell > phi.c_plus:
-            return phi.B
-        # On [a, b] the objective is k*ell: a maximizes it for ell < 0, b
-        # for ell > 0, and any point of [a, b] for ell = 0.
-        if ell < 0 or (ell == 0 and is_finite(phi.a)):
-            return phi.a
-        return phi.b if ell > 0 or is_finite(phi.b) else 0
-    if isinstance(phi, LinearPlus):
-        return _closed_argmax(phi.inner, ell - phi.c)
-    if isinstance(phi, Shifted):
-        return _closed_argmax(phi.inner, ell) + phi.k0
-    if isinstance(phi, Restricted):
-        # k*ell - inner(k) is concave, so its maximum over the interval
-        # sits at the inner argmax clipped to the interval.
-        lo, hi = phi.dom()
-        if lo > hi:
-            raise DomainError("function is nowhere finite")
-        return max(lo, ext_min(_closed_argmax(phi.inner, ell), hi))
-    raise UnsupportedForm(f"no closed-form conjugate for {type(phi).__name__}")
+def conjugate_closed(phi: UnivariateConvex, ell: int) -> ExtInt:
+    """:func:`conjugate_eval` for the shapes whose argmax is a closed
+    form: raises UnsupportedForm when phi holds a Table or a SumOf."""
+    node = phi
+    while isinstance(node, (LinearPlus, Shifted, Restricted)):
+        if isinstance(node, Restricted):
+            # An empty restriction is an error before what it holds.
+            _nonempty_dom(node)
+        node = node.inner
+    if isinstance(node, (Table, SumOf)):
+        raise UnsupportedForm(f"no closed-form conjugate for {type(node).__name__}")
+    return conjugate_eval(phi, ell)
 
 
 @dataclass(frozen=True)
@@ -477,12 +428,6 @@ class SeparableConvex:
     @property
     def elements(self) -> Tuple[str, ...]:
         return tuple(name for name, _ in self.parts)
-
-    def part(self, name: str) -> UnivariateConvex:
-        for n, p in self.parts:
-            if n == name:
-                return p
-        raise KeyError(name)
 
     def value(self, z: Sequence[int]) -> ExtInt:
         self._check_len(z)

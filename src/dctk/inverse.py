@@ -188,22 +188,7 @@ def default_z_window(deviation: SeparableConvex, fallback: int = 6) -> Window:
     los: List[int] = []
     his: List[int] = []
     for _, phi in deviation.parts:
-        lo, hi = _slope_range(phi)
+        lo, hi = phi.slope_range()
         los.append(lo if is_finite(lo) else -fallback)
         his.append(hi if is_finite(hi) else fallback)
     return Window(tuple(los), tuple(his))
-
-
-def _slope_range(phi: UnivariateConvex) -> Tuple[ExtInt, ExtInt]:
-    lo, hi = phi.dom()
-    if is_finite(lo):
-        smin: ExtInt = MINUS_INF
-    else:
-        t = phi.tail_lo()
-        smin = MINUS_INF if t is None else t[0]
-    if is_finite(hi):
-        smax: ExtInt = PLUS_INF
-    else:
-        t = phi.tail_hi()
-        smax = PLUS_INF if t is None else t[0]
-    return smin, smax

@@ -270,17 +270,15 @@ def _initial_flow(inst: FlowInstance, ends) -> List[int]:
 def _unbounded_cycle(inst: FlowInstance, x: Sequence[int], cycle) -> bool:
     """Whether the negative cycle can take any number of further units at
     the same cost: every step has infinite room and its arc's marginal
-    cost has already reached its constant tail slope."""
+    cost that way already equals the limit slope on that side, where
+    convexity keeps it."""
     for ai, sgn in cycle:
         phi = inst.cost.parts[ai][1]
-        if sgn > 0:
-            tail = None if is_finite(inst.upper[ai]) else phi.tail_hi()
-            if tail is None or x[ai] < tail[1]:
-                return False
-        else:
-            tail = None if is_finite(inst.lower[ai]) else phi.tail_lo()
-            if tail is None or x[ai] - 1 > tail[1]:
-                return False
+        smin, smax = phi.slope_range()
+        bound, limit = (inst.upper[ai], smax) if sgn > 0 else (inst.lower[ai], smin)
+        # The step costs phi'(x) forward and -phi'(x - 1) backward.
+        if is_finite(bound) or sgn * (phi.value(x[ai] + sgn) - phi.value(x[ai])) != limit:
+            return False
     return True
 
 

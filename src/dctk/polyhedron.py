@@ -153,10 +153,6 @@ class Window:
     def to_json(self):
         return {"lo": list(self.lo), "hi": list(self.hi)}
 
-    @classmethod
-    def from_json(cls, obj) -> "Window":
-        return cls(tuple(obj["lo"]), tuple(obj["hi"]))
-
 
 @dataclass(frozen=True)
 class DualVector:

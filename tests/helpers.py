@@ -83,6 +83,15 @@ def brute_conjugate(phi: UnivariateConvex, ell: int, lo: int = -30, hi: int = 30
     return best
 
 
+def brute_conjugate_unbounded(phi: UnivariateConvex, ell: int, radius: int) -> ExtInt:
+    """brute_conjugate over [-radius, radius], or PLUS_INF when a scan of
+    twice that range finds more.  k*ell - phi(k) is concave, so a range
+    that holds its maximizer gives the same value however wide; callers
+    must pick a radius covering the maximizer whenever there is one."""
+    near = brute_conjugate(phi, ell, -radius, radius)
+    return near if near == brute_conjugate(phi, ell, -2 * radius, 2 * radius) else PLUS_INF
+
+
 def random_convex_table(rng: random.Random) -> Table:
     k0 = rng.randint(-8, 4)
     length = rng.randint(1, min(12, 9 - k0))

@@ -278,6 +278,14 @@ class TestMinimizeCommands:
         assert p.returncode == cli.EXIT_UNBOUNDED
         assert json.loads(p.stdout)["status"] == "UNBOUNDED"
 
+    def test_flow_unbounded_with_a_far_kink(self):
+        inst = self.two_way(None)
+        inst["cost"]["a0"]["k0"] = 10**6
+        p = run_cli(["minimize", "flow", "--instance", json.dumps(inst)])
+        assert p.returncode == cli.EXIT_UNBOUNDED
+        assert p.stdout == ('{"detail":"negative cycle of unbounded room and constant cost",'
+                            '"status":"UNBOUNDED"}\n')
+
     def test_flow_budget_exhausted_is_inconclusive(self):
         p = run_cli(["minimize", "flow", "--instance", json.dumps(self.two_way(150000))])
         assert p.returncode == cli.EXIT_INCONCLUSIVE

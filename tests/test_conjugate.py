@@ -1,3 +1,6 @@
+import json
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +18,6 @@ from dctk.conjugate import (
     conjugate_closed,
     conjugate_eval,
     conjugate_table,
-    conjugate_eval_with_argmax,
     from_json,
     is_fitting,
     right_derivative,
@@ -28,10 +30,12 @@ from dctk.extint import MINUS_INF, PLUS_INF, is_finite
 
 from helpers import (
     brute_conjugate,
+    brute_conjugate_unbounded,
     dom_range,
     materialize_table,
     random_convex_table,
     random_large_slope_form,
+    run_under_memory_limit,
     univariate_corpus,
 )
 
@@ -96,12 +100,48 @@ class TestConjugateEval:
         assert conjugate_eval(VShape(3, -1, 1), 0) == 0
 
     def test_argmax_is_attaining(self):
-        for phi in univariate_corpus(40):
-            for ell in range(-5, 6):
-                val, k = conjugate_eval_with_argmax(phi, ell)
-                if is_finite(val):
-                    assert k is not None
-                    assert k * ell - phi.value(k) == val
+        rng = random.Random(5)
+        cases = [(phi, range(-5, 6)) for phi in univariate_corpus(40)]
+        cases += [(random_large_slope_form(rng), [rng.randint(-10**6, 10**6) for _ in range(4)] + [0])
+                  for _ in range(40)]
+        for phi, ells in cases:
+            lo, hi = dom_range(phi)
+            for ell in ells:
+                k = phi.argmax(ell)
+                assert lo <= k <= hi
+                assert k * ell - phi.value(k) == brute_conjugate(phi, ell, lo, hi)
+
+    def test_sum_argmax_at_a_constant_tail_slope(self):
+        # Every k out on a tail of slope ell attains the supremum, so the
+        # search must stop its bracket there; one that does not never
+        # ends, which the child's timeout turns into a failure.
+        V, F = VShape, FlatBottom
+        sums = [
+            (SumOf((V(0, -1, 1), V(3, -2, 2))), -3, 3),
+            (SumOf((F(1, PLUS_INF, -1, 0), F(2, PLUS_INF, -1, 0))), -2, 0),
+            (SumOf((F(MINUS_INF, 0, -1, 1), F(MINUS_INF, 1, -1, 1))), 0, 2),
+            (SumOf((V(5, -10**6, 10**6), V(-7, -3, 1))), -10**6 - 3, 10**6 + 1),
+        ]
+        cases = []
+        for phi, smin, smax in sums:
+            for wrapped, shift in ((phi, 0), (LinearPlus(7, phi), 7), (Shifted(-4, phi), 0),
+                                   (Shifted(2, LinearPlus(-3, phi)), -3)):
+                cases += [(wrapped, smin + shift), (wrapped, smax + shift)]
+        code = (
+            "import json\n"
+            "from dctk.conjugate import conjugate_eval, from_json\n"
+            f"cases = json.loads({json.dumps([[to_json(phi), ell] for phi, ell in cases])!r})\n"
+            "out = [(from_json(phi).argmax(ell), conjugate_eval(from_json(phi), ell))\n"
+            "       for phi, ell in cases]\n"
+            "print(json.dumps([[k, v] if isinstance(v, int) else None for k, v in out]))\n"
+        )
+        child = run_under_memory_limit(code)
+        assert child.returncode == 0, child.stderr
+        for (phi, ell), got in zip(cases, json.loads(child.stdout)):
+            expected = brute_conjugate_unbounded(phi, ell, 100)
+            assert got is not None and is_finite(expected)
+            k, v = got
+            assert v == expected == k * ell - phi.value(k)
 
     def test_unbounded_tails(self):
         # Slope saturates at c on the infinite side.
@@ -140,19 +180,24 @@ class TestConjugateClosed:
         assert conjugate_closed(phi, -10**6) == 200 * 10**6 - 40000
 
     def test_restricted_one_sided(self):
-        for phi in (
+        # Every kink lies in [-7, 7], and the quadratic's argmax for
+        # |ell| <= 50 in [-5, 12]: a scan of [-100, 100] holds each argmax.
+        linear = (
             Restricted(MINUS_INF, 7, VShape(0, -3, 2)),
-            Restricted(-5, PLUS_INF, LinearPlus(4, Quadratic(2))),
             Restricted(MINUS_INF, PLUS_INF, FlatBottom(MINUS_INF, 3, -1, 5)),
             FlatBottom(-4, PLUS_INF, -2, 1),
             FlatBottom(MINUS_INF, PLUS_INF, -2, 1),
-        ):
-            for ell in (-10**6, -4, -3, -1, 0, 1, 2, 3, 6, 10**6):
-                assert conjugate_closed(phi, ell) == conjugate_eval(phi, ell)
+        )
+        ells = (-50, -4, -3, -1, 0, 1, 2, 3, 6, 50)
+        cases = [(phi, ells + (-10**6, 10**6)) for phi in linear]
+        cases.append((Restricted(-5, PLUS_INF, LinearPlus(4, Quadratic(2))), ells))
+        for phi, ells in cases:
+            for ell in ells:
+                expected = brute_conjugate_unbounded(phi, ell, 100)
+                assert conjugate_closed(phi, ell) == expected
+                assert conjugate_eval(phi, ell) == expected
 
     def test_large_slope_corpus_matches_bruteforce(self):
-        import random
-
         rng = random.Random(17)
         for _ in range(60):
             phi = random_large_slope_form(rng)
@@ -165,12 +210,16 @@ class TestConjugateClosed:
                 assert conjugate_closed(phi, ell) == expected
                 assert conjugate_eval(phi, ell) == expected
 
-    def test_matches_eval_on_corpus(self):
+    def test_matches_bruteforce_on_corpus(self):
         for phi in univariate_corpus(80):
-            if isinstance(phi, (Table, SumOf)):
-                continue
             for ell in range(-8, 9):
-                assert conjugate_closed(phi, ell) == conjugate_eval(phi, ell)
+                expected = brute_conjugate(phi, ell)
+                assert conjugate_eval(phi, ell) == expected
+                if isinstance(phi, (Table, SumOf)):
+                    with pytest.raises(UnsupportedForm):
+                        conjugate_closed(phi, ell)
+                else:
+                    assert conjugate_closed(phi, ell) == expected
 
 
 class TestFitting:
@@ -244,8 +293,6 @@ class TestJsonRoundTrip:
 
 class TestBiconjugation:
     def test_tables(self):
-        import random
-
         rng = random.Random(3)
         for _ in range(40):
             t = random_convex_table(rng)

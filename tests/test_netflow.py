@@ -203,6 +203,14 @@ class TestSolver:
             min_convex_cost_flow(self.two_way(PLUS_INF))
         assert len(bellman_ford_runs) == 1
 
+    def test_linear_cost_with_a_far_kink_is_recognized_at_once(self, bellman_ford_runs):
+        # a0 costs -k on all of Z (its "kink" at 10**6 joins two equal
+        # slopes), so the cycle earns 1 per unit from the first one on.
+        inst = with_cost(self.two_way(PLUS_INF), [VShape(10**6, -1, -1), linear_fn(0)])
+        with pytest.raises(Unbounded):
+            min_convex_cost_flow(inst)
+        assert len(bellman_ford_runs) == 1
+
     def test_cycle_reaching_its_constant_slope_late(self, bellman_ford_runs):
         # The cycle's marginal cost is -3, -2, -1, -1, ...: unbounded once
         # two units have moved and the first arc's cost is in its tail.

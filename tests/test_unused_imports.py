@@ -1,9 +1,13 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every
+private function, class and method is used.
 
-A static check by the standard library's `ast`: the names an import
+Static checks by the standard library's `ast`: the names an import
 binds at any level of a module must each be read somewhere in it, in
 code or in an annotation (string annotations are parsed too).
-`__init__.py` is exempt: its imports are the package's exports.
+`__init__.py` is exempt: its imports are the package's exports.  A
+module-level function or class, or a method, whose name starts with one
+underscore must be referenced somewhere in the package outside its own
+body (so a recursive leftover counts as unused).
 """
 
 from __future__ import annotations
@@ -68,3 +72,54 @@ def test_check_sees_an_unused_import():
         "    return None\n"
     )
     assert unused_imports(src) == [(1, "Optional"), (2, "os")]
+
+
+def private_definitions(tree: ast.Module) -> list:
+    """The module-level functions and classes and the methods of its
+    classes whose names start with one underscore (dunders excluded)."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    nodes = [n for n in tree.body if isinstance(n, defs)]
+    nodes += [m for c in tree.body if isinstance(c, ast.ClassDef) for m in c.body if isinstance(m, defs)]
+    return [n for n in nodes if n.name.startswith("_") and not n.name.startswith("__")]
+
+
+def references(node: ast.AST) -> list:
+    """Every name read or attribute taken under node, and every name
+    imported there."""
+    out = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.append(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out += [alias.name for alias in sub.names]
+    return out
+
+
+def unused_private(sources: dict) -> list:
+    """(module, name) of each private definition that nothing outside its
+    own body refers to, across all the sources."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    everywhere = [r for tree in trees.values() for r in references(tree)]
+    return sorted((module, d.name) for module, tree in trees.items() for d in private_definitions(tree)
+                  if everywhere.count(d.name) == references(d).count(d.name))
+
+
+def test_no_unused_private_definitions():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert unused_private(sources) == []
+
+
+def test_check_sees_an_unused_private_definition():
+    sources = {
+        "a.py": (
+            "def _used(): return 1\n"
+            "def _recursive(k): return _recursive(k - 1) if k else 0\n"
+            "class _C:\n"
+            "    def _m(self): return self._m()\n"
+            "    def __init__(self): pass\n"
+        ),
+        "b.py": "from .a import _used\nx = _C\n",
+    }
+    assert unused_private(sources) == [("a.py", "_m"), ("a.py", "_recursive")]
