@@ -384,8 +384,7 @@ def test_conjugate_corpus_covers_every_outcome():
                      "shifted", "restricted", "sum_of"}
     assert {r["exit"] for r in runs} == {0, 4}
     assert sum('"+inf"' in r["stdout"] for r in runs) >= 100
-    assert sum("UnsupportedForm" in r["stderr"] or "no closed-form" in r["stderr"]
-               for r in runs) >= 50
+    assert sum("no closed-form" in r["stderr"] for r in runs) >= 50
     assert any("nowhere finite" in r["stderr"] for r in runs)
 
 
