@@ -53,6 +53,17 @@ def _load_json(arg: str):
         return json.load(fh)
 
 
+def _int_vector(flag: str, arg: str, keys: Optional[Sequence[str]] = None) -> Tuple[int, ...]:
+    """The integer vector that `flag` gives as a JSON list, or as an
+    object read in the order of `keys` where those are given."""
+    v = _load_json(arg)
+    if keys is not None and isinstance(v, dict):
+        v = [v[k] for k in keys]
+    if not isinstance(v, list) or any(type(x) is not int for x in v):
+        raise ValueError(f"{flag} must be a list of integers, got {json.dumps(v)}")
+    return tuple(v)
+
+
 def _parse_range(spec: str) -> Tuple[int, int]:
     """'LO..HI' or '±K'/'K' (symmetric)."""
     s = spec.strip()
@@ -154,9 +165,9 @@ def _cmd_mconvex(args, point: Optional[str] = None, weights: Optional[str] = Non
     the minimizer) with weights (by default the slope certificate)."""
     p = mconvex.SupermodularFn.from_json(_load_json(args.instance))
     Phi = cj.separable_from_json(_load_json(args.phi), p.elements)
-    z = mconvex.minimize_separable(p, Phi) if point is None else tuple(_load_json(point))
+    z = mconvex.minimize_separable(p, Phi) if point is None else _int_vector("--point", point)
     if weights:
-        w, notes = tuple(_load_json(weights)), ()
+        w, notes = _int_vector("--weights", weights), ()
     else:
         w, notes = mconvex.dual_certificate(p, Phi, z)
     report = mconvex.verify_mconvex_optimality(p, Phi, z, w)
@@ -231,17 +242,15 @@ def _cmd_certify_mconvex(args) -> Outcome:
 
 def _cmd_certify_flow(args) -> Outcome:
     inst = netflow.FlowInstance.from_json(_load_json(args.instance))
-    x = tuple(_load_json(args.flow))
-    pi = _load_json(args.potential)
-    if isinstance(pi, dict):
-        pi = [pi[v] for v in inst.digraph.nodes]
-    report = netflow.certify_flow(inst, x, tuple(pi))
+    x = _int_vector("--flow", args.flow)
+    pi = _int_vector("--potential", args.potential, inst.digraph.nodes)
+    report = netflow.certify_flow(inst, x, pi)
     return _verdict({"report": report.to_json()}, report.equality)
 
 
 def _cmd_inverse(args) -> Outcome:
     sys_ = polyhedron.LinearSystem.from_json(_load_json(args.system))
-    targets = tuple(tuple(_load_json(t)) for t in args.target)
+    targets = tuple(_int_vector("--target", t) for t in args.target)
     dev = cj.separable_from_json(_load_json(args.deviation), sys_.elements)
     inst = inverse.InverseInstance(sys_, targets, dev)
     lo, hi = _parse_range(args.w_window)

@@ -14,16 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, IndeterminateDifference, UnsupportedForm
-from .extint import (
-    MINUS_INF,
-    PLUS_INF,
-    ExtInt,
-    bound_from_json,
-    bound_to_json,
-    ext_min,
-    ext_sum,
-    is_finite,
-)
+from .extint import MINUS_INF, PLUS_INF, ExtInt, bound_from_json, bound_to_json, is_finite
 
 @dataclass(frozen=True)
 class UnivariateConvex:
@@ -35,6 +26,14 @@ class UnivariateConvex:
     PLUS_INF past a finite end of the domain or where the slopes
     diverge: the conjugate is finite exactly on that interval.
     """
+
+    def __post_init__(self):
+        for name, kind in SHAPES[type(self)][1]:
+            v = getattr(self, name)
+            if kind is INT and type(v) is not int:
+                raise ValueError(f"{name!r} must be an integer, got {v!r}")
+            if kind is BOUND and type(v) is not int and v is not MINUS_INF and v is not PLUS_INF:
+                raise ValueError(f"{name!r} must be an integer or an infinity, got {v!r}")
 
     def dom(self) -> Tuple[ExtInt, ExtInt]:
         raise NotImplementedError
@@ -57,10 +56,11 @@ class Table(UnivariateConvex):
     values: Tuple[int, ...]
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.values:
             raise ValueError("Table needs at least one value")
         for v in self.values:
-            if isinstance(v, bool) or not isinstance(v, int):
+            if type(v) is not int:
                 raise ValueError("Table values must be finite integers")
         for i in range(1, len(self.values) - 1):
             if self.values[i - 1] + self.values[i + 1] < 2 * self.values[i]:
@@ -92,6 +92,7 @@ class Quadratic(UnivariateConvex):
     a: int
 
     def __post_init__(self):
+        super().__post_init__()
         if self.a < 1:
             raise ValueError("Quadratic coefficient must be a positive integer")
 
@@ -123,6 +124,7 @@ class VShape(UnivariateConvex):
     B: ExtInt = PLUS_INF
 
     def __post_init__(self):
+        super().__post_init__()
         if self.c_minus > self.c_plus:
             raise ValueError("need c_minus <= c_plus")
         if not (self.A <= self.k0 <= self.B):
@@ -161,6 +163,7 @@ class FlatBottom(UnivariateConvex):
     B: ExtInt = PLUS_INF
 
     def __post_init__(self):
+        super().__post_init__()
         if not (self.c_minus <= 0 <= self.c_plus):
             raise ValueError("need c_minus <= 0 <= c_plus")
         if not (self.A <= self.a <= self.b <= self.B):
@@ -246,12 +249,13 @@ class Restricted(UnivariateConvex):
     inner: UnivariateConvex
 
     def __post_init__(self):
+        super().__post_init__()
         if self.A > self.B:
             raise ValueError("need A <= B")
 
     def dom(self):
         lo, hi = self.inner.dom()
-        return (max(self.A, lo), ext_min(self.B, hi))
+        return (max(self.A, lo), min(self.B, hi))
 
     def value(self, k: int) -> ExtInt:
         if not (self.A <= k <= self.B):
@@ -262,7 +266,7 @@ class Restricted(UnivariateConvex):
         # k*ell - inner(k) is concave, so its maximum over the interval
         # sits at the inner argmax clipped to the interval.
         lo, hi = _nonempty_dom(self)
-        return max(lo, ext_min(self.inner.argmax(ell), hi))
+        return max(lo, min(self.inner.argmax(ell), hi))
 
     def slope_range(self):
         lo, hi = self.inner.slope_range()
@@ -276,6 +280,7 @@ class SumOf(UnivariateConvex):
     parts: Tuple[UnivariateConvex, ...]
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.parts:
             raise ValueError("SumOf needs at least one part")
 
@@ -285,18 +290,18 @@ class SumOf(UnivariateConvex):
         for p in self.parts:
             plo, phi = p.dom()
             lo = max(lo, plo)
-            hi = ext_min(hi, phi)
+            hi = min(hi, phi)
         return (lo, hi)
 
     def value(self, k: int) -> ExtInt:
-        return ext_sum(p.value(k) for p in self.parts)
+        return sum(p.value(k) for p in self.parts)
 
     def argmax(self, ell: int) -> ExtInt:
         return _search_argmax(self, ell)
 
     def slope_range(self):
         ranges = [p.slope_range() for p in self.parts]
-        return (ext_sum(lo for lo, _ in ranges), ext_sum(hi for _, hi in ranges))
+        return (sum(lo for lo, _ in ranges), sum(hi for _, hi in ranges))
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +436,7 @@ class SeparableConvex:
 
     def value(self, z: Sequence[int]) -> ExtInt:
         self._check_len(z)
-        return ext_sum(p.value(z[i]) for i, (_, p) in enumerate(self.parts))
+        return sum(p.value(z[i]) for i, (_, p) in enumerate(self.parts))
 
     def prime(self, z: Sequence[int]) -> List[ExtInt]:
         """Componentwise right derivatives phi_s'(z(s))."""
@@ -456,7 +461,7 @@ class SeparableConvex:
 
     def conjugate(self, w: Sequence[int]) -> ExtInt:
         self._check_len(w)
-        return ext_sum(
+        return sum(
             conjugate_eval(p, w[i]) for i, (_, p) in enumerate(self.parts)
         )
 
@@ -505,91 +510,59 @@ def linear_cost(elements: Iterable[str], c: Sequence[int]) -> SeparableConvex:
 
 
 # ---------------------------------------------------------------------------
-# JSON encoding (tagged objects; null = infinite bound)
+# Each shape's JSON tag and constructor arguments, with their kinds: an int;
+# a bound, an int or an infinity (JSON null is -inf for A and a, +inf for B
+# and b); a table's values; the inner shape; a sum's parts.
+
+INT, BOUND, VALUES, INNER, PARTS = "int", "bound", "values", "inner", "parts"
+
+SHAPES = {
+    Table: ("table", (("k0", INT), ("values", VALUES))),
+    Quadratic: ("quadratic", (("a", INT),)),
+    VShape: ("vshape", (("k0", INT), ("c_minus", INT), ("c_plus", INT), ("A", BOUND), ("B", BOUND))),
+    FlatBottom: ("flat_bottom", (("a", BOUND), ("b", BOUND), ("c_minus", INT), ("c_plus", INT),
+                                 ("A", BOUND), ("B", BOUND))),
+    LinearPlus: ("linear_plus", (("c", INT), ("inner", INNER))),
+    Shifted: ("shifted", (("k0", INT), ("inner", INNER))),
+    Restricted: ("restricted", (("A", BOUND), ("B", BOUND), ("inner", INNER))),
+    SumOf: ("sum_of", (("parts", PARTS),)),
+}
+_CLASS_OF_TAG = {tag: cls for cls, (tag, _) in SHAPES.items()}
 
 
 def to_json(phi: UnivariateConvex):
-    if isinstance(phi, Table):
-        return {"form": "table", "k0": phi.k0, "values": list(phi.values)}
-    if isinstance(phi, Quadratic):
-        return {"form": "quadratic", "a": phi.a}
-    if isinstance(phi, VShape):
-        return {
-            "form": "vshape",
-            "k0": phi.k0,
-            "c_minus": phi.c_minus,
-            "c_plus": phi.c_plus,
-            "A": bound_to_json(phi.A),
-            "B": bound_to_json(phi.B),
-        }
-    if isinstance(phi, FlatBottom):
-        return {
-            "form": "flat_bottom",
-            "a": bound_to_json(phi.a),
-            "b": bound_to_json(phi.b),
-            "c_minus": phi.c_minus,
-            "c_plus": phi.c_plus,
-            "A": bound_to_json(phi.A),
-            "B": bound_to_json(phi.B),
-        }
-    if isinstance(phi, LinearPlus):
-        return {"form": "linear_plus", "c": phi.c, "inner": to_json(phi.inner)}
-    if isinstance(phi, Shifted):
-        return {"form": "shifted", "k0": phi.k0, "inner": to_json(phi.inner)}
-    if isinstance(phi, Restricted):
-        return {
-            "form": "restricted",
-            "A": bound_to_json(phi.A),
-            "B": bound_to_json(phi.B),
-            "inner": to_json(phi.inner),
-        }
-    if isinstance(phi, SumOf):
-        return {"form": "sum_of", "parts": [to_json(p) for p in phi.parts]}
-    raise ValueError(f"unknown form {type(phi).__name__}")
+    if type(phi) not in SHAPES:
+        raise ValueError(f"unknown form {type(phi).__name__}")
+    tag, args = SHAPES[type(phi)]
+    out = {"form": tag}
+    for name, kind in args:
+        v = getattr(phi, name)
+        out[name] = (bound_to_json(v) if kind is BOUND
+                     else list(v) if kind is VALUES
+                     else to_json(v) if kind is INNER
+                     else [to_json(p) for p in v] if kind is PARTS
+                     else v)
+    return out
 
 
 def from_json(obj) -> UnivariateConvex:
     if not isinstance(obj, dict) or "form" not in obj:
         raise ValueError("expected a tagged object with a 'form' key")
-    for key in ("k0", "a", "c", "c_minus", "c_plus"):
-        # flat_bottom's "a" is a bound, where null means unbounded.
-        if obj.get(key) is not None and type(obj[key]) is not int:
-            raise ValueError(f"{key!r} must be an integer, got {obj[key]!r}")
     form = obj["form"]
-    if form == "table":
-        return Table(obj["k0"], tuple(obj["values"]))
-    if form == "quadratic":
-        return Quadratic(obj["a"])
-    if form == "vshape":
-        return VShape(
-            obj["k0"],
-            obj["c_minus"],
-            obj["c_plus"],
-            bound_from_json(obj.get("A"), -1),
-            bound_from_json(obj.get("B"), +1),
-        )
-    if form == "flat_bottom":
-        return FlatBottom(
-            bound_from_json(obj.get("a"), -1),
-            bound_from_json(obj.get("b"), +1),
-            obj["c_minus"],
-            obj["c_plus"],
-            bound_from_json(obj.get("A"), -1),
-            bound_from_json(obj.get("B"), +1),
-        )
-    if form == "linear_plus":
-        return LinearPlus(obj["c"], from_json(obj["inner"]))
-    if form == "shifted":
-        return Shifted(obj["k0"], from_json(obj["inner"]))
-    if form == "restricted":
-        return Restricted(
-            bound_from_json(obj.get("A"), -1),
-            bound_from_json(obj.get("B"), +1),
-            from_json(obj["inner"]),
-        )
-    if form == "sum_of":
-        return SumOf(tuple(from_json(p) for p in obj["parts"]))
-    raise ValueError(f"unknown form tag {form!r}")
+    cls = _CLASS_OF_TAG.get(form) if isinstance(form, str) else None
+    if cls is None:
+        raise ValueError(f"unknown form tag {form!r}")
+    args = []
+    for name, kind in SHAPES[cls][1]:
+        if kind is BOUND:
+            args.append(bound_from_json(obj.get(name), +1 if name in ("B", "b") else -1))
+        else:
+            v = obj[name]
+            args.append(tuple(v) if kind is VALUES
+                        else from_json(v) if kind is INNER
+                        else tuple(from_json(p) for p in v) if kind is PARTS
+                        else v)
+    return cls(*args)
 
 
 def separable_to_json(Phi: SeparableConvex):

@@ -105,21 +105,6 @@ def is_finite(v: ExtInt) -> bool:
     return isinstance(v, int)
 
 
-def ext_min(*vals: ExtInt) -> ExtInt:
-    best = vals[0]
-    for v in vals[1:]:
-        if v < best:
-            best = v
-    return best
-
-
-def ext_sum(vals) -> ExtInt:
-    total: ExtInt = 0
-    for v in vals:
-        total = total + v
-    return total
-
-
 def to_json(v: ExtInt):
     """Serialize for reports: ints stay ints, infinities become strings."""
     if isinstance(v, int):

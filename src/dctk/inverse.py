@@ -181,14 +181,17 @@ def box_deviation(
     )
 
 
-def default_z_window(deviation: SeparableConvex, fallback: int = 6) -> Window:
+Z_FALLBACK = 6
+
+
+def default_z_window(deviation: SeparableConvex) -> Window:
     """Componentwise effective domain of the conjugate when the slopes
-    are bounded (then the window is exact, not a heuristic), else a
-    symmetric fallback box."""
+    are bounded (then the window is exact, not a heuristic), else
+    ±Z_FALLBACK (±6) on each unbounded side."""
     los: List[int] = []
     his: List[int] = []
     for _, phi in deviation.parts:
         lo, hi = phi.slope_range()
-        los.append(lo if is_finite(lo) else -fallback)
-        his.append(hi if is_finite(hi) else fallback)
+        los.append(lo if is_finite(lo) else -Z_FALLBACK)
+        his.append(hi if is_finite(hi) else Z_FALLBACK)
     return Window(tuple(los), tuple(his))

@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 from .conjugate import Quadratic, Restricted, SeparableConvex, conjugate_eval, separable_to_json
 from .conjugate import from_json as phi_from_json
 from .errors import Infeasible, IterationLimit, NotFeasible, Unbounded, ValueMismatch
-from .extint import PLUS_INF, ExtInt, bound_from_json, bound_to_json, is_finite
+from .extint import MINUS_INF, PLUS_INF, ExtInt, bound_from_json, bound_to_json, is_finite
 from .polyhedron import MinMaxReport
 
 
@@ -66,6 +66,13 @@ class FlowInstance:
             raise ValueError("m must have one entry per node")
         if len(self.lower) != len(d.arcs) or len(self.upper) != len(d.arcs):
             raise ValueError("bounds must have one entry per arc")
+        # Flows move whole units: a fractional demand would never be met.
+        for v in self.m:
+            if type(v) is not int:
+                raise ValueError(f"m entries must be integers, got {v!r}")
+        for v in (*self.lower, *self.upper):
+            if type(v) is not int and v is not MINUS_INF and v is not PLUS_INF:
+                raise ValueError(f"arc bounds must be integers or infinities, got {v!r}")
         if sum(self.m) != 0:
             raise ValueError("m must sum to zero")
         for lo, hi in zip(self.lower, self.upper):

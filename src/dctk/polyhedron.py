@@ -37,7 +37,7 @@ from .errors import (
     NotPrimalFeasible,
     NotSignFeasible,
 )
-from .extint import MINUS_INF, PLUS_INF, ExtInt, ext_sum, is_finite
+from .extint import MINUS_INF, PLUS_INF, ExtInt, is_finite
 from .extint import to_json as ext_to_json
 
 GEQ = "geq"
@@ -646,7 +646,7 @@ def feasibility_condition(
     for z2 in enumerate_integer_points(sys, box):
         s_minus = tuple(i for i, (a, b) in enumerate(zip(z_star, z2)) if b < a)
         s_plus = tuple(i for i, (a, b) in enumerate(zip(z_star, z2)) if b > a)
-        if ext_sum(ell[i] for i in s_minus) > ext_sum(u[i] for i in s_plus):
+        if sum(ell[i] for i in s_minus) > sum(u[i] for i in s_plus):
             return (False, (s_minus, s_plus))
     return (True, None)
 

@@ -55,14 +55,14 @@ def run_cli(args):
     return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
-def run_cli_process(args):
+def run_cli_process(args, timeout=None):
     """Run the CLI in a child process, as the `dctk` console script would.
 
     The child gets os.environ with src/ first on PYTHONPATH, so the suite
     runs from a plain checkout without installing the package.  Used where
     the process boundary itself is under test: the exit code from main()
     and byte-identical stdout."""
-    return subprocess.run(CLI + args, capture_output=True, text=True, env=child_env())
+    return subprocess.run(CLI + args, capture_output=True, text=True, env=child_env(), timeout=timeout)
 
 
 # One case per leaf command (two for conjugate), each on a named fixture,
@@ -272,6 +272,23 @@ class TestMinimizeCommands:
             "cost": {"a0": {"form": "vshape", "k0": 0, "c_minus": -1, "c_plus": -1},
                      "a1": {"form": "vshape", "k0": 0, "c_minus": 0, "c_plus": 0}},
         }
+
+    def test_flow_fractional_demand_is_invalid(self):
+        # Flows move whole units, so a demand of 1.5 was never met and the
+        # search for a feasible flow ran on forever: the timeout fails a
+        # regression instead of hanging the suite.
+        inst = {"nodes": ["s", "t"], "arcs": [["s", "t"]], "m": {"s": -1.5, "t": 1.5},
+                "lower": [0], "upper": [None]}
+        p = run_cli_process(["minimize", "flow", "--instance", json.dumps(inst)], timeout=30)
+        assert (p.returncode, p.stdout, p.stderr) == (
+            cli.EXIT_INVALID, "", "error: m entries must be integers, got -1.5\n")
+
+    def test_flow_bool_demand_is_invalid(self):
+        inst = {"nodes": ["s", "t"], "arcs": [["s", "t"]], "m": {"s": -1, "t": True},
+                "lower": [0], "upper": [None]}
+        p = run_cli(["minimize", "flow", "--instance", json.dumps(inst)])
+        assert (p.returncode, p.stdout, p.stderr) == (
+            cli.EXIT_INVALID, "", "error: m entries must be integers, got True\n")
 
     def test_flow_unbounded(self):
         p = run_cli(["minimize", "flow", "--instance", json.dumps(self.two_way(None))])
@@ -486,6 +503,16 @@ class TestCertifyCommands:
         ])
         assert p.returncode == 0
 
+    def test_flow_potential_as_a_node_map(self):
+        p = run_cli([
+            "certify", "flow",
+            "--instance", json.dumps(fixtures.d2_instance().to_json()),
+            "--flow", "[1,1]",
+            "--potential", '{"t":2,"s":0}',
+        ])
+        assert p.returncode == 0
+        assert json.loads(p.stdout)["report"]["dual_witness"] == [0, 2]
+
     def test_flow_weighted_cost_pair(self):
         # The square-sum check reported primal_value 2 for this pair.
         inst = {**D2, "cost": {"a0": QUAD3, "a1": QUAD3}}
@@ -564,6 +591,30 @@ class TestBadInput:
         p = run_cli(argv)
         assert (p.returncode, p.stdout) == (cli.EXIT_INVALID, "")
         assert p.stderr.startswith("error:") and needle in p.stderr
+
+    CERTIFY_FLOW = ["certify", "flow", "--instance", json.dumps(D2)]
+
+    # Each entry of an integer vector flag must be an int: the first three
+    # were printed as OK (exit 0), the weights as CRITERIA_VIOLATED (exit 5)
+    # and the float potentials failed inside an extended-integer comparison.
+    @pytest.mark.parametrize("argv, stderr", [
+        (CERTIFY + ["--point", "[true,true]"], "--point must be a list of integers, got [true, true]"),
+        (INVERSE + ["--target", "[0.5,1.5]"], "--target must be a list of integers, got [0.5, 1.5]"),
+        (CERTIFY_FLOW + ["--flow", "[1,true]", "--potential", "[0,2]"],
+         "--flow must be a list of integers, got [1, true]"),
+        (CERTIFY + ["--point", "[1,1]", "--weights", "[3,true]"],
+         "--weights must be a list of integers, got [3, true]"),
+        (CERTIFY_FLOW + ["--flow", "[1,1]", "--potential", "[0.5,0]"],
+         "--potential must be a list of integers, got [0.5, 0]"),
+        (CERTIFY_FLOW + ["--flow", "[1,1]", "--potential", '{"s":0,"t":1.5}'],
+         "--potential must be a list of integers, got [0, 1.5]"),
+        (CERTIFY + ["--point", '{"e1":1,"e2":1}'],
+         '--point must be a list of integers, got {"e1": 1, "e2": 1}'),
+    ], ids=["bool-point", "float-target", "bool-flow", "bool-weights", "float-potential",
+            "float-potential-map", "point-map"])
+    def test_integer_vector_flags(self, argv, stderr):
+        p = run_cli(argv)
+        assert (p.returncode, p.stdout, p.stderr) == (cli.EXIT_INVALID, "", f"error: {stderr}\n")
 
 
 class TestInverseCommand:

@@ -1,11 +1,14 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dctk import conjugate
 from dctk.conjugate import (
+    SHAPES,
     FlatBottom,
     LinearPlus,
     Quadratic,
@@ -14,6 +17,7 @@ from dctk.conjugate import (
     Shifted,
     SumOf,
     Table,
+    UnivariateConvex,
     VShape,
     conjugate_closed,
     conjugate_eval,
@@ -280,8 +284,18 @@ class TestSeparable:
 
 class TestJsonRoundTrip:
     def test_corpus_round_trip(self):
-        for phi in univariate_corpus(60):
-            assert from_json(to_json(phi)) == phi
+        """Every shape class has a row of SHAPES, and every row is read
+        back as it was written."""
+        shapes = {c for c in vars(conjugate).values()
+                  if isinstance(c, type) and issubclass(c, UnivariateConvex) and c is not UnivariateConvex}
+        assert shapes == set(SHAPES)
+        rng = random.Random(3)
+        forms = univariate_corpus() + [random_large_slope_form(rng) for _ in range(100)]
+        docs = [to_json(phi) for phi in forms]
+        # Every row is exercised, nested shapes included.
+        assert set(re.findall(r'"form": "(\w+)"', json.dumps(docs))) == {tag for tag, _ in SHAPES.values()}
+        for phi, doc in zip(forms, docs):
+            assert from_json(doc) == phi
 
     def test_null_bounds(self):
         phi = from_json(
@@ -289,6 +303,28 @@ class TestJsonRoundTrip:
              "A": None, "B": None}
         )
         assert phi == VShape(3, -1, 1)
+
+
+class TestParameterCheck:
+    """The int and bound arguments are checked from Python as from JSON."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Quadratic(1.5), "'a' must be an integer, got 1.5"),
+        (lambda: Quadratic(True), "'a' must be an integer, got True"),
+        (lambda: VShape(0, -1.0, 2), "'c_minus' must be an integer, got -1.0"),
+        (lambda: Shifted(0.5, Quadratic(1)), "'k0' must be an integer, got 0.5"),
+        (lambda: Restricted(0, 1.5, Quadratic(1)), "'B' must be an integer or an infinity, got 1.5"),
+        (lambda: Table(True, (0, 1)), "'k0' must be an integer, got True"),
+    ], ids=["float-a", "bool-a", "float-c_minus", "float-shift", "float-bound", "bool-k0"])
+    def test_refused(self, build, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
+
+    def test_infinite_bounds_accepted(self):
+        FlatBottom(MINUS_INF, 2, -1, 1)
+        FlatBottom(-2, PLUS_INF, -1, 1, MINUS_INF, PLUS_INF)
+        VShape(0, -1, 1, MINUS_INF, 5)
+        Restricted(MINUS_INF, PLUS_INF, Quadratic(1))
 
 
 class TestBiconjugation:

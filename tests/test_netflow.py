@@ -64,6 +64,20 @@ class TestIncidence:
         assert incidence_matrix(d) == [(0,)]
 
 
+class TestFlowInstance:
+    @pytest.mark.parametrize("m, lower, message", [
+        ((-1.5, 1.5), (0, 0), "m entries must be integers, got -1.5"),
+        ((-2, True), (0, 0), "m entries must be integers, got True"),
+        ((-2, 2), (0, 0.5), "arc bounds must be integers or infinities, got 0.5"),
+    ], ids=["float-demand", "bool-demand", "float-bound"])
+    def test_non_integers_refused(self, m, lower, message):
+        with pytest.raises(ValueError, match=message):
+            FlowInstance(D2, m, lower, (PLUS_INF,) * 2, d2_instance().cost)
+
+    def test_infinite_bounds_accepted(self):
+        assert FREE2.lower == (MINUS_INF,) * 2 and FREE2.upper == (PLUS_INF,) * 2
+
+
 class TestHoffman:
     """An infeasible instance raises the node set its search reached,
     and that set violates Hoffman's condition for the instance's bounds."""
