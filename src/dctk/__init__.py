@@ -14,8 +14,6 @@ from .conjugate import (
     VShape,
     conjugate_closed,
     conjugate_eval,
-    is_fitting,
-    right_derivative,
     subdifferential_interval,
 )
 from .extint import MINUS_INF, PLUS_INF, ExtInt

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import DomainError, IndeterminateDifference, UnsupportedForm
+from .errors import DomainError, UnsupportedForm
 from .extint import MINUS_INF, PLUS_INF, ExtInt, bound_from_json, bound_to_json, is_finite
 
 @dataclass(frozen=True)
@@ -308,27 +308,14 @@ class SumOf(UnivariateConvex):
 # Basic operations
 
 
-def right_derivative(phi: UnivariateConvex, k: int) -> ExtInt:
-    """phi(k+1) - phi(k) under extended-integer rules."""
-    v1 = phi.value(k + 1)
-    v0 = phi.value(k)
-    if not is_finite(v1) and not is_finite(v0):
-        raise IndeterminateDifference(f"phi({k}) and phi({k + 1}) are both infinite")
-    if not is_finite(v1):
-        return PLUS_INF
-    if not is_finite(v0):
-        return MINUS_INF
-    return v1 - v0
-
-
 def _slope(phi: UnivariateConvex, k: int, lo: ExtInt, hi: ExtInt) -> ExtInt:
-    """Monotone slope sequence extended past the domain for searching."""
+    """phi(k+1) - phi(k) on the domain [lo, hi], +inf from hi on and -inf below lo."""
     if k >= hi:
         # phi(k) is the last finite value (k == hi) or both are +inf.
         return PLUS_INF
     if k < lo:
         return MINUS_INF
-    return right_derivative(phi, k)
+    return phi.value(k + 1) - phi.value(k)
 
 
 def _nonempty_dom(phi: UnivariateConvex) -> Tuple[ExtInt, ExtInt]:
@@ -395,25 +382,10 @@ def conjugate_closed(phi: UnivariateConvex, ell: int) -> ExtInt:
     return conjugate_eval(phi, ell)
 
 
-@dataclass(frozen=True)
-class FittingWitness:
-    k_star: int
-    ell_star: int
-    lower: ExtInt  # phi'(k*-1)
-    upper: ExtInt  # phi'(k*)
-
-
-def is_fitting(
-    phi: UnivariateConvex, k_star: int, ell_star: int
-) -> Tuple[bool, FittingWitness]:
-    """Sandwich test phi'(k*-1) <= ell* <= phi'(k*)."""
-    lower, upper = subdifferential_interval(phi, k_star)
-    return lower <= ell_star <= upper, FittingWitness(k_star, ell_star, lower, upper)
-
-
 def subdifferential_interval(
     phi: UnivariateConvex, k_star: int
 ) -> Tuple[ExtInt, ExtInt]:
+    """(phi'(k*-1), phi'(k*)); ell fits k* iff it lies inside, iff k*ell = phi(k*) + conj(ell)."""
     lo, hi = phi.dom()
     if not (lo <= k_star <= hi):
         raise DomainError(f"k*={k_star} outside dom {lo}..{hi}")
@@ -546,6 +518,7 @@ def to_json(phi: UnivariateConvex):
 
 
 def from_json(obj) -> UnivariateConvex:
+    """The shape of a tagged object; a bad argument's error names the form and key."""
     if not isinstance(obj, dict) or "form" not in obj:
         raise ValueError("expected a tagged object with a 'form' key")
     form = obj["form"]
@@ -554,15 +527,24 @@ def from_json(obj) -> UnivariateConvex:
         raise ValueError(f"unknown form tag {form!r}")
     args = []
     for name, kind in SHAPES[cls][1]:
+        v = obj.get(name)
         if kind is BOUND:
-            args.append(bound_from_json(obj.get(name), +1 if name in ("B", "b") else -1))
+            if v is not None and type(v) is not int:
+                raise ValueError(f"{form}: {name!r} must be an integer or null, got {v!r}")
+            args.append(bound_from_json(v, +1 if name in ("B", "b") else -1))
+        elif name not in obj:
+            raise ValueError(f"{form}: missing {name!r}")
+        elif kind in (VALUES, PARTS) and not isinstance(v, list):
+            raise ValueError(f"{form}: {name!r} must be a list, got {v!r}")
         else:
-            v = obj[name]
             args.append(tuple(v) if kind is VALUES
                         else from_json(v) if kind is INNER
                         else tuple(from_json(p) for p in v) if kind is PARTS
                         else v)
-    return cls(*args)
+    try:
+        return cls(*args)
+    except ValueError as e:  # an int argument of the wrong type, or a bad value
+        raise ValueError(f"{form}: {e}") from None
 
 
 def separable_to_json(Phi: SeparableConvex):

@@ -9,10 +9,6 @@ class IndeterminateSum(DctkError, ArithmeticError):
     """Raised when +inf and -inf are added."""
 
 
-class IndeterminateDifference(DctkError, ArithmeticError):
-    """Raised when a slope would be inf - inf."""
-
-
 class DomainError(DctkError, ValueError):
     """Point lies outside the effective domain of a function."""
 
@@ -56,7 +52,7 @@ class Infeasible(DctkError):
         self.violating_set = violating_set
 
 
-class EmptyIntersection(DctkError):
+class EmptyIntersection(Infeasible):
     """Intersection of the two base polyhedra has no integer point."""
 
 

@@ -9,10 +9,10 @@ machinery, and the slope-based dual certificate with its verifier.
 The descent and the certificate both read the dependence function
 (:func:`dependence`): one scan of the z-tight sets decides every
 exchange of a step, so neither calls :func:`member`, which serves
-verification and the M2 intersection.  The M2 weight splitting reads it
-too: a split worth Phi at the common base z* asks w_k[t] >= w_k[s] for t
-in dep_k[s], so it is the first point of one small system, and the grid
-of splits is scanned only when that system is empty.
+verification.  The M2 weight splitting reads it too: a split worth Phi
+at the common base z* asks w_k[t] >= w_k[s] for t in dep_k[s], so it is
+the first point of one small system, and the grid of splits is scanned
+only when that system is empty.
 
 Two kernels serve every 2^n scan of a mask table.  The input check
 (:meth:`SupermodularFn._check_supermodular`, run for n <= CHECKED_GROUND)
@@ -419,12 +419,16 @@ def m2_minimize_and_split(
         raise ValueError("ground sets differ")
     if w_bound < 0:
         raise ValueError(f"w_bound must be >= 0, got {w_bound}")
-    n = p1.n
-    # Enumerate a side whose bases are bounded: the common set, and its
-    # lex order, are the same from either side.
-    bounded = all(map(is_finite, itertools.chain(*base_bounds(p1))))
-    a, b = (p1, p2) if bounded else (p2, p1)
-    common = [z for z in enumerate_bases(a) if member(b, z)]
+    # The common bases in lex order: one scan of both sides' rows in the
+    # meet of their base boxes, which may be bounded where neither box is.
+    (lo1, hi1), (lo2, hi2) = base_bounds(p1), base_bounds(p2)
+    los, his = tuple(map(max, lo1, lo2)), tuple(map(min, hi1, hi2))
+    common = []
+    if all(a <= b for a, b in zip(los, his)):
+        if not all(map(is_finite, los + his)):
+            raise Inconclusive("base polyhedron has an unbounded component")
+        both = LinearSystem(p1.elements, to_system(p1).rows + to_system(p2).rows)
+        common = list(enumerate_integer_points(both, Window(los, his)))
     if not common:
         raise EmptyIntersection("no integral point in both base sets")
     best_p: ExtInt = PLUS_INF

@@ -44,13 +44,6 @@ class Digraph:
             if u not in known or v not in known:
                 raise ValueError(f"arc ({u},{v}) uses an undeclared node")
 
-def incidence_matrix(d: Digraph) -> List[Tuple[int, ...]]:
-    """One row per node: +1 entering, -1 leaving, 0 otherwise (loops 0)."""
-    rows = []
-    for v in d.nodes:
-        rows.append(tuple((head == v) - (tail == v) for tail, head in d.arcs))
-    return rows
-
 
 @dataclass(frozen=True)
 class FlowInstance:
@@ -82,16 +75,13 @@ class FlowInstance:
             raise ValueError("cost must have one part per arc")
 
     def is_feasible_flow(self, x: Sequence[int]) -> bool:
-        d = self.digraph
-        if len(x) != len(d.arcs):
+        """One entry per arc, each within its bounds, and no node excess."""
+        if len(x) != len(self.digraph.arcs):
             return False
         for lo, v, hi in zip(self.lower, x, self.upper):
             if not (lo <= v <= hi):
                 return False
-        for vi, row in enumerate(incidence_matrix(d)):
-            if sum(c * xv for c, xv in zip(row, x)) != self.m[vi]:
-                return False
-        return True
+        return not any(_excess(self, _ends(self), x))
 
     def to_json(self):
         cost_json = separable_to_json(self.cost)

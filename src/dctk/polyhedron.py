@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import gcd, lcm
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import ratlin
@@ -136,16 +136,13 @@ class Window:
         return cls((lo,) * n, (hi,) * n)
 
     def points(self) -> Iterator[Tuple[int, ...]]:
-        """Every integer point, lazily, in lex order (no range is copied)."""
-
-        def scan(head: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
-            if len(head) == len(self.lo):
-                yield head
-                return
-            for t in range(self.lo[len(head)], self.hi[len(head)] + 1):
-                yield from scan(head + (t,))
-
-        return scan(())
+        """Every integer point, lazily, in lex order: the integer-point
+        kernel on the zero row, so no range is copied."""
+        n = len(self.lo)
+        if not n:
+            return iter(((),))
+        free = LinearSystem(tuple(f"x{i}" for i in range(n)), (Row((0,) * n, 0, GEQ),))
+        return enumerate_integer_points(free, self)
 
     def __contains__(self, x) -> bool:
         return all(l <= v <= h for l, v, h in zip(self.lo, x, self.hi))
@@ -345,18 +342,6 @@ def lp_min(sys: LinearSystem, w: Sequence[int]):
     return (best.numerator if best.denominator == 1 else best, arg)
 
 
-def vertex_hull_window(sys: LinearSystem, pad: int = 0) -> Window:
-    """Smallest integer box containing every vertex of the system,
-    widened by pad on each side."""
-    vertices, _, _ = _basic_data(sys)
-    if not vertices:
-        raise ValueError("system has no vertices")
-    return Window(
-        tuple(floor(min(v[j] for v in vertices)) - pad for j in range(sys.n)),
-        tuple(ceil(max(v[j] for v in vertices)) + pad for j in range(sys.n)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Tangent and normal cones
 
@@ -402,13 +387,6 @@ def normal_cone(cone: TangentCone) -> LinearSystem:
 
 # ---------------------------------------------------------------------------
 # Certificates and min-max searches
-
-
-def check_compatibility(
-    sys: LinearSystem, z: Sequence[int], y: DualVector, Phi: SeparableConvex
-) -> bool:
-    """Componentwise sandwich Phi'(z-1) <= yQ <= Phi'(z)."""
-    return Phi.first_unfit(z, y.times_q(sys)) is None
 
 
 def verify_certificate(

@@ -15,8 +15,8 @@ import resource
 import subprocess
 import sys
 from fractions import Fraction
-from math import lcm
-from typing import List, Optional, Sequence, Tuple
+from math import ceil, floor, lcm
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from dctk.conjugate import (
     FlatBottom,
@@ -34,7 +34,7 @@ from dctk.conjugate import (
 from dctk.errors import DomainError, Inconclusive, IterationLimit, NoFeasibleWeight
 from dctk.extint import MINUS_INF, PLUS_INF, ExtInt, is_finite
 from dctk.mconvex import SupermodularFn, base_bounds, greedy_min, lovasz_extension
-from dctk.netflow import Digraph, FlowInstance, incidence_matrix, square_sum_instance
+from dctk.netflow import Digraph, FlowInstance, square_sum_instance
 from dctk.polyhedron import (
     EQ,
     GEQ,
@@ -42,6 +42,7 @@ from dctk.polyhedron import (
     LinearSystem,
     Row,
     Window,
+    _basic_data,
     dilation,
     enumerate_integer_points,
 )
@@ -213,6 +214,56 @@ def random_flow_instance(rng: random.Random, cap: int = 3) -> FlowInstance:
         m[idx[t]] -= x0[ai]
     upper = tuple(cap for _ in d.arcs)
     return square_sum_instance(d, m, lower=(0,) * len(d.arcs), upper=upper)
+
+
+def window_points(win: Window) -> Iterator[Tuple[int, ...]]:
+    """Every integer point of the window, lazily, in lex order, by a plain
+    recursive scan: the oracle for Window.points, which runs the
+    integer-point kernel."""
+
+    def scan(head: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
+        if len(head) == len(win.lo):
+            yield head
+            return
+        for t in range(win.lo[len(head)], win.hi[len(head)] + 1):
+            yield from scan(head + (t,))
+
+    return scan(())
+
+
+def vertex_hull_window(sys: LinearSystem, pad: int = 0) -> Window:
+    """Smallest integer box containing every vertex of the system,
+    widened by pad on each side."""
+    vertices, _, _ = _basic_data(sys)
+    if not vertices:
+        raise ValueError("system has no vertices")
+    return Window(
+        tuple(floor(min(v[j] for v in vertices)) - pad for j in range(sys.n)),
+        tuple(ceil(max(v[j] for v in vertices)) + pad for j in range(sys.n)),
+    )
+
+
+def incidence_matrix(d: Digraph) -> List[Tuple[int, ...]]:
+    """One row per node: +1 entering, -1 leaving, 0 otherwise (loops 0)."""
+    rows = []
+    for v in d.nodes:
+        rows.append(tuple((head == v) - (tail == v) for tail, head in d.arcs))
+    return rows
+
+
+def naive_is_feasible_flow(inst: FlowInstance, x: Sequence[int]) -> bool:
+    """One entry per arc, within its bounds, and each node's incidence row
+    times x equal to its m: the oracle for FlowInstance.is_feasible_flow."""
+    d = inst.digraph
+    if len(x) != len(d.arcs):
+        return False
+    for lo, v, hi in zip(inst.lower, x, inst.upper):
+        if not (lo <= v <= hi):
+            return False
+    for vi, row in enumerate(incidence_matrix(d)):
+        if sum(c * xv for c, xv in zip(row, x)) != inst.m[vi]:
+            return False
+    return True
 
 
 def embedding_system(inst: FlowInstance) -> LinearSystem:
@@ -450,7 +501,7 @@ def naive_dual_search(sys: LinearSystem, Phi: SeparableConvex, y_bound: int):
 
 def naive_integer_points(sys: LinearSystem, win: Window) -> List[Tuple[int, ...]]:
     """Every point of the window that satisfies every row, lex order."""
-    return [z for z in win.points() if sys.contains(z)]
+    return [z for z in window_points(win) if sys.contains(z)]
 
 
 def naive_mu_form(sys: LinearSystem, Phi: SeparableConvex, win: Window):
@@ -458,7 +509,7 @@ def naive_mu_form(sys: LinearSystem, Phi: SeparableConvex, win: Window):
     mu_R from :func:`frac_lp_min`."""
     basic = frac_basic_data(sys)
     best = arg = None
-    for w in win.points():
+    for w in window_points(win):
         mv, _ = frac_lp_min(basic, w)
         if mv is MINUS_INF or mv is PLUS_INF:
             continue
@@ -561,7 +612,7 @@ def naive_inverse_minimize(inst, w_window: Window):
     sys = dilation(inst.parent, len(targets))
     best: ExtInt = PLUS_INF
     arg = None
-    for w in w_window.points():
+    for w in window_points(w_window):
         if is_minimizer(sys, z0, w):
             v = inst.deviation.value(w)
             if v < best:
@@ -574,7 +625,7 @@ def naive_inverse_minimize(inst, w_window: Window):
 def naive_find_weight_in_box(sys: LinearSystem, z_star, ell, u, w_window: Window):
     """First w in lex order in the window and in [ell, u] that z* minimizes
     by one exact LP per w; None if there is none."""
-    for w in w_window.points():
+    for w in window_points(w_window):
         if all((not is_finite(l) or l <= wi) and (not is_finite(v) or wi <= v)
                for l, wi, v in zip(ell, w, u)) and is_minimizer(sys, z_star, w):
             return w

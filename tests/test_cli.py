@@ -403,6 +403,10 @@ class TestMinimizeCommands:
     LINE = {"n": 2, "p": {"0": 0, "1": None, "2": None, "3": 0}, "elements": ["e1", "e2"]}
     LINE5 = {**LINE, "p": {"0": 0, "1": -5, "2": -5, "3": 0}}
     LINE1 = {**LINE, "p": {"0": 0, "1": -1, "2": -1, "3": 0}}
+    # Each half of the line is unbounded on one side, and each bounds the
+    # other: z2 >= 0 and z1 >= 0 meet at (0, 0) only.
+    HALF2 = {**LINE, "p": {"0": 0, "1": None, "2": 0, "3": 0}}
+    HALF1 = {**LINE, "p": {"0": 0, "1": 0, "2": None, "3": 0}}
 
     def test_mconvex_minus_inf_greedy_prefix_is_inconclusive(self):
         p = run_cli(["minimize", "mconvex", "--instance", json.dumps(self.LINE),
@@ -452,7 +456,7 @@ class TestMinimizeCommands:
             assert json.loads(p.stdout)["report"]["notes"] == [
                 "supermodularity of p unchecked (n > 14)"]
 
-    @pytest.mark.parametrize("order", [("LINE", "LINE1"), ("LINE1", "LINE")])
+    @pytest.mark.parametrize("order", [("LINE", "LINE1"), ("LINE1", "LINE"), ("HALF2", "HALF1")])
     def test_m2_with_one_unbounded_side(self, order):
         inst = {key: getattr(self, name) for key, name in zip(("p1", "p2"), order)}
         p = run_cli(["minimize", "m2", "--instance", json.dumps(inst), "--phi", json.dumps(SQ2)])
@@ -460,6 +464,12 @@ class TestMinimizeCommands:
             '{"report":{"bounds_used":{"w_bound":3},"dual_value":0,"dual_witness":[[-3,-3],[2,2]],'
             '"equality":true,"notes":[],"primal_value":0,"primal_witness":[0,0],"support_size":4},'
             '"status":"OK"}\n'))
+
+    def test_m2_empty_intersection_is_infeasible(self):
+        inst = {"p1": P2, "p2": {"n": 2, "p": {"0": 0, "1": 0, "2": 0, "3": 3}}}
+        p = run_cli(["minimize", "m2", "--instance", json.dumps(inst), "--phi", json.dumps(SQ2)])
+        assert (p.returncode, p.stdout, p.stderr) == (cli.EXIT_INFEASIBLE, (
+            '{"detail":"no integral point in both base sets","status":"INFEASIBLE"}\n'), "")
 
     def test_m2_gap_is_inconclusive(self):
         # With |w_i| <= 1 the best split reaches 4 against the minimum 10:
@@ -591,6 +601,18 @@ class TestBadInput:
         p = run_cli(argv)
         assert (p.returncode, p.stdout) == (cli.EXIT_INVALID, "")
         assert p.stderr.startswith("error:") and needle in p.stderr
+
+    # A shape's missing or malformed argument is named with its form.
+    @pytest.mark.parametrize("phi, stderr", [
+        ({"form": "quadratic"}, "quadratic: missing 'a'"),
+        ({"form": "sum_of", "parts": 5}, "sum_of: 'parts' must be a list, got 5"),
+        ({"form": "vshape", "k0": 0, "c_minus": -1, "c_plus": 1, "A": 1.5},
+         "vshape: 'A' must be an integer or null, got 1.5"),
+        ({"form": "quadratic", "a": 1.5}, "quadratic: 'a' must be an integer, got 1.5"),
+    ], ids=["missing-key", "parts-not-a-list", "float-bound", "float-int"])
+    def test_shape_errors_name_form_and_key(self, phi, stderr):
+        p = run_cli(["conjugate", "--phi", json.dumps(phi), "--ell", "1"])
+        assert (p.returncode, p.stdout, p.stderr) == (cli.EXIT_INVALID, "", f"error: {stderr}\n")
 
     CERTIFY_FLOW = ["certify", "flow", "--instance", json.dumps(D2)]
 

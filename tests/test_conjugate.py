@@ -1,3 +1,4 @@
+import collections
 import json
 import random
 import re
@@ -23,13 +24,11 @@ from dctk.conjugate import (
     conjugate_eval,
     conjugate_table,
     from_json,
-    is_fitting,
-    right_derivative,
     square_sum,
     subdifferential_interval,
     to_json,
 )
-from dctk.errors import DomainError, IndeterminateDifference, UnsupportedForm
+from dctk.errors import DomainError, UnsupportedForm
 from dctk.extint import MINUS_INF, PLUS_INF, is_finite
 
 from helpers import (
@@ -64,30 +63,96 @@ class TestEval:
 
 
 class TestRightDerivative:
+    """The right slope phi'(k), the upper end of subdifferential_interval."""
+
     def test_quadratic_unit(self):
-        assert right_derivative(Quadratic(1), 1) == 3
+        assert subdifferential_interval(Quadratic(1), 1)[1] == 3
 
     def test_quadratic_weighted(self):
-        assert right_derivative(Quadratic(2), 1) == 6  # 8 - 2
+        assert subdifferential_interval(Quadratic(2), 1)[1] == 6  # 8 - 2
 
     def test_flat_bottom_zero(self):
-        assert right_derivative(FlatBottom(1, 2, -1, 1), 1) == 0
+        assert subdifferential_interval(FlatBottom(1, 2, -1, 1), 1)[1] == 0
 
     def test_outside_domain(self):
+        # +inf from the top of the domain on, -inf below its bottom.
         t = Table(0, (1, 2))
-        assert right_derivative(t, 1) is PLUS_INF
-        assert right_derivative(t, -1) is MINUS_INF
-        with pytest.raises(IndeterminateDifference):
-            right_derivative(t, 5)
+        assert subdifferential_interval(t, 1)[1] is PLUS_INF
+        assert subdifferential_interval(t, 0)[0] is MINUS_INF
 
     def test_monotone_on_corpus(self):
         for phi in univariate_corpus(60):
             lo, hi = dom_range(phi)
             prev = MINUS_INF
             for k in range(lo, hi):
-                cur = right_derivative(phi, k)
+                cur = subdifferential_interval(phi, k)[1]
                 assert prev <= cur
                 prev = cur
+
+
+def slope_by_values(phi, k):
+    """phi(k+1) - phi(k) from two values, +inf from the last point of the
+    domain on and -inf before its first: the slope every check reads."""
+    v0, v1 = phi.value(k), phi.value(k + 1)
+    if is_finite(v0) and is_finite(v1):
+        return v1 - v0
+    return PLUS_INF if is_finite(v0) or k >= phi.dom()[1] else MINUS_INF
+
+
+class TestSlopesMatchValueDifferences:
+    """prime, prime_minus, subdifferential_interval and first_unfit against
+    slope_by_values, on the corpus, the large-slope forms and forms with
+    an unbounded domain, at every k of the domain and two beyond it."""
+
+    @staticmethod
+    def forms():
+        rng = random.Random(29)
+        unbounded = [Quadratic(3), VShape(2, -5, 7), FlatBottom(MINUS_INF, 1, -3, 4),
+                     SumOf((Quadratic(1), VShape(0, -1, 1, -3, PLUS_INF)))]
+        return univariate_corpus() + [random_large_slope_form(rng) for _ in range(60)] + unbounded
+
+    @staticmethod
+    def points(phi):
+        lo, hi = phi.dom()
+        return range((lo if is_finite(lo) else -10) - 2, (hi if is_finite(hi) else 10) + 3)
+
+    def test_each_slope_read(self):
+        checked = 0
+        for phi in self.forms():
+            Phi = SeparableConvex((("x", phi),))
+            lo, hi = phi.dom()
+            for k in self.points(phi):
+                left, right = slope_by_values(phi, k - 1), slope_by_values(phi, k)
+                assert Phi.prime((k,)) == [right] and Phi.prime_minus((k,)) == [left]
+                if lo <= k <= hi:
+                    assert subdifferential_interval(phi, k) == (left, right)
+                else:
+                    with pytest.raises(DomainError):
+                        subdifferential_interval(phi, k)
+                ells = {0} | {s + d for s in (left, right) if is_finite(s) for d in (-1, 0, 1)}
+                for ell in ells:
+                    assert (Phi.first_unfit((k,), (ell,)) is None) == (left <= ell <= right)
+                    checked += 1
+        assert checked > 20000
+
+    def test_first_unfit_is_the_first_component(self):
+        rng = random.Random(31)
+        forms = self.forms()
+        verdicts = collections.Counter()
+        for _ in range(400):
+            parts = rng.sample(forms, 3)
+            z = tuple(rng.choice(self.points(p)) for p in parts)
+            w = []
+            for p, k in zip(parts, z):
+                ends = [s for s in (slope_by_values(p, k - 1), slope_by_values(p, k)) if is_finite(s)]
+                w.append(rng.choice(ends or [0]) + rng.choice((-1, 0, 0, 1)))
+            unfit = [i for i, (p, k, ell) in enumerate(zip(parts, z, w))
+                     if not slope_by_values(p, k - 1) <= ell <= slope_by_values(p, k)]
+            Phi = SeparableConvex(tuple((f"x{i}", p) for i, p in enumerate(parts)))
+            expected = unfit[0] if unfit else None
+            assert Phi.first_unfit(z, w) == expected
+            verdicts[expected] += 1
+        assert set(verdicts) == {None, 0, 1, 2}, verdicts
 
 
 class TestConjugateEval:
@@ -227,15 +292,22 @@ class TestConjugateClosed:
 
 
 class TestFitting:
+    """ell fits k when it lies in subdifferential_interval(phi, k), and w
+    fits z when first_unfit(z, w) is None."""
+
     def test_examples(self):
-        ok, w = is_fitting(Quadratic(1), 1, 2)
-        assert ok and (w.lower, w.upper) == (1, 3)
-        assert is_fitting(Quadratic(1), 0, 0)[0]
-        assert not is_fitting(Quadratic(1), 1, 4)[0]
+        lo, hi = subdifferential_interval(Quadratic(1), 1)
+        assert lo <= 2 <= hi and (lo, hi) == (1, 3)
+        Phi = SeparableConvex((("x", Quadratic(1)),))
+        assert Phi.first_unfit((1,), (2,)) is None
+        assert Phi.first_unfit((0,), (0,)) is None
+        assert Phi.first_unfit((1,), (4,)) == 0
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            is_fitting(Table(0, (0, 1)), 5, 0)
+            subdifferential_interval(Table(0, (0, 1)), 5)
+        # Outside the domain both slopes are +inf, so no weight fits.
+        assert SeparableConvex((("x", Table(0, (0, 1))),)).first_unfit((5,), (0,)) == 0
 
     def test_subdifferential(self):
         assert subdifferential_interval(Quadratic(1), 1) == (1, 3)
@@ -336,8 +408,8 @@ class TestBiconjugation:
             if lo == hi:
                 slo, shi = -1, 1
             else:
-                slo = right_derivative(t, lo) - 1
-                shi = right_derivative(t, hi - 1) + 1
+                slo = subdifferential_interval(t, lo)[1] - 1
+                shi = subdifferential_interval(t, hi)[0] + 1
             conj = materialize_table(
                 Table(slo, tuple(conjugate_eval(t, l) for l in range(slo, shi + 1))),
                 slo,

@@ -66,7 +66,7 @@ from dctk.extint import MINUS_INF, PLUS_INF, is_finite
 from dctk.inverse import default_z_window
 from dctk.fixtures import random_supermodular, s3_system
 from dctk.mconvex import SupermodularFn, enumerate_bases, greedy_min, member, minimize_separable, to_system
-from dctk.polyhedron import dilation, enumerate_integer_points, vertex_hull_window
+from dctk.polyhedron import dilation, enumerate_integer_points
 
 from helpers import (
     large_slope_objective,
@@ -75,6 +75,7 @@ from helpers import (
     random_integer_system,
     random_large_slope_form,
     random_search_objective,
+    vertex_hull_window,
 )
 
 DIR = pathlib.Path(__file__).resolve().parent / "data"
@@ -289,7 +290,7 @@ def _limit_slope(phi, k1, k2):
     """The slope far out on one side when it is the same at k1 and k2
     (a constant tail), else None; every kink of the corpus lies inside
     [-10**6, 10**6]."""
-    s1, s2 = cj.right_derivative(phi, k1), cj.right_derivative(phi, k2)
+    s1, s2 = cj.subdifferential_interval(phi, k1)[1], cj.subdifferential_interval(phi, k2)[1]
     return s1 if s1 == s2 else None
 
 
@@ -303,11 +304,11 @@ def conjugate_ells(phi, rng):
         if not is_finite(hi):
             marks.append(_limit_slope(phi, 10**7, 2 * 10**7))
         elif lo < hi:
-            marks.append(cj.right_derivative(phi, hi - 1))
+            marks.append(cj.subdifferential_interval(phi, hi)[0])
         if not is_finite(lo):
             marks.append(_limit_slope(phi, -10**7, -2 * 10**7))
         elif lo < hi:
-            marks.append(cj.right_derivative(phi, lo))
+            marks.append(cj.subdifferential_interval(phi, lo)[1])
     ells = {0, 1, -1, 10**9, -10**9, rng.randint(-10**9, 10**9), rng.randint(-10**6, 10**6)}
     ells |= {s + d for s in marks if s is not None for d in (-1, 0, 1)}
     return sorted(ells)

@@ -53,6 +53,7 @@ from helpers import (
     random_search_objective,
     random_weight,
     square_sum_dual_value,
+    window_points,
 )
 
 P2 = p2()
@@ -355,13 +356,18 @@ class TestTightSets:
 
 def order_ideal_supermodular(rng, n):
     """random_supermodular with MINUS_INF off the ideals of a random
-    relation: X keeps its value iff it holds i whenever it holds j, for
-    each drawn pair (i, j).  Ideals form a lattice, so p stays
-    supermodular; a pair with i > j puts MINUS_INF on a greedy prefix."""
-    p = random_supermodular(rng, n)
-    pairs = [(i, j) for i, j in itertools.permutations(range(n), 2)
+    relation (:func:`restrict_to_ideals`)."""
+    return restrict_to_ideals(rng, random_supermodular(rng, n))
+
+
+def restrict_to_ideals(rng, p):
+    """p with MINUS_INF off the ideals of a random relation: X keeps its
+    value iff it holds i whenever it holds j, for each drawn pair (i, j).
+    Ideals form a lattice, so p stays supermodular; a pair with i > j puts
+    MINUS_INF on a greedy prefix."""
+    pairs = [(i, j) for i, j in itertools.permutations(range(p.n), 2)
              if rng.random() < (0.25 if i < j else 0.02)]
-    return SupermodularFn(n, tuple(
+    return SupermodularFn(p.n, tuple(
         v if all(m >> i & 1 or not m >> j & 1 for i, j in pairs) else MINUS_INF
         for m, v in enumerate(p.table)))
 
@@ -570,6 +576,44 @@ class TestM2MatchesNaiveOracle:
             rep = m2_minimize_and_split(p1, p2_, Phi, w_bound)
             assert (rep.dual_value, rep.dual_witness) == naive_m2_split(p1, p2_, Phi, w_bound)
             checked += 1
+
+    def test_common_bases_with_unbounded_sides(self):
+        """Pairs with MINUS_INF entries, n = 1-3, both restricted from one p
+        or drawn apart: the primal minimum and its first witness over the
+        points of the meet of the base_bounds boxes that are members of
+        both sides.  An empty meet or no such point is EmptyIntersection,
+        an unbounded meet Inconclusive."""
+        rng = random.Random(48)
+        outcomes = collections.Counter()
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            p = random_supermodular(rng, n)
+            p1 = restrict_to_ideals(rng, p)
+            p2_ = restrict_to_ideals(rng, p if rng.random() < 0.7 else random_supermodular(rng, n))
+            Phi = random_search_objective(rng, p1.elements)
+            (lo1, hi1), (lo2, hi2) = base_bounds(p1), base_bounds(p2_)
+            los, his = tuple(map(max, lo1, lo2)), tuple(map(min, hi1, hi2))
+            bounded = [all(map(is_finite, lo + hi)) for lo, hi in ((lo1, hi1), (lo2, hi2))]
+            if any(a > b for a, b in zip(los, his)):
+                common, kind = [], "empty box"
+            elif not all(map(is_finite, los + his)):
+                with pytest.raises(Inconclusive, match="unbounded component"):
+                    m2_minimize_and_split(p1, p2_, Phi, 1)
+                outcomes["unbounded"] += 1
+                continue
+            else:
+                common = [z for z in window_points(Window(los, his)) if member(p1, z) and member(p2_, z)]
+                kind = "none" if not common else "neither side bounded" if not any(bounded) else "common"
+            if not common:
+                with pytest.raises(EmptyIntersection, match="no integral point in both base sets"):
+                    m2_minimize_and_split(p1, p2_, Phi, 1)
+            else:
+                best = min(common, key=Phi.value)
+                rep = m2_minimize_and_split(p1, p2_, Phi, 1)
+                assert (rep.primal_value, rep.primal_witness) == (
+                    (Phi.value(best), best) if is_finite(Phi.value(best)) else (PLUS_INF, None))
+            outcomes[kind] += 1
+        assert len(outcomes) == 5 and min(outcomes.values()) >= 5, outcomes
 
     def test_objective_infinite_at_every_common_base(self):
         # Phi is finite only where its first coordinate is 50, beyond every

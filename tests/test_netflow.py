@@ -22,14 +22,21 @@ from dctk.netflow import (
     FlowInstance,
     certify_flow,
     flow_dual_value,
-    incidence_matrix,
     min_convex_cost_flow,
     optimal_potential,
     square_sum_instance,
 )
 from dctk.polyhedron import Window, dual_search_bruteforce, minimize_bruteforce
 
-from helpers import embedding_system, enumerate_flows, random_digraph, random_flow_instance
+from helpers import (
+    embedding_system,
+    enumerate_flows,
+    incidence_matrix,
+    naive_is_feasible_flow,
+    random_digraph,
+    random_flow_instance,
+    window_points,
+)
 
 D2 = d2()
 FREE2 = square_sum_instance(D2, (-2, 2), lower=(MINUS_INF,) * 2, upper=(PLUS_INF,) * 2)
@@ -62,6 +69,39 @@ class TestIncidence:
     def test_loop_is_zero(self):
         d = Digraph(("v",), (("v", "v"),))
         assert incidence_matrix(d) == [(0,)]
+
+
+class TestIsFeasibleFlow:
+    def test_matches_incidence_oracle(self):
+        """is_feasible_flow, which reads conservation off the solver's
+        node excess, against the incidence-matrix test, on flows that are
+        feasible, of the wrong length, out of bounds or not conserving."""
+        rng = random.Random(67)
+        verdicts = collections.Counter()
+        for _ in range(400):
+            inst = random_flow_instance(rng)
+            x = list(rng.choice(enumerate_flows(inst, 3)))
+            lower, upper = list(inst.lower), list(inst.upper)
+            a = rng.randrange(len(x))
+            kind = rng.choice(("feasible", "length", "bounds", "conservation"))
+            if kind == "feasible":
+                lower[a], upper[a] = rng.choice(((MINUS_INF, upper[a]), (lower[a], PLUS_INF)))
+            elif kind == "length":
+                x = x + [0] if rng.random() < 0.5 else x[:-1]
+            elif kind == "bounds":  # x still conserves
+                if rng.random() < 0.5:
+                    lower[a] = upper[a] = x[a] + 1
+                else:
+                    lower[a] = upper[a] = x[a] - 1
+            else:
+                x[a] += 1 if x[a] < upper[a] else -1
+            inst = FlowInstance(inst.digraph, inst.m, tuple(lower), tuple(upper), inst.cost)
+            got = inst.is_feasible_flow(x)
+            assert got == naive_is_feasible_flow(inst, x)
+            verdicts[kind, got] += 1
+        assert set(verdicts) == {("feasible", True), ("length", False), ("bounds", False),
+                                 ("conservation", False)}, verdicts
+        assert min(verdicts.values()) >= 60, verdicts
 
 
 class TestFlowInstance:
@@ -347,7 +387,7 @@ class TestCertify:
 class TestEnumerateFlows:
     def test_matches_naive_scan(self):
         """The flows of the bound box clipped to [-cap, cap], against a scan
-        of that box with is_feasible_flow.  A finite bound beyond the cap
+        of that box with the incidence-matrix test.  A finite bound beyond the cap
         on the open side leaves an empty box, hence no flow."""
         rng = random.Random(53)
         outcomes = collections.Counter()
@@ -372,7 +412,7 @@ class TestEnumerateFlows:
                 expected, kind = [], "beyond the cap"
             else:
                 box = Window(tuple(lo), tuple(hi))
-                expected = [x for x in box.points() if inst.is_feasible_flow(x)]
+                expected = [x for x in window_points(box) if naive_is_feasible_flow(inst, x)]
                 kind = "flows" if expected else "none"
             assert enumerate_flows(inst, cap) == expected
             outcomes[kind] += 1

@@ -23,7 +23,6 @@ from dctk.polyhedron import (
     LinearSystem,
     Row,
     Window,
-    check_compatibility,
     dilation,
     dual_search_bruteforce,
     enumerate_integer_points,
@@ -36,7 +35,6 @@ from dctk.polyhedron import (
     mu_form_dual_search,
     probe_box_integer,
     verify_certificate,
-    vertex_hull_window,
 )
 
 from helpers import (
@@ -54,6 +52,8 @@ from helpers import (
     random_integer_system,
     random_search_objective,
     run_under_memory_limit,
+    vertex_hull_window,
+    window_points,
 )
 
 
@@ -207,14 +207,16 @@ class TestLpMin:
 
 
 class TestCompatibility:
+    """The sandwich Phi'(z-1) <= yQ <= Phi'(z), by first_unfit."""
+
     def test_accepts(self):
-        assert check_compatibility(P2SYS, (1, 1), DualVector((0, 0, 3)), SQ)
+        assert SQ.first_unfit((1, 1), DualVector((0, 0, 3)).times_q(P2SYS)) is None
 
     def test_rejects_high(self):
-        assert not check_compatibility(P2SYS, (1, 1), DualVector((0, 0, 4)), SQ)
+        assert SQ.first_unfit((1, 1), DualVector((0, 0, 4)).times_q(P2SYS)) == 0
 
     def test_rejects_zero(self):
-        assert not check_compatibility(P2SYS, (0, 2), DualVector((0, 0, 0)), SQ)
+        assert SQ.first_unfit((0, 2), DualVector((0, 0, 0)).times_q(P2SYS)) == 1
 
 
 class TestVerifyCertificate:
@@ -797,3 +799,11 @@ class TestWindowHelpers:
     def test_points_in_lex_order(self):
         win = Window((-2, 0, 1), (1, 2, 1))
         assert list(win.points()) == list(itertools.product(range(-2, 2), range(0, 3), range(1, 2)))
+
+    def test_points_match_recursive_scan(self):
+        rng = random.Random(41)
+        for n in range(5):
+            for _ in range(40):
+                lo = tuple(rng.randint(-3, 3) for _ in range(n))
+                win = Window(lo, tuple(v + rng.randint(0, 3) for v in lo))
+                assert list(win.points()) == list(window_points(win))
