@@ -11,7 +11,9 @@ Values are exact over arbitrary-precision ints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import partial
+from operator import getitem
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, UnsupportedForm
 from .extint import MINUS_INF, PLUS_INF, ExtInt, bound_from_json, bound_to_json, is_finite
@@ -442,27 +444,29 @@ class SeparableConvex:
             raise ValueError(f"expected {len(self.parts)} components, got {len(v)}")
 
 
+class _Memo(dict):
+    """k -> f(k), each computed on its first read."""
+
+    def __init__(self, f: Callable[[int], ExtInt]):
+        self.f = f
+
+    def __missing__(self, k: int) -> ExtInt:
+        v = self[k] = self.f(k)
+        return v
+
+
+def value_table(Phi: SeparableConvex) -> Callable[[Sequence[int]], ExtInt]:
+    """Phi.value for one scan: each part's value is kept per entry of z,
+    so a part is evaluated once per distinct entry.  Make one per scan."""
+    memos = [_Memo(p.value) for _, p in Phi.parts]
+    return lambda z: sum(map(getitem, memos, z))
+
+
 def conjugate_table(Phi: SeparableConvex) -> Callable[[Sequence[int]], ExtInt]:
-    """Phi.conjugate for one search: each component's conjugate_eval
-    value is kept in a dict keyed by its entry of w, and the sum stops at
-    the first infinite component.  Make one per search call."""
-    parts = [p for _, p in Phi.parts]
-    if any(lo > hi for lo, hi in (p.dom() for p in parts)):
-        return Phi.conjugate  # raises DomainError on its first call, as before
-    memos: List[Dict[int, ExtInt]] = [{} for _ in parts]
-
-    def conj(w: Sequence[int]) -> ExtInt:
-        total = 0
-        for phi, memo, ell in zip(parts, memos, w):
-            v = memo.get(ell)
-            if v is None:
-                v = memo[ell] = conjugate_eval(phi, ell)
-            if v is PLUS_INF:
-                return PLUS_INF
-            total += v
-        return total
-
-    return conj
+    """Phi.conjugate for one search, memoized as :func:`value_table`: a
+    part whose domain is empty raises DomainError on the first call."""
+    memos = [_Memo(partial(conjugate_eval, p)) for _, p in Phi.parts]
+    return lambda w: sum(map(getitem, memos, w))
 
 
 def square_sum(elements: Iterable[str], coeffs: Optional[Sequence[int]] = None) -> SeparableConvex:

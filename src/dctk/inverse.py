@@ -12,19 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import getitem
 from typing import List, Optional, Sequence, Tuple
 
 from . import ratlin
 from .conjugate import (
     FlatBottom,
     SeparableConvex,
-    UnivariateConvex,
     VShape,
     conjugate_table,
 )
 from .errors import NoFeasibleWeight, NotFeasible
-from .extint import MINUS_INF, PLUS_INF, ExtInt, is_finite
+from .extint import ExtInt, is_finite
 from .polyhedron import (
     LinearSystem,
     MinMaxReport,
@@ -32,6 +30,8 @@ from .polyhedron import (
     Window,
     dilation,
     enumerate_integer_points,
+    first_minimum,
+    minimize_bruteforce,
     normal_cone,
     tangent_cone,
 )
@@ -52,38 +52,18 @@ class InverseInstance:
         return tangent_cone(*reduce_targets(self.parent, self.targets))
 
 
-class _Values(dict):
-    """k -> phi.value(k), each computed when first asked for."""
-
-    def __init__(self, phi: UnivariateConvex):
-        self.phi = phi
-
-    def __missing__(self, k: int) -> ExtInt:
-        v = self[k] = self.phi.value(k)
-        return v
-
-
 def inverse_minimize(
     inst: InverseInstance, w_window: Window
 ) -> Tuple[Tuple[int, ...], ExtInt]:
-    """Exhaustive scan for the cheapest admissible integral cost: the
-    normal cone at the (combined) target, in lex order, with each
-    coordinate's deviation value kept once computed; the first least
-    value wins."""
-    if len(inst.deviation.parts) != inst.parent.n:
-        raise ValueError(f"expected {inst.parent.n} deviation components")
-    tables = [_Values(phi) for _, phi in inst.deviation.parts]
-    best: ExtInt = PLUS_INF
-    arg: Optional[Tuple[int, ...]] = None
-    for w in enumerate_integer_points(normal_cone(inst.cone), w_window):
-        v = sum(map(getitem, tables, w))
-        if v < best:
-            best, arg = v, w
-    if arg is None:
+    """The cheapest admissible integral cost: :func:`minimize_bruteforce`
+    of the deviation over the normal cone at the (combined) target, the
+    first least value in lex order."""
+    rep = minimize_bruteforce(normal_cone(inst.cone), inst.deviation, w_window)
+    if rep.primal_witness is None:
         raise NoFeasibleWeight(
             "no integral cost in the window makes the target optimal"
         )
-    return arg, best
+    return rep.primal_witness, rep.primal_value
 
 
 def inverse_dual_search(
@@ -92,23 +72,17 @@ def inverse_dual_search(
     z_window: Window,
     w_star: Optional[Sequence[int]] = None,
 ) -> MinMaxReport:
-    """max -conj(Phi)(z) over integer points of the tangent cone.
+    """max -conj(Phi)(z) over integer points of the tangent cone: the
+    first least conjugate, negated.
 
     When the primal witness w* is supplied, the report also records the
     orthogonality (w*.z* = 0) and fitting (Phi'(w*-1) <= z* <= Phi'(w*))
     checks for the best pair.
     """
-    conj = conjugate_table(deviation)
-    best: ExtInt = MINUS_INF
-    arg: Optional[Tuple[int, ...]] = None
-    for z in enumerate_integer_points(cone.cone_system, z_window):
-        c = conj(z)
-        if not is_finite(c):
-            continue
-        if -c > best:
-            best, arg = -c, z
+    points = enumerate_integer_points(cone.cone_system, z_window)
+    least, arg = first_minimum(points, conjugate_table(deviation))
     report = MinMaxReport(
-        dual_value=best,
+        dual_value=-least,
         dual_witness=arg,
         bounds_used={"z_window": z_window.to_json()},
     )

@@ -48,6 +48,7 @@ from .polyhedron import (
     Window,
     check_elements,
     enumerate_integer_points,
+    first_minimum,
     fitting_points,
 )
 
@@ -431,12 +432,7 @@ def m2_minimize_and_split(
         common = list(enumerate_integer_points(both, Window(los, his)))
     if not common:
         raise EmptyIntersection("no integral point in both base sets")
-    best_p: ExtInt = PLUS_INF
-    arg_p = None
-    for z in common:
-        v = Phi.value(z)
-        if v < best_p:
-            best_p, arg_p = v, z
+    best_p, arg_p = first_minimum(common, Phi.value)
     arg_d = None if arg_p is None else _split_certificate(p1, p2, Phi, arg_p, w_bound)
     if arg_d is not None:
         best_d = best_p
@@ -472,7 +468,7 @@ def _split_certificate(
                     rows.append(Row(tuple(c), 0, GEQ))
     cols = [tuple(int(i % n == j) for i in range(2 * n)) for j in range(n)]
     win = Window.uniform(2 * n, -w_bound, w_bound)
-    first = next(fitting_points(Phi, z_star, cols, win, rows), None)
+    first = next(fitting_points(Phi.prime_minus(z_star), Phi.prime(z_star), cols, win, rows), None)
     return None if first is None else (first[:n], first[n:])
 
 

@@ -26,11 +26,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterator, List, Optional, Sequence, Tuple
+from math import lcm
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from . import ratlin
-from .conjugate import SeparableConvex, conjugate_table
+from .conjugate import SeparableConvex, conjugate_table, value_table
 from .errors import (
     CriteriaViolated,
     NotFeasible,
@@ -42,6 +42,7 @@ from .extint import to_json as ext_to_json
 
 GEQ = "geq"
 EQ = "eq"
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -136,13 +137,9 @@ class Window:
         return cls((lo,) * n, (hi,) * n)
 
     def points(self) -> Iterator[Tuple[int, ...]]:
-        """Every integer point, lazily, in lex order: the integer-point
-        kernel on the zero row, so no range is copied."""
-        n = len(self.lo)
-        if not n:
-            return iter(((),))
-        free = LinearSystem(tuple(f"x{i}" for i in range(n)), (Row((0,) * n, 0, GEQ),))
-        return enumerate_integer_points(free, self)
+        """Every integer point, lazily, in lex order: :func:`fitting_points`
+        with no box and no row, so no range is copied."""
+        return fitting_points((), (), (), self) if self.lo else iter(((),))
 
     def __contains__(self, x) -> bool:
         return all(l <= v <= h for l, v, h in zip(self.lo, x, self.hi))
@@ -264,54 +261,43 @@ def _basic_data(sys: LinearSystem):
     The lineality space is factored out by adding artificial homogeneous
     equality rows; the pointed remainder then has a vertex whenever the
     system is feasible, so "no vertices" is a reliable infeasibility
-    certificate at this scale.
+    certificate at this scale.  Its vertices and rays are read off the
+    extreme rays (x, t) of one homogenized cone (Schrijver 1986, 8.9):
+    a.x >= b*t per row (= for equality and lineality rows) and t >= 0.
+    Each n-subset of the cone's rows with a one-dimensional kernel gives
+    one candidate, the vertex x/t when t > 0 and the rays +-x when t = 0,
+    kept if it lies in the cone.
     """
     if sys._basic is not None:
         return sys._basic
     n = sys.n
-    coeff_rows = [list(r.coeffs) for r in sys.rows]
-    lineality = ratlin.null_space(coeff_rows, n)
-    work: List[Tuple[Tuple[int, ...], int, str]] = [
-        (r.coeffs, r.rhs, r.kind) for r in sys.rows
-    ]
-    work += [(d, 0, EQ) for d in lineality]
+    lineality = ratlin.null_space([list(r.coeffs) for r in sys.rows], n)
+    cone = [Row(r.coeffs + (-r.rhs,), 0, r.kind) for r in sys.rows]
+    cone += [Row(d + (0,), 0, EQ) for d in lineality] + [Row((0,) * n + (1,), 0, GEQ)]
 
-    # A basic solution x is kept as the gcd-reduced (d, d*x), which is
-    # canonical, and x lies in the system iff d*x satisfies its rows
-    # scaled by d, in int.
+    # A kernel vector is primitive with t >= 0 (t is 0 only for a ray),
+    # so a vertex x/t is kept as the canonical (t, t*x).
     scaled = []
+    rays = set()
     seen = set()
-    for idxs in itertools.combinations(range(len(work)), n):
-        sol = ratlin.solve_int([work[i][0] for i in idxs], [[work[i][1]] for i in idxs])
-        if sol is None:
+    for idxs in itertools.combinations(range(len(cone)), n):
+        kernel = ratlin.null_space([cone[i].coeffs for i in idxs], n + 1)
+        if len(kernel) != 1 or kernel[0] in seen:
             continue
-        d, x = sol
-        g = gcd(d, *(xr[0] for xr in x))
-        key = (d // g, tuple(xr[0] // g for xr in x))
-        if key in seen:
-            continue
-        seen.add(key)
-        d, xd = key
-        slacks = ((ratlin.dot(r.coeffs, xd) - r.rhs * d, r.kind) for r in sys.rows)
-        if all(s == 0 if kind == EQ else s >= 0 for s, kind in slacks):
-            scaled.append(key)
-    vertices = sorted(tuple(Fraction(v, d) for v in xd) for d, xd in scaled)
-
-    # The rays are the edge directions that lie in the recession cone.
-    recession = LinearSystem(sys.elements, tuple(Row(c, 0, kind) for c, _, kind in work))
-    edges = set()
-    for idxs in itertools.combinations(range(len(work)), n - 1):
-        basis = ratlin.null_space([work[i][0] for i in idxs], n)
-        if len(basis) == 1:
-            edges.update((basis[0], tuple(-v for v in basis[0])))
-    rays = sorted(d for d in edges if recession.contains(d))
-
-    sys._basic = (vertices, rays, lineality)
-    big_d = lcm(*(d for d, _ in scaled))
-    sys._vertex_ints = (
-        big_d,
-        [tuple(x.numerator * (big_d // x.denominator) for x in v) for v in vertices],
-    )
+        v = kernel[0]
+        gens = [v] if v[n] else [v, tuple(-e for e in v)]
+        seen.update(gens)
+        for *x, t in gens:
+            if not all(r.satisfied_by(x + [t]) for r in cone):
+                continue
+            if t:
+                scaled.append((tuple(Fraction(e, t) for e in x), t, x))
+            else:
+                rays.add(tuple(x))
+    scaled.sort()
+    big_d = lcm(*(t for _, t, _ in scaled))
+    sys._basic = ([x for x, _, _ in scaled], sorted(rays), lineality)
+    sys._vertex_ints = (big_d, [tuple(e * (big_d // t) for e in xt) for _, t, xt in scaled])
     return sys._basic
 
 
@@ -333,13 +319,9 @@ def lp_min(sys: LinearSystem, w: Sequence[int]):
     # The vertices scaled by one common denominator, in sorted order, so
     # the first least value is the lexicographically least argmin.
     big_d, ints = sys._vertex_ints
-    best = arg = None
-    for v, vi in zip(vertices, ints):
-        val = ratlin.dot(w, vi)
-        if best is None or val < best:
-            best, arg = val, v
+    best, i = first_minimum(range(len(ints)), lambda i: ratlin.dot(w, ints[i]))
     best = Fraction(best, big_d)
-    return (best.numerator if best.denominator == 1 else best, arg)
+    return (best.numerator if best.denominator == 1 else best, vertices[i])
 
 
 # ---------------------------------------------------------------------------
@@ -421,16 +403,25 @@ def verify_certificate(
     )
 
 
+def first_minimum(points: Iterable[T], f: Callable[[T], ExtInt]) -> Tuple[ExtInt, Optional[T]]:
+    """The least f over the points and the first point that attains it,
+    or (PLUS_INF, None) when no point has a finite f."""
+    best: ExtInt = PLUS_INF
+    arg = None
+    for x in points:
+        v = f(x)
+        if v < best:
+            best, arg = v, x
+    return best, arg
+
+
 def minimize_bruteforce(
     sys: LinearSystem, Phi: SeparableConvex, win: Window
 ) -> MinMaxReport:
-    """Windowed exact minimum of Phi over the integer points."""
-    best: ExtInt = PLUS_INF
-    arg = None
-    for z in enumerate_integer_points(sys, win):
-        v = Phi.value(z)
-        if v < best:
-            best, arg = v, z
+    """Windowed exact minimum of Phi over the integer points: the first
+    least value in lex order, each part's value computed once per entry."""
+    Phi._check_len(sys.elements)  # even when the window has no point
+    best, arg = first_minimum(enumerate_integer_points(sys, win), value_table(Phi))
     return MinMaxReport(
         primal_value=best,
         primal_witness=arg,
@@ -441,28 +432,27 @@ def minimize_bruteforce(
 def _bound_point(sys: LinearSystem, Phi: SeparableConvex) -> Optional[Tuple[int, ...]]:
     """The first integral vertex of the system with the least Phi, or None
     if none has a finite Phi.  Weak duality at it bounds the dual searches."""
-    ints = [tuple(map(int, v)) for v in _basic_data(sys)[0] if all(x.denominator == 1 for x in v)]
-    z = min(ints, key=Phi.value, default=None)
-    return z if z is not None and is_finite(Phi.value(z)) else None
+    ints = (tuple(map(int, v)) for v in _basic_data(sys)[0] if all(x.denominator == 1 for x in v))
+    return first_minimum(ints, Phi.value)[1]
 
 
 def fitting_points(
-    Phi: SeparableConvex,
-    z: Sequence[int],
+    lo: Sequence[ExtInt],
+    hi: Sequence[ExtInt],
     cols: Sequence[Tuple[int, ...]],
     win: Window,
     rows: Sequence[Row] = (),
 ) -> Iterator[Tuple[int, ...]]:
-    """The integral u in the window that meet the rows and make w fit z,
-    Phi'(z-1) <= w <= Phi'(z), where w_j = cols[j].u: lazily, in lex
-    order, by :func:`enumerate_integer_points`.  An infinite slope gives
-    no row."""
+    """The integral u in the window that meet the rows and put w in the
+    box lo <= w <= hi, where w_j = cols[j].u: lazily, in lex order, by
+    :func:`enumerate_integer_points`.  An infinite bound gives no row.
+    The box Phi'(z-1) <= w <= Phi'(z) holds the w that fit z."""
     rows = list(rows)
-    for c, lo, hi in zip(cols, Phi.prime_minus(z), Phi.prime(z)):
-        if is_finite(lo):
-            rows.append(Row(c, lo, GEQ))
-        if is_finite(hi):
-            rows.append(Row(tuple(-v for v in c), -hi, GEQ))
+    for c, a, b in zip(cols, lo, hi):
+        if is_finite(a):
+            rows.append(Row(c, a, GEQ))
+        if is_finite(b):
+            rows.append(Row(tuple(-v for v in c), -b, GEQ))
     k = len(win.lo)
     unknowns = LinearSystem(tuple(f"u{i}" for i in range(k)), tuple(rows) or (Row((0,) * k, 0, GEQ),))
     return enumerate_integer_points(unknowns, win)
@@ -506,7 +496,7 @@ def dual_search_bruteforce(
         lo = tuple(0 if s or r.kind == GEQ else -y_bound for r, s in zip(rows, slack))
         hi = tuple(0 if s else y_bound for s in slack)
         cols = [tuple(r.coeffs[j] for r in rows) for j in range(sys.n)]
-        certificates = fitting_points(Phi, z, cols, Window(lo, hi))
+        certificates = fitting_points(Phi.prime_minus(z), Phi.prime(z), cols, Window(lo, hi))
         first = next(certificates, None)
         if first is not None:
             y = DualVector(first)
@@ -636,14 +626,12 @@ def find_weight_in_box(
     u: Sequence[ExtInt],
     w_window: Window,
 ) -> Optional[Tuple[int, ...]]:
-    """First integral w in lex order in the window, clipped to [ell, u],
-    with mu_R(w) = w.z*; None if the scan is exhausted."""
-    lo = tuple(max(a, l) if is_finite(l) else a for a, l in zip(w_window.lo, ell))
-    hi = tuple(min(b, v) if is_finite(v) else b for b, v in zip(w_window.hi, u))
-    if any(a > b for a, b in zip(lo, hi)):
-        return None
+    """First integral w in lex order in the window and in [ell, u] with
+    mu_R(w) = w.z*: the first of :func:`fitting_points` on the normal
+    cone at z*; None if there is none."""
     cone = normal_cone(tangent_cone(sys, z_star))
-    return next(enumerate_integer_points(cone, Window(lo, hi)), None)
+    units = [tuple(int(i == j) for i in range(sys.n)) for j in range(sys.n)]
+    return next(fitting_points(ell, u, units, w_window, cone.rows), None)
 
 
 def dilation(sys: LinearSystem, k: int) -> LinearSystem:

@@ -1,8 +1,8 @@
 """Small exact linear algebra over the integers.
 
 One fraction-free Gauss–Jordan elimination (Bareiss 1968, "Sylvester's
-identity and multistep integer-preserving Gaussian elimination") serves
-every solve: it keeps the matrix in ``int`` throughout, because each
+identity and multistep integer-preserving Gaussian elimination),
+:func:`_eliminate`, serves every solve and null space: it keeps the matrix in ``int`` throughout, because each
 division by the previous pivot is exact, and reports a common
 denominator instead of building :class:`fractions.Fraction` entries.
 Callers build Fractions only for the results they return.  Where many
@@ -17,6 +17,35 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
+def _eliminate(m: List[List[int]], ncols: int) -> Tuple[List[int], int]:
+    """Fraction-free Gauss–Jordan on the int rows m, in place, over their
+    first ncols columns, taken in order; a column with no pivot left in
+    the rows below the pivots so far is skipped.  Returns the pivot
+    columns and the last pivot (1 if none): pivot row i then holds that
+    pivot at its column pivots[i] and 0 at the other pivot columns, and
+    the rows past the pivots are 0 on the first ncols columns.  After
+    each step every entry is, up to sign, a minor of the row-permuted
+    matrix, so the division by the previous pivot leaves no remainder.
+    """
+    pivots: List[int] = []
+    prev = 1
+    for c in range(ncols):
+        k = len(pivots)
+        piv = next((i for i in range(k, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[k], m[piv] = m[piv], m[k]
+        rk = m[k]
+        p = rk[c]
+        for i, ri in enumerate(m):
+            if i != k:
+                f = ri[c]
+                m[i] = [(p * v - f * w) // prev for v, w in zip(ri, rk)]
+        prev = p
+        pivots.append(c)
+    return pivots, prev
+
+
 def solve_int(
     a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]
 ) -> Optional[Tuple[int, List[List[int]]]]:
@@ -25,27 +54,13 @@ def solve_int(
     ``a`` is m rows of n ints and ``b`` is m rows of p ints (the
     right-hand-side columns side by side).  Returns ``(d, X)`` with
     ``d > 0`` and X an n-by-p list of int rows such that A·X = d·B, or
-    None when A has rank < n or the system is inconsistent.  After the
-    step on column k every entry is, up to sign, a (k+1)-minor of the
-    row-permuted [A | B], so the division by the previous pivot leaves
-    no remainder.
+    None when A has rank < n (a column of A has no pivot) or the system
+    is inconsistent, from one :func:`_eliminate` pass over [A | B].
     """
     m = [list(r) + list(s) for r, s in zip(a, b)]
     n = len(a[0]) if a else 0
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, len(m)) if m[i][k]), None)
-        if piv is None:
-            return None
-        m[k], m[piv] = m[piv], m[k]
-        rk = m[k]
-        p = rk[k]
-        for i, ri in enumerate(m):
-            if i != k:
-                f = ri[k]
-                m[i] = [(p * v - f * w) // prev for v, w in zip(ri, rk)]
-        prev = p
-    if any(v for r in m[n:] for v in r[n:]):
+    pivots, prev = _eliminate(m, n)
+    if len(pivots) < n or any(v for r in m[n:] for v in r[n:]):
         return None
     sign = 1 if prev > 0 else -1
     return prev * sign, [[sign * v for v in r[n:]] for r in m[:n]]
@@ -101,20 +116,18 @@ class Minors(dict):
 def null_space(rows: Sequence[Sequence[int]], ncols: int) -> List[Tuple[int, ...]]:
     """Integer basis of {x: rows @ x = 0}: one primitive vector per free
     column (a column in the span of the columns before it), with a
-    positive entry there and zeros at the other free columns."""
+    positive entry there and zeros at the other free columns, read off
+    one :func:`_eliminate` pass.  With last pivot d, pivot row i gives
+    d*x[pivots[i]] + m[i][c]*x[c] = 0 at the free column c."""
+    m = [list(r) for r in rows]
+    pivots, d = _eliminate(m, ncols)
     basis = []
-    pivots: List[int] = []
-    for c in range(ncols):
-        sol = solve_int([[r[j] for j in pivots] for r in rows], [[r[c]] for r in rows])
-        if sol is None:
-            pivots.append(c)
-            continue
-        d, x = sol
+    for c in sorted(set(range(ncols)) - set(pivots)):
         v = [0] * ncols
         v[c] = d
-        for j, xr in zip(pivots, x):
-            v[j] = -xr[0]
-        g = gcd(*v)
+        for j, r in zip(pivots, m):
+            v[j] = -r[c]
+        g = gcd(*v) if d > 0 else -gcd(*v)  # so the entry at c is positive
         basis.append(tuple(e // g for e in v))
     return basis
 
