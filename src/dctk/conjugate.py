@@ -15,7 +15,7 @@ from functools import partial
 from operator import getitem
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import DomainError, UnsupportedForm
+from .errors import DomainError, UnsupportedForm, require
 from .extint import MINUS_INF, PLUS_INF, ExtInt, bound_from_json, bound_to_json, is_finite
 
 @dataclass(frozen=True)
@@ -531,15 +531,15 @@ def from_json(obj) -> UnivariateConvex:
         raise ValueError(f"unknown form tag {form!r}")
     args = []
     for name, kind in SHAPES[cls][1]:
-        v = obj.get(name)
+        v = obj.get(name) if kind is BOUND else require(obj, name, f"{form}: missing")
         if kind is BOUND:
             if v is not None and type(v) is not int:
                 raise ValueError(f"{form}: {name!r} must be an integer or null, got {v!r}")
             args.append(bound_from_json(v, +1 if name in ("B", "b") else -1))
-        elif name not in obj:
-            raise ValueError(f"{form}: missing {name!r}")
         elif kind in (VALUES, PARTS) and not isinstance(v, list):
             raise ValueError(f"{form}: {name!r} must be a list, got {v!r}")
+        elif kind is INNER and not (isinstance(v, dict) and "form" in v):
+            raise ValueError(f"{form}: {name!r} must be a tagged object, got {v!r}")
         else:
             args.append(tuple(v) if kind is VALUES
                         else from_json(v) if kind is INNER
@@ -559,4 +559,4 @@ def separable_from_json(obj, elements: Optional[Sequence[str]] = None) -> Separa
     if not isinstance(obj, dict):
         raise ValueError("expected an object mapping element names to forms")
     names = list(elements) if elements is not None else sorted(obj)
-    return SeparableConvex(tuple((n, from_json(obj[n])) for n in names))
+    return SeparableConvex(tuple((n, from_json(require(obj, n, "phi: missing element"))) for n in names))

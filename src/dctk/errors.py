@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all dctk modules."""
+"""Exception hierarchy shared by all dctk modules, and :func:`require`."""
 
 
 class DctkError(Exception):
@@ -66,3 +66,10 @@ class ValueMismatch(DctkError):
 
 class NoFeasibleWeight(Inconclusive):
     """No admissible weight vector exists inside the search window."""
+
+
+def require(obj, key, what: str):
+    """obj[key], or a ValueError "<what> '<key>'" when obj lacks the key."""
+    if key not in obj:
+        raise ValueError(f"{what} {key!r}")
+    return obj[key]

@@ -34,10 +34,11 @@ import heapq
 import itertools
 import operator
 from dataclasses import dataclass
+from math import ceil
 from typing import List, Optional, Sequence, Tuple
 
 from .conjugate import SeparableConvex, conjugate_eval
-from .errors import CriteriaViolated, EmptyIntersection, Inconclusive, IterationLimit, Unbounded
+from .errors import CriteriaViolated, EmptyIntersection, Inconclusive, IterationLimit, Unbounded, require
 from .extint import MINUS_INF, PLUS_INF, ExtInt, is_finite
 from .polyhedron import (
     EQ,
@@ -50,6 +51,7 @@ from .polyhedron import (
     enumerate_integer_points,
     first_minimum,
     fitting_points,
+    lp_min,
 )
 
 MAX_GROUND = 20
@@ -157,7 +159,7 @@ class SupermodularFn:
         n = obj["n"]
         table = []
         for mask in range(1 << n):
-            v = obj["p"][str(mask)]
+            v = require(obj["p"], str(mask), "p: missing mask")
             table.append(MINUS_INF if v is None else v)
         return cls(n, tuple(table), obj.get("elements", ()))
 
@@ -422,14 +424,20 @@ def m2_minimize_and_split(
         raise ValueError(f"w_bound must be >= 0, got {w_bound}")
     # The common bases in lex order: one scan of both sides' rows in the
     # meet of their base boxes, which may be bounded where neither box is.
+    # A side of a nonempty meet still infinite is bounded by the exact LP
+    # over both sides' rows, x_j >= ceil(min x_j) or x_j <= floor(max x_j).
     (lo1, hi1), (lo2, hi2) = base_bounds(p1), base_bounds(p2)
-    los, his = tuple(map(max, lo1, lo2)), tuple(map(min, hi1, hi2))
+    los, his = list(map(max, lo1, lo2)), list(map(min, hi1, hi2))
+    both = LinearSystem(p1.elements, to_system(p1).rows + to_system(p2).rows)
+    for j, (bounds, sign) in itertools.product(range(p1.n), ((los, 1), (his, -1))):
+        if not is_finite(bounds[j]) and all(a <= b for a, b in zip(los, his)):
+            v, _ = lp_min(both, tuple(sign * (i == j) for i in range(p1.n)))
+            if v is MINUS_INF:
+                raise Inconclusive("the common bases are unbounded")
+            bounds[j] = sign * (v if v is PLUS_INF else ceil(v))  # an empty LP empties the meet
     common = []
     if all(a <= b for a, b in zip(los, his)):
-        if not all(map(is_finite, los + his)):
-            raise Inconclusive("base polyhedron has an unbounded component")
-        both = LinearSystem(p1.elements, to_system(p1).rows + to_system(p2).rows)
-        common = list(enumerate_integer_points(both, Window(los, his)))
+        common = list(enumerate_integer_points(both, Window(tuple(los), tuple(his))))
     if not common:
         raise EmptyIntersection("no integral point in both base sets")
     best_p, arg_p = first_minimum(common, Phi.value)

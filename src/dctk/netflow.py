@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 from .conjugate import Quadratic, Restricted, SeparableConvex, conjugate_eval, separable_to_json
 from .conjugate import from_json as phi_from_json
-from .errors import Infeasible, IterationLimit, NotFeasible, Unbounded, ValueMismatch
+from .errors import Infeasible, IterationLimit, NotFeasible, Unbounded, ValueMismatch, require
 from .extint import MINUS_INF, PLUS_INF, ExtInt, bound_from_json, bound_to_json, is_finite
 from .polyhedron import MinMaxReport
 
@@ -97,7 +97,7 @@ class FlowInstance:
     @classmethod
     def from_json(cls, obj) -> "FlowInstance":
         d = Digraph(tuple(obj["nodes"]), tuple(tuple(a) for a in obj["arcs"]))
-        m = tuple(obj["m"][v] for v in d.nodes)
+        m = tuple(require(obj["m"], v, "m: missing node") for v in d.nodes)
         lower = tuple(bound_from_json(v, -1) for v in obj["lower"])
         upper = tuple(bound_from_json(v, +1) for v in obj["upper"])
         names = [f"a{i}" for i in range(len(d.arcs))]
@@ -105,7 +105,7 @@ class FlowInstance:
         if cost_obj is None:
             parts = tuple((n, Quadratic(1)) for n in names)
         else:
-            parts = tuple((n, phi_from_json(cost_obj[n])) for n in names)
+            parts = tuple((n, phi_from_json(require(cost_obj, n, "cost: missing arc"))) for n in names)
         return cls(d, m, lower, upper, SeparableConvex(parts))
 
 

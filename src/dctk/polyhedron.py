@@ -36,6 +36,7 @@ from .errors import (
     NotFeasible,
     NotPrimalFeasible,
     NotSignFeasible,
+    require,
 )
 from .extint import MINUS_INF, PLUS_INF, ExtInt, is_finite
 from .extint import to_json as ext_to_json
@@ -113,12 +114,11 @@ class LinearSystem:
 
     @classmethod
     def from_json(cls, obj) -> "LinearSystem":
-        return cls(
-            obj["elements"],
-            tuple(
-                Row(tuple(r["coeffs"]), r["rhs"], r["kind"]) for r in obj["rows"]
-            ),
-        )
+        rows = []
+        for i, r in enumerate(obj["rows"]):
+            coeffs, rhs, kind = (require(r, k, f"row {i}: missing") for k in ("coeffs", "rhs", "kind"))
+            rows.append(Row(tuple(coeffs), rhs, kind))
+        return cls(obj["elements"], tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -262,11 +262,11 @@ def _basic_data(sys: LinearSystem):
     equality rows; the pointed remainder then has a vertex whenever the
     system is feasible, so "no vertices" is a reliable infeasibility
     certificate at this scale.  Its vertices and rays are read off the
-    extreme rays (x, t) of one homogenized cone (Schrijver 1986, 8.9):
-    a.x >= b*t per row (= for equality and lineality rows) and t >= 0.
-    Each n-subset of the cone's rows with a one-dimensional kernel gives
-    one candidate, the vertex x/t when t > 0 and the rays +-x when t = 0,
-    kept if it lies in the cone.
+    extreme rays (x, t) of one homogenized cone (Schrijver, Theory of
+    Linear and Integer Programming, 1986): a.x >= b*t per row (= for
+    equality and lineality rows) and t >= 0.  Each n-subset of its rows
+    with a one-dimensional kernel gives one candidate, the vertex x/t
+    when t > 0 and the rays +-x when t = 0, kept if it lies in the cone.
     """
     if sys._basic is not None:
         return sys._basic

@@ -15,9 +15,10 @@ import resource
 import subprocess
 import sys
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import ceil, floor, gcd, lcm
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+from dctk import ratlin
 from dctk.conjugate import (
     FlatBottom,
     LinearPlus,
@@ -586,6 +587,39 @@ def frac_lp_min(basic, w: Sequence[int]):
         return (MINUS_INF, None)
     best, arg = min((sum(a * b for a, b in zip(w, v)), v) for v in vertices)
     return (best.numerator if best.denominator == 1 else best, arg)
+
+
+def naive_basic_data(sys: LinearSystem):
+    """(vertices, rays, lineality, vertex ints) by two enumerations: the
+    vertices from one solve per n-subset of the rows (plus the lineality
+    rows), the rays from one null space per (n-1)-subset, kept when they
+    lie in the recession cone.  The vertex ints are the vertices scaled by
+    the lcm big_d of their denominators, as (big_d, ints)."""
+    n = sys.n
+    lineality = ratlin.null_space([list(r.coeffs) for r in sys.rows], n)
+    work = [(r.coeffs, r.rhs, r.kind) for r in sys.rows] + [(d, 0, EQ) for d in lineality]
+    scaled = set()
+    for idxs in itertools.combinations(range(len(work)), n):
+        sol = ratlin.solve_int([work[i][0] for i in idxs], [[work[i][1]] for i in idxs])
+        if sol is None:
+            continue
+        d, x = sol
+        g = gcd(d, *(xr[0] for xr in x))
+        d, xd = d // g, tuple(xr[0] // g for xr in x)
+        if all(s == 0 if kind == EQ else s >= 0
+               for s, kind in ((sum(a * v for a, v in zip(r.coeffs, xd)) - r.rhs * d, r.kind) for r in sys.rows)):
+            scaled.add((d, xd))
+    vertices = sorted(tuple(Fraction(v, d) for v in xd) for d, xd in scaled)
+    recession = LinearSystem(sys.elements, tuple(Row(c, 0, kind) for c, _, kind in work))
+    edges = set()
+    for idxs in itertools.combinations(range(len(work)), n - 1):
+        basis = ratlin.null_space([work[i][0] for i in idxs], n)
+        if len(basis) == 1:
+            edges.update((basis[0], tuple(-v for v in basis[0])))
+    rays = sorted(d for d in edges if recession.contains(d))
+    big_d = lcm(*(d for d, _ in scaled))
+    ints = [tuple(x.numerator * (big_d // x.denominator) for x in v) for v in vertices]
+    return vertices, rays, lineality, (big_d, ints)
 
 
 # ---------------------------------------------------------------------------

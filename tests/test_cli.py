@@ -471,6 +471,35 @@ class TestMinimizeCommands:
         assert (p.returncode, p.stdout, p.stderr) == (cli.EXIT_INFEASIBLE, (
             '{"detail":"no integral point in both base sets","status":"INFEASIBLE"}\n'), "")
 
+    def test_m2_meet_bounded_by_the_lp(self):
+        # p1 finite (0) on {}, {3}, {1,2}, S and p2 on {}, {2}, {1,3}, S:
+        # every side of the meet of the base boxes is infinite, and the
+        # exact LP over both sides' rows bounds it to [0, 0]^3.
+        sides = [{"n": 3, "elements": ["e1", "e2", "e3"],
+                  "p": {str(m): 0 if m in finite else None for m in range(8)}}
+                 for finite in ((0, 4, 3, 7), (0, 2, 5, 7))]
+        phi = {e: {"form": "quadratic", "a": 1} for e in ("e1", "e2", "e3")}
+        p = run_cli(["minimize", "m2", "--instance", json.dumps(dict(zip(("p1", "p2"), sides))),
+                     "--phi", json.dumps(phi)])
+        assert (p.returncode, p.stdout, p.stderr) == (cli.EXIT_OK, (
+            '{"report":{"bounds_used":{"w_bound":3},"dual_value":0,"dual_witness":[[-3,-3,-3],[2,2,2]],'
+            '"equality":true,"notes":[],"primal_value":0,"primal_witness":[0,0,0],"support_size":6},'
+            '"status":"OK"}\n'), "")
+
+    @pytest.mark.parametrize("other, stdout, code", [
+        ("LINE", '{"detail":"the common bases are unbounded","status":"INCONCLUSIVE"}\n', cli.EXIT_INCONCLUSIVE),
+        ("HALF2", '{"detail":"the common bases are unbounded","status":"INCONCLUSIVE"}\n', cli.EXIT_INCONCLUSIVE),
+        ("SHIFTED", '{"detail":"no integral point in both base sets","status":"INFEASIBLE"}\n', cli.EXIT_INFEASIBLE),
+    ], ids=["same-line", "half-line", "parallel-line"])
+    def test_m2_meet_the_lp_cannot_bound(self, other, stdout, code):
+        # The line z1 + z2 = 0 meets itself and its half z2 >= 0 in an
+        # unbounded set, and misses the line z1 + z2 = 1: the LP is
+        # unbounded, or empty.
+        shifted = {**self.LINE, "p": {"0": 0, "1": None, "2": None, "3": 1}}
+        inst = {"p1": self.LINE, "p2": shifted if other == "SHIFTED" else getattr(self, other)}
+        p = run_cli(["minimize", "m2", "--instance", json.dumps(inst), "--phi", json.dumps(SQ2)])
+        assert (p.returncode, p.stdout, p.stderr) == (code, stdout, "")
+
     def test_m2_gap_is_inconclusive(self):
         # With |w_i| <= 1 the best split reaches 4 against the minimum 10:
         # a report whose dual falls short is never printed as OK.
@@ -612,6 +641,25 @@ class TestBadInput:
     ], ids=["missing-key", "parts-not-a-list", "float-bound", "float-int"])
     def test_shape_errors_name_form_and_key(self, phi, stderr):
         p = run_cli(["conjugate", "--phi", json.dumps(phi), "--ell", "1"])
+        assert (p.returncode, p.stdout, p.stderr) == (cli.EXIT_INVALID, "", f"error: {stderr}\n")
+
+    # A missing key of an instance is named with the object that lacks it.
+    @pytest.mark.parametrize("argv, stderr", [
+        (["minimize", "mconvex", "--instance", '{"n":2,"p":{"0":0,"1":0,"3":2}}', "--phi", json.dumps(SQ2)],
+         "p: missing mask '2'"),
+        (["minimize", "mconvex", "--instance", json.dumps(P2), "--phi", '{"e1":{"form":"quadratic","a":1}}'],
+         "phi: missing element 'e2'"),
+        (["conjugate", "--phi", '{"form":"shifted","k0":1,"inner":5}', "--ell", "1"],
+         "shifted: 'inner' must be a tagged object, got 5"),
+        (["minimize", "boxtdi", "--instance", json.dumps(
+            {**P2_SYSTEM, "rows": [{"coeffs": [1, 0], "rhs": 0}] + P2_SYSTEM["rows"]}),
+          "--phi", json.dumps(SQ2), "--window", "0..2"], "row 0: missing 'kind'"),
+        (["minimize", "flow", "--instance", json.dumps({**D2, "m": {"s": -1}})], "m: missing node 't'"),
+        (["minimize", "flow", "--instance", json.dumps({**D2, "cost": {"a0": D2["cost"]["a0"]}})],
+         "cost: missing arc 'a1'"),
+    ], ids=["mask", "element", "inner", "row-kind", "node", "arc"])
+    def test_missing_keys_name_object_and_key(self, argv, stderr):
+        p = run_cli(argv)
         assert (p.returncode, p.stdout, p.stderr) == (cli.EXIT_INVALID, "", f"error: {stderr}\n")
 
     CERTIFY_FLOW = ["certify", "flow", "--instance", json.dumps(D2)]

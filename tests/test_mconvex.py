@@ -2,6 +2,7 @@ import collections
 import heapq
 import itertools
 import random
+from math import ceil, floor
 import re
 import types
 import warnings
@@ -38,10 +39,11 @@ from dctk.mconvex import (
     tight_sets,
     verify_mconvex_optimality,
 )
-from dctk.polyhedron import EQ, GEQ, Window
+from dctk.polyhedron import EQ, GEQ, LinearSystem, Window
 
 from helpers import (
     base_window,
+    frac_basic_data,
     large_slope_objective,
     naive_dual_certificate,
     naive_m2_split,
@@ -581,8 +583,11 @@ class TestM2MatchesNaiveOracle:
         """Pairs with MINUS_INF entries, n = 1-3, both restricted from one p
         or drawn apart: the primal minimum and its first witness over the
         points of the meet of the base_bounds boxes that are members of
-        both sides.  An empty meet or no such point is EmptyIntersection,
-        an unbounded meet Inconclusive."""
+        both sides.  An infinite side of the meet is bounded by the vertex
+        hull of both sides' rows (the Fraction enumeration of
+        frac_basic_data), unless that hull has a ray or a line.  An empty
+        meet or no such point is EmptyIntersection, an unbounded hull
+        Inconclusive."""
         rng = random.Random(48)
         outcomes = collections.Counter()
         for _ in range(300):
@@ -597,10 +602,17 @@ class TestM2MatchesNaiveOracle:
             if any(a > b for a, b in zip(los, his)):
                 common, kind = [], "empty box"
             elif not all(map(is_finite, los + his)):
-                with pytest.raises(Inconclusive, match="unbounded component"):
-                    m2_minimize_and_split(p1, p2_, Phi, 1)
-                outcomes["unbounded"] += 1
-                continue
+                both = LinearSystem(p1.elements, to_system(p1).rows + to_system(p2_).rows)
+                vertices, rays, lineality = frac_basic_data(both)
+                if vertices and (rays or lineality):
+                    with pytest.raises(Inconclusive, match="the common bases are unbounded"):
+                        m2_minimize_and_split(p1, p2_, Phi, 1)
+                    outcomes["LP unbounded"] += 1
+                    continue
+                hull = Window(tuple(ceil(min(v[j] for v in vertices)) for j in range(n)),
+                              tuple(floor(max(v[j] for v in vertices)) for j in range(n))) if vertices else None
+                common = [z for z in window_points(hull) if member(p1, z) and member(p2_, z)] if hull else []
+                kind = "bounded by the LP" if common else "LP empty"
             else:
                 common = [z for z in window_points(Window(los, his)) if member(p1, z) and member(p2_, z)]
                 kind = "none" if not common else "neither side bounded" if not any(bounded) else "common"
@@ -613,7 +625,7 @@ class TestM2MatchesNaiveOracle:
                 assert (rep.primal_value, rep.primal_witness) == (
                     (Phi.value(best), best) if is_finite(Phi.value(best)) else (PLUS_INF, None))
             outcomes[kind] += 1
-        assert len(outcomes) == 5 and min(outcomes.values()) >= 5, outcomes
+        assert len(outcomes) == 7 and min(outcomes.values()) >= 5, outcomes
 
     def test_objective_infinite_at_every_common_base(self):
         # Phi is finite only where its first coordinate is 50, beyond every

@@ -384,6 +384,61 @@ class TestCertify:
                 assert flow_dual_value(inst, (a, b)) <= primal
 
 
+def unit_expansion_min(nx, inst):
+    """The least cost of a flow by networkx's network simplex, on a
+    multigraph where an arc with bounds [lo, hi] sends lo units up front
+    (phi(lo), and lo off each end's demand) and becomes hi - lo parallel
+    unit arcs of cost phi(k + 1) - phi(k), k = lo..hi - 1; by convexity
+    the cheaper units fill first.  Bounds must be finite."""
+    g = nx.MultiDiGraph()
+    demand = dict(zip(inst.digraph.nodes, inst.m))
+    const = 0
+    for (t, h), lo, hi, (_, phi) in zip(inst.digraph.arcs, inst.lower, inst.upper, inst.cost.parts):
+        const += phi.value(lo)
+        demand[t] += lo
+        demand[h] -= lo
+        for k in range(lo, hi):
+            g.add_edge(t, h, capacity=1, weight=phi.value(k + 1) - phi.value(k))
+    g.add_nodes_from((v, {"demand": d}) for v, d in demand.items())
+    cost, _ = nx.network_simplex(g)
+    return const + cost
+
+
+class TestNetworkxOracle:
+    def test_value_and_certificate(self):
+        """5-8 arcs with bounds up to 6 wide and demands up to 6, beyond the
+        boxes enumerate_flows scans: min_convex_cost_flow reaches the
+        networkx minimum, and its optimal potential certifies it."""
+        nx = pytest.importorskip("networkx")
+        shapes = (
+            lambda rng: Quadratic(rng.randint(1, 4)),
+            lambda rng: VShape(rng.randint(-1, 3), rng.randint(-4, 1), rng.randint(1, 5)),
+            lambda rng: FlatBottom(rng.randint(-1, 1), rng.randint(1, 3), -rng.randint(0, 3), rng.randint(0, 3)),
+            lambda rng: linear_fn(rng.randint(-3, 3)),
+        )
+        rng = random.Random(61)
+        checked = 0
+        while checked < 30:
+            nv = rng.randint(3, 5)
+            nodes = tuple(f"v{i}" for i in range(nv))
+            arcs = tuple(tuple(rng.sample(nodes, 2)) for _ in range(rng.randint(5, 8)))
+            lower = [rng.randint(-2, 1) for _ in arcs]
+            upper = [lo + rng.randint(1, 6) for lo in lower]
+            x0 = [rng.randint(lo, hi) for lo, hi in zip(lower, upper)]
+            m = [sum(x for (t, h), x in zip(arcs, x0) if h == v) - sum(x for (t, h), x in zip(arcs, x0) if t == v)
+                 for v in nodes]
+            if max(map(abs, m)) > 6 or not any(m):
+                continue
+            cost = SeparableConvex(tuple((f"a{i}", rng.choice(shapes)(rng)) for i in range(len(arcs))))
+            inst = FlowInstance(Digraph(nodes, arcs), tuple(m), tuple(lower), tuple(upper), cost)
+            expected = unit_expansion_min(nx, inst)
+            assert cost.value(min_convex_cost_flow(inst)) == expected
+            x, pi = optimal_potential(inst)
+            rep = certify_flow(inst, x, pi)
+            assert rep.equality and rep.primal_value == expected
+            checked += 1
+
+
 class TestEnumerateFlows:
     def test_matches_naive_scan(self):
         """The flows of the bound box clipped to [-cap, cap], against a scan

@@ -28,6 +28,7 @@ from dctk.polyhedron import (
     enumerate_integer_points,
     feasibility_condition,
     find_weight_in_box,
+    first_minimum,
     lp_min,
     minimize_bruteforce,
     _basic_data,
@@ -44,6 +45,7 @@ from helpers import (
     frac_lp_min,
     large_coefficient_system,
     large_slope_objective,
+    naive_basic_data,
     naive_dual_search,
     naive_integer_points,
     naive_mu_form,
@@ -185,7 +187,8 @@ class TestLpMin:
         assert lp_min(sys, (1, -1))[0] == 0
 
     def test_simplex_in_20_dimensions(self):
-        # 21 rows in 20 variables: 21 vertex bases and 210 edge bases, each
+        # 21 rows in 20 variables: the homogenized cone has 22 rows, so
+        # C(22, 20) = 231 bases (21 for vertices, 210 for edges), each
         # eliminated once.  A table of every minor of the rows would hold
         # some 8e7 entries here and die of MemoryError under the cap.
         p = run_under_memory_limit(
@@ -204,6 +207,84 @@ class TestLpMin:
             val, _ = lp_min(P2SYS, w)
             for z in enumerate_integer_points(P2SYS, Window.uniform(2, 0, 2)):
                 assert val <= w[0] * z[0] + w[1] * z[1]
+
+
+def _basic_corpus(seed):
+    """Random systems, n = 1-4, 1-5 rows, with equality rows; every fifth
+    with entries up to 10**6, some with a zero column (a lineality
+    space), a repeated row, a row and its negation shifted by one (an
+    empty system), or the box -3..3 (a polytope, unless the zero column
+    leaves a line)."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(240):
+        n = rng.randint(1, 4)
+        bound = 10**6 if k % 5 == 0 else 3
+        rows = [Row(tuple(rng.randint(-bound, bound) if rng.random() < 0.7 else 0 for _ in range(n)),
+                    rng.randint(-bound, bound), EQ if rng.random() < 0.2 else GEQ)
+                for _ in range(rng.randint(1, 5))]
+        if k % 4 == 1 and n > 1:
+            rows = [Row(r.coeffs[:-1] + (0,), r.rhs, r.kind) for r in rows]
+        if k % 7 == 2:
+            rows.append(rows[0])
+        if k % 6 == 3:
+            rows.append(Row(tuple(-v for v in rows[0].coeffs), 1 - rows[0].rhs, GEQ))
+        if k % 6 == 4:
+            units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+            rows += [Row(u, -3, GEQ) for u in units] + [Row(tuple(-v for v in u), -3, GEQ) for u in units]
+        out.append(LinearSystem(tuple(f"x{i}" for i in range(n)), tuple(rows)))
+    return rng, out
+
+
+class TestBasicDataMatchesTwoLoopEnumeration:
+    """_basic_data reads vertices and rays off one homogenized cone; the
+    two enumerations it replaced (vertex bases, then edge bases) stay in
+    tests/helpers.py as naive_basic_data."""
+
+    def test_all_four_outputs_and_lp_min(self):
+        rng, systems = _basic_corpus(31)
+        seen = collections.Counter()
+        for sys in systems:
+            vertices, rays, lineality, ints = naive_basic_data(sys)
+            assert _basic_data(sys) == (vertices, rays, lineality)
+            assert sys._vertex_ints == ints
+            for _ in range(4):
+                w = tuple(rng.randint(-3, 3) for _ in range(sys.n))
+                assert lp_min(sys, w) == frac_lp_min((vertices, rays, lineality), w)
+            seen["empty" if not vertices else "rays" if rays else "bounded"] += 1
+            seen["lineality"] += bool(lineality)
+            seen["equality rows"] += any(r.kind == EQ for r in sys.rows)
+            seen["large"] += any(abs(v) > 3 for r in sys.rows for v in r.coeffs)
+        assert min(seen.values()) >= 20, seen
+
+    def test_cone_bases_each_eliminated_once(self, monkeypatch):
+        # One null_space call, so one elimination, per n-subset of the
+        # cone's rows (W system rows and lineality rows, plus t >= 0), and
+        # one more for the lineality space.
+        calls = []
+        null_space = ratlin.null_space
+        monkeypatch.setattr(ratlin, "null_space", lambda rows, n: calls.append(n) or null_space(rows, n))
+        _, systems = _basic_corpus(32)
+        for sys in systems[:40]:
+            calls.clear()
+            _, _, lineality = _basic_data(sys)
+            bases = len(list(itertools.combinations(range(len(sys.rows) + len(lineality) + 1), sys.n)))
+            assert len(calls) == 1 + bases
+
+
+class TestFirstMinimum:
+    def test_first_of_ties(self):
+        points = [(0, 2), (1, 1), (2, 0), (1, 1)]
+        assert first_minimum(points, lambda z: abs(z[0] - z[1])) == (0, (1, 1))
+        assert first_minimum(points, lambda z: z[0] + z[1])[1] is points[0]
+
+    def test_infinite_everywhere(self):
+        assert first_minimum([(0,), (1,)], lambda z: PLUS_INF) == (PLUS_INF, None)
+        assert first_minimum([], lambda z: 0) == (PLUS_INF, None)
+
+    def test_infinity_then_finite(self):
+        values = {0: PLUS_INF, 1: 5, 2: 3, 3: 3}
+        assert first_minimum(range(4), values.__getitem__) == (3, 2)
 
 
 class TestCompatibility:
@@ -258,6 +339,14 @@ class TestMinMaxSearches:
         sys = LinearSystem(("x",), (Row((1,), 1, GEQ), Row((-1,), 0, GEQ)))
         rep = minimize_bruteforce(sys, square_sum(("x",)), Window.uniform(1, -2, 2))
         assert rep.primal_value is PLUS_INF
+
+    def test_primal_refuses_phi_of_wrong_length(self):
+        # x >= 5 has no point in 0..2, and Phi has two parts for one
+        # coordinate: refused before the scan, not after an empty one.
+        sys = LinearSystem(("x",), (Row((1,), 5, GEQ),))
+        with pytest.raises(ValueError, match="expected 2 components, got 1"):
+            minimize_bruteforce(sys, square_sum(("x", "y")), Window.uniform(1, 0, 2))
+        assert minimize_bruteforce(sys, square_sum(("x",)), Window.uniform(1, 0, 2)).primal_witness is None
 
     def test_dual(self):
         rep = dual_search_bruteforce(P2SYS, SQ, 4)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from dctk import ratlin
 from dctk.ratlin import Minors, null_space, solve_int
 
 from helpers import frac_det, frac_null_space, frac_solve_unique
@@ -107,6 +108,50 @@ def test_null_space_is_primitive_with_positive_free_entry():
     assert null_space([[1, 2, 4]], 3) == [(-2, 1, 0), (-4, 0, 1)]
     assert null_space([[6, 4]], 2) == [(-2, 3)]
     assert null_space([[0, 0], [0, 0]], 2) == [(1, 0), (0, 1)]
+
+
+def _edge_matrices(seed):
+    """Empty row lists, singular square matrices (a repeated or zero row),
+    wide matrices (more columns than rows) and matrices with entries up
+    to 10**6: (rows, column count, right-hand side)."""
+    rng = random.Random(seed)
+    out = [([], n) for n in range(1, 5)]
+    for n in range(1, 6):
+        for bound in (3, 10**6):
+            a = _matrix(rng, n, n, bound)
+            if n > 1:
+                out.append((a[:-1] + [list(a[0])], n))
+                out.append((a[:-1] + [[0] * n], n))
+            out.append((_matrix(rng, rng.randint(1, n), n + rng.randint(1, 2), bound), n))
+            out.append((a, n))
+    return [(a, n if not a else len(a[0]), [rng.randint(-9, 9) for _ in a]) for a, n in out]
+
+
+def test_edge_matrices_match_oracles():
+    for rows, n, rhs in _edge_matrices(8):
+        assert null_space(rows, n) == frac_null_space(rows, n), rows
+        if rows:
+            sol = solve_int(rows, [[v] for v in rhs])
+            expected = frac_solve_unique(rows, rhs)
+            assert (sol is None) == (expected is None), rows
+            if sol is not None:
+                assert tuple(Fraction(xr[0], sol[0]) for xr in sol[1]) == expected
+
+
+def test_one_elimination_per_call(monkeypatch):
+    # null_space reads every free column off one pass: n eliminations
+    # became one.
+    calls = []
+    eliminate = ratlin._eliminate
+    monkeypatch.setattr(ratlin, "_eliminate", lambda m, ncols: calls.append(ncols) or eliminate(m, ncols))
+    edge = _edge_matrices(9)
+    for rows, n, _ in edge:
+        null_space(rows, n)
+    assert len(calls) == len(edge)
+    calls.clear()
+    for rows, rhs in SMALL:
+        solve_int(rows, [[v] for v in rhs])
+    assert len(calls) == len(SMALL)
 
 
 def _minor_matrices(seed):
