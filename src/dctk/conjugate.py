@@ -455,16 +455,10 @@ class _Memo(dict):
         return v
 
 
-def value_table(Phi: SeparableConvex) -> Callable[[Sequence[int]], ExtInt]:
-    """Phi.value for one scan: each part's value is kept per entry of z,
-    so a part is evaluated once per distinct entry.  Make one per scan."""
-    memos = [_Memo(p.value) for _, p in Phi.parts]
-    return lambda z: sum(map(getitem, memos, z))
-
-
 def conjugate_table(Phi: SeparableConvex) -> Callable[[Sequence[int]], ExtInt]:
-    """Phi.conjugate for one search, memoized as :func:`value_table`: a
-    part whose domain is empty raises DomainError on the first call."""
+    """Phi.conjugate for one search: each part's conjugate is kept per
+    entry of w, so a part is evaluated once per distinct entry; a part
+    whose domain is empty raises DomainError on the first call."""
     memos = [_Memo(partial(conjugate_eval, p)) for _, p in Phi.parts]
     return lambda w: sum(map(getitem, memos, w))
 
@@ -529,6 +523,12 @@ def from_json(obj) -> UnivariateConvex:
     cls = _CLASS_OF_TAG.get(form) if isinstance(form, str) else None
     if cls is None:
         raise ValueError(f"unknown form tag {form!r}")
+
+    def inner(v, what: str) -> UnivariateConvex:
+        if not (isinstance(v, dict) and "form" in v):
+            raise ValueError(f"{form}: {what} must be a tagged object, got {v!r}")
+        return from_json(v)
+
     args = []
     for name, kind in SHAPES[cls][1]:
         v = obj.get(name) if kind is BOUND else require(obj, name, f"{form}: missing")
@@ -538,12 +538,10 @@ def from_json(obj) -> UnivariateConvex:
             args.append(bound_from_json(v, +1 if name in ("B", "b") else -1))
         elif kind in (VALUES, PARTS) and not isinstance(v, list):
             raise ValueError(f"{form}: {name!r} must be a list, got {v!r}")
-        elif kind is INNER and not (isinstance(v, dict) and "form" in v):
-            raise ValueError(f"{form}: {name!r} must be a tagged object, got {v!r}")
         else:
             args.append(tuple(v) if kind is VALUES
-                        else from_json(v) if kind is INNER
-                        else tuple(from_json(p) for p in v) if kind is PARTS
+                        else inner(v, repr(name)) if kind is INNER
+                        else tuple(inner(p, f"{name!r} entry {i}") for i, p in enumerate(v)) if kind is PARTS
                         else v)
     try:
         return cls(*args)

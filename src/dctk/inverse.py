@@ -11,16 +11,11 @@ single target on the dilated system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import List, Optional, Sequence, Tuple
 
 from . import ratlin
-from .conjugate import (
-    FlatBottom,
-    SeparableConvex,
-    VShape,
-    conjugate_table,
-)
+from .conjugate import FlatBottom, SeparableConvex, VShape, conjugate_eval
 from .errors import NoFeasibleWeight, NotFeasible
 from .extint import ExtInt, is_finite
 from .polyhedron import (
@@ -29,10 +24,9 @@ from .polyhedron import (
     TangentCone,
     Window,
     dilation,
-    enumerate_integer_points,
-    first_minimum,
     minimize_bruteforce,
     normal_cone,
+    separable_first_minimum,
     tangent_cone,
 )
 
@@ -44,7 +38,7 @@ class InverseInstance:
     deviation: SeparableConvex
 
     def __post_init__(self):
-        check_targets(self.parent, self.targets)
+        self.cone  # checks each target once, in reduce_targets
 
     @cached_property
     def cone(self) -> TangentCone:
@@ -73,14 +67,15 @@ def inverse_dual_search(
     w_star: Optional[Sequence[int]] = None,
 ) -> MinMaxReport:
     """max -conj(Phi)(z) over integer points of the tangent cone: the
-    first least conjugate, negated.
+    first least conjugate, negated, by :func:`separable_first_minimum`
+    with each part's conjugate finite on its slope range.
 
     When the primal witness w* is supplied, the report also records the
     orthogonality (w*.z* = 0) and fitting (Phi'(w*-1) <= z* <= Phi'(w*))
     checks for the best pair.
     """
-    points = enumerate_integer_points(cone.cone_system, z_window)
-    least, arg = first_minimum(points, conjugate_table(deviation))
+    parts = [(partial(conjugate_eval, p), *p.slope_range()) for _, p in deviation.parts]
+    least, arg = separable_first_minimum(cone.cone_system, z_window, parts)
     report = MinMaxReport(
         dual_value=-least,
         dual_witness=arg,
@@ -92,23 +87,19 @@ def inverse_dual_search(
     return report
 
 
-def check_targets(sys: LinearSystem, targets: Sequence[Sequence[int]]) -> None:
-    """Each target has n entries and is a point of the system."""
+def reduce_targets(
+    sys: LinearSystem, targets: Sequence[Sequence[int]]
+) -> Tuple[LinearSystem, Tuple[int, ...]]:
+    """k targets on R, each with n entries and a point of R, become one
+    target (their sum) on the k-dilation."""
+    k = len(targets)
+    if k < 1:
+        raise ValueError("need at least one target")
     for z in targets:
         if len(z) != sys.n:
             raise ValueError(f"target {tuple(z)} needs {sys.n} entries")
         if not sys.contains(z):
             raise NotFeasible(f"target {tuple(z)} violates the system")
-
-
-def reduce_targets(
-    sys: LinearSystem, targets: Sequence[Sequence[int]]
-) -> Tuple[LinearSystem, Tuple[int, ...]]:
-    """k targets on R become one target (their sum) on the k-dilation."""
-    k = len(targets)
-    if k < 1:
-        raise ValueError("need at least one target")
-    check_targets(sys, targets)
     z0 = tuple(sum(t[i] for t in targets) for i in range(sys.n))
     return dilation(sys, k), z0
 

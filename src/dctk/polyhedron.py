@@ -1,9 +1,11 @@
 """Integral linear systems [Q'x >= p', Q=x = p=] at desk scale.
 
 One lazy lex-order kernel lists a system's integer points in a box
-(:func:`enumerate_integer_points`) for every such scan in dctk.  Also
-exact rational LP by basic-solution enumeration, tangent cones and
-their normal cones as systems, dual searches for the separable-convex
+(:func:`enumerate_integer_points`), and one bound-pruned kernel finds
+their first least separable convex sum without listing them
+(:func:`separable_first_minimum`).  Also exact rational LP by
+basic-solution enumeration, tangent cones (from :func:`_extreme_rays`)
+and their normal cones as systems, dual searches for the separable-convex
 min-max formulas, the disjoint-pair feasibility test, dilations, and a
 box-integrality probe.  Arithmetic is exact; witnesses are lex-least.
 
@@ -24,15 +26,17 @@ values.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from . import ratlin
-from .conjugate import SeparableConvex, conjugate_table, value_table
+from .conjugate import SeparableConvex, _Memo, conjugate_table
 from .errors import (
     CriteriaViolated,
+    DomainError,
     NotFeasible,
     NotPrimalFeasible,
     NotSignFeasible,
@@ -213,19 +217,13 @@ class MinMaxReport:
 # Enumeration and exact LP
 
 
-def enumerate_integer_points(sys: LinearSystem, win: Window) -> Iterator[Tuple[int, ...]]:
-    """The integer points of the system in the window, lazily, in lex order.
-
-    A depth-first scan fixes one coordinate at a time.  Each row a.x >= b
-    (an equality row adds its negation) has a room: its largest value
-    over the window, given the coordinates fixed so far, minus b.  Only
-    values of x_i that keep the room >= 0 are tried: x_i >= hi_i -
-    room // a_i if a_i > 0, x_i <= lo_i + room // -a_i if a_i < 0, any
-    x_i if a_i = 0.  A row with no room at the start, such as 0 >= 1,
-    admits no point; else a prefix that no completion meets is dropped,
-    and a full point meets every row.
-    """
-    lo, hi = win.lo, win.hi
+def _rooms(sys: LinearSystem, lo: Sequence[int], hi: Sequence[int]):
+    """For a depth-first scan of the box lo..hi: each row a.x >= b (and the
+    negation of an equality row) has a room, its largest value over the
+    box given the coordinates fixed so far, minus b.  Returns the rooms;
+    clip(i, room), the x_i that keep every room >= 0 (x_i >= hi_i - room //
+    a_i if a_i > 0, x_i <= lo_i + room // -a_i if a_i < 0); and fix(i,
+    room, t), the rooms once x_i = t."""
     rows = [(r.coeffs, r.rhs) for r in sys.rows]
     rows += [(tuple(-a for a in r.coeffs), -r.rhs) for r in sys.rows if r.kind == EQ]
     room = [sum(a * (h if a > 0 else l) for a, l, h in zip(c, lo, hi)) - b for c, b in rows]
@@ -234,69 +232,141 @@ def enumerate_integer_points(sys: LinearSystem, win: Window) -> Iterator[Tuple[i
         [(k, c[i], c[i] * (hi[i] if c[i] > 0 else lo[i])) for k, (c, _) in enumerate(rows) if c[i]]
         for i in range(sys.n)
     ]
-    last = sys.n - 1
 
-    def scan(i: int, head: Tuple[int, ...], room: List[int]) -> Iterator[Tuple[int, ...]]:
+    def clip(i: int, room: List[int]) -> Tuple[int, int]:
         a, b = lo[i], hi[i]
         for k, c, _ in cols[i]:
             if c > 0:
                 a = max(a, hi[i] - room[k] // c)
             else:
                 b = min(b, lo[i] + room[k] // -c)
+        return a, b
+
+    def fix(i: int, room: List[int], t: int) -> List[int]:
+        fixed = room.copy()
+        for k, c, top in cols[i]:
+            fixed[k] += c * t - top
+        return fixed
+
+    return room, clip, fix
+
+
+def enumerate_integer_points(sys: LinearSystem, win: Window) -> Iterator[Tuple[int, ...]]:
+    """The integer points of the system in the window, lazily, in lex
+    order: a depth-first scan that tries only the values :func:`_rooms`
+    clips to.  A row with no room at the start, such as 0 >= 1, admits no
+    point; else a prefix that no completion meets is dropped, and a full
+    point meets every row."""
+    room, clip, fix = _rooms(sys, win.lo, win.hi)
+    last = sys.n - 1
+
+    def scan(i: int, head: Tuple[int, ...], room: List[int]) -> Iterator[Tuple[int, ...]]:
+        a, b = clip(i, room)
         for t in range(a, b + 1):
             if i == last:
                 yield head + (t,)
-                continue
-            fixed = room.copy()
-            for k, c, top in cols[i]:
-                fixed[k] += c * t - top
-            yield from scan(i + 1, head + (t,), fixed)
+            else:
+                yield from scan(i + 1, head + (t,), fix(i, room, t))
 
     return scan(0, (), room) if min(room) >= 0 else iter(())
+
+
+def separable_first_minimum(sys: LinearSystem, win: Window,
+                            parts: Sequence[tuple]) -> Tuple[ExtInt, Optional[tuple]]:
+    """What :func:`first_minimum` of sum_j f_j(x_j) over
+    :func:`enumerate_integer_points` returns, without listing every point.
+
+    Per coordinate, parts holds (f_j, lo_j, hi_j): a convex function, read
+    once per value through a memo, finite exactly on [lo_j, hi_j], which
+    cut the window.  Each part's least value there and its first argmin
+    m_j, by bisection on the slope, come first; their suffix sums bound
+    every completion.  A prefix not below the best by that bound is
+    dropped, and the loop over x_i then stops if x_i >= m_i, past which
+    the part does not fall.  Every value the clip leaves the last
+    coordinate completes a point, so m clamped to them is its lex-first
+    minimizer: one read per prefix (Murota, Discrete Convex Analysis,
+    2003).  A part finite nowhere raises DomainError when the system has
+    a point in the window, as the full scan does."""
+    fs = [_Memo(f) for f, _, _ in parts]
+    span = [(max(a, l), min(b, h)) for (_, a, b), l, h in zip(parts, win.lo, win.hi)]
+    try:
+        m = [a + bisect_left(range(a, b), True, key=lambda t, f=f: f[t + 1] >= f[t]) if a <= b else None
+             for f, (a, b) in zip(fs, span)]
+    except DomainError:
+        if next(enumerate_integer_points(sys, win), None) is not None:
+            raise
+        return PLUS_INF, None
+    if None in m:
+        return PLUS_INF, None
+    room, clip, fix = _rooms(sys, *zip(*span))
+    bound = list(itertools.accumulate(reversed([f[mj] for f, mj in zip(fs, m)]), initial=0))[::-1]
+    best, arg = PLUS_INF, None
+    last = sys.n - 1
+
+    def scan(i: int, head: Tuple[int, ...], room: List[int], value: int) -> None:
+        nonlocal best, arg
+        a, b = clip(i, room)
+        if i == last:
+            t = min(max(m[i], a), b)
+            if a <= b and (v := value + fs[i][t]) < best:
+                best, arg = v, head + (t,)
+            return
+        for t in range(a, b + 1):
+            v = value + fs[i][t]
+            if v + bound[i + 1] < best:
+                scan(i + 1, head + (t,), fix(i, room, t), v)
+            elif t >= m[i]:
+                break
+
+    if min(room) >= 0:
+        scan(0, (), room, 0)
+    return best, arg
+
+
+def _pointed(rows: Sequence[Row], n: int):
+    """(lineality, rows): the lineality space of the rows, and the rows plus
+    d.x = 0 per lineality vector d, which cut out a pointed remainder."""
+    lineality = ratlin.null_space([r.coeffs for r in rows], n)
+    return lineality, (*rows, *(Row(d, 0, EQ) for d in lineality))
+
+
+def _extreme_rays(rows: Sequence[Row], d: int) -> set:
+    """The extreme rays of the pointed cone that the rows (right-hand sides
+    0) cut out of R^d: each (d-1)-subset of the rows whose kernel is a
+    line gives its primitive vectors +-v, kept if they lie in the cone."""
+    seen, rays = set(), set()
+    for subset in itertools.combinations(rows, d - 1):
+        kernel = ratlin.null_space([r.coeffs for r in subset], d)
+        if len(kernel) != 1 or kernel[0] in seen:
+            continue
+        pair = (kernel[0], tuple(-e for e in kernel[0]))
+        seen.update(pair)
+        rays.update(v for v in pair if all(r.satisfied_by(v) for r in rows))
+    return rays
 
 
 def _basic_data(sys: LinearSystem):
     """(vertices, rays, lineality) of the system, cached on the instance.
 
-    The lineality space is factored out by adding artificial homogeneous
-    equality rows; the pointed remainder then has a vertex whenever the
-    system is feasible, so "no vertices" is a reliable infeasibility
-    certificate at this scale.  Its vertices and rays are read off the
-    extreme rays (x, t) of one homogenized cone (Schrijver, Theory of
-    Linear and Integer Programming, 1986): a.x >= b*t per row (= for
-    equality and lineality rows) and t >= 0.  Each n-subset of its rows
-    with a one-dimensional kernel gives one candidate, the vertex x/t
-    when t > 0 and the rays +-x when t = 0, kept if it lies in the cone.
+    The lineality space is factored out by :func:`_pointed`; the pointed
+    remainder then has a vertex whenever the system is feasible, so "no
+    vertices" is a reliable infeasibility certificate at this scale.  Its
+    vertices and rays are read off the extreme rays (x, t) of one
+    homogenized cone (Schrijver, Theory of Linear and Integer
+    Programming, 1986): t >= 0 and a.x >= b*t per row (= for equality and
+    lineality rows).  A ray with t > 0 gives the vertex x/t, and one with
+    t = 0 a ray x.
     """
     if sys._basic is not None:
         return sys._basic
     n = sys.n
-    lineality = ratlin.null_space([list(r.coeffs) for r in sys.rows], n)
-    cone = [Row(r.coeffs + (-r.rhs,), 0, r.kind) for r in sys.rows]
-    cone += [Row(d + (0,), 0, EQ) for d in lineality] + [Row((0,) * n + (1,), 0, GEQ)]
-
-    # A kernel vector is primitive with t >= 0 (t is 0 only for a ray),
-    # so a vertex x/t is kept as the canonical (t, t*x).
-    scaled = []
-    rays = set()
-    seen = set()
-    for idxs in itertools.combinations(range(len(cone)), n):
-        kernel = ratlin.null_space([cone[i].coeffs for i in idxs], n + 1)
-        if len(kernel) != 1 or kernel[0] in seen:
-            continue
-        v = kernel[0]
-        gens = [v] if v[n] else [v, tuple(-e for e in v)]
-        seen.update(gens)
-        for *x, t in gens:
-            if not all(r.satisfied_by(x + [t]) for r in cone):
-                continue
-            if t:
-                scaled.append((tuple(Fraction(e, t) for e in x), t, x))
-            else:
-                rays.add(tuple(x))
-    scaled.sort()
+    lineality, rows = _pointed(sys.rows, n)
+    cone = [Row((0,) * n + (1,), 0, GEQ)] + [Row(r.coeffs + (-r.rhs,), 0, r.kind) for r in rows]
+    # An extreme ray is primitive, so a vertex x/t is kept as the canonical (t, t*x).
+    gens = _extreme_rays(cone, n + 1)
+    scaled = sorted((tuple(Fraction(e, t) for e in x), t, x) for *x, t in gens if t)
     big_d = lcm(*(t for _, t, _ in scaled))
-    sys._basic = ([x for x, _, _ in scaled], sorted(rays), lineality)
+    sys._basic = ([x for x, _, _ in scaled], sorted(tuple(x) for *x, t in gens if not t), lineality)
     sys._vertex_ints = (big_d, [tuple(e * (big_d // t) for e in xt) for _, t, xt in scaled])
     return sys._basic
 
@@ -339,9 +409,9 @@ class TangentCone:
 
 
 def tangent_cone(sys: LinearSystem, z0: Sequence[int]) -> TangentCone:
-    """The tangent cone at z0; equality rows are always included.  Its
-    generators come from :func:`_basic_data` on the cone system, which has
-    only the few rows tight at z0."""
+    """The tangent cone at z0; equality rows are always included.  Its rays
+    are the extreme rays of its few rows, those tight at z0, made pointed by
+    :func:`_pointed`: one null space per (n-1)-subset, with no t column."""
     z0 = tuple(z0)
     if not sys.contains(z0):
         raise NotFeasible(f"z0={z0} violates the system")
@@ -353,9 +423,9 @@ def tangent_cone(sys: LinearSystem, z0: Sequence[int]) -> TangentCone:
             rows.append(Row(r.coeffs, 0, GEQ))
     if not rows:
         rows.append(Row((0,) * sys.n, 0, GEQ))
-    cone_sys = LinearSystem(sys.elements, tuple(rows))
-    _, rays, lineality = _basic_data(cone_sys)
-    return TangentCone(cone_sys, tuple(rays), tuple(lineality))
+    lineality, pointed = _pointed(rows, sys.n)
+    rays = sorted(_extreme_rays(pointed, sys.n))
+    return TangentCone(LinearSystem(sys.elements, tuple(rows)), tuple(rays), tuple(lineality))
 
 
 def normal_cone(cone: TangentCone) -> LinearSystem:
@@ -419,9 +489,10 @@ def minimize_bruteforce(
     sys: LinearSystem, Phi: SeparableConvex, win: Window
 ) -> MinMaxReport:
     """Windowed exact minimum of Phi over the integer points: the first
-    least value in lex order, each part's value computed once per entry."""
+    least value in lex order, by :func:`separable_first_minimum` with each
+    part finite on its domain."""
     Phi._check_len(sys.elements)  # even when the window has no point
-    best, arg = first_minimum(enumerate_integer_points(sys, win), value_table(Phi))
+    best, arg = separable_first_minimum(sys, win, [(p.value, *p.dom()) for _, p in Phi.parts])
     return MinMaxReport(
         primal_value=best,
         primal_witness=arg,

@@ -651,13 +651,15 @@ class TestBadInput:
          "phi: missing element 'e2'"),
         (["conjugate", "--phi", '{"form":"shifted","k0":1,"inner":5}', "--ell", "1"],
          "shifted: 'inner' must be a tagged object, got 5"),
+        (["conjugate", "--phi", '{"form":"sum_of","parts":[{"form":"quadratic","a":1},5]}', "--ell", "1"],
+         "sum_of: 'parts' entry 1 must be a tagged object, got 5"),
         (["minimize", "boxtdi", "--instance", json.dumps(
             {**P2_SYSTEM, "rows": [{"coeffs": [1, 0], "rhs": 0}] + P2_SYSTEM["rows"]}),
           "--phi", json.dumps(SQ2), "--window", "0..2"], "row 0: missing 'kind'"),
         (["minimize", "flow", "--instance", json.dumps({**D2, "m": {"s": -1}})], "m: missing node 't'"),
         (["minimize", "flow", "--instance", json.dumps({**D2, "cost": {"a0": D2["cost"]["a0"]}})],
          "cost: missing arc 'a1'"),
-    ], ids=["mask", "element", "inner", "row-kind", "node", "arc"])
+    ], ids=["mask", "element", "inner", "parts-entry", "row-kind", "node", "arc"])
     def test_missing_keys_name_object_and_key(self, argv, stderr):
         p = run_cli(argv)
         assert (p.returncode, p.stdout, p.stderr) == (cli.EXIT_INVALID, "", f"error: {stderr}\n")

@@ -348,23 +348,6 @@ class TestSeparable:
         with pytest.raises(DomainError):
             conjugate_table(Phi)((0, 0))
 
-    def test_value_table_evaluates_each_entry_once(self, monkeypatch):
-        import itertools
-
-        Phi = SeparableConvex(
-            (("a", VShape(0, -1, 1)), ("b", Quadratic(2)), ("c", Restricted(-3, 2, Quadratic(1))))
-        )
-        expected = {w: Phi.value(w) for w in itertools.product(range(-4, 5), repeat=3)}
-        calls = collections.Counter()
-        for cls in (VShape, Quadratic, Restricted):
-            value = cls.value
-            monkeypatch.setattr(cls, "value", lambda self, k, value=value: calls.update([(self, k)]) or value(self, k))
-        values = conjugate.value_table(Phi)
-        for _ in range(2):  # cold, then every value memoized
-            assert {w: values(w) for w in expected} == expected
-        # Restricted calls its inner Quadratic inside its domain only.
-        assert set(calls.values()) == {1} and len(calls) == 9 * 3 + 6
-
     def test_prime(self):
         Phi = square_sum(["a", "b"])
         assert Phi.prime((1, 1)) == [3, 3]

@@ -44,8 +44,17 @@ was written while the conjugate was found by a slope search bracketed
 by per-shape tails, so a change to how the argmax or the slope range is
 found that moves a value, a refusal or a window shows here.
 
+`tests/data/inverse_golden.json` holds `inverse` runs on seeded base
+systems (n = 2-5, one to three targets), flow embeddings and s3 (not
+box-TDI), with l1, weighted-l1 and box deviations, shifted quadratics,
+V-shapes with slopes up to 10**6 and mixtures of these, at w windows of
++-6 and +-20.  It was written while both inverse scans listed every
+integral point of their window, so a change to how the least weight,
+the dual witness or the tangent cone is found that moves a value, a
+witness or a status shows here.
+
 Regenerate (only when a change of output is intended and recorded):
-    PYTHONPATH=src python tests/test_golden.py [mconvex|probe|dual|conjugate]
+    PYTHONPATH=src python tests/test_golden.py [mconvex|probe|dual|conjugate|inverse]
 """
 
 from __future__ import annotations
@@ -66,7 +75,7 @@ from dctk.extint import MINUS_INF, PLUS_INF, is_finite
 from dctk.inverse import default_z_window
 from dctk.fixtures import random_supermodular, s3_system
 from dctk.mconvex import SupermodularFn, enumerate_bases, greedy_min, member, minimize_separable, to_system
-from dctk.polyhedron import dilation, enumerate_integer_points
+from dctk.polyhedron import Window, dilation, enumerate_integer_points
 
 from helpers import (
     large_slope_objective,
@@ -83,11 +92,13 @@ DATA = DIR / "mconvex_golden.json"
 PROBE_DATA = DIR / "probe_golden.json"
 DUAL_DATA = DIR / "dual_golden.json"
 CONJUGATE_DATA = DIR / "conjugate_golden.json"
+INVERSE_DATA = DIR / "inverse_golden.json"
 SEED = 20201
 COUNT = 20
 PROBE_SEED = 20212
 DUAL_SEED = 20213
 CONJUGATE_SEED = 20214
+INVERSE_SEED = 20215
 
 
 def capture_all(argv):
@@ -241,6 +252,72 @@ def build_dual_ops(seed=DUAL_SEED):
     return ops
 
 
+INVERSE_KINDS = ("l1", "weighted-l1", "box", "quadratic", "large", "mixed")
+
+
+def _vshape(k0, c_minus, c_plus, A=None, B=None):
+    return {"form": "vshape", "k0": k0, "c_minus": c_minus, "c_plus": c_plus, "A": A, "B": B}
+
+
+def _inverse_part(rng, kind, wide):
+    """One deviation part.  A "large" part has slopes up to 10**6 on a
+    domain of at most seven points, or on all of Z when wide: its
+    conjugate's z window is then 10**6 wide on that coordinate."""
+    if kind == "mixed":
+        kind = rng.choice(INVERSE_KINDS[:5])
+    w0 = rng.randint(-2, 2)
+    if kind == "l1":
+        return _vshape(w0, -1, 1)
+    if kind == "weighted-l1":
+        return _vshape(w0, -rng.randint(1, 3), rng.randint(1, 3))
+    if kind == "box":
+        a = rng.randint(-3, 2)
+        return {"form": "flat_bottom", "a": a, "b": a + rng.randint(0, 2), "c_minus": -rng.randint(1, 3),
+                "c_plus": rng.randint(1, 3), "A": None, "B": None}
+    if kind == "quadratic":
+        return {"form": "shifted", "k0": w0, "inner": {"form": "quadratic", "a": rng.randint(1, 3)}}
+    c1, c2 = rng.randint(1, 10**6), rng.randint(1, 10**6)
+    if wide:
+        return _vshape(w0, -c1, c2)
+    return _vshape(w0, -c1, c2, w0 - rng.randint(0, 3), w0 + rng.randint(0, 3))
+
+
+def _inverse_argv(system, targets, deviation, w):
+    argv = ["inverse", "--system", _dumps(system.to_json())]
+    for t in targets:
+        argv += ["--target", _dumps(list(t))]
+    return argv + ["--deviation", _dumps(deviation), f"--w-window=-{w}..{w}"]
+
+
+def build_inverse_ops(seed=INVERSE_SEED):
+    """The argv lists: `inverse` on base systems (n = 2-5) with one to
+    three targets among their bases, on flow embeddings with targets
+    among their integral points, and on s3 at its vertices; each kind of
+    deviation at w windows of +-6 and +-20 (+-6 only for n >= 5).  On a
+    base system the first part of a "large" deviation is wide: the
+    system's equality bounds that coordinate of the tangent cone."""
+    rng = random.Random(seed)
+    instances = []
+    for n in (2, 2, 3, 3, 3, 4, 4, 5):
+        p = random_supermodular(rng, n, value_bound=2)
+        instances.append((to_system(p), enumerate_bases(p), True))
+    while len(instances) < 12:
+        system = random_flow_embedding(rng)
+        points = list(enumerate_integer_points(system, vertex_hull_window(system, 0)))
+        if points:
+            instances.append((system, points, False))
+    s3 = s3_system()
+    instances.append((s3, list(enumerate_integer_points(s3, Window.uniform(6, 0, 1))), False))
+    ops = []
+    for system, points, wide in instances:
+        for i, kind in enumerate(INVERSE_KINDS):
+            targets = [rng.choice(points) for _ in range(1 + (i + len(points)) % 3)]
+            dev = {e: _inverse_part(rng, kind, wide and j == 0) for j, e in enumerate(system.elements)}
+            for w in (6, 20) if system.n <= 4 else (6,):
+                ops.append(_inverse_argv(system, targets, dev, w))
+    return ops
+
+
 def conjugate_forms(seed=CONJUGATE_SEED):
     """Every form, bare and nested: unbounded and one-sided domains,
     constant tails on either side (where a sum's slope search must stop
@@ -351,6 +428,7 @@ GOLDEN = {
     "probe": (PROBE_DATA, _record(build_probe_ops)),
     "dual": (DUAL_DATA, _record(build_dual_ops)),
     "conjugate": (CONJUGATE_DATA, build_conjugate_cases),
+    "inverse": (INVERSE_DATA, _record(build_inverse_ops)),
 }
 
 
@@ -389,6 +467,13 @@ def test_conjugate_corpus_covers_every_outcome():
     assert any("nowhere finite" in r["stderr"] for r in runs)
 
 
+def test_inverse_corpus_covers_every_outcome():
+    cases = _cases(INVERSE_DATA)
+    codes = [c["exit"] for c in cases]
+    assert codes.count(0) >= 20 and codes.count(6) >= 5, codes
+    assert any('"fitting":false' in c["stdout"] for c in cases)
+
+
 @pytest.mark.parametrize("case", _cases(DATA), ids=lambda c: " ".join(c["argv"][:2]))
 def test_output_is_unchanged(case):
     assert capture(case["argv"]) == (case["stdout"], case["exit"])
@@ -401,6 +486,11 @@ def test_probe_output_is_unchanged(case):
 
 @pytest.mark.parametrize("case", _cases(DUAL_DATA), ids=lambda c: " ".join(c["argv"][:2]))
 def test_dual_output_is_unchanged(case):
+    assert capture(case["argv"]) == (case["stdout"], case["exit"])
+
+
+@pytest.mark.parametrize("case", _cases(INVERSE_DATA), ids=lambda c: c["argv"][0])
+def test_inverse_output_is_unchanged(case):
     assert capture(case["argv"]) == (case["stdout"], case["exit"])
 
 

@@ -1,8 +1,11 @@
+import collections
 import itertools
+import math
 import random
 
 import pytest
 
+from dctk import ratlin
 from dctk.conjugate import SeparableConvex, VShape
 from dctk.errors import NoFeasibleWeight, NotFeasible
 from dctk.extint import MINUS_INF, PLUS_INF
@@ -35,6 +38,7 @@ from helpers import (
     is_minimizer,
     naive_integer_points,
     naive_find_weight_in_box,
+    naive_basic_data,
     naive_inverse_minimize,
     random_flow_embedding,
     random_integer_system,
@@ -185,6 +189,14 @@ class TestInverseDual:
 
 
 class TestTargets:
+    def test_each_target_checked_once(self, monkeypatch):
+        seen = []
+        contains = LinearSystem.contains
+        monkeypatch.setattr(LinearSystem, "contains", lambda self, x: seen.append(tuple(x)) or contains(self, x))
+        InverseInstance(P2SYS, ((2, 0), (1, 1)), DEV).cone
+        # Each target on R, then their sum on the 2-dilation.
+        assert seen == [(2, 0), (1, 1), (3, 1)]
+
     def test_dilate_pair(self):
         sys2, z0 = reduce_targets(P2SYS, [(1, 1), (2, 0)])
         assert sys2.rows[2].rhs == 4 and z0 == (3, 1)
@@ -264,6 +276,47 @@ def _window(n):
 
 def _reduced(sys, targets):
     return dilation(sys, len(targets)), tuple(map(sum, zip(*targets)))
+
+
+class TestTangentConeMatchesNaive:
+    """tangent_cone's rays are the extreme rays of its own cone system,
+    made pointed, found with no homogenizing column: the same rays and
+    lineality as the two-loop oracle naive_basic_data, in one null space
+    for the lineality and one per (n-1)-subset of the R rows and l
+    lineality rows."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(29)
+        cases = [_reduced(sys, targets) for sys, targets in _cone_cases()]
+        for _ in range(40):
+            sys = random_integer_system(rng)
+            points = list(enumerate_integer_points(sys, Window.uniform(sys.n, -4, 4)))
+            if points:
+                cases.append((sys, rng.choice(points)))
+        line = LinearSystem(("x",), (Row((1,), 0, GEQ), Row((-1,), -3, GEQ)))
+        cases += [(line, (0,)), (line, (3,)), (line, (1,)),
+                  (LinearSystem(("x",), (Row((2,), 4, EQ),)), (2,))]
+        return cases
+
+    def test_matches_naive_basic_data(self, monkeypatch):
+        calls = []
+        null_space = ratlin.null_space
+        monkeypatch.setattr(ratlin, "null_space", lambda rows, n: calls.append(n) or null_space(rows, n))
+        seen = collections.Counter()
+        for sys, z0 in self.cases():
+            calls.clear()
+            cone = tangent_cone(sys, z0)
+            count = len(calls)
+            _, rays, lineality, _ = naive_basic_data(cone.cone_system)
+            assert (list(cone.rays), list(cone.lineality)) == (rays, lineality), (sys, z0)
+            rows = len(cone.cone_system.rows) + len(lineality)
+            assert count == 1 + math.comb(rows, sys.n - 1)
+            seen["n = 1"] += sys.n == 1
+            seen["whole space"] += len(lineality) == sys.n
+            seen["rays and lineality"] += bool(rays and lineality)
+            seen["pointed"] += bool(rays and not lineality)
+        assert min(seen.values()) >= 2, seen
 
 
 class TestNormalConeMatchesOracle:

@@ -1,13 +1,27 @@
 import collections
+import contextlib
 import itertools
 import random
 
 import pytest
 from fractions import Fraction
 
-from dctk import polyhedron, ratlin
-from dctk.conjugate import Quadratic, Restricted, SeparableConvex, linear_cost, square_sum
-from dctk.errors import CriteriaViolated, NotPrimalFeasible, NotSignFeasible
+from dctk import conjugate, polyhedron, ratlin
+from dctk.conjugate import (
+    FlatBottom,
+    LinearPlus,
+    Quadratic,
+    Restricted,
+    SeparableConvex,
+    Shifted,
+    SumOf,
+    Table,
+    VShape,
+    conjugate_eval,
+    linear_cost,
+    square_sum,
+)
+from dctk.errors import CriteriaViolated, DomainError, NotPrimalFeasible, NotSignFeasible
 from dctk.extint import MINUS_INF, PLUS_INF
 from dctk.fixtures import (
     p2_system,
@@ -35,6 +49,7 @@ from dctk.polyhedron import (
     _bound_point,
     mu_form_dual_search,
     probe_box_integer,
+    separable_first_minimum,
     verify_certificate,
 )
 
@@ -51,7 +66,10 @@ from helpers import (
     naive_mu_form,
     naive_probe_box_integer,
     random_flow_embedding,
+    random_closed_form,
+    random_convex_table,
     random_integer_system,
+    random_large_slope_form,
     random_search_objective,
     run_under_memory_limit,
     vertex_hull_window,
@@ -285,6 +303,188 @@ class TestFirstMinimum:
     def test_infinity_then_finite(self):
         values = {0: PLUS_INF, 1: 5, 2: 3, 3: 3}
         assert first_minimum(range(4), values.__getitem__) == (3, 2)
+
+
+def _kernel_form(rng):
+    """A part of every shape: finite domains inside [-8, 8], slopes up to
+    10**6 on domains inside [-400, 400], unbounded ones, and plateaus (a
+    flat bottom, a flat V, a table with equal neighbours)."""
+    big = rng.randint(1, 10**6)
+    k = rng.randint(-3, 3)
+    pick = rng.randrange(14)
+    if pick == 0:
+        return random_convex_table(rng)
+    if pick == 1:
+        return random_closed_form(rng)
+    if pick == 2:
+        return random_large_slope_form(rng)
+    if pick == 3:
+        return Shifted(k, Quadratic(rng.randint(1, 3)))
+    if pick == 4:
+        return VShape(k, -rng.choice((1, big)), rng.choice((1, big)))
+    if pick == 5:
+        return FlatBottom(k, k + rng.randint(0, 3), -rng.randint(0, 3), rng.randint(0, 3))
+    if pick == 6 and rng.random() < 0.5:
+        return FlatBottom(MINUS_INF, k, 0, rng.randint(1, 3))
+    if pick == 6:
+        return FlatBottom(k, PLUS_INF, -rng.randint(1, 3), 0)
+    if pick == 7:
+        return LinearPlus(rng.randint(-3, 3), VShape(k, -2, 2))
+    if pick == 8:
+        return SumOf((VShape(k, -1, 1), FlatBottom(k - 2, k + 1, -big, big)))
+    if pick == 9:
+        return VShape(k, 0, 0, k - rng.randint(0, 5), k + rng.randint(0, 5))
+    if pick == 10:
+        return Table(k - 2, (3, 1, 1, 1, 4))
+    if pick == 11:
+        return Quadratic(rng.randint(1, 3))
+    if pick == 12:
+        return VShape(k, -big, big, k - rng.randint(0, 4), k + rng.randint(0, 4))
+    return Restricted(k - 3, k + 3, Shifted(k, Quadratic(1)))
+
+
+def _kernel_cases(seed):
+    """(system, window, Phi): random integer systems (with equality
+    rows, some dilated), flow embeddings, base systems, a box and a
+    0 >= 1 row; in small and wide windows, mostly around a point of the
+    system, some far from most domains."""
+    rng = random.Random(seed)
+    cases = []
+    for k in range(360):
+        kind = k % 5
+        if kind == 0:
+            system = random_integer_system(rng)
+        elif kind == 1:
+            system = random_flow_embedding(rng)
+        elif kind == 2:
+            system = to_system(random_supermodular(rng, rng.randint(1, 3), value_bound=2))
+        elif kind == 3:
+            n = rng.randint(1, 3)
+            system = LinearSystem(tuple(f"x{i}" for i in range(n)), (Row((0,) * n, int(k % 4 == 3), GEQ),))
+        else:
+            system = dilation(random_integer_system(rng), rng.randint(1, 3))
+        n = system.n
+        width = 30 if n <= 2 and rng.random() < 0.3 else 4
+        points = list(enumerate_integer_points(system, Window.uniform(n, -6, 6)))
+        # Mostly a window around a point of the system, else anywhere.
+        z = rng.choice(points) if points and rng.random() < 0.8 else (rng.choice((0, 0, 50, -300)),) * n
+        lo = tuple(v - rng.randint(0, width) for v in z)
+        hi = tuple(v + rng.randint(0, width) for v in z)
+        Phi = SeparableConvex(tuple((e, _kernel_form(rng)) for e in system.elements))
+        cases.append((system, Window(lo, hi), Phi))
+    return cases
+
+
+def _value_parts(Phi):
+    return [(p.value, *p.dom()) for _, p in Phi.parts]
+
+
+def _conjugate_parts(Phi):
+    return [(lambda ell, p=p: conjugate_eval(p, ell), *p.slope_range()) for _, p in Phi.parts]
+
+
+class TestSeparableFirstMinimum:
+    """The bound-pruned kernel against the full scan it replaces:
+    first_minimum over enumerate_integer_points, value for value and
+    point for point."""
+
+    @staticmethod
+    def matches_full_scan(seed, make_parts):
+        """Kernel and full scan agree on every case; the counts of cases
+        with a finite answer, a value beyond 10**6 and tied minimizers."""
+        seen = collections.Counter()
+        for system, win, Phi in _kernel_cases(seed):
+            parts = make_parts(Phi)
+            values = {x: sum(f(v) for (f, _, _), v in zip(parts, x)) for x in enumerate_integer_points(system, win)}
+            want = first_minimum(values, values.__getitem__)
+            assert separable_first_minimum(system, win, parts) == want, (system, win, Phi)
+            if want[1] is not None:
+                seen["finite"] += 1
+                seen["large"] += abs(want[0]) > 10**6
+                seen["ties"] += list(values.values()).count(want[0]) > 1
+        return seen
+
+    def test_value_parts_match_full_scan(self):
+        seen = self.matches_full_scan(41, _value_parts)
+        assert seen["finite"] >= 100 and seen["large"] >= 5 and seen["ties"] >= 15, seen
+
+    def test_conjugate_parts_match_full_scan(self):
+        seen = self.matches_full_scan(42, _conjugate_parts)
+        assert seen["finite"] >= 100 and seen["large"] >= 5 and seen["ties"] >= 15, seen
+
+    def test_every_shape_on_both_sides(self):
+        shapes = {type(p) for _, _, Phi in _kernel_cases(41) for _, p in Phi.parts}
+        assert shapes == set(conjugate.SHAPES)
+
+    def test_plateau_gives_lex_first_point(self):
+        # x + y = 2 over a flat bottom: every point is worth 0.
+        system = LinearSystem(("x", "y"), (Row((1, 1), 2, EQ),))
+        flat = FlatBottom(-5, 5, -1, 1)
+        parts = [(flat.value, *flat.dom())] * 2
+        assert separable_first_minimum(system, Window.uniform(2, -3, 5), parts) == (0, (-3, 5))
+
+    def test_no_point(self):
+        parts = [(Quadratic(1).value, MINUS_INF, PLUS_INF)] * 2
+        never = LinearSystem(("x", "y"), (Row((0, 0), 1, GEQ),))
+        assert separable_first_minimum(never, Window.uniform(2, -2, 2), parts) == (PLUS_INF, None)
+        odd = LinearSystem(("x", "y"), (Row((2, 2), 1, EQ),))
+        assert separable_first_minimum(odd, Window.uniform(2, -2, 2), parts) == (PLUS_INF, None)
+        far = Restricted(10, 12, Quadratic(1))
+        parts = [(far.value, *far.dom())] * 2
+        assert separable_first_minimum(P2SYS, Window.uniform(2, 0, 2), parts) == (PLUS_INF, None)
+
+    def test_domain_error_as_the_conjugate_table(self):
+        # A part finite nowhere raises on its first read when the scan has
+        # a point, as conjugate_table does, and not when it has none.
+        Phi = SeparableConvex((("a", VShape(0, 1, 1)), ("b", Restricted(5, 6, VShape(0, -1, 1, -1, 1)))))
+        parts = _conjugate_parts(Phi)
+        with pytest.raises(DomainError):
+            separable_first_minimum(P2SYS, Window.uniform(2, -2, 2), parts)
+        odd = LinearSystem(("x", "y"), (Row((2, 2), 1, EQ),))
+        assert separable_first_minimum(odd, Window.uniform(2, -2, 2), parts) == (PLUS_INF, None)
+
+    def test_one_last_coordinate_read_per_prefix(self, monkeypatch):
+        # Past the bisections, the last part is read at most once per
+        # prefix of the scan; the full scan reads it once per point.
+        made = []
+
+        class Counting(conjugate._Memo):
+            def __init__(self, f):
+                super().__init__(f)
+                self.reads = 0
+                made.append(self)
+
+            def __getitem__(self, k):
+                self.reads += 1
+                return super().__getitem__(k)
+
+        monkeypatch.setattr(polyhedron, "_Memo", Counting)
+        wide = (LinearSystem(("x", "y"), (Row((1, 1), -40, GEQ),)), Window.uniform(2, -20, 20),
+                SeparableConvex((("x", Shifted(3, Quadratic(1))), ("y", Shifted(-7, Quadratic(2))))))
+        for system, win, Phi in [wide] + _kernel_cases(43):
+            for parts in (_value_parts(Phi), _conjugate_parts(Phi)):
+                made.clear()
+                with contextlib.suppress(DomainError):
+                    separable_first_minimum(system, win, parts)
+                points = list(enumerate_integer_points(system, win))
+                allowed = len({x[:-1] for x in points}) + 2 * (win.hi[-1] - win.lo[-1]).bit_length() + 1
+                assert made[-1].reads <= allowed, (system, win, Phi)
+        # The full scan reads the last part once per point: 1,681 here.
+        points = list(enumerate_integer_points(*wide[:2]))
+        assert len({x[:-1] for x in points}) + 2 * (40).bit_length() + 1 < len(points)
+
+    def test_each_value_read_once(self, monkeypatch):
+        Phi = SeparableConvex(
+            (("a", VShape(0, -1, 1)), ("b", Quadratic(2)), ("c", Restricted(-3, 2, Quadratic(1))))
+        )
+        calls = collections.Counter()
+        for cls in (VShape, Quadratic, Restricted):
+            value = cls.value
+            monkeypatch.setattr(cls, "value", lambda self, k, value=value: calls.update([(self, k)]) or value(self, k))
+        system = LinearSystem(("a", "b", "c"), (Row((1, 1, 1), 1, GEQ),))
+        rep = minimize_bruteforce(system, Phi, Window.uniform(3, -4, 4))
+        assert (rep.primal_value, rep.primal_witness) == (1, (0, 0, 1))
+        assert calls and set(calls.values()) == {1}
 
 
 class TestCompatibility:
