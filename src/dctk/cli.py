@@ -31,6 +31,7 @@ from .errors import (
     NotSignFeasible,
     Unbounded,
     ValueMismatch,
+    require,
 )
 from .extint import PLUS_INF, is_finite
 from .extint import to_json as ext_json
@@ -183,8 +184,7 @@ def _cmd_conjugate(args) -> Outcome:
 
 def _cmd_minimize_m2(args) -> Outcome:
     obj = _load_json(args.instance)
-    p1 = mconvex.SupermodularFn.from_json(obj["p1"])
-    p2 = mconvex.SupermodularFn.from_json(obj["p2"])
+    p1, p2 = (mconvex.SupermodularFn.from_json(require(obj, k, "m2 instance: missing")) for k in ("p1", "p2"))
     Phi = cj.separable_from_json(_load_json(args.phi), p1.elements)
     lo, hi = _parse_range(args.w_window)
     if lo > hi:

@@ -69,7 +69,8 @@ class NoFeasibleWeight(Inconclusive):
 
 
 def require(obj, key, what: str):
-    """obj[key], or a ValueError "<what> '<key>'" when obj lacks the key."""
-    if key not in obj:
+    """obj[key], or a ValueError "<what> '<key>'" when obj lacks the key
+    or is not a JSON object."""
+    if not isinstance(obj, dict) or key not in obj:
         raise ValueError(f"{what} {key!r}")
     return obj[key]

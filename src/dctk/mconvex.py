@@ -12,7 +12,8 @@ exchange of a step, so neither calls :func:`member`, which serves
 verification.  The M2 weight splitting reads it too: a split worth Phi
 at the common base z* asks w_k[t] >= w_k[s] for t in dep_k[s], so it is
 the first point of one small system, and the grid of splits is scanned
-only when that system is empty.
+only when that system is empty.  The common bases are listed in the box
+that Edmonds' intersection theorem reads off the two tables, with no LP.
 
 Two kernels serve every 2^n scan of a mask table.  The input check
 (:meth:`SupermodularFn._check_supermodular`, run for n <= CHECKED_GROUND)
@@ -34,7 +35,6 @@ import heapq
 import itertools
 import operator
 from dataclasses import dataclass
-from math import ceil
 from typing import List, Optional, Sequence, Tuple
 
 from .conjugate import SeparableConvex, conjugate_eval
@@ -51,12 +51,18 @@ from .polyhedron import (
     enumerate_integer_points,
     first_minimum,
     fitting_points,
-    lp_min,
 )
 
 MAX_GROUND = 20
 CHECKED_GROUND = 14  # larger tables are taken as supermodular unchecked
 UNCHECKED_NOTE = f"supermodularity of p unchecked (n > {CHECKED_GROUND})"
+
+
+def _ground_size(n) -> int:
+    """n, when it is an int (not a bool) in 1..MAX_GROUND."""
+    if type(n) is not int or not 1 <= n <= MAX_GROUND:
+        raise ValueError(f"ground set size must be an integer in 1..{MAX_GROUND}, got {n!r}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -68,8 +74,7 @@ class SupermodularFn:
     elements: Tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not (1 <= self.n <= MAX_GROUND):
-            raise ValueError(f"ground set size must be in 1..{MAX_GROUND}")
+        _ground_size(self.n)
         if len(self.table) != 1 << self.n:
             raise ValueError("table must have 2^n entries")
         if self.table[0] != 0:
@@ -156,12 +161,10 @@ class SupermodularFn:
 
     @classmethod
     def from_json(cls, obj) -> "SupermodularFn":
-        n = obj["n"]
-        table = []
-        for mask in range(1 << n):
-            v = require(obj["p"], str(mask), "p: missing mask")
-            table.append(MINUS_INF if v is None else v)
-        return cls(n, tuple(table), obj.get("elements", ()))
+        n = _ground_size(require(obj, "n", "set function: missing"))
+        p = require(obj, "p", "set function: missing")
+        table = (require(p, str(mask), "p: missing mask") for mask in range(1 << n))
+        return cls(n, tuple(MINUS_INF if v is None else v for v in table), obj.get("elements", ()))
 
 
 def _subset_sums(z: Sequence[int]) -> List[int]:
@@ -174,13 +177,8 @@ def _subset_sums(z: Sequence[int]) -> List[int]:
 
 
 def complement(p: SupermodularFn) -> Tuple[ExtInt, ...]:
-    """Submodular complement pbar(X) = p(S) - p(S-X)."""
-    full = p.full
-    out = []
-    for mask in range(1 << p.n):
-        v = p.table[full ^ mask]
-        out.append(PLUS_INF if not is_finite(v) else p.table[full] - v)
-    return tuple(out)
+    """Submodular complement pbar(X) = p(S) - p(S-X), PLUS_INF where p(S-X) is MINUS_INF."""
+    return tuple(p.table[p.full] - p.table[p.full ^ mask] for mask in range(p.full + 1))
 
 
 def to_system(p: SupermodularFn) -> LinearSystem:
@@ -250,14 +248,8 @@ def greedy_min(p: SupermodularFn, w: Sequence[int]) -> Tuple[int, ...]:
 
 def base_bounds(p: SupermodularFn) -> Tuple[Tuple[ExtInt, ...], Tuple[ExtInt, ...]]:
     """Componentwise bounds on integral bases: p({s}) <= z(s) <= pbar({s})."""
-    los = []
-    his = []
-    full = p.full
-    for i in range(p.n):
-        los.append(p.table[1 << i])
-        rest = p.table[full ^ (1 << i)]
-        his.append(PLUS_INF if not is_finite(rest) else p.table[full] - rest)
-    return tuple(los), tuple(his)
+    bar = complement(p)
+    return tuple(p.table[1 << i] for i in range(p.n)), tuple(bar[1 << i] for i in range(p.n))
 
 
 def enumerate_bases(p: SupermodularFn) -> List[Tuple[int, ...]]:
@@ -418,27 +410,25 @@ def m2_minimize_and_split(
     g1, until -h - g1 is below the best value; ties go to the lowest grid
     indices, so value and witness are those of the lex-order grid scan.
     """
-    if p1.n != p2.n:
-        raise ValueError("ground sets differ")
+    if p1.elements != p2.elements:
+        raise ValueError(f"ground sets differ: {list(p1.elements)} and {list(p2.elements)}")
     if w_bound < 0:
         raise ValueError(f"w_bound must be >= 0, got {w_bound}")
     # The common bases in lex order: one scan of both sides' rows in the
-    # meet of their base boxes, which may be bounded where neither box is.
-    # A side of a nonempty meet still infinite is bounded by the exact LP
-    # over both sides' rows, x_j >= ceil(min x_j) or x_j <= floor(max x_j).
-    (lo1, hi1), (lo2, hi2) = base_bounds(p1), base_bounds(p2)
-    los, his = list(map(max, lo1, lo2)), list(map(min, hi1, hi2))
-    both = LinearSystem(p1.elements, to_system(p1).rows + to_system(p2).rows)
-    for j, (bounds, sign) in itertools.product(range(p1.n), ((los, 1), (his, -1))):
-        if not is_finite(bounds[j]) and all(a <= b for a, b in zip(los, his)):
-            v, _ = lp_min(both, tuple(sign * (i == j) for i in range(p1.n)))
-            if v is MINUS_INF:
-                raise Inconclusive("the common bases are unbounded")
-            bounds[j] = sign * (v if v is PLUS_INF else ceil(v))  # an empty LP empties the meet
+    # box that Edmonds' intersection theorem gives (Fujishige 2005):
+    # they exist exactly when p1(S) = p2(S) and p1 <= pbar2, and then
+    # z_j runs over [max p1(X+j) - pbar2(X), min pbar2(X+j) - p1(X)], X
+    # ranging over the sets without j.
+    t1, bar2, masks = p1.table, complement(p2), range(p1.full + 1)
+    los = [max(t1[x | 1 << j] - bar2[x] for x in masks if not x >> j & 1) for j in range(p1.n)]
+    his = [min(bar2[x | 1 << j] - t1[x] for x in masks if not x >> j & 1) for j in range(p1.n)]
     common = []
-    if all(a <= b for a, b in zip(los, his)):
+    if t1[p1.full] == p2.table[p2.full] and all(map(operator.le, t1, bar2)):
+        if not all(map(is_finite, los + his)):
+            raise Inconclusive("the common bases are unbounded")
+        both = LinearSystem(p1.elements, to_system(p1).rows + to_system(p2).rows)
         common = list(enumerate_integer_points(both, Window(tuple(los), tuple(his))))
-    if not common:
+    if not common:  # empty by the theorem, or a side is not supermodular (n > CHECKED_GROUND)
         raise EmptyIntersection("no integral point in both base sets")
     best_p, arg_p = first_minimum(common, Phi.value)
     arg_d = None if arg_p is None else _split_certificate(p1, p2, Phi, arg_p, w_bound)

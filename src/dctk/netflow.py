@@ -96,10 +96,12 @@ class FlowInstance:
 
     @classmethod
     def from_json(cls, obj) -> "FlowInstance":
-        d = Digraph(tuple(obj["nodes"]), tuple(tuple(a) for a in obj["arcs"]))
-        m = tuple(require(obj["m"], v, "m: missing node") for v in d.nodes)
-        lower = tuple(bound_from_json(v, -1) for v in obj["lower"])
-        upper = tuple(bound_from_json(v, +1) for v in obj["upper"])
+        nodes, arcs, m_obj, lower, upper = (
+            require(obj, k, "flow instance: missing") for k in ("nodes", "arcs", "m", "lower", "upper"))
+        d = Digraph(tuple(nodes), tuple(tuple(a) for a in arcs))
+        m = tuple(require(m_obj, v, "m: missing node") for v in d.nodes)
+        lower = tuple(bound_from_json(v, -1) for v in lower)
+        upper = tuple(bound_from_json(v, +1) for v in upper)
         names = [f"a{i}" for i in range(len(d.arcs))]
         cost_obj = obj.get("cost")
         if cost_obj is None:

@@ -119,10 +119,11 @@ class LinearSystem:
     @classmethod
     def from_json(cls, obj) -> "LinearSystem":
         rows = []
-        for i, r in enumerate(obj["rows"]):
+        elements, rows_obj = (require(obj, k, "system: missing") for k in ("elements", "rows"))
+        for i, r in enumerate(rows_obj):
             coeffs, rhs, kind = (require(r, k, f"row {i}: missing") for k in ("coeffs", "rhs", "kind"))
             rows.append(Row(tuple(coeffs), rhs, kind))
-        return cls(obj["elements"], tuple(rows))
+        return cls(elements, tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -666,6 +666,14 @@ def naive_find_weight_in_box(sys: LinearSystem, z_star, ell, u, w_window: Window
     return None
 
 
+def rooted_squares(n: int, root: int) -> SupermodularFn:
+    """p(X) = |X|^2, finite on the empty set and the sets holding `root`.
+    Rooted at two elements, two such sides meet in a bounded set although
+    the meet of their base boxes is unbounded below off the roots."""
+    return SupermodularFn(n, tuple(bin(x).count("1") ** 2 if x == 0 or x >> root & 1 else MINUS_INF
+                                   for x in range(1 << n)))
+
+
 def random_search_objective(rng: random.Random, elements: Sequence[str]) -> SeparableConvex:
     """An objective for the dual searches: the square sum, or per element
     one of large slopes (|c| up to 10**6), a bounded domain, or slopes

@@ -435,6 +435,13 @@ class TestMinimizeCommands:
         assert (p.returncode, p.stdout) == (cli.EXIT_INVALID, "")
         assert p.stderr == f"error: supermodularity fails at masks {masks}\n"
 
+    def test_mconvex_bool_ground_size_is_invalid(self):
+        inst = {"n": True, "p": {"0": 0, "1": 3}}
+        p = run_cli(["minimize", "mconvex", "--instance", json.dumps(inst),
+                     "--phi", json.dumps({"e1": SQ2["e1"]})])
+        assert (p.returncode, p.stdout, p.stderr) == (
+            cli.EXIT_INVALID, "", "error: ground set size must be an integer in 1..20, got True\n")
+
     @pytest.mark.parametrize("value", [0.5, True, "1"])
     def test_mconvex_non_integer_value_is_invalid(self, value):
         inst = {"n": 2, "p": {"0": 0, "1": value, "2": 0, "3": 2}}
@@ -473,8 +480,8 @@ class TestMinimizeCommands:
 
     def test_m2_meet_bounded_by_the_lp(self):
         # p1 finite (0) on {}, {3}, {1,2}, S and p2 on {}, {2}, {1,3}, S:
-        # every side of the meet of the base boxes is infinite, and the
-        # exact LP over both sides' rows bounds it to [0, 0]^3.
+        # the meet of the base boxes leaves z1 free both ways, and the
+        # intersection theorem's box over both tables is [0, 0]^3.
         sides = [{"n": 3, "elements": ["e1", "e2", "e3"],
                   "p": {str(m): 0 if m in finite else None for m in range(8)}}
                  for finite in ((0, 4, 3, 7), (0, 2, 5, 7))]
@@ -493,12 +500,28 @@ class TestMinimizeCommands:
     ], ids=["same-line", "half-line", "parallel-line"])
     def test_m2_meet_the_lp_cannot_bound(self, other, stdout, code):
         # The line z1 + z2 = 0 meets itself and its half z2 >= 0 in an
-        # unbounded set, and misses the line z1 + z2 = 1: the LP is
-        # unbounded, or empty.
+        # unbounded set, and misses the line z1 + z2 = 1: the intersection
+        # theorem's box is infinite, or p1(S) != p2(S) empties it.
         shifted = {**self.LINE, "p": {"0": 0, "1": None, "2": None, "3": 1}}
         inst = {"p1": self.LINE, "p2": shifted if other == "SHIFTED" else getattr(self, other)}
         p = run_cli(["minimize", "m2", "--instance", json.dumps(inst), "--phi", json.dumps(SQ2)])
         assert (p.returncode, p.stdout, p.stderr) == (code, stdout, "")
+
+    @pytest.mark.parametrize("p2_order, stdout, code, stderr", [
+        ("same", '{"detail":"no integral point in both base sets","status":"INFEASIBLE"}\n',
+         cli.EXIT_INFEASIBLE, ""),
+        ("swapped", "", cli.EXIT_INVALID, "error: ground sets differ: ['a', 'b'] and ['b', 'a']\n"),
+    ], ids=["same-order", "swapped-order"])
+    def test_m2_matches_elements_by_name(self, p2_order, stdout, code, stderr):
+        # p1 on (a, b) has the one base a = 2; p2 asks b >= 1, written in
+        # p1's order or in the order (b, a).  Read by position, the swapped
+        # p2 asked a >= 1 and (2, 0) was printed as OK.
+        p1 = {"n": 2, "elements": ["a", "b"], "p": {"0": 0, "1": 2, "2": 0, "3": 2}}
+        p2 = ({"n": 2, "elements": ["a", "b"], "p": {"0": 0, "1": 0, "2": 1, "3": 2}} if p2_order == "same"
+              else {"n": 2, "elements": ["b", "a"], "p": {"0": 0, "1": 1, "2": 0, "3": 2}})
+        phi = {e: {"form": "quadratic", "a": 1} for e in ("a", "b")}
+        p = run_cli(["minimize", "m2", "--instance", json.dumps({"p1": p1, "p2": p2}), "--phi", json.dumps(phi)])
+        assert (p.returncode, p.stdout, p.stderr) == (code, stdout, stderr)
 
     def test_m2_gap_is_inconclusive(self):
         # With |w_i| <= 1 the best split reaches 4 against the minimum 10:
@@ -659,7 +682,17 @@ class TestBadInput:
         (["minimize", "flow", "--instance", json.dumps({**D2, "m": {"s": -1}})], "m: missing node 't'"),
         (["minimize", "flow", "--instance", json.dumps({**D2, "cost": {"a0": D2["cost"]["a0"]}})],
          "cost: missing arc 'a1'"),
-    ], ids=["mask", "element", "inner", "parts-entry", "row-kind", "node", "arc"])
+        (["minimize", "m2", "--instance", json.dumps({"p1": P2}), "--phi", json.dumps(SQ2)],
+         "m2 instance: missing 'p2'"),
+        (["minimize", "m2", "--instance", "[1,2]", "--phi", json.dumps(SQ2)], "m2 instance: missing 'p1'"),
+        (["minimize", "mconvex", "--instance", json.dumps({"p": P2["p"]}), "--phi", json.dumps(SQ2)],
+         "set function: missing 'n'"),
+        (["minimize", "boxtdi", "--instance", json.dumps({"elements": ["e1", "e2"]}),
+          "--phi", json.dumps(SQ2), "--window", "0..2"], "system: missing 'rows'"),
+        (["minimize", "flow", "--instance", json.dumps({k: v for k, v in D2.items() if k != "upper"})],
+         "flow instance: missing 'upper'"),
+    ], ids=["mask", "element", "inner", "parts-entry", "row-kind", "node", "arc", "m2-side",
+            "m2-not-an-object", "ground-size", "rows", "flow-bound"])
     def test_missing_keys_name_object_and_key(self, argv, stderr):
         p = run_cli(argv)
         assert (p.returncode, p.stdout, p.stderr) == (cli.EXIT_INVALID, "", f"error: {stderr}\n")

@@ -53,8 +53,16 @@ integral point of their window, so a change to how the least weight,
 the dual witness or the tangent cone is found that moves a value, a
 witness or a status shows here.
 
+`tests/data/m2_golden.json` holds `minimize m2` runs on seeded pairs of
+ring-family tables (n = 2-5) whose meet of base boxes is nonempty but
+infinite on some side, and on the n = 5 pair of |X|^2 rooted at e1 and
+at e2, whose box meet leaves z3..z5 unbounded below.  It was written while such a side
+was bounded by an exact LP over both sides' rows, so a change to how the
+window of the common bases or their emptiness is found that moves a
+value, a witness or a status shows here.
+
 Regenerate (only when a change of output is intended and recorded):
-    PYTHONPATH=src python tests/test_golden.py [mconvex|probe|dual|conjugate|inverse]
+    PYTHONPATH=src python tests/test_golden.py [mconvex|probe|dual|conjugate|inverse|m2]
 """
 
 from __future__ import annotations
@@ -74,7 +82,15 @@ from dctk.errors import DctkError
 from dctk.extint import MINUS_INF, PLUS_INF, is_finite
 from dctk.inverse import default_z_window
 from dctk.fixtures import random_supermodular, s3_system
-from dctk.mconvex import SupermodularFn, enumerate_bases, greedy_min, member, minimize_separable, to_system
+from dctk.mconvex import (
+    SupermodularFn,
+    base_bounds,
+    enumerate_bases,
+    greedy_min,
+    member,
+    minimize_separable,
+    to_system,
+)
 from dctk.polyhedron import Window, dilation, enumerate_integer_points
 
 from helpers import (
@@ -84,6 +100,7 @@ from helpers import (
     random_integer_system,
     random_large_slope_form,
     random_search_objective,
+    rooted_squares,
     vertex_hull_window,
 )
 
@@ -93,12 +110,14 @@ PROBE_DATA = DIR / "probe_golden.json"
 DUAL_DATA = DIR / "dual_golden.json"
 CONJUGATE_DATA = DIR / "conjugate_golden.json"
 INVERSE_DATA = DIR / "inverse_golden.json"
+M2_DATA = DIR / "m2_golden.json"
 SEED = 20201
 COUNT = 20
 PROBE_SEED = 20212
 DUAL_SEED = 20213
 CONJUGATE_SEED = 20214
 INVERSE_SEED = 20215
+M2_SEED = 20216
 
 
 def capture_all(argv):
@@ -249,6 +268,57 @@ def build_dual_ops(seed=DUAL_SEED):
         for Phi, w_bound in zip(objectives, (rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 3))):
             ops.append(["minimize", "m2", "--instance", inst,
                         "--phi", _dumps(cj.separable_to_json(Phi)), "--w-window", str(w_bound)])
+    return ops
+
+
+def _ring_table(rng, n, table, root):
+    """`table` with None off a ring family: the sets that hold `root`
+    whenever they hold one of most other elements, or with no root the
+    ideals of random arcs i => j (X holds j whenever it holds i)."""
+    if root is None:
+        arcs = [(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < 0.3]
+    else:
+        arcs = [(i, root) for i in range(n) if i != root and rng.random() < 0.8]
+    return {str(x): v if all(not x >> i & 1 or x >> j & 1 for i, j in arcs) else None
+            for x, v in enumerate(table)}
+
+
+def motivating_m2_pair():
+    """The n = 5 sides of :func:`rooted_squares` rooted at e1 and at e2."""
+    return [rooted_squares(5, root).to_json() for root in (0, 1)]
+
+
+def build_m2_ops(seed=M2_SEED):
+    """The argv lists of `minimize m2` on pairs of ring-family tables
+    (n = 2-5) whose meet of base boxes is nonempty and infinite on some
+    side, where the window of the common bases comes from both sides'
+    rows: most of them rooted at two distinct elements, so often bounded
+    where neither box is; p2 cut from p1's table or from another.  Each
+    has a square sum or a search objective at a weight bound of 1 to 3.
+    Then the motivating n = 5 pair with the square sum at the default
+    bound."""
+    rng = random.Random(seed)
+    ops = []
+    for n, count in ((2, 12), (3, 14), (4, 12), (5, 6)):
+        while count:
+            table = _table(rng, n, 0)
+            roots = rng.sample(range(n), 2) if rng.random() < 0.7 else (None, None)
+            other = table if rng.random() < 0.7 else _table(rng, n, 0)
+            sides = [{"n": n, "elements": [f"e{i + 1}" for i in range(n)], "p": _ring_table(rng, n, t, r)}
+                     for t, r in zip((table, other), roots)]
+            p1, p2 = (SupermodularFn.from_json(side) for side in sides)
+            (lo1, hi1), (lo2, hi2) = base_bounds(p1), base_bounds(p2)
+            los, his = tuple(map(max, lo1, lo2)), tuple(map(min, hi1, hi2))
+            if all(map(is_finite, los + his)) or any(a > b for a, b in zip(los, his)):
+                continue
+            count -= 1
+            Phi = (cj.square_sum(p1.elements) if rng.random() < 0.6
+                   else random_search_objective(rng, p1.elements))
+            ops.append(["minimize", "m2", "--instance", _dumps(dict(zip(("p1", "p2"), sides))),
+                        "--phi", _dumps(cj.separable_to_json(Phi)), "--w-window", str(rng.randint(1, 3))])
+    sides = motivating_m2_pair()
+    ops.append(["minimize", "m2", "--instance", _dumps(dict(zip(("p1", "p2"), sides))),
+                "--phi", _dumps(cj.separable_to_json(cj.square_sum(sides[0]["elements"])))])
     return ops
 
 
@@ -429,6 +499,7 @@ GOLDEN = {
     "dual": (DUAL_DATA, _record(build_dual_ops)),
     "conjugate": (CONJUGATE_DATA, build_conjugate_cases),
     "inverse": (INVERSE_DATA, _record(build_inverse_ops)),
+    "m2": (M2_DATA, _record(build_m2_ops)),
 }
 
 
@@ -474,6 +545,20 @@ def test_inverse_corpus_covers_every_outcome():
     assert any('"fitting":false' in c["stdout"] for c in cases)
 
 
+def test_m2_corpus_covers_every_outcome():
+    """Reports (the common bases bounded where a side of the box meet is
+    infinite, some certified), unbounded common bases and empty meets, at
+    every n = 2-5, and the motivating pair."""
+    cases = _cases(M2_DATA)
+    kinds = {("report" if '"report"' in c["stdout"] else "unbounded" if "unbounded" in c["stdout"]
+              else "empty", json.loads(c["argv"][3])["p1"]["n"], c["exit"]) for c in cases}
+    assert {k for k, _, _ in kinds} == {"report", "unbounded", "empty"}
+    assert {n for _, n, _ in kinds} == {2, 3, 4, 5}
+    assert {("report", 0), ("unbounded", 6), ("empty", 2)} <= {(k, code) for k, _, code in kinds}
+    pair = dict(zip(("p1", "p2"), motivating_m2_pair()))
+    assert any(json.loads(c["argv"][3]) == pair for c in cases)
+
+
 @pytest.mark.parametrize("case", _cases(DATA), ids=lambda c: " ".join(c["argv"][:2]))
 def test_output_is_unchanged(case):
     assert capture(case["argv"]) == (case["stdout"], case["exit"])
@@ -491,6 +576,11 @@ def test_dual_output_is_unchanged(case):
 
 @pytest.mark.parametrize("case", _cases(INVERSE_DATA), ids=lambda c: c["argv"][0])
 def test_inverse_output_is_unchanged(case):
+    assert capture(case["argv"]) == (case["stdout"], case["exit"])
+
+
+@pytest.mark.parametrize("case", _cases(M2_DATA), ids=lambda c: " ".join(c["argv"][:2]))
+def test_m2_output_is_unchanged(case):
     assert capture(case["argv"]) == (case["stdout"], case["exit"])
 
 

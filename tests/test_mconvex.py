@@ -9,7 +9,7 @@ import warnings
 
 import pytest
 
-from dctk import mconvex
+from dctk import mconvex, polyhedron
 from dctk.conjugate import (
     Quadratic,
     Restricted,
@@ -54,6 +54,7 @@ from helpers import (
     pair_scan_violation,
     random_search_objective,
     random_weight,
+    rooted_squares,
     square_sum_dual_value,
     window_points,
 )
@@ -744,6 +745,30 @@ def test_split_certificate_evaluates_nothing(split_work):
 def test_split_rejects_a_negative_bound():
     with pytest.raises(ValueError, match="w_bound must be >= 0"):
         m2_minimize_and_split(P2, P2B, SQ, -1)
+
+
+def test_common_bases_run_no_lp(monkeypatch):
+    """The meet of the base boxes is infinite on some side for each pair;
+    the window of the common bases, its emptiness and its
+    unboundedness are read off the two tables, with no exact LP and no
+    basis enumeration."""
+    calls = collections.Counter()
+    for name in ("lp_min", "_basic_data"):
+        fn = getattr(polyhedron, name)
+        monkeypatch.setattr(polyhedron, name, lambda *a, fn=fn, name=name: calls.update([name]) or fn(*a))
+    line, half, shifted = (SupermodularFn(2, t) for t in ((0, MINUS_INF, MINUS_INF, 0),
+                                                           (0, MINUS_INF, 0, 0),
+                                                           (0, MINUS_INF, MINUS_INF, 1)))
+    p1, p2_ = rooted_squares(4, 0), rooted_squares(4, 1)
+    (lo1, _), (lo2, _) = base_bounds(p1), base_bounds(p2_)
+    assert list(map(max, lo1, lo2)) == [1, 1, MINUS_INF, MINUS_INF]
+    rep = m2_minimize_and_split(p1, p2_, square_sum(p1.elements), 1)
+    assert (rep.primal_value, rep.primal_witness) == (64, (4, 4, 4, 4))
+    with pytest.raises(Inconclusive, match="the common bases are unbounded"):
+        m2_minimize_and_split(line, half, SQ, 1)
+    with pytest.raises(EmptyIntersection, match="no integral point in both base sets"):
+        m2_minimize_and_split(line, shifted, SQ, 1)
+    assert calls == {}
 
 
 class TestWindows:
