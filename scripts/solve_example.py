@@ -20,7 +20,7 @@ def main() -> None:
     p = p2()
     Phi = square_sum(p.elements)
     z = minimize_separable(p, Phi)
-    w, _ = dual_certificate(p, Phi, z)
+    w = dual_certificate(p, Phi, z)
     rep = verify_mconvex_optimality(p, Phi, z, w)
     print("base minimization:", json.dumps(rep.to_json(), sort_keys=True))
 

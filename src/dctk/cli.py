@@ -59,7 +59,7 @@ def _int_vector(flag: str, arg: str, keys: Optional[Sequence[str]] = None) -> Tu
     object read in the order of `keys` where those are given."""
     v = _load_json(arg)
     if keys is not None and isinstance(v, dict):
-        v = [v[k] for k in keys]
+        v = [require(v, k, f"{flag}: missing node") for k in keys]
     if not isinstance(v, list) or any(type(x) is not int for x in v):
         raise ValueError(f"{flag} must be a list of integers, got {json.dumps(v)}")
     return tuple(v)
@@ -167,12 +167,8 @@ def _cmd_mconvex(args, point: Optional[str] = None, weights: Optional[str] = Non
     p = mconvex.SupermodularFn.from_json(_load_json(args.instance))
     Phi = cj.separable_from_json(_load_json(args.phi), p.elements)
     z = mconvex.minimize_separable(p, Phi) if point is None else _int_vector("--point", point)
-    if weights:
-        w, notes = _int_vector("--weights", weights), ()
-    else:
-        w, notes = mconvex.dual_certificate(p, Phi, z)
+    w = _int_vector("--weights", weights) if weights else mconvex.dual_certificate(p, Phi, z)
     report = mconvex.verify_mconvex_optimality(p, Phi, z, w)
-    report.notes = report.notes + notes
     return _verdict({"report": report.to_json()}, report.equality)
 
 
@@ -312,7 +308,7 @@ def run_selftest(seed: int = 1) -> list:
     sq = cj.square_sum(p2.elements)
     z = mconvex.minimize_separable(p2, sq)
     check("p2-minimum", z == (1, 1) and sq.value(z) == 2)
-    w, _ = mconvex.dual_certificate(p2, sq, z)
+    w = mconvex.dual_certificate(p2, sq, z)
     rep = mconvex.verify_mconvex_optimality(p2, sq, z, w)
     check("p2-certificate", rep.equality and w == (3, 3))
     rep2 = mconvex.m2_minimize_and_split(p2, fixtures.p2b(), sq, 3)
@@ -342,7 +338,7 @@ def run_selftest(seed: int = 1) -> list:
         z = mconvex.minimize_separable(p, Phi)
         brute = min(Phi.value(b) for b in mconvex.enumerate_bases(p))
         check(f"seed{seed_i}-descent", Phi.value(z) == brute)
-        w, _ = mconvex.dual_certificate(p, Phi, z)
+        w = mconvex.dual_certificate(p, Phi, z)
         try:
             rep = mconvex.verify_mconvex_optimality(p, Phi, z, w)
             check(f"seed{seed_i}-equality", rep.equality)

@@ -6,13 +6,14 @@ x(S) = p(S)}.  This module provides the linear extension, Edmonds
 greedy, exchange descent for separable convex objectives, tight-set
 machinery, and the slope-based dual certificate with its verifier.
 
-The descent and the certificate both read the dependence function
-(:func:`dependence`): one scan of the z-tight sets decides every
-exchange of a step, so neither calls :func:`member`, which serves
-verification.  The M2 weight splitting reads it too: a split worth Phi
-at the common base z* asks w_k[t] >= w_k[s] for t in dep_k[s], so it is
-the first point of one small system, and the grid of splits is scanned
-only when that system is empty.  The common bases are listed in the box
+The descent step, its stop test and the certificate are one routine
+(:func:`_exchange`) on the dependence function (:func:`dependence`):
+one scan of the z-tight sets decides every exchange of a step, with no
+call to :func:`member`, which serves verification.  The M2 weight
+splitting reads it too: a split worth Phi at the common base z* asks
+w_k[t] >= w_k[s] for t in dep_k[s], so it is the first point of one
+small system, and the grid of splits is scanned only when that system
+is empty.  The common bases are listed in the box
 that Edmonds' intersection theorem reads off the two tables, with no LP.
 
 Two kernels serve every 2^n scan of a mask table.  The input check
@@ -37,8 +38,9 @@ import operator
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .conjugate import SeparableConvex, conjugate_eval
-from .errors import CriteriaViolated, EmptyIntersection, Inconclusive, IterationLimit, Unbounded, require
+from .conjugate import FlatBottom, SeparableConvex, conjugate_eval
+from .errors import (
+    CriteriaViolated, EmptyIntersection, Inconclusive, Infeasible, IterationLimit, Unbounded, require)
 from .extint import MINUS_INF, PLUS_INF, ExtInt, is_finite
 from .polyhedron import (
     EQ,
@@ -261,39 +263,58 @@ def enumerate_bases(p: SupermodularFn) -> List[Tuple[int, ...]]:
     return list(enumerate_integer_points(to_system(p), Window(los, his)))
 
 
-def minimize_separable(p: SupermodularFn, Phi: SeparableConvex) -> Tuple[int, ...]:
-    """Steepest single-exchange descent from the w=0 greedy base.
+def _exchange(p: SupermodularFn, Phi: SeparableConvex, z: Sequence[int]):
+    """(w, move) at the base z from one :func:`dependence` scan: w(s) is
+    the least right slope over dep[s], an infinite slope read as the
+    greatest finite slope at z (the least, for MINUS_INF) or 0, and move
+    the first (s, t), t in dep[s], of largest drop left[s] - right[t] > 0,
+    or None.  With no move, w fits z and w(t) >= w(s) for t in dep[s], so
+    (z, w) passes every check of :func:`verify_mconvex_optimality`."""
+    dep = dependence(p, z)
+    left, right = Phi.prime_minus(z), Phi.prime(z)
+    finite = [v for v in left + right if is_finite(v)]
+    if len(finite) < 2 * p.n:
+        clip = {PLUS_INF: max(finite, default=0), MINUS_INF: min(finite, default=0)}
+        left, right = ([clip.get(v, v) for v in side] for side in (left, right))
+    w, drop, move = [], 0, None
+    for s in range(p.n):
+        ds, ls, m = dep[s], left[s], right[s]
+        for t in range(p.n):
+            if ds >> t & 1:
+                r = right[t]
+                if r < m:
+                    m = r
+                if ls - r > drop:
+                    drop, move = ls - r, (s, t)
+        w.append(m)
+    return tuple(w), move
 
-    Each step moves a unit from s to t when z - chi_s + chi_t stays a
-    base (t in dep[s]) and strictly decreases Phi, by left[s] - right[t]
-    for Phi separable; ties broken by largest decrease, then (s, t)
-    lexicographic.  Both slopes finite means Phi stays finite.
-    """
+
+def _descend(p: SupermodularFn, Phi: SeparableConvex, z: List[int]) -> None:
+    """Steepest exchange steps on z until none improves Phi."""
+    for _ in range(10 * p.n * 1000 + 1000):
+        move = _exchange(p, Phi, z)[1]
+        if move is None:
+            return
+        z[move[0]] -= 1
+        z[move[1]] += 1
+    raise IterationLimit("descent budget exhausted")
+
+
+def minimize_separable(p: SupermodularFn, Phi: SeparableConvex) -> Tuple[int, ...]:
+    """Steepest exchange descent from the w=0 greedy base.  Where Phi is
+    infinite there, it first descends on the distance to dom Phi, finite
+    on every base, so it reaches dom Phi exactly when some base lies in
+    it; else :class:`Infeasible`."""
     z = list(greedy_min(p, (0,) * p.n))
     if not is_finite(Phi.value(z)):
-        raise Inconclusive("objective infinite at the starting base")
-    budget = 10 * p.n * 1000 + 1000
-    for _ in range(budget):
-        dep = dependence(p, z)
-        left = Phi.prime_minus(z)
-        right = Phi.prime(z)
-        best_drop = 0
-        best_move = None
-        for s in range(p.n):
-            if not is_finite(left[s]):
-                continue
-            for t in range(p.n):
-                if t != s and dep[s] >> t & 1 and is_finite(right[t]):
-                    drop = left[s] - right[t]
-                    if drop > best_drop:
-                        best_drop = drop
-                        best_move = (s, t)
-        if best_move is None:
-            return tuple(z)
-        s, t = best_move
-        z[s] -= 1
-        z[t] += 1
-    raise IterationLimit("descent budget exhausted")
+        doms = [(e, *phi.dom()) for e, phi in Phi.parts]
+        if all(lo <= hi for _, lo, hi in doms):
+            _descend(p, SeparableConvex(tuple((e, FlatBottom(lo, hi, -1, 1)) for e, lo, hi in doms)), z)
+        if not is_finite(Phi.value(z)):
+            raise Infeasible("no base where the objective is finite")
+    _descend(p, Phi, z)
+    return tuple(z)
 
 
 def tight_sets(p: SupermodularFn, z: Sequence[int]) -> List[int]:
@@ -315,31 +336,9 @@ def dependence(p: SupermodularFn, z: Sequence[int]) -> List[int]:
     return dep
 
 
-def dual_certificate(
-    p: SupermodularFn, Phi: SeparableConvex, z_star: Sequence[int]
-) -> Tuple[Tuple[int, ...], Tuple[str, ...]]:
-    """w*(s) = min right slope of Phi over dep[s], the smallest z*-tight
-    set containing s.  Returns (w*, notes); a note records every element
-    where all candidate slopes were infinite and the left slope (or 0)
-    was substituted instead."""
-    slopes = Phi.prime(z_star)
-    left = Phi.prime_minus(z_star)
-    w: List[int] = []
-    notes: List[str] = []
-    for s, t_mask in enumerate(dependence(p, z_star)):
-        m: ExtInt = PLUS_INF
-        for t in range(p.n):
-            if t_mask >> t & 1 and slopes[t] < m:
-                m = slopes[t]
-        if not is_finite(m):
-            fallback = left[s] if is_finite(left[s]) else 0
-            notes.append(
-                f"element {p.elements[s]}: all right slopes infinite, "
-                f"substituted {fallback}"
-            )
-            m = fallback
-        w.append(m)
-    return tuple(w), tuple(notes)
+def dual_certificate(p: SupermodularFn, Phi: SeparableConvex, z_star: Sequence[int]) -> Tuple[int, ...]:
+    """The w of :func:`_exchange` at z*, a certificate whenever z* minimizes Phi."""
+    return _exchange(p, Phi, z_star)[0]
 
 
 def strict_top_sets(p: SupermodularFn, w: Sequence[int]) -> List[int]:
@@ -361,7 +360,11 @@ def verify_mconvex_optimality(
     w_star: Sequence[int],
 ) -> MinMaxReport:
     """Check the two optimality criteria and report the min-max equality
-    Phi(z*) = phat(w*) - conj(Phi)(w*)."""
+    Phi(z*) = phat(w*) - conj(Phi)(w*).  An equality is a proof for any
+    table: phat(w) is y.p for the chain dual y (y >= 0 on the proper top
+    sets, free on S, yQ = w), feasible whether or not p is supermodular,
+    which above CHECKED_GROUND only the completeness of the descent and
+    of the INFEASIBLE of :func:`m2_minimize_and_split` assume."""
     if len(z_star) != p.n or len(w_star) != p.n:
         raise ValueError(f"point and weights need {p.n} entries each")
     if not member(p, z_star):

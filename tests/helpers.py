@@ -32,7 +32,7 @@ from dctk.conjugate import (
     VShape,
     square_sum,
 )
-from dctk.errors import DomainError, Inconclusive, IterationLimit, NoFeasibleWeight
+from dctk.errors import DomainError, Infeasible, IterationLimit, NoFeasibleWeight
 from dctk.extint import MINUS_INF, PLUS_INF, ExtInt, is_finite
 from dctk.mconvex import SupermodularFn, base_bounds, greedy_min, lovasz_extension
 from dctk.netflow import Digraph, FlowInstance, square_sum_instance
@@ -752,13 +752,25 @@ def naive_dependence(p: SupermodularFn, z: Sequence[int]) -> List[int]:
 
 def naive_minimize_separable(p: SupermodularFn, Phi: SeparableConvex) -> Tuple[int, ...]:
     """The unit-exchange descent with every candidate move tried: move,
-    test membership by the 2^n scan, evaluate Phi afresh, undo.  Same
-    start, budget, errors and tie-breaking (largest strict decrease,
-    then (s, t) lexicographic) as the library."""
+    test membership by the 2^n scan, evaluate afresh, undo.  Same start,
+    budget, errors and tie-breaking (largest strict decrease, then (s, t)
+    lexicographic) as the library.  Where Phi is infinite at the greedy
+    base, the descent first runs on the summed distance of each
+    coordinate to its part's domain."""
     z = list(greedy_min(p, (0,) * p.n))
-    cur = Phi.value(z)
-    if not is_finite(cur):
-        raise Inconclusive("objective infinite at the starting base")
+    if not is_finite(Phi.value(z)):
+        doms = [phi.dom() for _, phi in Phi.parts]
+        if all(lo <= hi for lo, hi in doms):
+            z = naive_descend(p, lambda x: sum(max(lo - v, 0, v - hi) for v, (lo, hi) in zip(x, doms)), z)
+        if not is_finite(Phi.value(z)):
+            raise Infeasible("no base where the objective is finite")
+    return tuple(naive_descend(p, Phi.value, z))
+
+
+def naive_descend(p: SupermodularFn, f, z: List[int]) -> List[int]:
+    """z after steepest unit exchanges, each found by trying every move,
+    until none strictly lowers f."""
+    cur = f(z)
     for _ in range(10 * p.n * 1000 + 1000):
         best_drop = 0
         best_move = None
@@ -769,13 +781,13 @@ def naive_minimize_separable(p: SupermodularFn, Phi: SeparableConvex) -> Tuple[i
                 z[s] -= 1
                 z[t] += 1
                 if naive_member(p, z):
-                    v = Phi.value(z)
+                    v = f(z)
                     if is_finite(v) and cur - v > best_drop:
                         best_drop, best_move = cur - v, (s, t)
                 z[s] += 1
                 z[t] -= 1
         if best_move is None:
-            return tuple(z)
+            return z
         s, t = best_move
         z[s] -= 1
         z[t] += 1
@@ -783,15 +795,13 @@ def naive_minimize_separable(p: SupermodularFn, Phi: SeparableConvex) -> Tuple[i
     raise IterationLimit("descent budget exhausted")
 
 
-def naive_dual_certificate(p: SupermodularFn, Phi: SeparableConvex, z: Sequence[int]):
-    """(w, notes) with w(s) the least right slope over the smallest z-tight
-    set holding s, found by its own 2^n rescan for each s."""
-    right, left = Phi.prime(z), Phi.prime_minus(z)
-    w, notes = [], []
-    for s, smallest in enumerate(naive_dependence(p, z)):
-        m = min((right[t] for t in range(p.n) if smallest >> t & 1), default=PLUS_INF)
-        if not is_finite(m):
-            m = left[s] if is_finite(left[s]) else 0
-            notes.append(f"element {p.elements[s]}: all right slopes infinite, substituted {m}")
-        w.append(m)
-    return tuple(w), tuple(notes)
+def naive_dual_certificate(p: SupermodularFn, Phi: SeparableConvex, z: Sequence[int]) -> Tuple[int, ...]:
+    """w with w(s) the least right slope over the smallest z-tight set
+    holding s, found by its own 2^n rescan for each s.  An infinite slope
+    counts as the greatest finite slope at z (the least, for MINUS_INF),
+    or 0 when z has none."""
+    right = Phi.prime(z)
+    finite = sorted(v for v in right + Phi.prime_minus(z) if is_finite(v)) or [0]
+    clipped = [v if is_finite(v) else finite[-1] if v is PLUS_INF else finite[0] for v in right]
+    return tuple(min(clipped[t] for t in range(p.n) if smallest >> t & 1)
+                 for smallest in naive_dependence(p, z))

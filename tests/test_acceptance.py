@@ -228,7 +228,7 @@ def test_criterion_3_mconvex_strong_duality():
             z = minimize_separable(p, Phi)
             brute = min(Phi.value(b) for b in enumerate_bases(p))
             assert Phi.value(z) == brute
-            w, _ = dual_certificate(p, Phi, z)
+            w = dual_certificate(p, Phi, z)
             rep = verify_mconvex_optimality(p, Phi, z, w)
             assert rep.equality
             assert rep.primal_value == rep.dual_value == brute

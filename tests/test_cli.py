@@ -415,12 +415,40 @@ class TestMinimizeCommands:
             '{"detail":"greedy prefix hits a MINUS_INF value; base components undefined",'
             '"status":"INCONCLUSIVE"}\n'))
 
-    def test_mconvex_infinite_start_is_inconclusive(self):
+    def test_mconvex_infinite_start_descends_into_dom(self):
+        # The greedy start (-5, 5) is outside dom Phi; the bases are
+        # (k, -k) for |k| <= 5, and (0, 0), the only one in dom Phi, is
+        # the brute-force optimum.
         phi = {**SQ2, "e1": {"form": "restricted", "A": 0, "B": 0, "inner": SQ2["e1"]}}
         p = run_cli(["minimize", "mconvex", "--instance", json.dumps(self.LINE5),
                      "--phi", json.dumps(phi)])
-        assert (p.returncode, p.stdout) == (cli.EXIT_INCONCLUSIVE, (
-            '{"detail":"objective infinite at the starting base","status":"INCONCLUSIVE"}\n'))
+        assert (p.returncode, p.stdout) == (cli.EXIT_OK, (
+            '{"report":{"bounds_used":{},"dual_value":0,"dual_witness":[1,1],"equality":true,'
+            '"notes":[],"primal_value":0,"primal_witness":[0,0],"support_size":2},"status":"OK"}\n'))
+
+    # e1 fixed at 0 on p2: the greedy start (0, 2) is optimal.  e1's right
+    # slope +inf reads as 5, e2's, so w = (5, 5), whose one top set is S;
+    # a w(e1) below 5 would make {e2} a top set, which (0, 2) leaves slack.
+    E1_AT_0 = {**SQ2, "e1": {"form": "table", "k0": 0, "values": [0]}}
+
+    @pytest.mark.parametrize("argv", [["minimize", "mconvex"], ["certify", "mconvex", "--point", "[0,2]"]],
+                             ids=["minimize", "certify"])
+    def test_mconvex_infinite_slope_certificate(self, argv):
+        p = run_cli(argv + ["--instance", json.dumps(P2), "--phi", json.dumps(self.E1_AT_0)])
+        assert (p.returncode, p.stdout) == (cli.EXIT_OK, (
+            '{"report":{"bounds_used":{},"dual_value":4,"dual_witness":[5,5],"equality":true,'
+            '"notes":[],"primal_value":4,"primal_witness":[0,2],"support_size":2},"status":"OK"}\n'))
+
+    # The bases of p2 have e1 in 0..2: e1 fixed at 5, or finite nowhere.
+    @pytest.mark.parametrize("e1", [
+        {"form": "table", "k0": 5, "values": [0]},
+        {"form": "restricted", "A": 3, "B": 4, "inner": {"form": "table", "k0": 0, "values": [0]}},
+    ], ids=["no-base", "part-finite-nowhere"])
+    def test_mconvex_no_base_in_dom_is_infeasible(self, e1):
+        p = run_cli(["minimize", "mconvex", "--instance", json.dumps(P2),
+                     "--phi", json.dumps({**SQ2, "e1": e1})])
+        assert (p.returncode, p.stdout) == (
+            cli.EXIT_INFEASIBLE, '{"detail":"no base where the objective is finite","status":"INFEASIBLE"}\n')
 
     @pytest.mark.parametrize("table, masks", [
         ((0, 2, 2, 2), "1, 2"),
@@ -680,6 +708,8 @@ class TestBadInput:
             {**P2_SYSTEM, "rows": [{"coeffs": [1, 0], "rhs": 0}] + P2_SYSTEM["rows"]}),
           "--phi", json.dumps(SQ2), "--window", "0..2"], "row 0: missing 'kind'"),
         (["minimize", "flow", "--instance", json.dumps({**D2, "m": {"s": -1}})], "m: missing node 't'"),
+        (["certify", "flow", "--instance", json.dumps(D2), "--flow", "[1,1]", "--potential", '{"s":0}'],
+         "--potential: missing node 't'"),
         (["minimize", "flow", "--instance", json.dumps({**D2, "cost": {"a0": D2["cost"]["a0"]}})],
          "cost: missing arc 'a1'"),
         (["minimize", "m2", "--instance", json.dumps({"p1": P2}), "--phi", json.dumps(SQ2)],
@@ -691,7 +721,7 @@ class TestBadInput:
           "--phi", json.dumps(SQ2), "--window", "0..2"], "system: missing 'rows'"),
         (["minimize", "flow", "--instance", json.dumps({k: v for k, v in D2.items() if k != "upper"})],
          "flow instance: missing 'upper'"),
-    ], ids=["mask", "element", "inner", "parts-entry", "row-kind", "node", "arc", "m2-side",
+    ], ids=["mask", "element", "inner", "parts-entry", "row-kind", "node", "potential-node", "arc", "m2-side",
             "m2-not-an-object", "ground-size", "rows", "flow-bound"])
     def test_missing_keys_name_object_and_key(self, argv, stderr):
         p = run_cli(argv)

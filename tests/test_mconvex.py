@@ -1,6 +1,9 @@
 import collections
+import contextlib
 import heapq
+import io
 import itertools
+import json
 import random
 from math import ceil, floor
 import re
@@ -9,14 +12,16 @@ import warnings
 
 import pytest
 
-from dctk import mconvex, polyhedron
+from dctk import cli, mconvex, polyhedron
 from dctk.conjugate import (
     Quadratic,
     Restricted,
     SeparableConvex,
     Shifted,
+    Table,
     VShape,
     linear_cost,
+    separable_to_json,
     square_sum,
 )
 from dctk.errors import CriteriaViolated, DctkError, EmptyIntersection, Inconclusive
@@ -179,7 +184,7 @@ class TestSupermodularCheck:
         p = SupermodularFn(n, tuple(table))  # no check above the limit
         Phi = square_sum(p.elements)
         z = minimize_separable(p, Phi)
-        rep = verify_mconvex_optimality(p, Phi, z, dual_certificate(p, Phi, z)[0])
+        rep = verify_mconvex_optimality(p, Phi, z, dual_certificate(p, Phi, z))
         assert rep.notes == ("supermodularity of p unchecked (n > 14)",)
         small = verify_mconvex_optimality(P2, SQ, (1, 1), (3, 3))
         assert small.notes == ()
@@ -406,7 +411,7 @@ class TestEnumerateBases:
 
 class TestDescentMatchesNaiveOracle:
     """The dependence-based descent and certificate give the point, the
-    error and the (w, notes) of the move-and-test oracles in helpers.py."""
+    error and the w of the move-and-test oracles in helpers.py."""
 
     @staticmethod
     def restrict_near(rng, p, Phi):
@@ -462,21 +467,21 @@ class TestDescentMatchesNaiveOracle:
 
 class TestDualCertificate:
     def test_p2_square(self):
-        w, notes = dual_certificate(P2, SQ, (1, 1))
-        assert w == (3, 3) and not notes
+        w = dual_certificate(P2, SQ, (1, 1))
+        assert w == (3, 3)
         rep = verify_mconvex_optimality(P2, SQ, (1, 1), w)
         assert rep.equality and rep.primal_value == 2 and rep.dual_value == 2
 
     def test_p2_linear(self):
         lin = linear_cost(P2.elements, (3, 1))
-        w, _ = dual_certificate(P2, lin, (0, 2))
+        w = dual_certificate(P2, lin, (0, 2))
         assert w == (3, 1)
 
     def test_p2_shifted(self):
         Phi = SeparableConvex(
             (("e1", Shifted(2, Quadratic(1))), ("e2", Quadratic(1)))
         )
-        w, _ = dual_certificate(P2, Phi, (2, 0))
+        w = dual_certificate(P2, Phi, (2, 0))
         assert w == (1, 1)
 
     def test_wrong_point_fails_fitting(self):
@@ -488,21 +493,88 @@ class TestDualCertificate:
             verify_mconvex_optimality(P2, SQ, (1, 1), (3, 2))
 
     def test_square_sum_expression(self):
-        w, _ = dual_certificate(P2, SQ, (1, 1))
+        w = dual_certificate(P2, SQ, (1, 1))
         assert square_sum_dual_value(P2, w) == 2
 
-    def test_infinite_slopes_are_notes_not_warnings(self):
+    def test_infinite_slopes_are_clipped_not_warnings(self):
+        # Both right slopes at (2, 0) are +inf; each reads as 3, the one
+        # finite slope there, and the pair verifies.
         Phi = SeparableConvex(
             (("e1", Restricted(0, 2, Quadratic(1))), ("e2", Restricted(0, 0, Quadratic(1))))
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            w, notes = dual_certificate(P2, Phi, (2, 0))
-        assert w == (3, 0)
-        assert notes == (
-            "element e1: all right slopes infinite, substituted 3",
-            "element e2: all right slopes infinite, substituted 0",
-        )
+            w = dual_certificate(P2, Phi, (2, 0))
+        assert w == (3, 3)
+        rep = verify_mconvex_optimality(P2, Phi, (2, 0), w)
+        assert rep.equality and rep.primal_value == rep.dual_value == 4
+
+
+def restricted_objective(rng, elements, center):
+    """Per element a convex table, a clipped quadratic or a V-shape, each
+    finite on at most four points near center's entry, so Phi is often
+    infinite at the greedy start, and on some instances at every base."""
+    parts = []
+    for e, c in zip(elements, center):
+        lo = c + rng.randint(-3, 1)
+        hi = lo + rng.randint(0, 3)
+        kind = rng.randrange(3)
+        if kind == 0:
+            values = [rng.randint(-3, 3)]
+            for d in sorted(rng.randint(-5, 5) for _ in range(hi - lo)):
+                values.append(values[-1] + d)
+            phi = Table(lo, tuple(values))
+        elif kind == 1:
+            phi = Restricted(lo, hi, Shifted(rng.randint(-3, 3), Quadratic(rng.randint(1, 3))))
+        else:
+            c = rng.randint(0, 4)
+            phi = VShape(rng.randint(lo, hi), -c, rng.randint(0, 4), lo, hi)
+        parts.append((e, phi))
+    return SeparableConvex(tuple(parts))
+
+
+def minimize_mconvex_cli(p, Phi):
+    """(exit code, stdout object) of `minimize mconvex` on p and Phi."""
+    out = io.StringIO()
+    argv = ["minimize", "mconvex", "--instance", json.dumps(p.to_json()),
+            "--phi", json.dumps(separable_to_json(Phi))]
+    with contextlib.redirect_stdout(out):
+        code = cli.run(argv)
+    return code, json.loads(out.getvalue())
+
+
+class TestRestrictedDomains:
+    """On objectives finite on a few points per element, `minimize
+    mconvex` prints the brute-force minimum when some base is in dom Phi
+    and INFEASIBLE when none is, and the slope certificate verifies at
+    every brute-force minimizer."""
+
+    def test_random_instances(self):
+        rng = random.Random(71)
+        seen = collections.Counter()
+        for _ in range(300):
+            p = random_supermodular(rng, rng.randint(2, 4))
+            bases = enumerate_bases(p)
+            Phi = restricted_objective(rng, p.elements, rng.choice(bases))
+            values = {z: Phi.value(z) for z in bases}
+            best = min(values.values())
+            code, out = minimize_mconvex_cli(p, Phi)
+            if best is PLUS_INF:
+                assert (code, out["status"]) == (cli.EXIT_INFEASIBLE, "INFEASIBLE")
+                seen["infeasible"] += 1
+                continue
+            assert (code, out["status"]) == (cli.EXIT_OK, "OK")
+            assert out["report"]["primal_value"] == out["report"]["dual_value"] == best
+            start = greedy_min(p, (0,) * p.n)
+            seen["finite start" if is_finite(Phi.value(start)) else "infinite start"] += 1
+            for z, v in values.items():
+                if v == best:
+                    w = dual_certificate(p, Phi, z)
+                    assert verify_mconvex_optimality(p, Phi, z, w).equality
+                    right = Phi.prime(z)
+                    seen["clipped"] += any(all(right[t] is PLUS_INF for t in range(p.n) if dep >> t & 1)
+                                           for dep in dependence(p, z))
+        assert min(seen.values()) >= 20 and len(seen) == 4, seen
 
 
 class TestM2:
