@@ -2,16 +2,16 @@
 """End-to-end walk through the library on a small named instance.
 
 Minimizes the square-sum over the bases of a two-element supermodular
-function, extracts and verifies a weight certificate, solves the same
-problem as a convex-cost flow with a node potential certificate, and
-finishes with the box-integrality probe.
+function, verifies the weight certificate the descent returns, solves
+the same problem as a convex-cost flow with a node potential
+certificate, and finishes with the box-integrality probe.
 """
 
 import json
 
 from dctk.conjugate import square_sum
 from dctk.fixtures import d2_instance, p2, p2_system
-from dctk.mconvex import dual_certificate, minimize_separable, verify_mconvex_optimality
+from dctk.mconvex import minimize_separable, verify_mconvex_optimality
 from dctk.netflow import certify_flow, optimal_potential
 from dctk.polyhedron import Window, probe_box_integer
 
@@ -19,8 +19,7 @@ from dctk.polyhedron import Window, probe_box_integer
 def main() -> None:
     p = p2()
     Phi = square_sum(p.elements)
-    z = minimize_separable(p, Phi)
-    w = dual_certificate(p, Phi, z)
+    z, w = minimize_separable(p, Phi)
     rep = verify_mconvex_optimality(p, Phi, z, w)
     print("base minimization:", json.dumps(rep.to_json(), sort_keys=True))
 

@@ -65,15 +65,17 @@ def _int_vector(flag: str, arg: str, keys: Optional[Sequence[str]] = None) -> Tu
     return tuple(v)
 
 
-def _parse_range(spec: str) -> Tuple[int, int]:
-    """'LO..HI' or '±K'/'K' (symmetric)."""
+def _parse_range(flag: str, spec: str) -> Tuple[int, int]:
+    """The range `flag` gives as 'LO..HI' or '±K'/'K' (symmetric); an empty one is refused."""
     s = spec.strip()
     if ".." in s:
-        lo, hi = s.split("..", 1)
-        return int(lo), int(hi)
-    s = s.lstrip("±+")
-    k = int(s)
-    return -abs(k), abs(k)
+        lo, hi = map(int, s.split("..", 1))
+    else:
+        hi = abs(int(s.lstrip("±+")))
+        lo = -hi
+    if lo > hi:
+        raise ValueError(f"{flag} {lo}..{hi} is empty")
+    return lo, hi
 
 
 def _emit(payload: dict, json_out: Optional[str]) -> None:
@@ -162,12 +164,15 @@ def _verdict(payload: dict, equal: bool) -> Outcome:
 
 
 def _cmd_mconvex(args, point: Optional[str] = None, weights: Optional[str] = None) -> Outcome:
-    """minimize mconvex, and certify mconvex: verify a point (by default
-    the minimizer) with weights (by default the slope certificate)."""
+    """minimize mconvex: verify the descent's minimizer and certificate;
+    certify mconvex: a point with weights (by default the slope certificate)."""
     p = mconvex.SupermodularFn.from_json(_load_json(args.instance))
     Phi = cj.separable_from_json(_load_json(args.phi), p.elements)
-    z = mconvex.minimize_separable(p, Phi) if point is None else _int_vector("--point", point)
-    w = _int_vector("--weights", weights) if weights else mconvex.dual_certificate(p, Phi, z)
+    if point is None:
+        z, w = mconvex.minimize_separable(p, Phi)
+    else:
+        z = _int_vector("--point", point)
+        w = _int_vector("--weights", weights) if weights else mconvex.dual_certificate(p, Phi, z)
     report = mconvex.verify_mconvex_optimality(p, Phi, z, w)
     return _verdict({"report": report.to_json()}, report.equality)
 
@@ -182,11 +187,9 @@ def _cmd_minimize_m2(args) -> Outcome:
     obj = _load_json(args.instance)
     p1, p2 = (mconvex.SupermodularFn.from_json(require(obj, k, "m2 instance: missing")) for k in ("p1", "p2"))
     Phi = cj.separable_from_json(_load_json(args.phi), p1.elements)
-    lo, hi = _parse_range(args.w_window)
-    if lo > hi:
-        raise ValueError(f"--w-window {lo}..{hi} is empty")
+    lo, hi = _parse_range("--w-window", args.w_window)
     if lo != -hi:
-        raise ValueError(f"--w-window {lo}..{hi}: the split window is ±K, {-hi}..{hi} or {lo}..{-lo}")
+        raise ValueError(f"--w-window {lo}..{hi}: the split window is ±K, such as ±{max(-lo, hi)}")
     report = mconvex.m2_minimize_and_split(p1, p2, Phi, w_bound=hi)
     return _verdict({"report": report.to_json()}, report.equality)
 
@@ -206,14 +209,15 @@ def _cmd_minimize_flow(args) -> Outcome:
 def _cmd_minimize_boxtdi(args) -> Outcome:
     sys_ = polyhedron.LinearSystem.from_json(_load_json(args.instance))
     Phi = cj.separable_from_json(_load_json(args.phi), sys_.elements)
-    lo, hi = _parse_range(args.window)
-    win = polyhedron.Window.uniform(sys_.n, lo, hi)
+    win = polyhedron.Window.uniform(sys_.n, *_parse_range("--window", args.window))
     primal = polyhedron.minimize_bruteforce(sys_, Phi, win)
     if not is_finite(primal.primal_value):
         # Only an exact LP with no vertex proves the system empty.
         if polyhedron.lp_min(sys_, (0,) * sys_.n)[0] is PLUS_INF:
             return {"status": "INFEASIBLE", "window": win.to_json()}, EXIT_INFEASIBLE
-        detail = "no integer point in the window, but the system is not empty"
+        detail = ("the objective is infinite at every integer point in the window"
+                  if next(polyhedron.enumerate_integer_points(sys_, win), None) is not None
+                  else "no integer point in the window, but the system is not empty")
         payload = {"status": "INCONCLUSIVE", "window": win.to_json(), "detail": detail}
         return payload, EXIT_INCONCLUSIVE
     # The dual is read at the primal witness, passed by position: perfbench's
@@ -249,8 +253,7 @@ def _cmd_inverse(args) -> Outcome:
     targets = tuple(_int_vector("--target", t) for t in args.target)
     dev = cj.separable_from_json(_load_json(args.deviation), sys_.elements)
     inst = inverse.InverseInstance(sys_, targets, dev)
-    lo, hi = _parse_range(args.w_window)
-    w_win = polyhedron.Window.uniform(sys_.n, lo, hi)
+    w_win = polyhedron.Window.uniform(sys_.n, *_parse_range("--w-window", args.w_window))
     w_star, value = inverse.inverse_minimize(inst, w_win)
     z_win = inverse.default_z_window(dev)
     dual = inverse.inverse_dual_search(inst.cone, dev, z_win, w_star)
@@ -270,8 +273,7 @@ def _cmd_inverse(args) -> Outcome:
 
 def _cmd_probe(args) -> Outcome:
     sys_ = polyhedron.LinearSystem.from_json(_load_json(args.system))
-    lo, hi = _parse_range(args.window)
-    win = polyhedron.Window.uniform(sys_.n, lo, hi)
+    win = polyhedron.Window.uniform(sys_.n, *_parse_range("--window", args.window))
     ok, witness = polyhedron.probe_box_integer(sys_, win)
     payload = {
         "status": "OK" if ok else "CRITERIA_VIOLATED",
@@ -306,9 +308,8 @@ def run_selftest(seed: int = 1) -> list:
     # Named fixtures.
     p2 = fixtures.p2()
     sq = cj.square_sum(p2.elements)
-    z = mconvex.minimize_separable(p2, sq)
+    z, w = mconvex.minimize_separable(p2, sq)
     check("p2-minimum", z == (1, 1) and sq.value(z) == 2)
-    w = mconvex.dual_certificate(p2, sq, z)
     rep = mconvex.verify_mconvex_optimality(p2, sq, z, w)
     check("p2-certificate", rep.equality and w == (3, 3))
     rep2 = mconvex.m2_minimize_and_split(p2, fixtures.p2b(), sq, 3)
@@ -335,10 +336,9 @@ def run_selftest(seed: int = 1) -> list:
     for seed_i in range(seed, seed + 32):
         p = fixtures.random_supermodular(seed_i, 2 + seed_i % 2)
         Phi = fixtures.random_separable(seed_i * 7 + 1, p.elements)
-        z = mconvex.minimize_separable(p, Phi)
+        z, w = mconvex.minimize_separable(p, Phi)
         brute = min(Phi.value(b) for b in mconvex.enumerate_bases(p))
         check(f"seed{seed_i}-descent", Phi.value(z) == brute)
-        w = mconvex.dual_certificate(p, Phi, z)
         try:
             rep = mconvex.verify_mconvex_optimality(p, Phi, z, w)
             check(f"seed{seed_i}-equality", rep.equality)

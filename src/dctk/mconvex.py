@@ -9,12 +9,13 @@ machinery, and the slope-based dual certificate with its verifier.
 The descent step, its stop test and the certificate are one routine
 (:func:`_exchange`) on the dependence function (:func:`dependence`):
 one scan of the z-tight sets decides every exchange of a step, with no
-call to :func:`member`, which serves verification.  The M2 weight
-splitting reads it too: a split worth Phi at the common base z* asks
-w_k[t] >= w_k[s] for t in dep_k[s], so it is the first point of one
-small system, and the grid of splits is scanned only when that system
-is empty.  The common bases are listed in the box
-that Edmonds' intersection theorem reads off the two tables, with no LP.
+call to :func:`member`, which serves verification; the descent returns
+the w of its last scan.  The M2 weight splitting reads it too: a split
+worth Phi at the common base z* asks w_k[t] >= w_k[s] for t in
+dep_k[s], so it is the first point of one small system, and the grid of
+splits is scanned only when that system is empty.  The M2 primal is
+:func:`minimize_bruteforce` on both sides' rows, in the box that
+Edmonds' intersection theorem reads off the two tables, with no LP.
 
 Two kernels serve every 2^n scan of a mask table.  The input check
 (:meth:`SupermodularFn._check_supermodular`, run for n <= CHECKED_GROUND)
@@ -51,8 +52,8 @@ from .polyhedron import (
     Window,
     check_elements,
     enumerate_integer_points,
-    first_minimum,
     fitting_points,
+    minimize_bruteforce,
 )
 
 MAX_GROUND = 20
@@ -290,22 +291,23 @@ def _exchange(p: SupermodularFn, Phi: SeparableConvex, z: Sequence[int]):
     return tuple(w), move
 
 
-def _descend(p: SupermodularFn, Phi: SeparableConvex, z: List[int]) -> None:
-    """Steepest exchange steps on z until none improves Phi."""
+def _descend(p: SupermodularFn, Phi: SeparableConvex, z: List[int]) -> Tuple[int, ...]:
+    """Steepest exchange steps on z until none improves Phi; the w of the last scan."""
     for _ in range(10 * p.n * 1000 + 1000):
-        move = _exchange(p, Phi, z)[1]
+        w, move = _exchange(p, Phi, z)
         if move is None:
-            return
+            return w
         z[move[0]] -= 1
         z[move[1]] += 1
     raise IterationLimit("descent budget exhausted")
 
 
-def minimize_separable(p: SupermodularFn, Phi: SeparableConvex) -> Tuple[int, ...]:
-    """Steepest exchange descent from the w=0 greedy base.  Where Phi is
-    infinite there, it first descends on the distance to dom Phi, finite
-    on every base, so it reaches dom Phi exactly when some base lies in
-    it; else :class:`Infeasible`."""
+def minimize_separable(p: SupermodularFn, Phi: SeparableConvex) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """(z, w): steepest exchange descent from the w=0 greedy base, and the
+    w of its stop test, a certificate of z.  Where Phi is infinite at the
+    start, it first descends on the distance to dom Phi, finite on every
+    base, so it reaches dom Phi exactly when some base lies in it; else
+    :class:`Infeasible`."""
     z = list(greedy_min(p, (0,) * p.n))
     if not is_finite(Phi.value(z)):
         doms = [(e, *phi.dom()) for e, phi in Phi.parts]
@@ -313,8 +315,8 @@ def minimize_separable(p: SupermodularFn, Phi: SeparableConvex) -> Tuple[int, ..
             _descend(p, SeparableConvex(tuple((e, FlatBottom(lo, hi, -1, 1)) for e, lo, hi in doms)), z)
         if not is_finite(Phi.value(z)):
             raise Infeasible("no base where the objective is finite")
-    _descend(p, Phi, z)
-    return tuple(z)
+    w = _descend(p, Phi, z)
+    return tuple(z), w
 
 
 def tight_sets(p: SupermodularFn, z: Sequence[int]) -> List[int]:
@@ -417,37 +419,35 @@ def m2_minimize_and_split(
         raise ValueError(f"ground sets differ: {list(p1.elements)} and {list(p2.elements)}")
     if w_bound < 0:
         raise ValueError(f"w_bound must be >= 0, got {w_bound}")
-    # The common bases in lex order: one scan of both sides' rows in the
-    # box that Edmonds' intersection theorem gives (Fujishige 2005):
-    # they exist exactly when p1(S) = p2(S) and p1 <= pbar2, and then
-    # z_j runs over [max p1(X+j) - pbar2(X), min pbar2(X+j) - p1(X)], X
-    # ranging over the sets without j.
+    # The common bases lie in the box that Edmonds' intersection theorem
+    # gives (Fujishige 2005): they exist exactly when p1(S) = p2(S) and
+    # p1 <= pbar2, and then z_j runs over [max p1(X+j) - pbar2(X),
+    # min pbar2(X+j) - p1(X)], X ranging over the sets without j.  The
+    # primal is the bound-pruned minimum on both sides' rows in that box;
+    # where Phi is infinite on every common base, the lex-first one is z*.
     t1, bar2, masks = p1.table, complement(p2), range(p1.full + 1)
     los = [max(t1[x | 1 << j] - bar2[x] for x in masks if not x >> j & 1) for j in range(p1.n)]
     his = [min(bar2[x | 1 << j] - t1[x] for x in masks if not x >> j & 1) for j in range(p1.n)]
-    common = []
+    z_star = None
     if t1[p1.full] == p2.table[p2.full] and all(map(operator.le, t1, bar2)):
         if not all(map(is_finite, los + his)):
             raise Inconclusive("the common bases are unbounded")
         both = LinearSystem(p1.elements, to_system(p1).rows + to_system(p2).rows)
-        common = list(enumerate_integer_points(both, Window(tuple(los), tuple(his))))
-    if not common:  # empty by the theorem, or a side is not supermodular (n > CHECKED_GROUND)
+        box = Window(tuple(los), tuple(his))
+        primal = minimize_bruteforce(both, Phi, box)
+        z_star = primal.primal_witness or next(enumerate_integer_points(both, box), None)
+    if z_star is None:  # empty by the theorem, or a side is not supermodular (n > CHECKED_GROUND)
         raise EmptyIntersection("no integral point in both base sets")
-    best_p, arg_p = first_minimum(common, Phi.value)
+    best_p, arg_p = primal.primal_value, primal.primal_witness
     arg_d = None if arg_p is None else _split_certificate(p1, p2, Phi, arg_p, w_bound)
-    if arg_d is not None:
-        best_d = best_p
-    else:
-        best_d, arg_d = _split_search(p1, p2, Phi, common[0] if arg_p is None else arg_p, w_bound)
+    best_d, arg_d = (best_p, arg_d) if arg_d is not None else _split_search(p1, p2, Phi, z_star, w_bound)
     return MinMaxReport(
         primal_value=best_p,
         dual_value=best_d,
         primal_witness=arg_p,
         dual_witness=arg_d,
         equality=(best_p == best_d),
-        support_size=0 if arg_d is None else sum(
-            1 for v in arg_d[0] + arg_d[1] if v != 0
-        ),
+        support_size=0 if arg_d is None else sum(v != 0 for v in arg_d[0] + arg_d[1]),
         bounds_used={"w_bound": w_bound},
     )
 

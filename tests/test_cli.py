@@ -371,6 +371,18 @@ class TestMinimizeCommands:
         ])
         assert (p.returncode, p.stdout) == (code, stdout)
 
+    def test_boxtdi_objective_infinite_in_window(self):
+        # a + b >= 0 has points in the window, but a's table is finite only at 9.
+        system = {"elements": ["a", "b"], "rows": [{"coeffs": [1, 1], "rhs": 0, "kind": "geq"}]}
+        phi = {"a": {"form": "table", "k0": 9, "values": [0]}, "b": {"form": "quadratic", "a": 1}}
+        p = run_cli([
+            "minimize", "boxtdi", "--instance", json.dumps(system),
+            "--phi", json.dumps(phi), "--window", "0..3",
+        ])
+        assert (p.returncode, p.stdout) == (cli.EXIT_INCONCLUSIVE, (
+            '{"detail":"the objective is infinite at every integer point in the window",'
+            '"status":"INCONCLUSIVE","window":{"hi":[3,3],"lo":[0,0]}}\n'))
+
     def test_boxtdi_empty_window_searches_no_dual(self, monkeypatch):
         # No integer point in the window: the answer needs no dual, so
         # no conjugate table is built.
@@ -673,10 +685,16 @@ class TestBadInput:
         (["conjugate", "--ell", "0", "--phi", '{"form":"quadratic","a":1.5}'], "'a'"),
         (BOXTDI + ["--y-bound", "-1"], "y_bound must be >= 0"),
         (M2 + ["--w-window=2..1"], "--w-window 2..1 is empty"),
-        (M2 + ["--w-window=-1..3"], "the split window is ±K"),
+        (M2 + ["--w-window=-1..3"], "the split window is ±K, such as ±3\n"),
+        (M2 + ["--w-window=3..3"], "the split window is ±K, such as ±3\n"),
+        (M2 + ["--w-window=-5..-2"], "the split window is ±K, such as ±5\n"),
+        (BOXTDI[:-1] + ["3..1"], "--window 3..1 is empty"),
+        (["probe", "--system", json.dumps(P2_SYSTEM), "--window", "3..1"], "--window 3..1 is empty"),
+        (INVERSE + ["--target", "[1,1]", "--w-window=3..1"], "--w-window 3..1 is empty"),
     ], ids=["short-weights", "long-weights", "short-target", "long-target",
             "float-c_minus", "bool-c_plus", "float-a", "negative-y-bound", "empty-split-window",
-            "asymmetric-split-window"])
+            "asymmetric-split-window", "one-point-split-window", "negative-split-window",
+            "empty-boxtdi-window", "empty-probe-window", "empty-inverse-window"])
     def test_exits_invalid_with_message(self, argv, needle):
         p = run_cli(argv)
         assert (p.returncode, p.stdout) == (cli.EXIT_INVALID, "")

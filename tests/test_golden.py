@@ -29,9 +29,9 @@ slopes, finite domains) and, for boxtdi, large-slope ones, at several
 dual bounds.  It was written while both duals were still found by
 windowed scans.  Some answers are certified (exit 0), some are
 INCONCLUSIVE (exit 6: a bound too small, a system that is not box-TDI,
-or a window with no integer point), so a change to how the integer dual
-or the weight splitting is found that moves a value, a witness or a
-status shows here.
+or a window where the objective is infinite at every integer point), so
+a change to how the integer dual or the weight splitting is found that
+moves a value, a witness or a status shows here.
 
 `tests/data/conjugate_golden.json` holds, for every form (tables,
 quadratics, V-shapes, flat bottoms, tilts, shifts, restrictions and sums,
@@ -188,7 +188,7 @@ def build_ops(seed=SEED, count=COUNT):
             with contextlib.suppress(DctkError):
                 other = list(greedy_min(p, w_other))
             with contextlib.suppress(DctkError):
-                best = list(minimize_separable(p, Phi))
+                best = list(minimize_separable(p, Phi)[0])
                 slopes = [v if is_finite(v) else 0 for v in Phi.prime_minus(best)]
         except ValueError:
             pass  # not supermodular: every command exits 4

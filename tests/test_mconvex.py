@@ -183,8 +183,8 @@ class TestSupermodularCheck:
         table[0b11] = -1
         p = SupermodularFn(n, tuple(table))  # no check above the limit
         Phi = square_sum(p.elements)
-        z = minimize_separable(p, Phi)
-        rep = verify_mconvex_optimality(p, Phi, z, dual_certificate(p, Phi, z))
+        z, w = minimize_separable(p, Phi)
+        rep = verify_mconvex_optimality(p, Phi, z, w)
         assert rep.notes == ("supermodularity of p unchecked (n > 14)",)
         small = verify_mconvex_optimality(P2, SQ, (1, 1), (3, 3))
         assert small.notes == ()
@@ -300,17 +300,17 @@ class TestLovaszGreedy:
 
 class TestMinimize:
     def test_p2_square(self):
-        assert minimize_separable(P2, SQ) == (1, 1)
+        assert minimize_separable(P2, SQ) == ((1, 1), (3, 3))
 
     def test_p2_linear(self):
-        assert minimize_separable(P2, linear_cost(P2.elements, (3, 1))) == (0, 2)
+        assert minimize_separable(P2, linear_cost(P2.elements, (3, 1))) == ((0, 2), (3, 1))
 
     def test_p2_target(self):
         Phi = SeparableConvex(
             (("e1", Shifted(2, Quadratic(1))), ("e2", Quadratic(1)))
         )
-        z = minimize_separable(P2, Phi)
-        assert z == (2, 0) and Phi.value(z) == 0
+        z, w = minimize_separable(P2, Phi)
+        assert z == (2, 0) and Phi.value(z) == 0 and w == (1, 1)
 
     def test_local_equals_global_random(self):
         rng = random.Random(5)
@@ -318,9 +318,10 @@ class TestMinimize:
             n = rng.randint(2, 4)
             p = random_supermodular(rng, n)
             Phi = random_separable(rng, p.elements)
-            z = minimize_separable(p, Phi)
+            z, w = minimize_separable(p, Phi)
             brute = min(Phi.value(b) for b in enumerate_bases(p))
             assert Phi.value(z) == brute
+            assert verify_mconvex_optimality(p, Phi, z, w).dual_value == brute
 
 
 class TestTightSets:
@@ -427,9 +428,12 @@ class TestDescentMatchesNaiveOracle:
             for (e, phi), k in zip(Phi.parts, z0)))
 
     def check(self, rng, p, Phi):
-        z = outcome(minimize_separable, p, Phi)
+        found = outcome(minimize_separable, p, Phi)
+        z = found[0] if isinstance(found[0], tuple) else found
         assert z == outcome(naive_minimize_separable, p, Phi)
         points = [z] if isinstance(z[0], int) else []
+        if points:
+            assert found[1] == naive_dual_certificate(p, Phi, z)
         w = outcome(greedy_min, p, random_weight(rng, p.n))
         if isinstance(w[0], int):
             points.append(w)
@@ -565,6 +569,9 @@ class TestRestrictedDomains:
                 continue
             assert (code, out["status"]) == (cli.EXIT_OK, "OK")
             assert out["report"]["primal_value"] == out["report"]["dual_value"] == best
+            z, w = minimize_separable(p, Phi)
+            assert Phi.value(z) == best and w == dual_certificate(p, Phi, z)
+            assert verify_mconvex_optimality(p, Phi, z, w).equality
             start = greedy_min(p, (0,) * p.n)
             seen["finite start" if is_finite(Phi.value(start)) else "infinite start"] += 1
             for z, v in values.items():
@@ -841,6 +848,19 @@ def test_common_bases_run_no_lp(monkeypatch):
     with pytest.raises(EmptyIntersection, match="no integral point in both base sets"):
         m2_minimize_and_split(line, shifted, SQ, 1)
     assert calls == {}
+
+
+def test_m2_primal_lists_no_common_base(monkeypatch):
+    """The n = 5 rooted-squares pair has thousands of common bases; the
+    bound-pruned primal reads Phi at few of them (22,825 reads when
+    every common base was listed and read)."""
+    reads = []
+    value = Quadratic.value
+    monkeypatch.setattr(Quadratic, "value", lambda self, k: reads.append(k) or value(self, k))
+    p1, p2_ = rooted_squares(5, 0), rooted_squares(5, 1)
+    rep = m2_minimize_and_split(p1, p2_, square_sum(p1.elements), 3)
+    assert (rep.primal_value, rep.primal_witness) == (125, (5, 5, 5, 5, 5))
+    assert len(reads) <= 1000, len(reads)
 
 
 class TestWindows:

@@ -12,7 +12,7 @@ from helpers import child_env
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
-@pytest.mark.parametrize("name", ["solve_example.py", "run_selftest.py"])
+@pytest.mark.parametrize("name", ["solve_example.py"])
 def test_script_exits_zero(name):
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / name)], capture_output=True, text=True,
