@@ -7,8 +7,9 @@ canonical JSON (sorted keys, compact separators, no floats); exit codes
 are 0 ok, 2 infeasible, 3 unbounded, 4 invalid input, 5 criteria
 violated, 6 inconclusive (a search that stopped without a proof, or
 primal and dual values differ).  The parser is built once per process,
-on the first run(); each leaf command carries its handler, and run()
-prints every outcome, success or failure, from one place.
+on the first run(); each leaf command carries its handler.  run() parses
+argv at the leaf its first words name, and prints every outcome, success
+or failure, from one place.
 """
 
 from __future__ import annotations
@@ -87,17 +88,20 @@ def _emit(payload: dict, json_out: Optional[str]) -> None:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The whole tree, built on the first run() of a process and reused:
-    parse_args keeps no state in the parser between calls."""
+def _build_parser() -> Tuple[argparse.ArgumentParser, dict]:
+    """The whole tree and its leaf parsers by command path, such as
+    ("minimize", "boxtdi"): built on the first run() of a process and
+    reused, since parsing keeps no state in a parser between calls."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json-out")
     ap = argparse.ArgumentParser(prog="dctk")
     sub = ap.add_subparsers(dest="verb", required=True)
+    leaves = {}
 
     def leaf(parent, name, cmd, **kw):
         p = parent.add_parser(name, parents=[common], **kw)
         p.set_defaults(cmd=cmd)
+        leaves[tuple(p.prog.split()[1:])] = p
         return p
 
     c = leaf(sub, "conjugate", _cmd_conjugate, help="evaluate a discrete conjugate")
@@ -154,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     st = leaf(sub, "selftest", _cmd_selftest, help="run the bundled fixture corpus")
     st.add_argument("--seed", type=int, default=1)
 
-    return ap
+    return ap, leaves
 
 
 def _verdict(payload: dict, equal: bool) -> Outcome:
@@ -370,8 +374,15 @@ def _outcome(args) -> Outcome:
 
 
 def run(argv: Sequence[str]) -> int:
+    """Parse argv at the leaf its first k words name (at the root if
+    none), so the tree above it is not walked.  Leftover arguments are
+    the root's error, as when the root parses all of argv."""
+    root, leaves = _build_parser()
+    k = next((k for k in (2, 1) if tuple(argv[:k]) in leaves), 0)
     try:
-        args = _build_parser().parse_args(argv)
+        args, extra = (leaves[tuple(argv[:k])] if k else root).parse_known_args(argv[k:])
+        if extra:
+            root.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as e:
         return EXIT_INVALID if e.code not in (0, None) else 0
     try:

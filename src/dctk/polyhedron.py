@@ -9,7 +9,8 @@ and their normal cones as systems, dual searches for the separable-convex
 min-max formulas, the disjoint-pair feasibility test, dilations, and a
 box-integrality probe.  Arithmetic is exact; witnesses are lex-least.
 
-The dual searches first read their answer at a primal point z: the
+The dual searches first read their answer at a primal point z (given
+none, the bound point, or the minimizer where that is not optimal): the
 duals worth Phi(z), the most weak duality allows, are the integer
 points of one small system (complementary slackness or the normal cone
 at z, and the fitting box of z), whose lex-first point is the scan's
@@ -29,11 +30,12 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from functools import partial
+from math import ceil, floor, lcm
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from . import ratlin
-from .conjugate import SeparableConvex, _Memo, conjugate_table
+from .conjugate import SeparableConvex, _Memo, conjugate_eval, conjugate_table
 from .errors import (
     CriteriaViolated,
     DomainError,
@@ -503,9 +505,41 @@ def minimize_bruteforce(
 
 def _bound_point(sys: LinearSystem, Phi: SeparableConvex) -> Optional[Tuple[int, ...]]:
     """The first integral vertex of the system with the least Phi, or None
-    if none has a finite Phi.  Weak duality at it bounds the dual searches."""
+    if none has a finite Phi: where a dual search given no point first
+    looks for its certificate (:func:`_certified`)."""
     ints = (tuple(map(int, v)) for v in _basic_data(sys)[0] if all(x.denominator == 1 for x in v))
     return first_minimum(ints, Phi.value)[1]
+
+
+def vertex_hull_window(sys: LinearSystem, pad: int = 0) -> Window:
+    """Smallest integer box containing every vertex of the system,
+    widened by pad on each side."""
+    vertices, _, _ = _basic_data(sys)
+    if not vertices:
+        raise ValueError("system has no vertices")
+    return Window(
+        tuple(floor(min(v[j] for v in vertices)) - pad for j in range(sys.n)),
+        tuple(ceil(max(v[j] for v in vertices)) + pad for j in range(sys.n)),
+    )
+
+
+def _certified(sys: LinearSystem, Phi: SeparableConvex, certificate: Callable[[tuple], Optional[T]]):
+    """(z, certificate(z)) for a dual search given no point, or (None,
+    None) without a bound point.  z is the bound point, read first since
+    it costs no search; where no dual is worth Phi there (certificate
+    gives None), z moves to the first minimizer of Phi in the vertex hull
+    box when that is lower.  On a bounded system that is the integer
+    minimizer, where the min-max formula puts a dual worth Phi(z) on a
+    box-TDI system."""
+    z = _bound_point(sys, Phi)
+    if z is None:
+        return None, None
+    found = certificate(z)
+    if found is None:
+        best = minimize_bruteforce(sys, Phi, vertex_hull_window(sys))
+        if best.primal_value < Phi.value(z):
+            z, found = best.primal_witness, certificate(best.primal_witness)
+    return z, found
 
 
 def fitting_points(
@@ -539,46 +573,78 @@ def dual_search_bruteforce(
     """max y.p - conj(Phi)(yQ) over sign-feasible integer y, |y| <= bound.
 
     z is a point of the system with Phi(z) finite (a primal witness), by
-    default the bound point.  Every y is worth at most Phi(z), and those
-    worth Phi(z) are the y with y_i = 0 where slack_i(z) > 0 and yQ in
-    the fitting box of z (:func:`fitting_points`).  The first of them in
-    lex order is the first maximizer of the scan below, so when there is
-    one it is the answer, and support_within_2n reads on along the same
-    points for one with support <= 2n.
+    default the point :func:`_certified` picks.  Every y is worth at most
+    Phi(z), and those worth Phi(z) are the y with y_i = 0 where
+    slack_i(z) > 0 and yQ in the fitting box of z
+    (:func:`fitting_points`).  The first of them in lex order is the
+    first maximizer of the scan below, so when there is one it is the
+    answer, and support_within_2n reads on along the same points for one
+    with support <= 2n.
 
     Otherwise (no z, or no y reaches Phi(z)) y runs depth-first in lex
-    order.  y is worth Phi(z) - sum_i y_i slack_i(z) - h(yQ), with h(w) =
-    conj(Phi)(w) - w.z + Phi(z) >= 0 (Fenchel-Young) and y_i slack_i(z) >=
-    0: Phi(z) less the prefix's slack terms bounds each completion and
-    falls as a multiplier rises, so a row's loop stops once it is below
-    the best value.  The last row's value is concave in its multiplier;
-    that loop also stops once the value is below the best and falling,
-    or +inf after finite.  Pruning is strict: value, first witness and
-    support_within_2n are those of the full scan.
+    order.  y is worth Phi(z) - sum_i y_i slack_i(z) - sum_j h_j(w_j),
+    with w = yQ and h_j(v) = conj(phi_j)(v) - v z_j + phi_j(z_j) >= 0
+    (Fenchel-Young), zero on the fitting interval of z_j and convex, and
+    y_i slack_i(z) >= 0.  Phi(z) less the prefix's slack terms bounds
+    each completion and falls as a multiplier rises, so a row's loop
+    stops once it is below the best value.  A prefix is also skipped
+    when that bound less the least h_j over the w_j the remaining rows
+    can still reach (the suffix sums of each row's least and greatest
+    t q_ij) is below it.  The last row's value is concave in its
+    multiplier; that loop also stops once the value is below the best
+    and falling, or +inf after finite.  Pruning is strict: value, first
+    witness and support_within_2n are those of the full scan.
     """
     if y_bound < 0:
         raise ValueError(f"y_bound must be >= 0, got {y_bound}")
     rows = sys.rows
+    ranges = [(0 if r.kind == GEQ else -y_bound, y_bound) for r in rows]
+
+    def certificates(z):
+        """(the first, the rest) of the y worth Phi(z) in lex order, or None."""
+        box = Window(*zip(*((0, 0) if r.slack(z) else t for r, t in zip(rows, ranges))))
+        cols = [tuple(r.coeffs[j] for r in rows) for j in range(sys.n)]
+        points = fitting_points(Phi.prime_minus(z), Phi.prime(z), cols, box)
+        first = next(points, None)
+        return None if first is None else (first, points)
+
     if z is None:
-        z = _bound_point(sys, Phi)
+        z, found = _certified(sys, Phi, certificates)
     elif not (sys.contains(z) and is_finite(Phi.value(z))):
         raise ValueError(f"z={tuple(z)} is not a point of the system with finite Phi")
+    else:
+        found = certificates(z)
+    if found is not None:
+        first, rest = found
+        y = DualVector(first)
+        small = any(sum(1 for v in u if v) <= 2 * sys.n for u in itertools.chain((first,), rest))
+        return MinMaxReport(
+            dual_value=Phi.value(z),
+            dual_witness=y,
+            support_size=y.support(),
+            bounds_used={"y_bound": y_bound, "support_within_2n": small},
+        )
     slack = [0 if z is None else r.slack(z) for r in rows]
     if z is not None:
-        lo = tuple(0 if s or r.kind == GEQ else -y_bound for r, s in zip(rows, slack))
-        hi = tuple(0 if s else y_bound for s in slack)
-        cols = [tuple(r.coeffs[j] for r in rows) for j in range(sys.n)]
-        certificates = fitting_points(Phi.prime_minus(z), Phi.prime(z), cols, Window(lo, hi))
-        first = next(certificates, None)
-        if first is not None:
-            y = DualVector(first)
-            small = any(sum(1 for v in u if v) <= 2 * sys.n for u in itertools.chain((first,), certificates))
-            return MinMaxReport(
-                dual_value=Phi.value(z),
-                dual_witness=y,
-                support_size=y.support(),
-                bounds_used={"y_bound": y_bound, "support_within_2n": small},
-            )
+        # Per coordinate: the fitting interval of z_j, conj(phi_j), z_j and phi_j(z_j).
+        parts = [(lo, hi, _Memo(partial(conjugate_eval, p)), zj, p.value(zj))
+                 for lo, hi, (_, p), zj in zip(Phi.prime_minus(z), Phi.prime(z), Phi.parts, z)]
+        # reach[i][j]: the least and greatest sum of y_k q_kj over rows k >= i.
+        reach = [[(0, 0)] * sys.n]
+        for r, (lo, hi) in zip(reversed(rows), reversed(ranges)):
+            reach.append([(a + min(lo * q, hi * q), b + max(lo * q, hi * q))
+                          for (a, b), q in zip(reach[-1], r.coeffs)])
+        reach.reverse()
+
+    def gap(w: List[int], i: int) -> ExtInt:
+        """The least sum_j h_j over the w that rows i.. can still reach."""
+        total = 0
+        for wj, (a, b), (lo, hi, dual, zj, base) in zip(w, reach[i], parts):
+            v = wj + b if wj + b < lo else wj + a if wj + a > hi else None
+            if v is not None:
+                total += dual[v] - v * zj + base
+        return total
+
     conj = conjugate_table(Phi)
     best: ExtInt = MINUS_INF
     arg: Optional[Tuple[int, ...]] = None
@@ -589,13 +655,14 @@ def dual_search_bruteforce(
         i = len(head)
         r = rows[i]
         prev = None  # the last finite value, in the last row
-        for t in range(0 if r.kind == GEQ else -y_bound, y_bound + 1):
+        for t in range(ranges[i][0], y_bound + 1):
             bound = room - t * slack[i]
             if bound < best:
                 break
             wt = [a + t * q for a, q in zip(w, r.coeffs)]
             if i + 1 < len(rows):
-                scan(head + (t,), wt, pv + t * r.rhs, bound)
+                if z is None or bound - gap(wt, i + 1) >= best:
+                    scan(head + (t,), wt, pv + t * r.rhs, bound)
                 continue
             c = conj(wt)
             if c is PLUS_INF:
@@ -628,19 +695,18 @@ def mu_form_dual_search(
 ) -> MinMaxReport:
     """max mu_R(w) - conj(Phi)(w) over integral w in the window.
 
-    For z the bound point, every w is worth at most Phi(z), and those
-    worth Phi(z) are the w in the normal cone at z (mu_R(w) = w.z) and in
-    its fitting box: :func:`find_weight_in_box` with the box
-    Phi'(z-1) <= w <= Phi'(z).  Its first w in lex order is the scan's
-    first maximizer, found with no exact LP.  Otherwise every w is
-    scanned, and one whose bound w.z - conj(Phi)(w) is below the best
-    value is skipped without its exact LP."""
-    z = _bound_point(sys, Phi)
-    if z is not None:
-        w = find_weight_in_box(sys, z, Phi.prime_minus(z), Phi.prime(z), w_window)
-        if w is not None:
-            return MinMaxReport(dual_value=Phi.value(z), dual_witness=w,
-                                bounds_used={"w_window": w_window.to_json()})
+    For z the point :func:`_certified` picks, every w is worth at most
+    Phi(z), and those worth Phi(z) are the w in the normal cone at z
+    (mu_R(w) = w.z) and in its fitting box: :func:`find_weight_in_box`
+    with the box Phi'(z-1) <= w <= Phi'(z).  Its first w in lex order is
+    the scan's first maximizer, found with no exact LP.  Otherwise every
+    w is scanned, and one whose bound w.z - conj(Phi)(w) is below the
+    best value is skipped without its exact LP."""
+    z, w = _certified(sys, Phi, lambda z: find_weight_in_box(
+        sys, z, Phi.prime_minus(z), Phi.prime(z), w_window))
+    if w is not None:
+        return MinMaxReport(dual_value=Phi.value(z), dual_witness=w,
+                            bounds_used={"w_window": w_window.to_json()})
     conj = conjugate_table(Phi)
     best = None
     arg = None

@@ -15,7 +15,7 @@ import resource
 import subprocess
 import sys
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import gcd, lcm
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from dctk import ratlin
@@ -43,7 +43,6 @@ from dctk.polyhedron import (
     LinearSystem,
     Row,
     Window,
-    _basic_data,
     dilation,
     enumerate_integer_points,
 )
@@ -230,18 +229,6 @@ def window_points(win: Window) -> Iterator[Tuple[int, ...]]:
             yield from scan(head + (t,))
 
     return scan(())
-
-
-def vertex_hull_window(sys: LinearSystem, pad: int = 0) -> Window:
-    """Smallest integer box containing every vertex of the system,
-    widened by pad on each side."""
-    vertices, _, _ = _basic_data(sys)
-    if not vertices:
-        raise ValueError("system has no vertices")
-    return Window(
-        tuple(floor(min(v[j] for v in vertices)) - pad for j in range(sys.n)),
-        tuple(ceil(max(v[j] for v in vertices)) + pad for j in range(sys.n)),
-    )
 
 
 def incidence_matrix(d: Digraph) -> List[Tuple[int, ...]]:

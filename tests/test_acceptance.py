@@ -68,6 +68,7 @@ from dctk.polyhedron import (
     mu_form_dual_search,
     probe_box_integer,
     verify_certificate,
+    vertex_hull_window,
 )
 
 from helpers import (
@@ -80,7 +81,6 @@ from helpers import (
     random_flow_instance,
     random_weight,
     univariate_corpus,
-    vertex_hull_window,
     window_points,
 )
 

@@ -159,6 +159,29 @@ def test_reused_parser_carries_no_state(tmp_path):
             out.unlink()
 
 
+ROOT_USAGE = "usage: dctk [-h] {conjugate,minimize,certify,inverse,probe,selftest} ...\n"
+MINIMIZE_USAGE = "usage: dctk minimize [-h] {mconvex,m2,flow,boxtdi} ...\n"
+
+
+@pytest.mark.parametrize("argv, stderr", [
+    (["conjugate", "--phi", '{"form":"quadratic","a":1}', "--ell", "3", "extra"],
+     ROOT_USAGE + "dctk: error: unrecognized arguments: extra\n"),
+    (["probe", "--system", json.dumps(P2_SYSTEM), "--window", "0..2", "--bad"],
+     ROOT_USAGE + "dctk: error: unrecognized arguments: --bad\n"),
+    (["minimize", "bogus"], MINIMIZE_USAGE + "dctk minimize: error: argument subject: invalid choice: "
+     "'bogus' (choose from 'mconvex', 'm2', 'flow', 'boxtdi')\n"),
+    (["minimize"], MINIMIZE_USAGE + "dctk minimize: error: the following arguments are required: subject\n"),
+    ([], ROOT_USAGE + "dctk: error: the following arguments are required: verb\n"),
+], ids=["conjugate-extra", "probe-bad-flag", "minimize-bogus", "minimize-alone", "no-command"])
+def test_argparse_errors(monkeypatch, argv, stderr):
+    """run() parses at the leaf its first words name, and argparse's
+    errors still come from the parser that gave them when the root parsed
+    all of argv: a leaf's leftover arguments are the root's error."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to the terminal
+    p = run_cli(argv)
+    assert (p.returncode, p.stdout, p.stderr) == (cli.EXIT_INVALID, "", stderr)
+
+
 class TestConjugateCommand:
     def test_quadratic(self):
         p = run_cli(["conjugate", "--phi", '{"form":"quadratic","a":1}',

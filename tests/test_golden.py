@@ -91,7 +91,7 @@ from dctk.mconvex import (
     minimize_separable,
     to_system,
 )
-from dctk.polyhedron import Window, dilation, enumerate_integer_points
+from dctk.polyhedron import Window, dilation, enumerate_integer_points, vertex_hull_window
 
 from helpers import (
     large_slope_objective,
@@ -101,7 +101,6 @@ from helpers import (
     random_large_slope_form,
     random_search_objective,
     rooted_squares,
-    vertex_hull_window,
 )
 
 DIR = pathlib.Path(__file__).resolve().parent / "data"

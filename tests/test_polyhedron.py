@@ -51,6 +51,7 @@ from dctk.polyhedron import (
     probe_box_integer,
     separable_first_minimum,
     verify_certificate,
+    vertex_hull_window,
 )
 
 from helpers import (
@@ -72,7 +73,6 @@ from helpers import (
     random_large_slope_form,
     random_search_objective,
     run_under_memory_limit,
-    vertex_hull_window,
     window_points,
 )
 
@@ -1041,8 +1041,13 @@ class TestSearchWork:
 
     @pytest.mark.parametrize("y_bound, share", [(6, 5), (12, 10)])
     def test_integer_dual(self, calls, y_bound, share):
-        # The bound point (0, 2) is not optimal, so no y reaches Phi there.
+        # No y reaches Phi at the bound point (0, 2), which is not optimal:
+        # the search reads its certificate at the minimizer (1, 1) instead.
         rep = dual_search_bruteforce(P2SYS, SQ, y_bound)
+        assert rep.dual_value == 2 and rep.dual_witness.y == (0, 0, 1)
+        assert calls == {}
+        # Given (0, 2), the scan runs and evaluates a share of its box.
+        rep = dual_search_bruteforce(P2SYS, SQ, y_bound, (0, 2))
         assert rep.dual_value == 2 and rep.dual_witness.y == (0, 0, 1)
         box = (y_bound + 1) ** 2 * (2 * y_bound + 1)
         assert 0 < calls["conj"] * share <= box
@@ -1050,16 +1055,49 @@ class TestSearchWork:
     def test_integer_dual_on_a_path_embedding(self, calls):
         # With Phi three times the square sum, a y with yQ in the fitting
         # box [9, 15]^2 of (2, 2) needs a multiplier above 6: the scan
-        # runs and stops short of Phi = 24.  Three equality rows leave its
-        # gap pruning little to cut.
+        # runs and stops short of Phi = 24.  Three equality rows have no
+        # slack to prune by, but the Fenchel-Young gap of yQ does.
         rep = dual_search_bruteforce(PATH, square_sum(PATH.elements, (3, 3)), 6)
         assert rep.dual_value == 18
-        assert 0 < calls["conj"] * 4 <= 7 ** 2 * 13 ** 3
+        assert 0 < calls["conj"] * 100 <= 7 ** 2 * 13 ** 3
+
+    def test_integer_dual_on_s3(self, calls):
+        # s3 is not box-TDI: the best y in the box is worth 2 < 3.
+        s3 = s3_system()
+        rep = dual_search_bruteforce(s3, square_sum(s3.elements, (1, 2, 1, 3, 1, 2)), 1)
+        assert (rep.dual_value, rep.dual_witness.y) == (2, (0, 1, 1, 0, 0, 0, 0))
+        assert 0 < calls["conj"] * 2 <= 2 ** 4 * 3 ** 3
 
     def test_mu_form(self, calls):
         rep = mu_form_dual_search(P2SYS, SQ, Window.uniform(2, -6, 6))
         assert rep.dual_value == 2 and rep.dual_witness == (1, 1)
-        assert 0 < calls["lp"] * 3 <= 2 * 13 ** 2
+        assert calls == {}
+
+    def test_minimizers_inside_a_face(self, calls):
+        # x(E) = k, x >= 0 and Phi = sum a_j x_j^2: the vertices k e_j are
+        # not optimal, so both searches read the certificate at the
+        # minimizer, with no conjugate and no exact LP, and return what
+        # the plain scans return.
+        rng = random.Random(43)
+        seen = 0
+        for n, a_max, ks, y_bound, win in ((2, 3, (2, 5), 10, Window.uniform(2, -10, 10)),
+                                           (3, 2, (3, 5), 8, Window.uniform(3, -2, 10))):
+            elements = tuple(f"x{j}" for j in range(n))
+            units = tuple(Row(tuple(int(i == j) for i in range(n)), 0, GEQ) for j in range(n))
+            for _ in range(6):
+                sys = LinearSystem(elements, (Row((1,) * n, rng.randint(*ks), EQ),) + units)
+                Phi = square_sum(elements, [rng.randint(1, a_max) for _ in range(n)])
+                best = minimize_bruteforce(sys, Phi, vertex_hull_window(sys)).primal_value
+                if best == Phi.value(_bound_point(sys, Phi)):
+                    continue
+                seen += 1
+                rep = dual_search_bruteforce(sys, Phi, y_bound)
+                mu = mu_form_dual_search(sys, Phi, win)
+                assert calls == {} and rep.dual_value == mu.dual_value == best
+                got = (rep.dual_value, rep.dual_witness, rep.support_size, rep.bounds_used)
+                assert got == naive_dual_search(sys, Phi, y_bound)
+                assert (mu.dual_value, mu.dual_witness) == naive_mu_form(sys, Phi, win)
+        assert seen >= 8
 
     def test_certificates_evaluate_nothing(self, calls):
         rep = dual_search_bruteforce(PATH, square_sum(PATH.elements), 6)
