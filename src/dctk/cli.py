@@ -69,11 +69,14 @@ def _int_vector(flag: str, arg: str, keys: Optional[Sequence[str]] = None) -> Tu
 def _parse_range(flag: str, spec: str) -> Tuple[int, int]:
     """The range `flag` gives as 'LO..HI' or '±K'/'K' (symmetric); an empty one is refused."""
     s = spec.strip()
-    if ".." in s:
-        lo, hi = map(int, s.split("..", 1))
-    else:
-        hi = abs(int(s.lstrip("±+")))
-        lo = -hi
+    try:
+        if ".." in s:
+            lo, hi = map(int, s.split("..", 1))
+        else:
+            hi = abs(int(s.lstrip("±+")))
+            lo = -hi
+    except ValueError:
+        raise ValueError(f"{flag} must be LO..HI or ±K, got {spec!r}") from None
     if lo > hi:
         raise ValueError(f"{flag} {lo}..{hi} is empty")
     return lo, hi

@@ -5,11 +5,13 @@ outflow at node v equals m(v), with f <= x <= g.  The solver finds a
 feasible flow by unit augmentations along breadth-first paths, then
 cancels negative residual cycles found by Bellman-Ford (a forward step
 costs phi(x+1) - phi(x), a backward one phi(x-1) - phi(x)); with unit
-pushes this is exact for convex costs.  The final distances are an
-optimal node potential pi.  Any optimal pi fixes the whole optimal set,
-so the lexicographically least optimum is reached by pushing units
-around cycles of zero reduced cost (Ahuja, Magnanti and Orlin, *Network
-Flows*, 1993, ch. 9 and 14).
+pushes this is exact for convex costs.  Lengths are lexicographic (see
+optimal_potential): a step's cost times 2^(m+2), plus or minus 2^(m-1-a)
+on an arc a of finite lower bound, m arcs.  So canceling stops at the
+optimum that is lexicographically least on the arcs with f_a finite (an
+arc with f_a = -inf takes no part in the order), and the final
+distances, rounded, are an optimal node potential pi (Ahuja, Magnanti
+and Orlin, *Network Flows*, 1993, ch. 9 and 14).
 
 A potential pi certifies a lower bound through the conjugate min-max
 formula for flows,
@@ -39,7 +41,11 @@ class Digraph:
     arcs: Tuple[Tuple[str, str], ...]
 
     def __post_init__(self):
-        known = set(self.nodes)
+        known = set()
+        for v in self.nodes:
+            if v in known:
+                raise ValueError(f"node {v!r} is declared twice")
+            known.add(v)
         for u, v in self.arcs:
             if u not in known or v not in known:
                 raise ValueError(f"arc ({u},{v}) uses an undeclared node")
@@ -135,10 +141,9 @@ def _ends(inst: FlowInstance) -> List[Tuple[int, int]]:
     return [(idx[t], idx[h]) for t, h in inst.digraph.arcs]
 
 
-def _residual_arcs(inst: FlowInstance, ends, x: Sequence[int], first: int = 0):
-    """Residual arcs of the arcs from index `first` on."""
+def _residual_arcs(inst: FlowInstance, ends, x: Sequence[int]):
     out = []
-    for ai, (t, h) in enumerate(ends[first:], first):
+    for ai, (t, h) in enumerate(ends):
         if x[ai] < inst.upper[ai]:
             out.append((t, h, ai, +1))
         if x[ai] > inst.lower[ai]:
@@ -146,12 +151,13 @@ def _residual_arcs(inst: FlowInstance, ends, x: Sequence[int], first: int = 0):
     return out
 
 
-def _priced_arcs(inst: FlowInstance, ends, x: Sequence[int], first: int = 0):
-    """(tail, head, cost, arc index, direction) for the residual arcs."""
+def _priced_arcs(inst: FlowInstance, ends, x: Sequence[int], big: int, weight: Sequence[int]):
+    """(tail, head, length, arc index, direction) for the residual arcs,
+    where a step's length is big * (its cost) + direction * weight[arc]."""
     out = []
-    for u, v, ai, sgn in _residual_arcs(inst, ends, x, first):
+    for u, v, ai, sgn in _residual_arcs(inst, ends, x):
         phi = inst.cost.parts[ai][1]
-        out.append((u, v, phi.value(x[ai] + sgn) - phi.value(x[ai]), ai, sgn))
+        out.append((u, v, big * (phi.value(x[ai] + sgn) - phi.value(x[ai])) + sgn * weight[ai], ai, sgn))
     return out
 
 
@@ -282,14 +288,20 @@ def _unbounded_cycle(inst: FlowInstance, x: Sequence[int], cycle) -> bool:
 
 
 def _cancel_to_optimal(inst: FlowInstance, ends):
-    """(x, dist): an optimal flow and the Bellman-Ford distances that
-    prove it, by canceling negative cycles one unit at a time."""
-    n = len(inst.digraph.nodes)
+    """(x, pi): where canceling negative cycles one unit at a time under
+    the lexicographic lengths of :func:`optimal_potential` stops, and the
+    distances of the last, cycle-free Bellman-Ford run, rounded to
+    multiples of big (they are off by less than big / 4)."""
+    n, m = len(inst.digraph.nodes), len(ends)
+    big = 1 << (m + 2)
+    weight = [1 << (m - 1 - a) if is_finite(lo) else 0 for a, lo in enumerate(inst.lower)]
     x = _initial_flow(inst, ends)
     for _ in range(100000):
-        cycle, dist = _bellman_ford(n, _priced_arcs(inst, ends, x))
+        cycle, dist = _bellman_ford(n, _priced_arcs(inst, ends, x, big, weight))
         if cycle is None:
-            return x, dist
+            return x, [(d + big // 2) // big for d in dist]
+        # A negative cycle of zero cost lowers an arc of finite lower
+        # bound, so it is never taken for an unbounded one.
         if _unbounded_cycle(inst, x, cycle):
             raise Unbounded("negative cycle of unbounded room and constant cost")
         for ai, sgn in cycle:
@@ -298,54 +310,39 @@ def _cancel_to_optimal(inst: FlowInstance, ends):
 
 
 def min_convex_cost_flow(inst: FlowInstance) -> Tuple[int, ...]:
-    """Minimum-cost integral m-flow; lexicographically least argmin.
-
-    With pi optimal, the optimal flows are the feasible flows all of
-    whose residual steps have reduced cost c + pi(tail) - pi(head) >= 0.
-    Arc by arc, x_a is lowered one unit at a time around a cycle of zero
-    reduced cost through its backward step and later arcs only, until no
-    such cycle is left.  An arc with an infinite lower bound keeps the
-    value cycle canceling gave it, since its optimal values need not be
-    bounded below.  Bounds are first narrowed to the cost domains, so
-    :class:`Infeasible` means that no flow of finite cost exists.
-    """
-    inst = _finite_cost_bounds(inst)
-    ends = _ends(inst)
-    n = len(inst.digraph.nodes)
-    x, pi = _cancel_to_optimal(inst, ends)
-    for a, (t, h) in enumerate(ends):
-        if not is_finite(inst.lower[a]):
-            continue
-        while True:
-            tight = [
-                (u, v, ai, sgn)
-                for u, v, c, ai, sgn in _priced_arcs(inst, ends, x, a)
-                if c + pi[u] - pi[v] == 0
-            ]
-            if (h, t, a, -1) not in tight:
-                break
-            path, _ = _bfs(n, [r for r in tight if r[2] > a], {t}, {h})
-            if path is None:
-                break
-            for ai, sgn in path + [(a, -1)]:
-                x[ai] += sgn
-    return tuple(x)
+    """The flow of :func:`optimal_potential`: of least cost, and among
+    those lexicographically least on the arcs of finite lower bound (an
+    arc with an infinite lower bound takes no part in the order), by
+    canceling cycles under lexicographic arc lengths."""
+    return optimal_potential(inst)[0]
 
 
 def optimal_potential(inst: FlowInstance) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Solve the instance and return (x, pi) where pi holds residual
-    shortest distances at x from a virtual source, shifted so min pi = 0.
+    """Solve the instance and return (x, pi): x of least cost, and among
+    those lexicographically least on the arcs of finite lower bound; pi
+    the residual shortest distances at x from a virtual source, shifted
+    so min pi = 0.
+
+    One canceling loop finds both.  With m arcs, arc a weighs 2^(m-1-a)
+    if its lower bound is finite, else 0, and a residual step's length is
+    big * (its cost) + direction * weight, big = 2^(m+2).  A simple
+    cycle's weights sum to less than 2^m in absolute value, so a cycle
+    of negative cost stays negative, and one of zero cost is negative
+    exactly when it lowers the first weighted arc it touches.  An arc
+    with an infinite lower bound takes no part in the order, since its
+    optimal values need not be bounded below.  The last Bellman-Ford
+    run finds no negative cycle, and its distances, rounded to multiples
+    of big, are the cost distances, so pi is an optimal potential.
 
     The shift leaves m.pi unchanged because m sums to zero, and the
-    resulting pi is componentwise nonnegative.
+    resulting pi is componentwise nonnegative.  Bounds are first
+    narrowed to the cost domains, so :class:`Infeasible` means that no
+    flow of finite cost exists.
     """
-    x = min_convex_cost_flow(inst)
     inst = _finite_cost_bounds(inst)
-    cycle, dist = _bellman_ford(len(inst.digraph.nodes), _priced_arcs(inst, _ends(inst), x))
-    if cycle is not None:
-        raise ValueMismatch("negative residual cycle at claimed optimum")
-    shift = -min(dist)
-    return x, tuple(dv + shift for dv in dist)
+    x, pi = _cancel_to_optimal(inst, _ends(inst))
+    shift = -min(pi, default=0)
+    return tuple(x), tuple(p + shift for p in pi)
 
 
 def flow_dual_value(inst: FlowInstance, pi: Sequence[int]) -> ExtInt:

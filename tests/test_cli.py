@@ -714,10 +714,21 @@ class TestBadInput:
         (BOXTDI[:-1] + ["3..1"], "--window 3..1 is empty"),
         (["probe", "--system", json.dumps(P2_SYSTEM), "--window", "3..1"], "--window 3..1 is empty"),
         (INVERSE + ["--target", "[1,1]", "--w-window=3..1"], "--w-window 3..1 is empty"),
+        (BOXTDI[:-1] + ["3.."], "--window must be LO..HI or ±K, got '3..'"),
+        (["probe", "--system", json.dumps(P2_SYSTEM), "--window", "a"], "--window must be LO..HI or ±K, got 'a'"),
+        (M2 + ["--w-window=..3"], "--w-window must be LO..HI or ±K, got '..3'"),
+        (INVERSE + ["--target", "[1,1]", "--w-window=1..2..3"],
+         "--w-window must be LO..HI or ±K, got '1..2..3'"),
+        # Not read as a second node t, without arcs, whose demand no flow meets.
+        (["minimize", "flow", "--instance", json.dumps(
+            {"nodes": ["s", "t", "t"], "arcs": [["s", "t"]], "m": {"s": -2, "t": 1},
+             "lower": [0], "upper": [None]})], "node 't' is declared twice"),
     ], ids=["short-weights", "long-weights", "short-target", "long-target",
             "float-c_minus", "bool-c_plus", "float-a", "negative-y-bound", "empty-split-window",
             "asymmetric-split-window", "one-point-split-window", "negative-split-window",
-            "empty-boxtdi-window", "empty-probe-window", "empty-inverse-window"])
+            "empty-boxtdi-window", "empty-probe-window", "empty-inverse-window",
+            "malformed-boxtdi-window", "malformed-probe-window", "malformed-split-window",
+            "malformed-inverse-window", "duplicate-node"])
     def test_exits_invalid_with_message(self, argv, needle):
         p = run_cli(argv)
         assert (p.returncode, p.stdout) == (cli.EXIT_INVALID, "")

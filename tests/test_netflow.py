@@ -191,11 +191,66 @@ class TestSolver:
         assert x == (0, 2)  # lexicographically least among cost-2 flows
         assert inst.cost.value(x) == 2
 
+    def test_no_nodes(self):
+        inst = square_sum_instance(Digraph((), ()), ())
+        assert optimal_potential(inst) == ((), ())
+        assert min_convex_cost_flow(inst) == ()
+
     def test_infeasible(self):
         d = Digraph(("s", "t"), (("s", "t"),))
         inst = square_sum_instance(d, (1, -1))  # needs flow t -> s
         with pytest.raises(Infeasible):
             min_convex_cost_flow(inst)
+
+    # Two routes from s to t, all costs 0: a1 directly, or a2 and then a0,
+    # whose lower bound is infinite.  The least flow on the arcs of finite
+    # lower bound, (a1, a2) = (0, 1), sends the unit through the earlier arc a0.
+    ROUTES = FlowInstance(
+        Digraph(("s", "u", "t"), (("u", "t"), ("s", "t"), ("s", "u"))), (-1, 0, 1),
+        (MINUS_INF, 0, 0), (PLUS_INF, 2, 2), SeparableConvex(tuple((f"a{i}", linear_fn(0)) for i in range(3))))
+
+    def test_route_through_an_earlier_free_arc(self):
+        assert optimal_potential(self.ROUTES) == ((1, 0, 1), (0, 0, 0))
+        assert min_convex_cost_flow(self.ROUTES) == (1, 0, 1)
+
+    def test_lex_least_on_finite_lower_arcs_random(self):
+        """With some lower bounds infinite, the flow is optimal (its
+        potential certifies it) and, among the optimal flows of an
+        enumerated box that contains it, least on the arcs of finite
+        lower bound in lex order."""
+        shapes = (
+            lambda rng: Quadratic(rng.randint(1, 3)),
+            lambda rng: VShape(rng.randint(-1, 2), rng.randint(-3, 1), rng.randint(1, 4)),
+            lambda rng: FlatBottom(rng.randint(-1, 1), rng.randint(1, 3), -rng.randint(0, 2), rng.randint(0, 2)),
+            lambda rng: linear_fn(rng.randint(-1, 1)),
+        )
+        rng = random.Random(71)
+        checked = 0
+        for _ in range(150):
+            d = random_digraph(rng, max_nodes=3, max_arcs=4)
+            x0 = [rng.randint(-2, 2) for _ in d.arcs]
+            m = [0] * len(d.nodes)
+            for (t, h), v in zip(d.arcs, x0):
+                m[d.nodes.index(h)] += v
+                m[d.nodes.index(t)] -= v
+            lower = [MINUS_INF if rng.random() < 0.4 else v - rng.randint(0, 2) for v in x0]
+            lower[rng.randrange(len(lower))] = MINUS_INF
+            upper = [PLUS_INF if rng.random() < 0.25 else v + rng.randint(0, 2) for v in x0]
+            shape = rng.choice(shapes)
+            cost = SeparableConvex(tuple((f"a{i}", shape(rng)) for i in range(len(d.arcs))))
+            inst = FlowInstance(d, tuple(m), tuple(lower), tuple(upper), cost)
+            try:
+                x, pi = optimal_potential(inst)
+            except Unbounded:  # a cycle of linear costs and infinite room
+                continue
+            assert certify_flow(inst, x, pi).equality
+            finite = [a for a, lo in enumerate(lower) if is_finite(lo)]
+            best = inst.cost.value(x)
+            flows = enumerate_flows(inst, max(3, *map(abs, x)))
+            assert x in flows
+            assert min([f[a] for a in finite] for f in flows if inst.cost.value(f) == best) == [x[a] for a in finite]
+            checked += 1
+        assert checked >= 100
 
     def test_conservation_and_bounds_random(self):
         rng = random.Random(9)
@@ -251,6 +306,35 @@ class TestSolver:
         bellman_ford = netflow._bellman_ford
         monkeypatch.setattr(netflow, "_bellman_ford", lambda *a: runs.append(1) or bellman_ford(*a))
         return runs
+
+    def test_one_canceling_loop(self, monkeypatch):
+        """After the initial flow, a solve runs Bellman-Ford once per
+        canceled cycle and once more, whose distances give pi, and
+        searches no path."""
+        calls = []
+
+        def logged(name, f):
+            def call(*args):
+                result = f(*args)
+                calls.append(name)
+                return result
+            return call
+
+        # _unbounded_cycle is asked once about every cycle before it is canceled.
+        for name in ("_bellman_ford", "_bfs", "_initial_flow", "_unbounded_cycle"):
+            monkeypatch.setattr(netflow, name, logged(name, getattr(netflow, name)))
+        rng = random.Random(43)
+        cases = [self.ROUTES, with_cost(d2_instance(), [linear_fn(1)] * 2)]
+        cases += [random_flow_instance(rng) for _ in range(10)]
+        canceled = 0
+        for inst in cases:
+            calls.clear()
+            optimal_potential(inst)
+            after = calls[calls.index("_initial_flow") + 1:]
+            assert "_bfs" not in after
+            assert after.count("_bellman_ford") == after.count("_unbounded_cycle") + 1
+            canceled += after.count("_unbounded_cycle")
+        assert canceled >= 5
 
     def test_unbounded_cycle_is_recognized_at_once(self, bellman_ford_runs):
         with pytest.raises(Unbounded):
