@@ -299,7 +299,7 @@ class SumOf(UnivariateConvex):
         return sum(p.value(k) for p in self.parts)
 
     def argmax(self, ell: int) -> ExtInt:
-        return _search_argmax(self, ell)
+        return _search_argmax(self, ell, self.parts)
 
     def slope_range(self):
         ranges = [p.slope_range() for p in self.parts]
@@ -327,29 +327,35 @@ def _nonempty_dom(phi: UnivariateConvex) -> Tuple[ExtInt, ExtInt]:
     return lo, hi
 
 
-def _search_argmax(phi: UnivariateConvex, ell: int) -> ExtInt:
+def _search_argmax(phi: UnivariateConvex, ell: int, parts: Sequence[UnivariateConvex] = ()) -> ExtInt:
     """A k with phi'(k-1) <= ell <= phi'(k), which attains the supremum,
     for the shapes with no closed form (tables and sums): the least k in
     a bracket with phi'(k) >= ell, by bisection on the monotone slopes.
-    On an unbounded side the bracket gallops out from 0.  Downwards it
-    stops at a slope below ell or at one equal to the lower limit slope:
-    then ell is that limit, and every k further down attains the same
-    value."""
+    The bracket is the domain; for a sum of m parts it is cut to the least
+    part argmax at c - 1 and the greatest at c, c = ceil(ell / m): below
+    the first every part's slope is at most c - 1 < ell / m, from the
+    second on at least c >= ell / m.  On a side still unbounded (a part's
+    argmax is infinite there) the bracket gallops out from 0, or from its
+    other end where that lies beyond 0.  Downwards
+    it stops at a slope below ell or at one equal to the lower limit
+    slope: then ell is that limit, and every k further down attains the
+    same value."""
     lo, hi = _nonempty_dom(phi)
     smin, smax = phi.slope_range()
     if ell > smax:
         return PLUS_INF
     if ell < smin:
         return MINUS_INF
-    if is_finite(hi):
-        b = hi
-    else:
-        b, step = (max(0, lo) if is_finite(lo) else 0), 1
+    a, b = lo, hi
+    if parts:
+        c = -(-ell // len(parts))
+        a = max(a, min(p.argmax(c - 1) for p in parts))
+        b = min(b, max(p.argmax(c) for p in parts))
+    if not is_finite(b):
+        b, step = (max(0, a) if is_finite(a) else 0), 1
         while _slope(phi, b, lo, hi) < ell:
             b, step = b + step, 2 * step
-    if is_finite(lo):
-        a = lo
-    else:
+    if not is_finite(a):
         # At ell == smin the bracket stops at the first slope equal to it.
         bar = ell + 1 if ell == smin else ell
         a, step = min(0, b), 1

@@ -212,6 +212,49 @@ class TestConjugateEval:
             k, v = got
             assert v == expected == k * ell - phi.value(k)
 
+    def test_sum_argmax_matches_the_domain_search(self):
+        # The bracket read off the parts' argmaxes must give what the
+        # search over the whole domain gives: the same value always, and
+        # the same least k wherever ell is above the lower limit slope
+        # (at that limit every k far enough down attains the supremum).
+        rng = random.Random(23)
+
+        def part():
+            kind = rng.randrange(6)
+            if kind == 0:
+                return Shifted(rng.randint(-50, 50), Quadratic(rng.randint(1, 1000)))
+            if kind == 1:
+                c = rng.randint(-10**6, 10**6)
+                return VShape(rng.randint(-9, 9), c, c + rng.randint(0, 10**6), *rng.choice(
+                    [(MINUS_INF, PLUS_INF), (-10, PLUS_INF), (MINUS_INF, 10)]))
+            if kind == 2:
+                a = rng.choice((MINUS_INF, rng.randint(-9, 0)))
+                b = rng.choice((PLUS_INF, rng.randint(0, 9)))
+                return FlatBottom(a, b, -rng.randint(0, 100), rng.randint(0, 100))
+            if kind == 3:
+                return LinearPlus(rng.randint(-100, 100), Quadratic(rng.randint(1, 3)))
+            return random_convex_table(rng) if kind == 4 else random_large_slope_form(rng)
+
+        checked = collections.Counter()
+        while checked["sums"] < 400:
+            phi = SumOf(tuple(part() for _ in range(rng.randint(1, 4))))
+            lo, hi = phi.dom()
+            if lo > hi:
+                continue
+            checked["sums"] += 1
+            smin, smax = phi.slope_range()
+            ells = [rng.randint(-50, 50), rng.choice((-1, 1)) * rng.randint(1, 10**9)]
+            ells += [v + d for v in (smin, smax) if is_finite(v) for d in (-1, 0, 1)]
+            for ell in ells:
+                k, ref = phi.argmax(ell), conjugate._search_argmax(phi, ell)
+                value = [j * ell - phi.value(j) if is_finite(j) else j for j in (k, ref)]
+                assert value[0] == value[1], (phi, ell, k, ref)
+                if ell > smin:
+                    assert k == ref, (phi, ell)
+                    checked["k"] += 1
+                checked["limit" if ell == smin else "finite" if is_finite(k) else "infinite"] += 1
+        assert min(checked.values()) >= 30, checked
+
     def test_unbounded_tails(self):
         # Slope saturates at c on the infinite side.
         phi = VShape(0, -2, 2)

@@ -151,19 +151,32 @@ def check_outcome(n, table):
 
 
 class TestSupermodularCheck:
-    """The local-square check on Birkhoff's ring family against the
-    all-pairs definition."""
+    """The local-square check on the finite extension q of the table
+    against the all-pairs definition."""
 
     def test_counterexample(self):
         with pytest.raises(ValueError, match="fails at masks 1, 6$"):
             SupermodularFn(3, COUNTEREXAMPLE)
         assert pair_scan_violation(COUNTEREXAMPLE) == (1, 6)
 
+    def test_square_off_the_family_names_closures(self):
+        # Finite where e3 => e4, p = 1 at {e1,e3,e4} and {e2,e3,e4}, else
+        # 0.  K = 1 and q({e3} + s) = p({e3,e4} + s) - 1, so the first
+        # failed square of q is X = {e3} (not its closure {e3,e4}), s = e1,
+        # t = e2: q(5) + q(6) = 0 > q(4) + q(7) = -2.  It names the
+        # closures 13 and 14, where the lex-first failing pair is (1, 14).
+        table = tuple(MINUS_INF if x >> 2 & 1 and not x >> 3 & 1 else int(x in (13, 14)) for x in range(16))
+        assert not any(is_finite(table[x]) for x in (4, 5, 6, 7))
+        with pytest.raises(ValueError, match="fails at masks 13, 14$"):
+            SupermodularFn(4, table)
+        assert pair_scan_violation(table) == (1, 14)
+        assert table[13] + table[14] > table[12] + table[15]
+
     def test_agrees_with_pair_scan(self):
         rng = random.Random(11)
         seen = collections.Counter()
         for i in range(900):
-            n = 1 + i % 7
+            n = 1 + i % 8
             out = check_outcome(n, random_table(rng, n, i % 5))
             seen[out if isinstance(out, str) else ("accept", i % 5)] += 1
         assert seen["lattice"] >= 50 and seen["inequality"] >= 50, seen
@@ -176,6 +189,14 @@ class TestSupermodularCheck:
         table[0b11] = -1  # p{1} + p{2} > p(empty) + p{1,2}
         with pytest.raises(ValueError, match="fails at masks 1, 2$"):
             SupermodularFn(n, tuple(table))
+
+    def test_passes_a_ring_family_at_fourteen(self):
+        # |X|^2 is supermodular on 2^S, so on any ring family: every
+        # square of the extension passes, the whole scan runs.
+        n = mconvex.CHECKED_GROUND
+        table = ring_knockout(random.Random(14), n, [bin(x).count("1") ** 2 for x in range(1 << n)])
+        assert table.count(MINUS_INF) > 1 << n - 1
+        assert SupermodularFn(n, tuple(table)).table == tuple(table)
 
     def test_fifteen_is_unchecked_and_says_so(self):
         n = 15
