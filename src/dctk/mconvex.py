@@ -76,7 +76,8 @@ def _fail(x: int, y: int):
 
 def _marginals(q: Sequence[int], s: int) -> List[int]:
     """q(X + s) - q(X) for the masks X without s, in mask order with bit s
-    deleted: 2^s strided slices or 2^(n-s-1) blocks, whichever are fewer."""
+    deleted: 2^s strided slices or len(q) / 2^(s+1) blocks, whichever are
+    fewer."""
     half, step = 1 << s, 2 << s
     if 1 << 2 * s + 1 <= len(q):
         d = [0] * (len(q) >> 1)
