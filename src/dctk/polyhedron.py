@@ -9,12 +9,13 @@ and their normal cones as systems, dual searches for the separable-convex
 min-max formulas, the disjoint-pair feasibility test, dilations, and a
 box-integrality probe.  Arithmetic is exact; witnesses are lex-least.
 
-The dual searches first read their answer at a primal point z (given
-none, the bound point, or the minimizer where that is not optimal): the
-duals worth Phi(z), the most weak duality allows, are the integer
-points of one small system (complementary slackness or the normal cone
-at z, and the fitting box of z), whose lex-first point is the scan's
-first maximizer.  The windowed scans run only when that system is empty.
+The dual searches first read their answer at a primal point z: the one
+passed to the integer dual, else the first minimizer of Phi in the
+vertex hull box.  The duals worth Phi(z), the most weak duality allows,
+are the integer points of one small system (complementary slackness or
+the normal cone at z, and the fitting box of z), whose lex-first point
+is the scan's first maximizer.  The windowed scans run only when that
+system is empty.
 
 The box probe reads each basis's minor from one :class:`ratlin.Minors`
 table before it eliminates: a basis with minor 0 is singular and one
@@ -31,7 +32,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import ceil, floor, lcm
+from math import lcm
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from . import ratlin
@@ -88,7 +89,6 @@ class LinearSystem:
     elements: Tuple[str, ...]
     rows: Tuple[Row, ...]
     _basic: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    _vertex_ints: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.elements = check_elements(self.elements)
@@ -349,7 +349,9 @@ def _extreme_rays(rows: Sequence[Row], d: int) -> set:
 
 
 def _basic_data(sys: LinearSystem):
-    """(vertices, rays, lineality) of the system, cached on the instance.
+    """(big_d, vertices, rays, lineality) of the system, cached on the
+    instance: the vertices scaled by big_d, the least common denominator
+    of their entries, as int tuples in lex order.
 
     The lineality space is factored out by :func:`_pointed`; the pointed
     remainder then has a vertex whenever the system is feasible, so "no
@@ -360,17 +362,15 @@ def _basic_data(sys: LinearSystem):
     lineality rows).  A ray with t > 0 gives the vertex x/t, and one with
     t = 0 a ray x.
     """
-    if sys._basic is not None:
-        return sys._basic
-    n = sys.n
-    lineality, rows = _pointed(sys.rows, n)
-    cone = [Row((0,) * n + (1,), 0, GEQ)] + [Row(r.coeffs + (-r.rhs,), 0, r.kind) for r in rows]
-    # An extreme ray is primitive, so a vertex x/t is kept as the canonical (t, t*x).
-    gens = _extreme_rays(cone, n + 1)
-    scaled = sorted((tuple(Fraction(e, t) for e in x), t, x) for *x, t in gens if t)
-    big_d = lcm(*(t for _, t, _ in scaled))
-    sys._basic = ([x for x, _, _ in scaled], sorted(tuple(x) for *x, t in gens if not t), lineality)
-    sys._vertex_ints = (big_d, [tuple(e * (big_d // t) for e in xt) for _, t, xt in scaled])
+    if sys._basic is None:
+        n = sys.n
+        lineality, rows = _pointed(sys.rows, n)
+        cone = [Row((0,) * n + (1,), 0, GEQ)] + [Row(r.coeffs + (-r.rhs,), 0, r.kind) for r in rows]
+        # An extreme ray is primitive, so a vertex x/t is kept as the canonical (t, t*x).
+        gens = _extreme_rays(cone, n + 1)
+        big_d = lcm(*(t for *_, t in gens if t))
+        vertices = sorted(tuple(e * (big_d // t) for e in x) for *x, t in gens if t)
+        sys._basic = (big_d, vertices, sorted(tuple(x) for *x, t in gens if not t), lineality)
     return sys._basic
 
 
@@ -380,7 +380,7 @@ def lp_min(sys: LinearSystem, w: Sequence[int]):
     value is a Fraction/int, MINUS_INF if unbounded, PLUS_INF if
     infeasible; argmin is a rational vector or None.
     """
-    vertices, rays, lineality = _basic_data(sys)
+    big_d, vertices, rays, lineality = _basic_data(sys)
     if not vertices:
         return (PLUS_INF, None)
     for d in lineality:
@@ -389,12 +389,11 @@ def lp_min(sys: LinearSystem, w: Sequence[int]):
     for d in rays:
         if ratlin.dot(w, d) < 0:
             return (MINUS_INF, None)
-    # The vertices scaled by one common denominator, in sorted order, so
-    # the first least value is the lexicographically least argmin.
-    big_d, ints = sys._vertex_ints
-    best, i = first_minimum(range(len(ints)), lambda i: ratlin.dot(w, ints[i]))
+    # The scaled vertices are in lex order, so the first least value is
+    # at the lexicographically least argmin.
+    best, v = first_minimum(vertices, partial(ratlin.dot, w))
     best = Fraction(best, big_d)
-    return (best.numerator if best.denominator == 1 else best, vertices[i])
+    return (best.numerator if best.denominator == 1 else best, tuple(Fraction(e, big_d) for e in v))
 
 
 # ---------------------------------------------------------------------------
@@ -503,43 +502,26 @@ def minimize_bruteforce(
     )
 
 
-def _bound_point(sys: LinearSystem, Phi: SeparableConvex) -> Optional[Tuple[int, ...]]:
-    """The first integral vertex of the system with the least Phi, or None
-    if none has a finite Phi: where a dual search given no point first
-    looks for its certificate (:func:`_certified`)."""
-    ints = (tuple(map(int, v)) for v in _basic_data(sys)[0] if all(x.denominator == 1 for x in v))
-    return first_minimum(ints, Phi.value)[1]
-
-
-def vertex_hull_window(sys: LinearSystem, pad: int = 0) -> Window:
-    """Smallest integer box containing every vertex of the system,
-    widened by pad on each side."""
-    vertices, _, _ = _basic_data(sys)
+def vertex_hull_window(sys: LinearSystem) -> Window:
+    """Smallest integer box containing every vertex of the system."""
+    big_d, vertices, _, _ = _basic_data(sys)
     if not vertices:
         raise ValueError("system has no vertices")
-    return Window(
-        tuple(floor(min(v[j] for v in vertices)) - pad for j in range(sys.n)),
-        tuple(ceil(max(v[j] for v in vertices)) + pad for j in range(sys.n)),
-    )
+    cols = list(zip(*vertices))
+    return Window(tuple(min(c) // big_d for c in cols), tuple(-(-max(c) // big_d) for c in cols))
 
 
-def _certified(sys: LinearSystem, Phi: SeparableConvex, certificate: Callable[[tuple], Optional[T]]):
-    """(z, certificate(z)) for a dual search given no point, or (None,
-    None) without a bound point.  z is the bound point, read first since
-    it costs no search; where no dual is worth Phi there (certificate
-    gives None), z moves to the first minimizer of Phi in the vertex hull
-    box when that is lower.  On a bounded system that is the integer
-    minimizer, where the min-max formula puts a dual worth Phi(z) on a
-    box-TDI system."""
-    z = _bound_point(sys, Phi)
-    if z is None:
-        return None, None
-    found = certificate(z)
-    if found is None:
-        best = minimize_bruteforce(sys, Phi, vertex_hull_window(sys))
-        if best.primal_value < Phi.value(z):
-            z, found = best.primal_witness, certificate(best.primal_witness)
-    return z, found
+def _hull_minimizer(sys: LinearSystem, Phi: SeparableConvex) -> Optional[Tuple[int, ...]]:
+    """The first minimizer of Phi in the vertex hull box, by
+    :func:`minimize_bruteforce`, or None when the system has no vertex or
+    Phi is +inf at each of its points there: the point z a dual search
+    given none reads its certificate at.  On a bounded system it is the
+    integer minimizer, where the min-max formula puts a dual worth Phi(z)
+    on a box-TDI system; any dual worth Phi(z) proves z optimal, and the
+    duals worth the optimum are the same at every minimizer."""
+    if not _basic_data(sys)[1]:
+        return None
+    return minimize_bruteforce(sys, Phi, vertex_hull_window(sys)).primal_witness
 
 
 def fitting_points(
@@ -573,9 +555,9 @@ def dual_search_bruteforce(
     """max y.p - conj(Phi)(yQ) over sign-feasible integer y, |y| <= bound.
 
     z is a point of the system with Phi(z) finite (a primal witness), by
-    default the point :func:`_certified` picks.  Every y is worth at most
-    Phi(z), and those worth Phi(z) are the y with y_i = 0 where
-    slack_i(z) > 0 and yQ in the fitting box of z
+    default the minimizer :func:`_hull_minimizer` finds.  Every y is
+    worth at most Phi(z), and those worth Phi(z) are the y with y_i = 0
+    where slack_i(z) > 0 and yQ in the fitting box of z
     (:func:`fitting_points`).  The first of them in lex order is the
     first maximizer of the scan below, so when there is one it is the
     answer, and support_within_2n reads on along the same points for one
@@ -609,11 +591,10 @@ def dual_search_bruteforce(
         return None if first is None else (first, points)
 
     if z is None:
-        z, found = _certified(sys, Phi, certificates)
+        z = _hull_minimizer(sys, Phi)
     elif not (sys.contains(z) and is_finite(Phi.value(z))):
         raise ValueError(f"z={tuple(z)} is not a point of the system with finite Phi")
-    else:
-        found = certificates(z)
+    found = None if z is None else certificates(z)
     if found is not None:
         first, rest = found
         y = DualVector(first)
@@ -695,15 +676,16 @@ def mu_form_dual_search(
 ) -> MinMaxReport:
     """max mu_R(w) - conj(Phi)(w) over integral w in the window.
 
-    For z the point :func:`_certified` picks, every w is worth at most
-    Phi(z), and those worth Phi(z) are the w in the normal cone at z
-    (mu_R(w) = w.z) and in its fitting box: :func:`find_weight_in_box`
+    For z the minimizer :func:`_hull_minimizer` finds, every w is worth
+    at most Phi(z), and those worth Phi(z) are the w in the normal cone
+    at z (mu_R(w) = w.z) and in its fitting box: :func:`find_weight_in_box`
     with the box Phi'(z-1) <= w <= Phi'(z).  Its first w in lex order is
-    the scan's first maximizer, found with no exact LP.  Otherwise every
-    w is scanned, and one whose bound w.z - conj(Phi)(w) is below the
-    best value is skipped without its exact LP."""
-    z, w = _certified(sys, Phi, lambda z: find_weight_in_box(
-        sys, z, Phi.prime_minus(z), Phi.prime(z), w_window))
+    the scan's first maximizer, found with no exact LP.  Otherwise (no z,
+    or no w reaches Phi(z)) every w is scanned, and one whose bound
+    w.z - conj(Phi)(w) is below the best value is skipped without its
+    exact LP."""
+    z = _hull_minimizer(sys, Phi)
+    w = None if z is None else find_weight_in_box(sys, z, Phi.prime_minus(z), Phi.prime(z), w_window)
     if w is not None:
         return MinMaxReport(dual_value=Phi.value(z), dual_witness=w,
                             bounds_used={"w_window": w_window.to_json()})

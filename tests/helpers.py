@@ -45,6 +45,7 @@ from dctk.polyhedron import (
     Window,
     dilation,
     enumerate_integer_points,
+    vertex_hull_window,
 )
 
 
@@ -289,6 +290,12 @@ def base_window(p: SupermodularFn, pad: int = 0) -> Window:
     if any(not is_finite(v) for v in los + his):
         raise ValueError("unbounded base polyhedron")
     return Window(tuple(v - pad for v in los), tuple(v + pad for v in his))
+
+
+def padded_hull_window(sys: LinearSystem, pad: int = 1) -> Window:
+    """The vertex hull box of the system, widened by pad on each side."""
+    win = vertex_hull_window(sys)
+    return Window(tuple(v - pad for v in win.lo), tuple(v + pad for v in win.hi))
 
 
 def materialize_table(phi: UnivariateConvex, lo: int, hi: int) -> Table:

@@ -77,6 +77,7 @@ from helpers import (
     embedding_system,
     enumerate_flows,
     is_minimizer,
+    padded_hull_window,
     random_digraph,
     random_flow_instance,
     random_weight,
@@ -163,7 +164,7 @@ def flow_corpus():
 def _primal_window(sys):
     """Integer box certainly containing a minimizer of a convex function
     over the system's integer points (the vertex hull, padded)."""
-    return vertex_hull_window(sys, pad=1)
+    return padded_hull_window(sys)
 
 
 # ---------------------------------------------------------------------------

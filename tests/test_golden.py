@@ -95,6 +95,7 @@ from dctk.polyhedron import Window, dilation, enumerate_integer_points, vertex_h
 
 from helpers import (
     large_slope_objective,
+    padded_hull_window,
     random_convex_table,
     random_flow_embedding,
     random_integer_system,
@@ -215,7 +216,7 @@ def build_probe_ops(seed=PROBE_SEED):
     for system, pad in hulls:
         for k in (1, 2, 3):
             d = dilation(system, k)
-            win = vertex_hull_window(d, pad)
+            win = padded_hull_window(d, pad)
             ops.append(_probe_argv(d, min(win.lo), max(win.hi)))
     for _ in range(16):
         system = random_integer_system(rng)
@@ -240,12 +241,12 @@ def build_dual_ops(seed=DUAL_SEED):
     while len(systems) < 14:
         system = random_integer_system(rng)
         with contextlib.suppress(ValueError):  # no vertex: infeasible
-            if next(enumerate_integer_points(system, vertex_hull_window(system, 1)), None):
+            if next(enumerate_integer_points(system, padded_hull_window(system)), None):
                 systems.append(system)
     systems.append(s3_system())
     ops = []
     for system in systems:
-        win = vertex_hull_window(system, 1)
+        win = padded_hull_window(system)
         big = next(y for y in (6, 3, 2, 1) if (y + 1) ** len(system.rows) <= 4000)
         objectives = (cj.square_sum(system.elements), random_search_objective(rng, system.elements),
                       large_slope_objective(rng, system.elements))
@@ -372,7 +373,7 @@ def build_inverse_ops(seed=INVERSE_SEED):
         instances.append((to_system(p), enumerate_bases(p), True))
     while len(instances) < 12:
         system = random_flow_embedding(rng)
-        points = list(enumerate_integer_points(system, vertex_hull_window(system, 0)))
+        points = list(enumerate_integer_points(system, vertex_hull_window(system)))
         if points:
             instances.append((system, points, False))
     s3 = s3_system()

@@ -46,7 +46,6 @@ from dctk.polyhedron import (
     lp_min,
     minimize_bruteforce,
     _basic_data,
-    _bound_point,
     mu_form_dual_search,
     probe_box_integer,
     separable_first_minimum,
@@ -66,6 +65,7 @@ from helpers import (
     naive_integer_points,
     naive_mu_form,
     naive_probe_box_integer,
+    padded_hull_window,
     random_flow_embedding,
     random_closed_form,
     random_convex_table,
@@ -254,6 +254,20 @@ def _basic_corpus(seed):
     return rng, out
 
 
+def fraction_basic_data(sys):
+    """(vertices, rays, lineality) from _basic_data, each vertex as the
+    Fraction tuple its scaled ints stand for."""
+    big_d, ints, rays, lineality = _basic_data(sys)
+    return [tuple(Fraction(e, big_d) for e in v) for v in ints], rays, lineality
+
+
+def least_vertex_value(sys, Phi):
+    """The least Phi over the integral vertices of the system (by the
+    Fraction oracle), +inf when none has a finite Phi."""
+    ints = [tuple(map(int, v)) for v in frac_basic_data(sys)[0] if all(x.denominator == 1 for x in v)]
+    return first_minimum(ints, Phi.value)[0]
+
+
 class TestBasicDataMatchesTwoLoopEnumeration:
     """_basic_data reads vertices and rays off one homogenized cone; the
     two enumerations it replaced (vertex bases, then edge bases) stay in
@@ -263,9 +277,9 @@ class TestBasicDataMatchesTwoLoopEnumeration:
         rng, systems = _basic_corpus(31)
         seen = collections.Counter()
         for sys in systems:
-            vertices, rays, lineality, ints = naive_basic_data(sys)
-            assert _basic_data(sys) == (vertices, rays, lineality)
-            assert sys._vertex_ints == ints
+            vertices, rays, lineality, (big_d, ints) = naive_basic_data(sys)
+            assert _basic_data(sys) == (big_d, ints, rays, lineality)
+            assert fraction_basic_data(sys) == (vertices, rays, lineality)
             for _ in range(4):
                 w = tuple(rng.randint(-3, 3) for _ in range(sys.n))
                 assert lp_min(sys, w) == frac_lp_min((vertices, rays, lineality), w)
@@ -285,7 +299,7 @@ class TestBasicDataMatchesTwoLoopEnumeration:
         _, systems = _basic_corpus(32)
         for sys in systems[:40]:
             calls.clear()
-            _, _, lineality = _basic_data(sys)
+            *_, lineality = _basic_data(sys)
             bases = len(list(itertools.combinations(range(len(sys.rows) + len(lineality) + 1), sys.n)))
             assert len(calls) == 1 + bases
 
@@ -759,7 +773,7 @@ class TestProbeMatchesNaiveOracle:
             emb = random_flow_embedding(rng)
             for k in (1, 2, 3):
                 d = dilation(emb, k)
-                self.check(d, vertex_hull_window(d, pad=1))
+                self.check(d, padded_hull_window(d))
 
     def test_integer_systems_with_witnesses(self):
         rng = random.Random(7)
@@ -837,7 +851,7 @@ class TestSearchesMatchNaiveOracles:
         types = set()
         for sys in systems + [s3_system(), dilation(s3_system(), 2)]:
             basic = frac_basic_data(sys)
-            assert _basic_data(sys) == basic
+            assert fraction_basic_data(sys) == basic
             r = 2 if sys.n <= 3 else 1
             for w in Window.uniform(sys.n, -r, r).points():
                 got, expected = lp_min(sys, w), frac_lp_min(basic, w)
@@ -865,26 +879,27 @@ class TestSearchesMatchNaiveOracles:
 
     def test_no_bound_point(self):
         # No integral vertex (the first two), or Phi = +inf at every
-        # integral vertex (P2 pinned to (1, 1)): nothing is pruned by slack.
+        # integral vertex (P2 pinned to (1, 1)): z is the hull minimizer,
+        # not a vertex.
         half = LinearSystem(("x",), (Row((2,), 1, GEQ), Row((-2,), -3, GEQ)))
         frac = LinearSystem(("a", "b"), (Row((2, 0), 1, GEQ), Row((0, 2), 1, GEQ),
                                          Row((-2, -2), -5, GEQ)))
         pinned = SeparableConvex(tuple((e, Restricted(1, 1, Quadratic(1))) for e in P2SYS.elements))
         for sys, Phi in ((half, square_sum(half.elements)), (frac, square_sum(frac.elements)),
                          (P2SYS, pinned)):
-            assert _bound_point(sys, Phi) is None
+            assert least_vertex_value(sys, Phi) is PLUS_INF
             for y_bound in (0, 1, 3):
                 self.check(sys, Phi, y_bound)
 
     def test_gap_inside_the_bound(self):
-        # The best dual value stays below Phi at the bound point: with y
-        # bound 1 on s3 (3 is its primal minimum), and on P2 (whose bound
-        # point (0, 2) has Phi = 4, above the minimum 2).
+        # The best dual value stays below the least Phi at an integral
+        # vertex: with y bound 1 on s3 (3 is its primal minimum), and on
+        # P2 (whose integral vertices have Phi >= 4, above the minimum 2).
         s3 = s3_system()
         Phi = square_sum(s3.elements, (1, 2, 1, 3, 1, 2))
         rep = self.check(s3, Phi, 1, r=1)
-        assert rep.dual_value == 2 < Phi.value(_bound_point(s3, Phi)) == 3
-        assert SQ.value(_bound_point(P2SYS, SQ)) == 4
+        assert rep.dual_value == 2 < least_vertex_value(s3, Phi) == 3
+        assert least_vertex_value(P2SYS, SQ) == 4
         assert [self.check(P2SYS, SQ, y_bound).dual_value for y_bound in (0, 1, 3)] == [0, 2, 2]
 
     def test_ties_with_different_supports(self):
@@ -935,10 +950,10 @@ def _certificate_corpus(seed):
 class TestCertificatesMatchNaiveOracles:
     """Where a dual reaches Phi at the primal point, the integer dual and
     the mu-form read it off their optimality systems; elsewhere they scan.
-    Either way they give what the plain scans give, at the bound point,
-    at the windowed minimum and at a feasible point that is not optimal,
-    and the corpus reaches both branches (a branch that builds no
-    conjugate table is the certificate's)."""
+    Either way they give what the plain scans give, at the hull minimizer
+    (given no point), at the windowed minimum and at a feasible point
+    that is not optimal, and the corpus reaches both branches (a branch
+    that builds no conjugate table is the certificate's)."""
 
     @pytest.fixture
     def tables(self, monkeypatch):
@@ -956,7 +971,7 @@ class TestCertificatesMatchNaiveOracles:
         rng, systems = _certificate_corpus(31)
         branches = collections.Counter()
         for sys in systems:
-            win = vertex_hull_window(sys, 1)
+            win = padded_hull_window(sys)
             big = max(y for y in (1, 2, 3) if (2 * y + 1) ** len(sys.rows) <= 4000)
             for Phi in self.objectives(rng, sys.elements):
                 finite = [z for z in enumerate_integer_points(sys, win) if Phi.value(z) is not PLUS_INF]
@@ -1041,8 +1056,8 @@ class TestSearchWork:
 
     @pytest.mark.parametrize("y_bound, share", [(6, 5), (12, 10)])
     def test_integer_dual(self, calls, y_bound, share):
-        # No y reaches Phi at the bound point (0, 2), which is not optimal:
-        # the search reads its certificate at the minimizer (1, 1) instead.
+        # Given no point, the search reads its certificate at the hull
+        # minimizer (1, 1); the integral vertex (0, 2) is not optimal.
         rep = dual_search_bruteforce(P2SYS, SQ, y_bound)
         assert rep.dual_value == 2 and rep.dual_witness.y == (0, 0, 1)
         assert calls == {}
@@ -1074,10 +1089,10 @@ class TestSearchWork:
         assert calls == {}
 
     def test_minimizers_inside_a_face(self, calls):
-        # x(E) = k, x >= 0 and Phi = sum a_j x_j^2: the vertices k e_j are
-        # not optimal, so both searches read the certificate at the
-        # minimizer, with no conjugate and no exact LP, and return what
-        # the plain scans return.
+        # x(E) = k, x >= 0 and Phi = sum a_j x_j^2, where the vertices
+        # k e_j are not optimal: both searches read the certificate at the
+        # hull minimizer, with no conjugate and no exact LP, and return
+        # what the plain scans return.
         rng = random.Random(43)
         seen = 0
         for n, a_max, ks, y_bound, win in ((2, 3, (2, 5), 10, Window.uniform(2, -10, 10)),
@@ -1088,7 +1103,7 @@ class TestSearchWork:
                 sys = LinearSystem(elements, (Row((1,) * n, rng.randint(*ks), EQ),) + units)
                 Phi = square_sum(elements, [rng.randint(1, a_max) for _ in range(n)])
                 best = minimize_bruteforce(sys, Phi, vertex_hull_window(sys)).primal_value
-                if best == Phi.value(_bound_point(sys, Phi)):
+                if best == least_vertex_value(sys, Phi):
                     continue
                 seen += 1
                 rep = dual_search_bruteforce(sys, Phi, y_bound)
@@ -1099,10 +1114,25 @@ class TestSearchWork:
                 assert (mu.dual_value, mu.dual_witness) == naive_mu_form(sys, Phi, win)
         assert seen >= 8
 
+    def test_no_integral_vertex(self, calls):
+        # The square -1 <= 2a <= 1, -1 <= 2b <= 1 has four fractional
+        # vertices and one integer point, (0, 0): both searches certify
+        # there, with no conjugate and no exact LP.
+        square = LinearSystem(("a", "b"), tuple(Row(c, -1, GEQ) for c in ((2, 0), (-2, 0), (0, 2), (0, -2))))
+        Phi = square_sum(square.elements)
+        win = Window.uniform(2, -6, 6)
+        rep = dual_search_bruteforce(square, Phi)
+        mu = mu_form_dual_search(square, Phi, win)
+        assert calls == {}
+        assert (rep.dual_value, rep.dual_witness.y, mu.dual_value, mu.dual_witness) == (0, (0,) * 4, 0, (0, 0))
+        got = (rep.dual_value, rep.dual_witness, rep.support_size, rep.bounds_used)
+        assert got == naive_dual_search(square, Phi, 6)
+        assert (mu.dual_value, mu.dual_witness) == naive_mu_form(square, Phi, win)
+
     def test_certificates_evaluate_nothing(self, calls):
         rep = dual_search_bruteforce(PATH, square_sum(PATH.elements), 6)
         assert (rep.dual_value, rep.dual_witness.y) == (8, (0, 0, -6, -3, 0))
-        # At the windowed minimum (1, 1) of P2, not at the bound point.
+        # Given the windowed minimum (1, 1) of P2.
         rep = dual_search_bruteforce(P2SYS, SQ, 6, (1, 1))
         assert (rep.dual_value, rep.dual_witness.y) == (2, (0, 0, 1))
         mu = mu_form_dual_search(PATH, square_sum(PATH.elements), Window.uniform(2, -6, 6))

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and every
-private function, class and method is used.
+"""Every module of the package uses each name it imports, every
+private function, class and method is used, and the code names README
+cites exist.
 
 Static checks by the standard library's `ast`: the names an import
 binds at any level of a module must each be read somewhere in it, in
@@ -7,17 +8,23 @@ code or in an annotation (string annotations are parsed too).
 `__init__.py` is exempt: its imports are the package's exports.  A
 module-level function or class, or a method, whose name starts with one
 underscore must be referenced somewhere in the package outside its own
-body (so a recursive leftover counts as unused).
+body (so a recursive leftover counts as unused).  In README's
+backticked spans, each `_private` name must be bound somewhere in the
+package, and each `Head.attr` whose head is a module or class of the
+package must be bound at the top level of that module or in that
+class.
 """
 
 from __future__ import annotations
 
 import ast
 import pathlib
+import re
 
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "dctk"
+README = PACKAGE.parent.parent / "README.md"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -123,3 +130,62 @@ def test_check_sees_an_unused_private_definition():
         "b.py": "from .a import _used\nx = _C\n",
     }
     assert unused_private(sources) == [("a.py", "_m"), ("a.py", "_recursive")]
+
+
+def bound_names(nodes) -> set:
+    """Every name the nodes bind, at any depth: defs, classes, imports,
+    assignment targets and attributes assigned to (self.x = ...)."""
+    out = set()
+    for sub in (s for node in nodes for s in ast.walk(node)):
+        if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(sub.name)
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            out |= {alias.asname or alias.name.split(".")[0] for alias in sub.names}
+        elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store):
+            out.add(sub.attr)
+    return out
+
+
+def stale_readme_names(readme: str, sources: dict) -> list:
+    """The `_private` names and `Head.attr` names in the readme's inline
+    code spans (fenced blocks aside) that the sources (module name ->
+    text) do not define; a head counts when it names a module or a class
+    of the sources."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    # A module's names are its top-level bindings, a class's its bindings anywhere in it.
+    scopes = {name: {s.name for s in tree.body if isinstance(s, defs)}
+              | bound_names(s for s in tree.body if not isinstance(s, defs))
+              for name, tree in trees.items()}
+    scopes.update((c.name, bound_names(c.body)) for tree in trees.values()
+                  for c in ast.walk(tree) if isinstance(c, ast.ClassDef))
+    everywhere = bound_names(trees.values())
+    stale = set()
+    for span in re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", readme, flags=re.S)):
+        stale.update(n for n in re.findall(r"(?<![^\s.(])_[A-Za-z]\w*", span) if n not in everywhere)
+        stale.update(f"{head}.{attr}" for head, attr in re.findall(r"(?<![\w.])(\w+)\.(\w+)", span)
+                     if head in scopes and attr not in scopes[head])
+    return sorted(stale)
+
+
+def test_readme_names_are_defined():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert stale_readme_names(README.read_text(encoding="utf-8"), sources) == []
+
+
+def test_check_sees_a_stale_readme_name():
+    sources = {
+        "a": (
+            "import math as _m\n"
+            "def _f(): return 1\n"
+            "class C:\n"
+            "    x: int = 0\n"
+            "    def m(self): self._y = 1\n"
+        ),
+    }
+    readme = ("`_f`, `_m` and `C._y`, `C.x`, `a.C` and `math.pi`; "
+              "stale: `_g`, `a._y`, `C.z` and `a.b.c`, a span over a\nline `a.\n_k`;"
+              " _h outside spans, ```\n_i\n``` in a fenced block and `p̂_j`, no name")
+    assert stale_readme_names(readme, sources) == ["C.z", "_g", "_k", "a._y", "a.b"]
