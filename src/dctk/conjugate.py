@@ -410,10 +410,6 @@ class SeparableConvex:
 
     parts: Tuple[Tuple[str, UnivariateConvex], ...]
 
-    @property
-    def elements(self) -> Tuple[str, ...]:
-        return tuple(name for name, _ in self.parts)
-
     def value(self, z: Sequence[int]) -> ExtInt:
         self._check_len(z)
         return sum(p.value(z[i]) for i, (_, p) in enumerate(self.parts))

@@ -17,14 +17,6 @@ class UnsupportedForm(DctkError):
     """No closed-form conjugate applies to this function shape."""
 
 
-class NotPrimalFeasible(DctkError):
-    """Claimed primal point violates the linear system."""
-
-
-class NotSignFeasible(DctkError):
-    """Dual vector is negative on an inequality row."""
-
-
 class CriteriaViolated(DctkError):
     """An optimality criterion fails; args identify the offender."""
 

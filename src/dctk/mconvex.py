@@ -199,9 +199,6 @@ class SupermodularFn:
     def full(self) -> int:
         return (1 << self.n) - 1
 
-    def p(self, mask: int) -> ExtInt:
-        return self.table[mask]
-
     def to_json(self):
         return {
             "n": self.n,

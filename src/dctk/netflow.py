@@ -309,14 +309,6 @@ def _cancel_to_optimal(inst: FlowInstance, ends):
     raise IterationLimit("cycle canceling budget of 100000 units exhausted")
 
 
-def min_convex_cost_flow(inst: FlowInstance) -> Tuple[int, ...]:
-    """The flow of :func:`optimal_potential`: of least cost, and among
-    those lexicographically least on the arcs of finite lower bound (an
-    arc with an infinite lower bound takes no part in the order), by
-    canceling cycles under lexicographic arc lengths."""
-    return optimal_potential(inst)[0]
-
-
 def optimal_potential(inst: FlowInstance) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """Solve the instance and return (x, pi): x of least cost, and among
     those lexicographically least on the arcs of finite lower bound; pi

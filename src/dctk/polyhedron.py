@@ -14,8 +14,9 @@ passed to the integer dual, else the first minimizer of Phi in the
 vertex hull box.  The duals worth Phi(z), the most weak duality allows,
 are the integer points of one small system (complementary slackness or
 the normal cone at z, and the fitting box of z), whose lex-first point
-is the scan's first maximizer.  The windowed scans run only when that
-system is empty.
+is the scan's first maximizer.  Only when that system is empty does the
+integer dual scan its window, and the mu-form run the separable kernel
+once per vertex, on the vertex's normal cone, with no exact LP.
 
 The box probe reads each basis's minor from one :class:`ratlin.Minors`
 table before it eliminates: a basis with minor 0 is singular and one
@@ -37,14 +38,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import ratlin
 from .conjugate import SeparableConvex, _Memo, conjugate_eval, conjugate_table
-from .errors import (
-    CriteriaViolated,
-    DomainError,
-    NotFeasible,
-    NotPrimalFeasible,
-    NotSignFeasible,
-    require,
-)
+from .errors import CriteriaViolated, DomainError, NotFeasible, require
 from .extint import MINUS_INF, PLUS_INF, ExtInt, is_finite
 from .extint import to_json as ext_to_json
 
@@ -454,9 +448,9 @@ def verify_certificate(
     """
     z = tuple(z)
     if not sys.contains(z):
-        raise NotPrimalFeasible(f"z={z} violates the system")
+        raise NotFeasible(f"z={z} violates the system")
     if not y.is_sign_feasible(sys):
-        raise NotSignFeasible("negative multiplier on an inequality row")
+        raise NotFeasible("negative multiplier on an inequality row")
     for i, (yi, r) in enumerate(zip(y.y, sys.rows)):
         if r.kind == GEQ and yi * r.slack(z) != 0:
             raise CriteriaViolated("slackness", i)
@@ -674,40 +668,43 @@ def dual_search_bruteforce(
 def mu_form_dual_search(
     sys: LinearSystem, Phi: SeparableConvex, w_window: Window
 ) -> MinMaxReport:
-    """max mu_R(w) - conj(Phi)(w) over integral w in the window.
+    """max mu_R(w) - conj(Phi)(w) over integral w in the window; the
+    first maximizer in lex order, or MINUS_INF and no w when no w has
+    both terms finite.
 
     For z the minimizer :func:`_hull_minimizer` finds, every w is worth
     at most Phi(z), and those worth Phi(z) are the w in the normal cone
     at z (mu_R(w) = w.z) and in its fitting box: :func:`find_weight_in_box`
     with the box Phi'(z-1) <= w <= Phi'(z).  Its first w in lex order is
-    the scan's first maximizer, found with no exact LP.  Otherwise (no z,
-    or no w reaches Phi(z)) every w is scanned, and one whose bound
-    w.z - conj(Phi)(w) is below the best value is skipped without its
-    exact LP."""
+    the answer, when there is one.
+
+    Otherwise mu_R(w) = w.v on the normal cone of each vertex v of
+    :func:`_basic_data` (with D its denominator), and mu_R(w) is -inf off
+    their union.  So per vertex :func:`separable_first_minimum` finds the
+    first least sum of D conj(phi_j)(w_j) - w_j (D v_j), each part finite
+    on the slope range of phi_j, over the cone's points in the window;
+    the least over the vertices, the lex-least w on a tie, is -D times
+    the value (Ahuja and Orlin, Oper. Res. 49, 2001)."""
     z = _hull_minimizer(sys, Phi)
     w = None if z is None else find_weight_in_box(sys, z, Phi.prime_minus(z), Phi.prime(z), w_window)
     if w is not None:
         return MinMaxReport(dual_value=Phi.value(z), dual_witness=w,
                             bounds_used={"w_window": w_window.to_json()})
-    conj = conjugate_table(Phi)
-    best = None
-    arg = None
-    for w in w_window.points():
-        c = conj(w)
-        if c is PLUS_INF or (best is not None and z is not None and ratlin.dot(w, z) - c < best):
-            continue
-        mv, _ = lp_min(sys, w)
-        if mv is MINUS_INF or mv is PLUS_INF:
-            continue
-        val = mv - c
-        if best is None or val > best:
-            best, arg = val, w
-    if best is None:
-        best = MINUS_INF
-    elif isinstance(best, Fraction) and best.denominator == 1:
-        best = best.numerator
+    big_d, vertices, _, _ = _basic_data(sys)
+    scaled = dilation(sys, big_d)  # its vertices are the ints v
+    found = []
+    for v in vertices:
+        parts = [(lambda t, p=p, vj=vj: big_d * conjugate_eval(p, t) - t * vj, *p.slope_range())
+                 for (_, p), vj in zip(Phi.parts, v)]
+        least, w = separable_first_minimum(normal_cone(tangent_cone(scaled, v)), w_window, parts)
+        if w is not None:
+            found.append((least, w))
+    best, arg = min(found, default=(None, None))
+    if arg is not None:
+        best = Fraction(-best, big_d)
+        best = best.numerator if best.denominator == 1 else best
     return MinMaxReport(
-        dual_value=best,
+        dual_value=MINUS_INF if arg is None else best,
         dual_witness=arg,
         bounds_used={"w_window": w_window.to_json()},
     )

@@ -54,7 +54,6 @@ from dctk.mconvex import (
 from dctk.netflow import (
     Digraph,
     certify_flow,
-    min_convex_cost_flow,
     optimal_potential,
     square_sum_instance,
 )
@@ -312,7 +311,7 @@ def test_criterion_6_flow_duality_and_potentials():
             win = Window.uniform(len(uncapped.digraph.arcs), 0, max(demand, 1))
             primal = minimize_bruteforce(sys, uncapped.cost, win)
             dual = dual_search_bruteforce(sys, uncapped.cost, 6)
-            x = min_convex_cost_flow(uncapped)
+            x = optimal_potential(uncapped)[0]
             assert primal.primal_value == uncapped.cost.value(x)
             assert dual.dual_value == primal.primal_value
             embedded += 1

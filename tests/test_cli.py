@@ -1,12 +1,13 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-from dctk import cli, fixtures, polyhedron
+from dctk import cli, conjugate, fixtures, inverse, mconvex, netflow, polyhedron
 
 from helpers import child_env
 
@@ -802,6 +803,113 @@ class TestBadInput:
     def test_integer_vector_flags(self, argv, stderr):
         p = run_cli(argv)
         assert (p.returncode, p.stdout, p.stderr) == (cli.EXIT_INVALID, "", f"error: {stderr}\n")
+
+
+def _shape(phi):
+    return ["conjugate", "--ell", "0", "--phi", json.dumps(phi)]
+
+
+def _system(elements, rows):
+    return ["probe", "--window", "0..1", "--system", json.dumps({"elements": elements, "rows": rows})]
+
+
+def _flow(**changes):
+    return ["minimize", "flow", "--instance", json.dumps({**D2, **changes})]
+
+
+D2_INSTANCE = fixtures.d2_instance()
+QUAD = {"form": "quadratic", "a": 1}
+
+# Each input check, reached through cli.run (an argv: exit 4 and the
+# message on stderr, and run() raises nothing) or through the library
+# (a call: a ValueError with the message).
+INPUT_CHECKS = {
+    "table-empty": (_shape({"form": "table", "k0": 0, "values": []}), "Table needs at least one value"),
+    "quadratic-zero": (_shape({"form": "quadratic", "a": 0}), "Quadratic coefficient must be a positive integer"),
+    "vshape-slopes": (_shape({"form": "vshape", "k0": 0, "c_minus": 2, "c_plus": 1}), "need c_minus <= c_plus"),
+    "vshape-kink": (_shape({"form": "vshape", "k0": 5, "c_minus": 0, "c_plus": 1, "A": 0, "B": 3}),
+                    "need A <= k0 <= B"),
+    "flat-slopes": (_shape({"form": "flat_bottom", "a": 0, "b": 1, "c_minus": 1, "c_plus": 2}),
+                    "need c_minus <= 0 <= c_plus"),
+    "flat-order": (_shape({"form": "flat_bottom", "a": 2, "b": 1, "c_minus": -1, "c_plus": 1}),
+                   "need A <= a <= b <= B"),
+    "restricted-order": (_shape({"form": "restricted", "A": 3, "B": 1, "inner": QUAD}), "need A <= B"),
+    "sum-empty": (_shape({"form": "sum_of", "parts": []}), "SumOf needs at least one part"),
+    "no-element": (_system([], [{"coeffs": [], "rhs": 0, "kind": "geq"}]), "need at least one element"),
+    "no-row": (_system(["a"], []), "need at least one row"),
+    "row-length": (_system(["a"], [{"coeffs": [1, 2], "rhs": 0, "kind": "geq"}]),
+                   "row length does not match ground set"),
+    "row-kind": (_system(["a"], [{"coeffs": [1], "rhs": 0, "kind": "leq"}]), "row kind must be"),
+    "element-names": (["minimize", "mconvex", "--instance", json.dumps({**P2, "elements": ["e1"]}),
+                       "--phi", json.dumps(SQ2)], "element names must match n"),
+    "flow-bounds": (_flow(lower=[0]), "bounds must have one entry per arc"),
+    "flow-demand": (_flow(m={"s": -2, "t": 1}), "m must sum to zero"),
+    "flow-bound-order": (_flow(lower=[0, 3], upper=[None, 2]), "need lower <= upper per arc"),
+    "flow-node": (_flow(arcs=[["s", "t"], ["s", "u"]]), "uses an undeclared node"),
+    "flow-cost-domain": (_flow(upper=[5, None], cost={"a0": {"form": "restricted", "A": 10, "B": 12, "inner": QUAD},
+                                                      "a1": QUAD}),
+                         "the cost of arc 0 is finite nowhere within its bounds"),
+    "short-point": (TestBadInput.CERTIFY + ["--point", "[1]"], "--point needs 2 entries, got 1"),
+    "long-point": (TestBadInput.CERTIFY + ["--point", "[1,1,1]"], "--point needs 2 entries, got 3"),
+    "flow-m-length": ((lambda: netflow.FlowInstance(
+        D2_INSTANCE.digraph, (0,), D2_INSTANCE.lower, D2_INSTANCE.upper, D2_INSTANCE.cost)),
+        "m must have one entry per node"),
+    "flow-cost-length": ((lambda: netflow.FlowInstance(
+        D2_INSTANCE.digraph, D2_INSTANCE.m, D2_INSTANCE.lower, D2_INSTANCE.upper,
+        conjugate.SeparableConvex(D2_INSTANCE.cost.parts[:1]))),
+        "cost must have one part per arc"),
+    "set-function-table": ((lambda: mconvex.SupermodularFn(2, (0, 0, 2))), "table must have 2^n entries"),
+    "window-length": ((lambda: polyhedron.Window((0,), (1, 1))), "lo/hi length mismatch"),
+    "window-order": ((lambda: polyhedron.Window((1, 0), (0, 0))), "need lo <= hi componentwise"),
+    "dilation-factor": ((lambda: polyhedron.dilation(fixtures.p2_system(), 0)),
+                        "dilation factor must be >= 1"),
+    "no-target": ((lambda: inverse.reduce_targets(fixtures.p2_system(), ())), "need at least one target"),
+    "hull-of-empty": ((lambda: polyhedron.vertex_hull_window(polyhedron.LinearSystem(
+        ("a",), (polyhedron.Row((1,), 1, "geq"), polyhedron.Row((-1,), 0, "geq"))))),
+        "system has no vertices"),
+}
+
+
+@pytest.mark.parametrize("name", INPUT_CHECKS)
+def test_input_checks(name):
+    case, needle = INPUT_CHECKS[name]
+    if callable(case):
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            case()
+        return
+    p = run_cli(case)
+    assert (p.returncode, p.stdout) == (cli.EXIT_INVALID, "")
+    assert p.stderr.startswith("error:") and needle in p.stderr, p.stderr
+
+
+class TestVerdictIsTheCommandsOwnCheck:
+    """OK needs the dual value that the command computes from the witness
+    itself: a search that returns a wrong witness, reported at the
+    primal's value, gets INCONCLUSIVE and its witness's true value."""
+
+    @pytest.mark.parametrize("y, value", [((0, 0, 0), 0), ((-1, 0, 1), 2)], ids=["worth-0", "sign-infeasible"])
+    def test_boxtdi(self, monkeypatch, y, value):
+        # (-1, 0, 1) is worth the minimum 2, but is negative on a >= row.
+        wrong = polyhedron.MinMaxReport(dual_value=2, dual_witness=polyhedron.DualVector(y))
+        monkeypatch.setattr(polyhedron, "dual_search_bruteforce", lambda *args: wrong)
+        p = run_cli(GOLDEN["minimize-boxtdi"][0])
+        out = json.loads(p.stdout)
+        assert (p.returncode, out["status"]) == (cli.EXIT_INCONCLUSIVE, "INCONCLUSIVE")
+        assert (out["report"]["dual_value"], out["report"]["equality"]) == (value, False)
+
+    def test_m2(self, monkeypatch):
+        split = mconvex.m2_minimize_and_split
+
+        def wrong(*args, **kwargs):
+            report = split(*args, **kwargs)
+            report.dual_witness = ((0, 0), (0, 0))
+            return report
+
+        monkeypatch.setattr(mconvex, "m2_minimize_and_split", wrong)
+        p = run_cli(GOLDEN["minimize-m2"][0])
+        out = json.loads(p.stdout)
+        assert (p.returncode, out["status"]) == (cli.EXIT_INCONCLUSIVE, "INCONCLUSIVE")
+        assert (out["report"]["dual_value"], out["report"]["equality"]) == (0, False)
 
 
 class TestInverseCommand:

@@ -22,7 +22,6 @@ from dctk.netflow import (
     FlowInstance,
     certify_flow,
     flow_dual_value,
-    min_convex_cost_flow,
     optimal_potential,
     square_sum_instance,
 )
@@ -123,18 +122,18 @@ class TestHoffman:
     and that set violates Hoffman's condition for the instance's bounds."""
 
     def test_d2_feasible(self):
-        assert min_convex_cost_flow(square_sum_instance(D2, (-2, 2))) == (1, 1)
+        assert optimal_potential(square_sum_instance(D2, (-2, 2)))[0] == (1, 1)
 
     def test_reversed_demand(self):
         d = Digraph(("s", "t"), (("s", "t"),))
         inst = square_sum_instance(d, (1, -1))
         with pytest.raises(Infeasible) as err:
-            min_convex_cost_flow(inst)
+            optimal_potential(inst)
         assert err.value.violating_set == ("t",)
         assert cut_certifies(inst, {"t"})
 
     def test_zero_demand(self):
-        assert min_convex_cost_flow(square_sum_instance(D2, (0, 0))) == (0, 0)
+        assert optimal_potential(square_sum_instance(D2, (0, 0)))[0] == (0, 0)
 
     def test_finite_bounds_cut(self):
         # s can send 10 to a but only 2 + 2 onward to t, against a demand of 5.
@@ -150,7 +149,7 @@ class TestHoffman:
         # Both arcs cost +inf below 1, and t takes in only 1.
         inst = with_cost(square_sum_instance(D2, (-1, 1)), [VShape(1, 0, 1, 1, 3)] * 2)
         with pytest.raises(Infeasible) as err:
-            min_convex_cost_flow(inst)
+            optimal_potential(inst)
         assert err.value.violating_set == ("t",)
         assert cut_certifies(square_sum_instance(D2, (-1, 1), lower=(1, 1)), {"t"})
 
@@ -165,7 +164,7 @@ class TestHoffman:
             inst = square_sum_instance(d, [-sum(m)] + m, lower, upper)
             flows = enumerate_flows(inst)
             try:
-                x = min_convex_cost_flow(inst)
+                x = optimal_potential(inst)[0]
             except Infeasible as err:
                 infeasible += 1
                 assert not flows
@@ -178,29 +177,28 @@ class TestHoffman:
 class TestSolver:
     def test_d2_square(self):
         inst = d2_instance()
-        assert min_convex_cost_flow(inst) == (1, 1)
+        assert optimal_potential(inst)[0] == (1, 1)
 
     def test_d2_weighted(self):
         inst = with_cost(d2_instance(), [Quadratic(1), Quadratic(3)])
-        x = min_convex_cost_flow(inst)
+        x = optimal_potential(inst)[0]
         assert x == (1, 1) and inst.cost.value(x) == 4
 
     def test_d2_linear_tie(self):
         inst = with_cost(d2_instance(), [linear_fn(1), linear_fn(1)])
-        x = min_convex_cost_flow(inst)
+        x = optimal_potential(inst)[0]
         assert x == (0, 2)  # lexicographically least among cost-2 flows
         assert inst.cost.value(x) == 2
 
     def test_no_nodes(self):
         inst = square_sum_instance(Digraph((), ()), ())
         assert optimal_potential(inst) == ((), ())
-        assert min_convex_cost_flow(inst) == ()
 
     def test_infeasible(self):
         d = Digraph(("s", "t"), (("s", "t"),))
         inst = square_sum_instance(d, (1, -1))  # needs flow t -> s
         with pytest.raises(Infeasible):
-            min_convex_cost_flow(inst)
+            optimal_potential(inst)
 
     # Two routes from s to t, all costs 0: a1 directly, or a2 and then a0,
     # whose lower bound is infinite.  The least flow on the arcs of finite
@@ -211,7 +209,6 @@ class TestSolver:
 
     def test_route_through_an_earlier_free_arc(self):
         assert optimal_potential(self.ROUTES) == ((1, 0, 1), (0, 0, 0))
-        assert min_convex_cost_flow(self.ROUTES) == (1, 0, 1)
 
     def test_lex_least_on_finite_lower_arcs_random(self):
         """With some lower bounds infinite, the flow is optimal (its
@@ -256,7 +253,7 @@ class TestSolver:
         rng = random.Random(9)
         for _ in range(20):
             inst = random_flow_instance(rng)
-            x = min_convex_cost_flow(inst)
+            x = optimal_potential(inst)[0]
             assert inst.is_feasible_flow(x)
 
     def test_matches_enumeration_random(self):
@@ -284,9 +281,9 @@ class TestSolver:
                 if not is_finite(best):
                     no_finite += 1
                     with pytest.raises(Infeasible):
-                        min_convex_cost_flow(inst)
+                        optimal_potential(inst)
                     continue
-                x = min_convex_cost_flow(inst)
+                x = optimal_potential(inst)[0]
                 assert inst.cost.value(x) == best
                 assert x == min(f for f in flows if inst.cost.value(f) == best)
         assert 0 < no_finite < 10
@@ -338,7 +335,7 @@ class TestSolver:
 
     def test_unbounded_cycle_is_recognized_at_once(self, bellman_ford_runs):
         with pytest.raises(Unbounded):
-            min_convex_cost_flow(self.two_way(PLUS_INF))
+            optimal_potential(self.two_way(PLUS_INF))
         assert len(bellman_ford_runs) == 1
 
     def test_linear_cost_with_a_far_kink_is_recognized_at_once(self, bellman_ford_runs):
@@ -346,7 +343,7 @@ class TestSolver:
         # slopes), so the cycle earns 1 per unit from the first one on.
         inst = with_cost(self.two_way(PLUS_INF), [VShape(10**6, -1, -1), linear_fn(0)])
         with pytest.raises(Unbounded):
-            min_convex_cost_flow(inst)
+            optimal_potential(inst)
         assert len(bellman_ford_runs) == 1
 
     def test_cycle_reaching_its_constant_slope_late(self, bellman_ford_runs):
@@ -355,7 +352,7 @@ class TestSolver:
         ramp = SumOf((FlatBottom(1, PLUS_INF, -1, 0), FlatBottom(2, PLUS_INF, -1, 0)))
         inst = self.two_way(PLUS_INF)
         with pytest.raises(Unbounded):
-            min_convex_cost_flow(with_cost(inst, [LinearPlus(-1, ramp), linear_fn(0)]))
+            optimal_potential(with_cost(inst, [LinearPlus(-1, ramp), linear_fn(0)]))
         assert len(bellman_ford_runs) == 3
 
     def test_backward_cycle_reaching_its_constant_slope_late(self, bellman_ford_runs):
@@ -365,13 +362,13 @@ class TestSolver:
         d = Digraph(("s", "t"), (("s", "t"), ("s", "t")))
         inst = square_sum_instance(d, (0, 0), lower=(MINUS_INF, 0))
         with pytest.raises(Unbounded):
-            min_convex_cost_flow(with_cost(inst, [Shifted(-2, LinearPlus(1, ramp)), linear_fn(0)]))
+            optimal_potential(with_cost(inst, [Shifted(-2, LinearPlus(1, ramp)), linear_fn(0)]))
         assert len(bellman_ford_runs) == 3
 
     def test_budget_exhausted_is_not_unbounded(self):
         # The optimum is -150000, beyond the budget of unit cancellations.
         with pytest.raises(IterationLimit):
-            min_convex_cost_flow(self.two_way(150000))
+            optimal_potential(self.two_way(150000))
 
     def test_cost_domain_narrows_bounds(self):
         # Each arc costs +inf outside [1, 3]: a start at 0 must not read as
@@ -491,7 +488,7 @@ def unit_expansion_min(nx, inst):
 class TestNetworkxOracle:
     def test_value_and_certificate(self):
         """5-8 arcs with bounds up to 6 wide and demands up to 6, beyond the
-        boxes enumerate_flows scans: min_convex_cost_flow reaches the
+        boxes enumerate_flows scans: optimal_potential reaches the
         networkx minimum, and its optimal potential certifies it."""
         nx = pytest.importorskip("networkx")
         shapes = (
@@ -516,8 +513,8 @@ class TestNetworkxOracle:
             cost = SeparableConvex(tuple((f"a{i}", rng.choice(shapes)(rng)) for i in range(len(arcs))))
             inst = FlowInstance(Digraph(nodes, arcs), tuple(m), tuple(lower), tuple(upper), cost)
             expected = unit_expansion_min(nx, inst)
-            assert cost.value(min_convex_cost_flow(inst)) == expected
             x, pi = optimal_potential(inst)
+            assert cost.value(x) == expected
             rep = certify_flow(inst, x, pi)
             assert rep.equality and rep.primal_value == expected
             checked += 1

@@ -21,7 +21,7 @@ from dctk.conjugate import (
     linear_cost,
     square_sum,
 )
-from dctk.errors import CriteriaViolated, DomainError, NotPrimalFeasible, NotSignFeasible
+from dctk.errors import CriteriaViolated, DomainError, NotFeasible
 from dctk.extint import MINUS_INF, PLUS_INF
 from dctk.fixtures import (
     p2_system,
@@ -530,11 +530,11 @@ class TestVerifyCertificate:
             verify_certificate(P2SYS, (0, 2), DualVector((0, 0, 3)), SQ)
 
     def test_primal_infeasible(self):
-        with pytest.raises(NotPrimalFeasible):
+        with pytest.raises(NotFeasible, match=r"z=\(0, 1\) violates the system"):
             verify_certificate(P2SYS, (0, 1), DualVector((0, 0, 0)), SQ)
 
     def test_sign_infeasible(self):
-        with pytest.raises(NotSignFeasible):
+        with pytest.raises(NotFeasible, match="negative multiplier on an inequality row"):
             verify_certificate(P2SYS, (1, 1), DualVector((-1, 0, 3)), SQ)
 
 
@@ -952,8 +952,9 @@ class TestCertificatesMatchNaiveOracles:
     the mu-form read it off their optimality systems; elsewhere they scan.
     Either way they give what the plain scans give, at the hull minimizer
     (given no point), at the windowed minimum and at a feasible point
-    that is not optimal, and the corpus reaches both branches (a branch
-    that builds no conjugate table is the certificate's)."""
+    that is not optimal, and the corpus reaches both branches (the
+    certificate's is an integer dual that builds no conjugate table, and
+    a mu-form whose find_weight_in_box finds a w)."""
 
     @pytest.fixture
     def tables(self, monkeypatch):
@@ -988,16 +989,24 @@ class TestCertificatesMatchNaiveOracles:
                         assert got == expected, (sys, Phi, y_bound, z)
         assert branches["certificate"] >= 20 and branches["scan"] >= 20, branches
 
-    def test_mu_form(self, tables):
+    def test_mu_form(self, monkeypatch):
+        weights = []
+        find = polyhedron.find_weight_in_box
+
+        def recording_find(*args):
+            weights.append(find(*args))
+            return weights[-1]
+
+        monkeypatch.setattr(polyhedron, "find_weight_in_box", recording_find)
         rng, systems = _certificate_corpus(32)
         branches = collections.Counter()
         for sys in systems:
             for Phi in self.objectives(rng, sys.elements):
                 for r in (1, 2) if sys.n <= 3 else (1,):
                     win = Window.uniform(sys.n, -r, r)
-                    before = len(tables)
+                    weights.clear()
                     rep = mu_form_dual_search(sys, Phi, win)
-                    branches["scan" if len(tables) > before else "certificate"] += 1
+                    branches["certificate" if weights and weights[0] is not None else "scan"] += 1
                     value, w = naive_mu_form(sys, Phi, win)
                     assert (rep.dual_value, rep.dual_witness) == (value, w), (sys, Phi, r)
                     assert type(rep.dual_value) is type(value)
@@ -1027,9 +1036,10 @@ PATH = LinearSystem(("uv", "vw"), (
 class TestSearchWork:
     """Where a dual reaches Phi at the primal point, the searches read it
     off its optimality system and evaluate nothing.  Where none does, the
-    pruned scans evaluate a share of their boxes: conjugates for the
-    integer dual, exact LPs for the mu-form.  (A counter of the box from
-    the arguments cannot show this.)"""
+    integer dual's pruned scan evaluates conjugates on a share of its
+    box, and the mu-form evaluates conjugates in its per-vertex minima
+    and no exact LP.  (A counter of the box from the arguments cannot
+    show this.)"""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -1087,6 +1097,24 @@ class TestSearchWork:
         rep = mu_form_dual_search(P2SYS, SQ, Window.uniform(2, -6, 6))
         assert rep.dual_value == 2 and rep.dual_witness == (1, 1)
         assert calls == {}
+
+    def test_mu_form_fallback(self, calls, monkeypatch):
+        # a = 1/2 and 0 <= b, c <= 1: no integer point, so no certificate.
+        # The fallback minimizes per vertex over its normal cone: no exact
+        # LP, and a few hundred conjugates even on the 41^3 weights of +-20.
+        evaluate = polyhedron.conjugate_eval
+        monkeypatch.setattr(polyhedron, "conjugate_eval", lambda p, t: calls.update(("eval",)) or evaluate(p, t))
+        rows = (((2, 0, 0), 1), ((-2, 0, 0), -1), ((0, 1, 0), 0), ((0, -1, 0), -1), ((0, 0, 1), 0), ((0, 0, -1), -1))
+        sys = LinearSystem(("a", "b", "c"), tuple(Row(c, b, GEQ) for c, b in rows))
+        Phi = square_sum(sys.elements, (1, 2, 3))
+        for r in (2, 6, 20):
+            calls.clear()
+            win = Window.uniform(3, -r, r)
+            mu = mu_form_dual_search(sys, Phi, win)
+            assert (mu.dual_value, mu.dual_witness) == (Fraction(1, 2), (1, 0, 0))
+            if r < 20:
+                assert (mu.dual_value, mu.dual_witness) == naive_mu_form(sys, Phi, win)
+            assert calls["lp"] == 0 and 0 < calls["eval"] <= 300, calls
 
     def test_minimizers_inside_a_face(self, calls):
         # x(E) = k, x >= 0 and Phi = sum a_j x_j^2, where the vertices
