@@ -32,7 +32,7 @@ from .errors import (
     ValueMismatch,
     require,
 )
-from .extint import PLUS_INF, is_finite
+from .extint import is_finite
 from .extint import to_json as ext_json
 
 EXIT_OK = 0
@@ -225,8 +225,8 @@ def _cmd_minimize_boxtdi(args) -> Outcome:
     win = polyhedron.Window.uniform(sys_.n, *_parse_range("--window", args.window))
     primal = polyhedron.minimize_bruteforce(sys_, Phi, win)
     if not is_finite(primal.primal_value):
-        # Only an exact LP with no vertex proves the system empty.
-        if polyhedron.lp_min(sys_, (0,) * sys_.n)[0] is PLUS_INF:
+        # A window with no point proves nothing: only a system with no vertex is empty.
+        if polyhedron.is_empty(sys_):
             return {"status": "INFEASIBLE", "window": win.to_json()}, EXIT_INFEASIBLE
         detail = ("the objective is infinite at every integer point in the window"
                   if next(polyhedron.enumerate_integer_points(sys_, win), None) is not None

@@ -3,8 +3,8 @@
 One lazy lex-order kernel lists a system's integer points in a box
 (:func:`enumerate_integer_points`), and one bound-pruned kernel finds
 their first least separable convex sum without listing them
-(:func:`separable_first_minimum`).  Also exact rational LP by
-basic-solution enumeration, tangent cones (from :func:`_extreme_rays`)
+(:func:`separable_first_minimum`).  Also vertices, rays and emptiness
+by basic-solution enumeration, tangent cones (from :func:`_extreme_rays`)
 and their normal cones as systems, dual searches for the separable-convex
 min-max formulas, the disjoint-pair feasibility test, dilations, and a
 box-integrality probe.  Arithmetic is exact; witnesses are lex-least.
@@ -368,26 +368,10 @@ def _basic_data(sys: LinearSystem):
     return sys._basic
 
 
-def lp_min(sys: LinearSystem, w: Sequence[int]):
-    """Exact min{w.x : x in R}: (value, argmin).
-
-    value is a Fraction/int, MINUS_INF if unbounded, PLUS_INF if
-    infeasible; argmin is a rational vector or None.
-    """
-    big_d, vertices, rays, lineality = _basic_data(sys)
-    if not vertices:
-        return (PLUS_INF, None)
-    for d in lineality:
-        if ratlin.dot(w, d) != 0:
-            return (MINUS_INF, None)
-    for d in rays:
-        if ratlin.dot(w, d) < 0:
-            return (MINUS_INF, None)
-    # The scaled vertices are in lex order, so the first least value is
-    # at the lexicographically least argmin.
-    best, v = first_minimum(vertices, partial(ratlin.dot, w))
-    best = Fraction(best, big_d)
-    return (best.numerator if best.denominator == 1 else best, tuple(Fraction(e, big_d) for e in v))
+def is_empty(sys: LinearSystem) -> bool:
+    """Whether the system has no real point: its pointed remainder has no
+    vertex (:func:`_basic_data`)."""
+    return not _basic_data(sys)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +497,7 @@ def _hull_minimizer(sys: LinearSystem, Phi: SeparableConvex) -> Optional[Tuple[i
     integer minimizer, where the min-max formula puts a dual worth Phi(z)
     on a box-TDI system; any dual worth Phi(z) proves z optimal, and the
     duals worth the optimum are the same at every minimizer."""
-    if not _basic_data(sys)[1]:
+    if is_empty(sys):
         return None
     return minimize_bruteforce(sys, Phi, vertex_hull_window(sys)).primal_witness
 
@@ -676,7 +660,9 @@ def mu_form_dual_search(
     at most Phi(z), and those worth Phi(z) are the w in the normal cone
     at z (mu_R(w) = w.z) and in its fitting box: :func:`find_weight_in_box`
     with the box Phi'(z-1) <= w <= Phi'(z).  Its first w in lex order is
-    the answer, when there is one.
+    the answer, when there is one.  The per-vertex minima below give the
+    same answer alone, but build one tangent cone per vertex: on
+    criterion 7's small systems the certificate is the faster path.
 
     Otherwise mu_R(w) = w.v on the normal cone of each vertex v of
     :func:`_basic_data` (with D its denominator), and mu_R(w) is -inf off

@@ -43,8 +43,10 @@ from dctk.polyhedron import (
     LinearSystem,
     Row,
     Window,
+    _basic_data,
     dilation,
     enumerate_integer_points,
+    first_minimum,
     vertex_hull_window,
 )
 
@@ -567,6 +569,25 @@ def frac_basic_data(sys: LinearSystem):
             if all(v == 0 if kind == EQ else v >= 0 for v, kind in dots):
                 rays.add(d)
     return sorted(vertices), sorted(rays), lineality
+
+
+def lp_min(sys: LinearSystem, w: Sequence[int]):
+    """Exact min{w.x : x in R}: (value, argmin), read off the vertices,
+    rays and lineality of polyhedron._basic_data.
+
+    value is a Fraction/int, MINUS_INF if unbounded, PLUS_INF if
+    infeasible; argmin is a rational vector or None.
+    """
+    big_d, vertices, rays, lineality = _basic_data(sys)
+    if not vertices:
+        return (PLUS_INF, None)
+    if any(ratlin.dot(w, d) != 0 for d in lineality) or any(ratlin.dot(w, d) < 0 for d in rays):
+        return (MINUS_INF, None)
+    # The scaled vertices are in lex order, so the first least value is
+    # at the lexicographically least argmin.
+    best, v = first_minimum(vertices, functools.partial(ratlin.dot, w))
+    best = Fraction(best, big_d)
+    return (best.numerator if best.denominator == 1 else best, tuple(Fraction(e, big_d) for e in v))
 
 
 def frac_lp_min(basic, w: Sequence[int]):

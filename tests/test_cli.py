@@ -687,8 +687,23 @@ class TestCertifyCommands:
         assert p.returncode == cli.EXIT_INVALID
 
 
+def _shape(phi):
+    return ["conjugate", "--ell", "0", "--phi", json.dumps(phi)]
+
+
+def _system(elements, rows):
+    return ["probe", "--window", "0..1", "--system", json.dumps({"elements": elements, "rows": rows})]
+
+
+def _flow(**changes):
+    return ["minimize", "flow", "--instance", json.dumps({**D2, **changes})]
+
+
+QUAD = {"form": "quadratic", "a": 1}
+
+
 class TestBadInput:
-    """Input of the wrong length or type exits 4 with a message, not a
+    """Input of the wrong length, type or range exits 4 with a message, not a
     traceback."""
 
     CERTIFY = ["certify", "mconvex", "--instance", json.dumps(P2), "--phi", json.dumps(SQ2)]
@@ -724,12 +739,38 @@ class TestBadInput:
         (["minimize", "flow", "--instance", json.dumps(
             {"nodes": ["s", "t", "t"], "arcs": [["s", "t"]], "m": {"s": -2, "t": 1},
              "lower": [0], "upper": [None]})], "node 't' is declared twice"),
+        (CERTIFY + ["--point", "[1]"], "--point needs 2 entries, got 1"),
+        (CERTIFY + ["--point", "[1,1,1]"], "--point needs 2 entries, got 3"),
+        (_shape({"form": "table", "k0": 0, "values": []}), "Table needs at least one value"),
+        (_shape({"form": "quadratic", "a": 0}), "Quadratic coefficient must be a positive integer"),
+        (_shape({"form": "vshape", "k0": 0, "c_minus": 2, "c_plus": 1}), "need c_minus <= c_plus"),
+        (_shape({"form": "vshape", "k0": 5, "c_minus": 0, "c_plus": 1, "A": 0, "B": 3}), "need A <= k0 <= B"),
+        (_shape({"form": "flat_bottom", "a": 0, "b": 1, "c_minus": 1, "c_plus": 2}), "need c_minus <= 0 <= c_plus"),
+        (_shape({"form": "flat_bottom", "a": 2, "b": 1, "c_minus": -1, "c_plus": 1}), "need A <= a <= b <= B"),
+        (_shape({"form": "restricted", "A": 3, "B": 1, "inner": QUAD}), "need A <= B"),
+        (_shape({"form": "sum_of", "parts": []}), "SumOf needs at least one part"),
+        (_system([], [{"coeffs": [], "rhs": 0, "kind": "geq"}]), "need at least one element"),
+        (_system(["a"], []), "need at least one row"),
+        (_system(["a"], [{"coeffs": [1, 2], "rhs": 0, "kind": "geq"}]), "row length does not match ground set"),
+        (_system(["a"], [{"coeffs": [1], "rhs": 0, "kind": "leq"}]), "row kind must be"),
+        (["minimize", "mconvex", "--instance", json.dumps({**P2, "elements": ["e1"]}), "--phi", json.dumps(SQ2)],
+         "element names must match n"),
+        (_flow(lower=[0]), "bounds must have one entry per arc"),
+        (_flow(m={"s": -2, "t": 1}), "m must sum to zero"),
+        (_flow(lower=[0, 3], upper=[None, 2]), "need lower <= upper per arc"),
+        (_flow(arcs=[["s", "t"], ["s", "u"]]), "uses an undeclared node"),
+        (_flow(upper=[5, None], cost={"a0": {"form": "restricted", "A": 10, "B": 12, "inner": QUAD}, "a1": QUAD}),
+         "the cost of arc 0 is finite nowhere within its bounds"),
     ], ids=["short-weights", "long-weights", "short-target", "long-target",
             "float-c_minus", "bool-c_plus", "float-a", "negative-y-bound", "empty-split-window",
             "asymmetric-split-window", "one-point-split-window", "negative-split-window",
             "empty-boxtdi-window", "empty-probe-window", "empty-inverse-window",
             "malformed-boxtdi-window", "malformed-probe-window", "malformed-split-window",
-            "malformed-inverse-window", "duplicate-node"])
+            "malformed-inverse-window", "duplicate-node", "short-point", "long-point",
+            "table-empty", "quadratic-zero", "vshape-slopes", "vshape-kink", "flat-slopes",
+            "flat-order", "restricted-order", "sum-empty", "no-element", "no-row", "row-length",
+            "row-kind", "element-names", "flow-bounds", "flow-demand", "flow-bound-order",
+            "flow-node", "flow-cost-domain"])
     def test_exits_invalid_with_message(self, argv, needle):
         p = run_cli(argv)
         assert (p.returncode, p.stdout) == (cli.EXIT_INVALID, "")
@@ -805,81 +846,28 @@ class TestBadInput:
         assert (p.returncode, p.stdout, p.stderr) == (cli.EXIT_INVALID, "", f"error: {stderr}\n")
 
 
-def _shape(phi):
-    return ["conjugate", "--ell", "0", "--phi", json.dumps(phi)]
-
-
-def _system(elements, rows):
-    return ["probe", "--window", "0..1", "--system", json.dumps({"elements": elements, "rows": rows})]
-
-
-def _flow(**changes):
-    return ["minimize", "flow", "--instance", json.dumps({**D2, **changes})]
-
-
 D2_INSTANCE = fixtures.d2_instance()
-QUAD = {"form": "quadratic", "a": 1}
-
-# Each input check, reached through cli.run (an argv: exit 4 and the
-# message on stderr, and run() raises nothing) or through the library
-# (a call: a ValueError with the message).
-INPUT_CHECKS = {
-    "table-empty": (_shape({"form": "table", "k0": 0, "values": []}), "Table needs at least one value"),
-    "quadratic-zero": (_shape({"form": "quadratic", "a": 0}), "Quadratic coefficient must be a positive integer"),
-    "vshape-slopes": (_shape({"form": "vshape", "k0": 0, "c_minus": 2, "c_plus": 1}), "need c_minus <= c_plus"),
-    "vshape-kink": (_shape({"form": "vshape", "k0": 5, "c_minus": 0, "c_plus": 1, "A": 0, "B": 3}),
-                    "need A <= k0 <= B"),
-    "flat-slopes": (_shape({"form": "flat_bottom", "a": 0, "b": 1, "c_minus": 1, "c_plus": 2}),
-                    "need c_minus <= 0 <= c_plus"),
-    "flat-order": (_shape({"form": "flat_bottom", "a": 2, "b": 1, "c_minus": -1, "c_plus": 1}),
-                   "need A <= a <= b <= B"),
-    "restricted-order": (_shape({"form": "restricted", "A": 3, "B": 1, "inner": QUAD}), "need A <= B"),
-    "sum-empty": (_shape({"form": "sum_of", "parts": []}), "SumOf needs at least one part"),
-    "no-element": (_system([], [{"coeffs": [], "rhs": 0, "kind": "geq"}]), "need at least one element"),
-    "no-row": (_system(["a"], []), "need at least one row"),
-    "row-length": (_system(["a"], [{"coeffs": [1, 2], "rhs": 0, "kind": "geq"}]),
-                   "row length does not match ground set"),
-    "row-kind": (_system(["a"], [{"coeffs": [1], "rhs": 0, "kind": "leq"}]), "row kind must be"),
-    "element-names": (["minimize", "mconvex", "--instance", json.dumps({**P2, "elements": ["e1"]}),
-                       "--phi", json.dumps(SQ2)], "element names must match n"),
-    "flow-bounds": (_flow(lower=[0]), "bounds must have one entry per arc"),
-    "flow-demand": (_flow(m={"s": -2, "t": 1}), "m must sum to zero"),
-    "flow-bound-order": (_flow(lower=[0, 3], upper=[None, 2]), "need lower <= upper per arc"),
-    "flow-node": (_flow(arcs=[["s", "t"], ["s", "u"]]), "uses an undeclared node"),
-    "flow-cost-domain": (_flow(upper=[5, None], cost={"a0": {"form": "restricted", "A": 10, "B": 12, "inner": QUAD},
-                                                      "a1": QUAD}),
-                         "the cost of arc 0 is finite nowhere within its bounds"),
-    "short-point": (TestBadInput.CERTIFY + ["--point", "[1]"], "--point needs 2 entries, got 1"),
-    "long-point": (TestBadInput.CERTIFY + ["--point", "[1,1,1]"], "--point needs 2 entries, got 3"),
-    "flow-m-length": ((lambda: netflow.FlowInstance(
-        D2_INSTANCE.digraph, (0,), D2_INSTANCE.lower, D2_INSTANCE.upper, D2_INSTANCE.cost)),
-        "m must have one entry per node"),
-    "flow-cost-length": ((lambda: netflow.FlowInstance(
-        D2_INSTANCE.digraph, D2_INSTANCE.m, D2_INSTANCE.lower, D2_INSTANCE.upper,
-        conjugate.SeparableConvex(D2_INSTANCE.cost.parts[:1]))),
-        "cost must have one part per arc"),
-    "set-function-table": ((lambda: mconvex.SupermodularFn(2, (0, 0, 2))), "table must have 2^n entries"),
-    "window-length": ((lambda: polyhedron.Window((0,), (1, 1))), "lo/hi length mismatch"),
-    "window-order": ((lambda: polyhedron.Window((1, 0), (0, 0))), "need lo <= hi componentwise"),
-    "dilation-factor": ((lambda: polyhedron.dilation(fixtures.p2_system(), 0)),
-                        "dilation factor must be >= 1"),
-    "no-target": ((lambda: inverse.reduce_targets(fixtures.p2_system(), ())), "need at least one target"),
-    "hull-of-empty": ((lambda: polyhedron.vertex_hull_window(polyhedron.LinearSystem(
-        ("a",), (polyhedron.Row((1,), 1, "geq"), polyhedron.Row((-1,), 0, "geq"))))),
-        "system has no vertices"),
-}
 
 
-@pytest.mark.parametrize("name", INPUT_CHECKS)
-def test_input_checks(name):
-    case, needle = INPUT_CHECKS[name]
-    if callable(case):
-        with pytest.raises(ValueError, match=re.escape(needle)):
-            case()
-        return
-    p = run_cli(case)
-    assert (p.returncode, p.stdout) == (cli.EXIT_INVALID, "")
-    assert p.stderr.startswith("error:") and needle in p.stderr, p.stderr
+# The checks that only the library reaches raise ValueError with their message.
+@pytest.mark.parametrize("call, needle", [
+    (lambda: netflow.FlowInstance(D2_INSTANCE.digraph, (0,), D2_INSTANCE.lower, D2_INSTANCE.upper,
+                                  D2_INSTANCE.cost), "m must have one entry per node"),
+    (lambda: netflow.FlowInstance(D2_INSTANCE.digraph, D2_INSTANCE.m, D2_INSTANCE.lower, D2_INSTANCE.upper,
+                                  conjugate.SeparableConvex(D2_INSTANCE.cost.parts[:1])),
+     "cost must have one part per arc"),
+    (lambda: mconvex.SupermodularFn(2, (0, 0, 2)), "table must have 2^n entries"),
+    (lambda: polyhedron.Window((0,), (1, 1)), "lo/hi length mismatch"),
+    (lambda: polyhedron.Window((1, 0), (0, 0)), "need lo <= hi componentwise"),
+    (lambda: polyhedron.dilation(fixtures.p2_system(), 0), "dilation factor must be >= 1"),
+    (lambda: inverse.reduce_targets(fixtures.p2_system(), ()), "need at least one target"),
+    (lambda: polyhedron.vertex_hull_window(polyhedron.LinearSystem(
+        ("a",), (polyhedron.Row((1,), 1, "geq"), polyhedron.Row((-1,), 0, "geq")))), "system has no vertices"),
+], ids=["flow-m-length", "flow-cost-length", "set-function-table", "window-length", "window-order",
+        "dilation-factor", "no-target", "hull-of-empty"])
+def test_library_input_checks(call, needle):
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        call()
 
 
 class TestVerdictIsTheCommandsOwnCheck:

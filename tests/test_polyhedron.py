@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -43,7 +44,7 @@ from dctk.polyhedron import (
     feasibility_condition,
     find_weight_in_box,
     first_minimum,
-    lp_min,
+    is_empty,
     minimize_bruteforce,
     _basic_data,
     mu_form_dual_search,
@@ -60,6 +61,7 @@ from helpers import (
     frac_lp_min,
     large_coefficient_system,
     large_slope_objective,
+    lp_min,
     naive_basic_data,
     naive_dual_search,
     naive_integer_points,
@@ -196,7 +198,7 @@ class TestLpMin:
     def test_infeasible(self):
         sys = LinearSystem(("x",), (Row((1,), 1, GEQ), Row((-1,), 0, GEQ)))
         val, _ = lp_min(sys, (1,))
-        assert val is PLUS_INF
+        assert val is PLUS_INF and is_empty(sys) and not is_empty(P2SYS)
 
     def test_lineality(self):
         # x1 - x2 free along (1,1): any weight not orthogonal is unbounded.
@@ -210,7 +212,9 @@ class TestLpMin:
         # eliminated once.  A table of every minor of the rows would hold
         # some 8e7 entries here and die of MemoryError under the cap.
         p = run_under_memory_limit(
-            "from dctk.polyhedron import EQ, GEQ, LinearSystem, Row, lp_min, tangent_cone\n"
+            f"import sys; sys.path.insert(0, {str(pathlib.Path(__file__).parent)!r})\n"
+            "from dctk.polyhedron import EQ, GEQ, LinearSystem, Row, tangent_cone\n"
+            "from helpers import lp_min\n"
             "n = 20\n"
             "rows = [Row(tuple(int(i == j) for j in range(n)), 0, GEQ) for i in range(n)]\n"
             "sys = LinearSystem([f'x{i}' for i in range(n)], rows + [Row((1,) * n, 3, EQ)])\n"
@@ -1035,16 +1039,16 @@ PATH = LinearSystem(("uv", "vw"), (
 
 class TestSearchWork:
     """Where a dual reaches Phi at the primal point, the searches read it
-    off its optimality system and evaluate nothing.  Where none does, the
-    integer dual's pruned scan evaluates conjugates on a share of its
-    box, and the mu-form evaluates conjugates in its per-vertex minima
-    and no exact LP.  (A counter of the box from the arguments cannot
-    show this.)"""
+    off its optimality system and evaluate nothing: no conjugate table
+    ("table", "conj") and no conjugate_eval ("eval").  Where none does,
+    the integer dual's pruned scan evaluates conjugates on a share of its
+    box, and the mu-form a few hundred in its per-vertex minima.  (A
+    counter of the box from the arguments cannot show this.)"""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = collections.Counter()
-        table, lp = polyhedron.conjugate_table, polyhedron.lp_min
+        table, evaluate = polyhedron.conjugate_table, polyhedron.conjugate_eval
 
         def counting_table(Phi):
             calls["table"] += 1
@@ -1056,12 +1060,12 @@ class TestSearchWork:
 
             return count
 
-        def counting_lp(sys, w):
-            calls["lp"] += 1
-            return lp(sys, w)
+        def counting_eval(p, t):
+            calls["eval"] += 1
+            return evaluate(p, t)
 
         monkeypatch.setattr(polyhedron, "conjugate_table", counting_table)
-        monkeypatch.setattr(polyhedron, "lp_min", counting_lp)
+        monkeypatch.setattr(polyhedron, "conjugate_eval", counting_eval)
         return calls
 
     @pytest.mark.parametrize("y_bound, share", [(6, 5), (12, 10)])
@@ -1098,12 +1102,10 @@ class TestSearchWork:
         assert rep.dual_value == 2 and rep.dual_witness == (1, 1)
         assert calls == {}
 
-    def test_mu_form_fallback(self, calls, monkeypatch):
+    def test_mu_form_fallback(self, calls):
         # a = 1/2 and 0 <= b, c <= 1: no integer point, so no certificate.
-        # The fallback minimizes per vertex over its normal cone: no exact
-        # LP, and a few hundred conjugates even on the 41^3 weights of +-20.
-        evaluate = polyhedron.conjugate_eval
-        monkeypatch.setattr(polyhedron, "conjugate_eval", lambda p, t: calls.update(("eval",)) or evaluate(p, t))
+        # The fallback minimizes per vertex over its normal cone: a few
+        # hundred conjugates and no table, even on the 41^3 weights of +-20.
         rows = (((2, 0, 0), 1), ((-2, 0, 0), -1), ((0, 1, 0), 0), ((0, -1, 0), -1), ((0, 0, 1), 0), ((0, 0, -1), -1))
         sys = LinearSystem(("a", "b", "c"), tuple(Row(c, b, GEQ) for c, b in rows))
         Phi = square_sum(sys.elements, (1, 2, 3))
@@ -1114,12 +1116,12 @@ class TestSearchWork:
             assert (mu.dual_value, mu.dual_witness) == (Fraction(1, 2), (1, 0, 0))
             if r < 20:
                 assert (mu.dual_value, mu.dual_witness) == naive_mu_form(sys, Phi, win)
-            assert calls["lp"] == 0 and 0 < calls["eval"] <= 300, calls
+            assert calls.keys() == {"eval"} and calls["eval"] <= 300, calls
 
     def test_minimizers_inside_a_face(self, calls):
         # x(E) = k, x >= 0 and Phi = sum a_j x_j^2, where the vertices
         # k e_j are not optimal: both searches read the certificate at the
-        # hull minimizer, with no conjugate and no exact LP, and return
+        # hull minimizer, evaluating no conjugate, and return
         # what the plain scans return.
         rng = random.Random(43)
         seen = 0
@@ -1145,7 +1147,7 @@ class TestSearchWork:
     def test_no_integral_vertex(self, calls):
         # The square -1 <= 2a <= 1, -1 <= 2b <= 1 has four fractional
         # vertices and one integer point, (0, 0): both searches certify
-        # there, with no conjugate and no exact LP.
+        # there, evaluating no conjugate.
         square = LinearSystem(("a", "b"), tuple(Row(c, -1, GEQ) for c in ((2, 0), (-2, 0), (0, 2), (0, -2))))
         Phi = square_sum(square.elements)
         win = Window.uniform(2, -6, 6)
