@@ -9,14 +9,14 @@ and their normal cones as systems, dual searches for the separable-convex
 min-max formulas, the disjoint-pair feasibility test, dilations, and a
 box-integrality probe.  Arithmetic is exact; witnesses are lex-least.
 
-The dual searches first read their answer at a primal point z: the one
-passed to the integer dual, else the first minimizer of Phi in the
-vertex hull box.  The duals worth Phi(z), the most weak duality allows,
-are the integer points of one small system (complementary slackness or
-the normal cone at z, and the fitting box of z), whose lex-first point
-is the scan's first maximizer.  Only when that system is empty does the
-integer dual scan its window, and the mu-form run the separable kernel
-once per vertex, on the vertex's normal cone, with no exact LP.
+The integer dual first reads its answer at a primal point z: the one
+passed, else the first minimizer of Phi in the vertex hull box.  The y
+worth Phi(z), the most weak duality allows, are the integer points of
+one small system (complementary slackness at z and the fitting box of
+z), whose lex-first point is the scan's first maximizer.  Only when that
+system is empty does it scan its window.  The mu-form needs no point:
+it runs the separable kernel once per vertex, on the vertex's normal
+cone read off the vertex table, with no exact LP.
 
 The box probe reads each basis's minor from one :class:`ratlin.Minors`
 table before it eliminates: a basis with minor 0 is singular and one
@@ -101,6 +101,7 @@ class LinearSystem:
         return len(self.elements)
 
     def contains(self, x: Sequence) -> bool:
+        _check_width(self, x, "point")
         return all(r.satisfied_by(x) for r in self.rows)
 
     def to_json(self):
@@ -214,6 +215,11 @@ class MinMaxReport:
 # Enumeration and exact LP
 
 
+def _check_width(sys: LinearSystem, x: Sequence, what: str) -> None:
+    if len(x) != sys.n:
+        raise ValueError(f"{what} length {len(x)} does not match the system's {sys.n} elements")
+
+
 def _rooms(sys: LinearSystem, lo: Sequence[int], hi: Sequence[int]):
     """For a depth-first scan of the box lo..hi: each row a.x >= b (and the
     negation of an equality row) has a room, its largest value over the
@@ -221,6 +227,7 @@ def _rooms(sys: LinearSystem, lo: Sequence[int], hi: Sequence[int]):
     clip(i, room), the x_i that keep every room >= 0 (x_i >= hi_i - room //
     a_i if a_i > 0, x_i <= lo_i + room // -a_i if a_i < 0); and fix(i,
     room, t), the rooms once x_i = t."""
+    _check_width(sys, lo, "window")
     rows = [(r.coeffs, r.rhs) for r in sys.rows]
     rows += [(tuple(-a for a in r.coeffs), -r.rhs) for r in sys.rows if r.kind == EQ]
     room = [sum(a * (h if a > 0 else l) for a, l, h in zip(c, lo, hi)) - b for c, b in rows]
@@ -284,6 +291,7 @@ def separable_first_minimum(sys: LinearSystem, win: Window,
     minimizer: one read per prefix (Murota, Discrete Convex Analysis,
     2003).  A part finite nowhere raises DomainError when the system has
     a point in the window, as the full scan does."""
+    _check_width(sys, win.lo, "window")  # zip below would drop extra coordinates
     fs = [_Memo(f) for f, _, _ in parts]
     span = [(max(a, l), min(b, h)) for (_, a, b), l, h in zip(parts, win.lo, win.hi)]
     try:
@@ -492,7 +500,7 @@ def vertex_hull_window(sys: LinearSystem) -> Window:
 def _hull_minimizer(sys: LinearSystem, Phi: SeparableConvex) -> Optional[Tuple[int, ...]]:
     """The first minimizer of Phi in the vertex hull box, by
     :func:`minimize_bruteforce`, or None when the system has no vertex or
-    Phi is +inf at each of its points there: the point z a dual search
+    Phi is +inf at each of its points there: the point z the integer dual
     given none reads its certificate at.  On a bounded system it is the
     integer minimizer, where the min-max formula puts a dual worth Phi(z)
     on a box-TDI system; any dual worth Phi(z) proves z optimal, and the
@@ -656,44 +664,32 @@ def mu_form_dual_search(
     first maximizer in lex order, or MINUS_INF and no w when no w has
     both terms finite.
 
-    For z the minimizer :func:`_hull_minimizer` finds, every w is worth
-    at most Phi(z), and those worth Phi(z) are the w in the normal cone
-    at z (mu_R(w) = w.z) and in its fitting box: :func:`find_weight_in_box`
-    with the box Phi'(z-1) <= w <= Phi'(z).  Its first w in lex order is
-    the answer, when there is one.  The per-vertex minima below give the
-    same answer alone, but build one tangent cone per vertex: on
-    criterion 7's small systems the certificate is the faster path.
-
-    Otherwise mu_R(w) = w.v on the normal cone of each vertex v of
-    :func:`_basic_data` (with D its denominator), and mu_R(w) is -inf off
-    their union.  So per vertex :func:`separable_first_minimum` finds the
-    first least sum of D conj(phi_j)(w_j) - w_j (D v_j), each part finite
-    on the slope range of phi_j, over the cone's points in the window;
-    the least over the vertices, the lex-least w on a tie, is -D times
-    the value (Ahuja and Orlin, Oper. Res. 49, 2001)."""
-    z = _hull_minimizer(sys, Phi)
-    w = None if z is None else find_weight_in_box(sys, z, Phi.prime_minus(z), Phi.prime(z), w_window)
-    if w is not None:
-        return MinMaxReport(dual_value=Phi.value(z), dual_witness=w,
-                            bounds_used={"w_window": w_window.to_json()})
-    big_d, vertices, _, _ = _basic_data(sys)
-    scaled = dilation(sys, big_d)  # its vertices are the ints v
+    mu_R(w) = w.v on the normal cone of each vertex v of :func:`_basic_data`
+    (with D its denominator), and mu_R(w) is -inf off their union.  The
+    cone is read off the same table: w.(D u - D v) >= 0 per other vertex
+    u, w.r >= 0 per ray r and w.l = 0 per lineality vector l, or the zero
+    row when there is none.  So per vertex :func:`separable_first_minimum`
+    finds the first least sum of D conj(phi_j)(w_j) - w_j (D v_j), each
+    part finite on the slope range of phi_j, over the cone's points in the
+    window; the least over the vertices, the lex-least w on a tie, is -D
+    times the value (Ahuja and Orlin, Oper. Res. 49, 2001)."""
+    Phi._check_len(sys.elements)
+    big_d, vertices, rays, lineality = _basic_data(sys)
+    recession = [Row(r, 0, GEQ) for r in rays] + [Row(l, 0, EQ) for l in lineality]
     found = []
     for v in vertices:
+        rows = [Row(tuple(a - b for a, b in zip(u, v)), 0, GEQ) for u in vertices if u != v] + recession
+        cone = LinearSystem(sys.elements, tuple(rows) or (Row((0,) * sys.n, 0, GEQ),))
         parts = [(lambda t, p=p, vj=vj: big_d * conjugate_eval(p, t) - t * vj, *p.slope_range())
                  for (_, p), vj in zip(Phi.parts, v)]
-        least, w = separable_first_minimum(normal_cone(tangent_cone(scaled, v)), w_window, parts)
+        least, w = separable_first_minimum(cone, w_window, parts)
         if w is not None:
             found.append((least, w))
-    best, arg = min(found, default=(None, None))
+    best, arg = min(found, default=(MINUS_INF, None))
     if arg is not None:
         best = Fraction(-best, big_d)
         best = best.numerator if best.denominator == 1 else best
-    return MinMaxReport(
-        dual_value=MINUS_INF if arg is None else best,
-        dual_witness=arg,
-        bounds_used={"w_window": w_window.to_json()},
-    )
+    return MinMaxReport(dual_value=best, dual_witness=arg, bounds_used={"w_window": w_window.to_json()})
 
 
 # ---------------------------------------------------------------------------

@@ -847,6 +847,9 @@ class TestBadInput:
 
 
 D2_INSTANCE = fixtures.d2_instance()
+P2_LIB = fixtures.p2_system()
+SQ2_PHI = conjugate.square_sum(P2_LIB.elements)
+WIN2 = polyhedron.Window.uniform(2, -6, 6)
 
 
 # The checks that only the library reaches raise ValueError with their message.
@@ -863,8 +866,25 @@ D2_INSTANCE = fixtures.d2_instance()
     (lambda: inverse.reduce_targets(fixtures.p2_system(), ()), "need at least one target"),
     (lambda: polyhedron.vertex_hull_window(polyhedron.LinearSystem(
         ("a",), (polyhedron.Row((1,), 1, "geq"), polyhedron.Row((-1,), 0, "geq")))), "system has no vertices"),
+    (lambda: polyhedron.tangent_cone(P2_LIB, (2,)), "point length 1 does not match the system's 2 elements"),
+    (lambda: polyhedron.find_weight_in_box(P2_LIB, (1, 1, 5), (-6, -6), (6, 6), WIN2),
+     "point length 3 does not match the system's 2 elements"),
+    (lambda: polyhedron.feasibility_condition(P2_LIB, (1, 1, 5), (0, 0, 0), (0, 0, 0)),
+     "window length 3 does not match the system's 2 elements"),
+    (lambda: polyhedron.minimize_bruteforce(P2_LIB, SQ2_PHI, polyhedron.Window.uniform(3, 0, 2)),
+     "window length 3 does not match the system's 2 elements"),
+    (lambda: polyhedron.minimize_bruteforce(P2_LIB, SQ2_PHI, polyhedron.Window.uniform(1, 0, 2)),
+     "window length 1 does not match the system's 2 elements"),
+    (lambda: next(polyhedron.enumerate_integer_points(P2_LIB, polyhedron.Window.uniform(1, 0, 2))),
+     "window length 1 does not match the system's 2 elements"),
+    (lambda: polyhedron.mu_form_dual_search(P2_LIB, conjugate.square_sum(("a",)), WIN2),
+     "expected 1 components, got 2"),
+    (lambda: polyhedron.mu_form_dual_search(P2_LIB, conjugate.square_sum(("a", "b", "c")), WIN2),
+     "expected 3 components, got 2"),
 ], ids=["flow-m-length", "flow-cost-length", "set-function-table", "window-length", "window-order",
-        "dilation-factor", "no-target", "hull-of-empty"])
+        "dilation-factor", "no-target", "hull-of-empty", "tangent-cone-point", "weight-box-point",
+        "feasibility-point", "primal-long-window", "primal-short-window", "points-short-window",
+        "mu-form-short-phi", "mu-form-long-phi"])
 def test_library_input_checks(call, needle):
     with pytest.raises(ValueError, match=re.escape(needle)):
         call()

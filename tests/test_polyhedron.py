@@ -952,13 +952,13 @@ def _certificate_corpus(seed):
 
 
 class TestCertificatesMatchNaiveOracles:
-    """Where a dual reaches Phi at the primal point, the integer dual and
-    the mu-form read it off their optimality systems; elsewhere they scan.
-    Either way they give what the plain scans give, at the hull minimizer
-    (given no point), at the windowed minimum and at a feasible point
-    that is not optimal, and the corpus reaches both branches (the
-    certificate's is an integer dual that builds no conjugate table, and
-    a mu-form whose find_weight_in_box finds a w)."""
+    """Where a dual reaches Phi at the primal point, the integer dual reads
+    it off its optimality system; elsewhere it scans.  Either way it gives
+    what the plain scan gives, at the hull minimizer (given no point), at
+    the windowed minimum and at a feasible point that is not optimal, and
+    the corpus reaches both branches (the certificate's builds no
+    conjugate table).  The mu-form, on its one path, gives what
+    naive_mu_form gives on the same corpus: int, Fraction and -inf values."""
 
     @pytest.fixture
     def tables(self, monkeypatch):
@@ -993,28 +993,23 @@ class TestCertificatesMatchNaiveOracles:
                         assert got == expected, (sys, Phi, y_bound, z)
         assert branches["certificate"] >= 20 and branches["scan"] >= 20, branches
 
-    def test_mu_form(self, monkeypatch):
-        weights = []
-        find = polyhedron.find_weight_in_box
-
-        def recording_find(*args):
-            weights.append(find(*args))
-            return weights[-1]
-
-        monkeypatch.setattr(polyhedron, "find_weight_in_box", recording_find)
+    def test_mu_form(self):
         rng, systems = _certificate_corpus(32)
-        branches = collections.Counter()
-        for sys in systems:
+        # The corpus's values are all int: add fractional vertices 1/2 and
+        # 3/2, and an empty system, for Fraction and -inf values.
+        half = LinearSystem(("x",), (Row((2,), 1, GEQ), Row((-2,), -3, GEQ)))
+        empty = LinearSystem(("x",), (Row((1,), 1, GEQ), Row((-1,), 0, GEQ)))
+        kinds = collections.Counter()
+        for sys in systems + [half, empty]:
             for Phi in self.objectives(rng, sys.elements):
                 for r in (1, 2) if sys.n <= 3 else (1,):
                     win = Window.uniform(sys.n, -r, r)
-                    weights.clear()
                     rep = mu_form_dual_search(sys, Phi, win)
-                    branches["certificate" if weights and weights[0] is not None else "scan"] += 1
                     value, w = naive_mu_form(sys, Phi, win)
                     assert (rep.dual_value, rep.dual_witness) == (value, w), (sys, Phi, r)
                     assert type(rep.dual_value) is type(value)
-        assert branches["certificate"] >= 10 and branches["scan"] >= 10, branches
+                    kinds["-inf" if value is MINUS_INF else type(value).__name__] += 1
+        assert kinds["int"] >= 10 and kinds["Fraction"] > 0 and kinds["-inf"] > 0, kinds
 
     def test_a_point_outside_the_system_is_refused(self):
         with pytest.raises(ValueError, match="not a point of the system"):
@@ -1036,14 +1031,19 @@ PATH = LinearSystem(("uv", "vw"), (
     Row((-1, 0), -2, EQ), Row((1, -1), 0, EQ), Row((0, 1), 2, EQ),
 ))
 
+# The square -1 <= 2a <= 1, -1 <= 2b <= 1: four fractional vertices and
+# one integer point, (0, 0).
+SQUARE = LinearSystem(("a", "b"), tuple(Row(c, -1, GEQ) for c in ((2, 0), (-2, 0), (0, 2), (0, -2))))
+
 
 class TestSearchWork:
-    """Where a dual reaches Phi at the primal point, the searches read it
-    off its optimality system and evaluate nothing: no conjugate table
+    """Where a dual reaches Phi at the primal point, the integer dual reads
+    it off its optimality system and evaluates nothing: no conjugate table
     ("table", "conj") and no conjugate_eval ("eval").  Where none does,
-    the integer dual's pruned scan evaluates conjugates on a share of its
-    box, and the mu-form a few hundred in its per-vertex minima.  (A
-    counter of the box from the arguments cannot show this.)"""
+    its pruned scan evaluates conjugates on a share of its box.  The
+    mu-form always runs one pruned minimum per vertex normal cone: a few
+    conjugate_evals per vertex and no table.  (A counter of the box from
+    the arguments cannot show this.)"""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -1098,14 +1098,15 @@ class TestSearchWork:
         assert 0 < calls["conj"] * 2 <= 2 ** 4 * 3 ** 3
 
     def test_mu_form(self, calls):
+        # 44 conjugates, where a scan of the window reads 2 * 13^2.
         rep = mu_form_dual_search(P2SYS, SQ, Window.uniform(2, -6, 6))
         assert rep.dual_value == 2 and rep.dual_witness == (1, 1)
-        assert calls == {}
+        assert calls.keys() == {"eval"} and calls["eval"] <= 50, calls
 
     def test_mu_form_fallback(self, calls):
-        # a = 1/2 and 0 <= b, c <= 1: no integer point, so no certificate.
-        # The fallback minimizes per vertex over its normal cone: a few
-        # hundred conjugates and no table, even on the 41^3 weights of +-20.
+        # a = 1/2 and 0 <= b, c <= 1: no integer point.  The search
+        # minimizes per vertex over its normal cone: a few hundred
+        # conjugates and no table, even on the 41^3 weights of +-20.
         rows = (((2, 0, 0), 1), ((-2, 0, 0), -1), ((0, 1, 0), 0), ((0, -1, 0), -1), ((0, 0, 1), 0), ((0, 0, -1), -1))
         sys = LinearSystem(("a", "b", "c"), tuple(Row(c, b, GEQ) for c, b in rows))
         Phi = square_sum(sys.elements, (1, 2, 3))
@@ -1120,9 +1121,10 @@ class TestSearchWork:
 
     def test_minimizers_inside_a_face(self, calls):
         # x(E) = k, x >= 0 and Phi = sum a_j x_j^2, where the vertices
-        # k e_j are not optimal: both searches read the certificate at the
-        # hull minimizer, evaluating no conjugate, and return
-        # what the plain scans return.
+        # k e_j are not optimal: the integer dual reads the certificate at
+        # the hull minimizer, evaluating no conjugate, the mu-form's n
+        # pruned minima evaluate about a hundred, and both return what the
+        # plain scans return.
         rng = random.Random(43)
         seen = 0
         for n, a_max, ks, y_bound, win in ((2, 3, (2, 5), 10, Window.uniform(2, -10, 10)),
@@ -1136,28 +1138,30 @@ class TestSearchWork:
                 if best == least_vertex_value(sys, Phi):
                     continue
                 seen += 1
+                calls.clear()
                 rep = dual_search_bruteforce(sys, Phi, y_bound)
+                assert calls == {}
                 mu = mu_form_dual_search(sys, Phi, win)
-                assert calls == {} and rep.dual_value == mu.dual_value == best
+                assert calls.keys() == {"eval"} and calls["eval"] <= 120, calls
+                assert rep.dual_value == mu.dual_value == best
                 got = (rep.dual_value, rep.dual_witness, rep.support_size, rep.bounds_used)
                 assert got == naive_dual_search(sys, Phi, y_bound)
                 assert (mu.dual_value, mu.dual_witness) == naive_mu_form(sys, Phi, win)
         assert seen >= 8
 
     def test_no_integral_vertex(self, calls):
-        # The square -1 <= 2a <= 1, -1 <= 2b <= 1 has four fractional
-        # vertices and one integer point, (0, 0): both searches certify
-        # there, evaluating no conjugate.
-        square = LinearSystem(("a", "b"), tuple(Row(c, -1, GEQ) for c in ((2, 0), (-2, 0), (0, 2), (0, -2))))
-        Phi = square_sum(square.elements)
+        # The integer dual certifies at (0, 0), evaluating no conjugate;
+        # the mu-form's four pruned minima evaluate 52.
+        Phi = square_sum(SQUARE.elements)
         win = Window.uniform(2, -6, 6)
-        rep = dual_search_bruteforce(square, Phi)
-        mu = mu_form_dual_search(square, Phi, win)
+        rep = dual_search_bruteforce(SQUARE, Phi)
         assert calls == {}
+        mu = mu_form_dual_search(SQUARE, Phi, win)
+        assert calls.keys() == {"eval"} and calls["eval"] <= 60, calls
         assert (rep.dual_value, rep.dual_witness.y, mu.dual_value, mu.dual_witness) == (0, (0,) * 4, 0, (0, 0))
         got = (rep.dual_value, rep.dual_witness, rep.support_size, rep.bounds_used)
-        assert got == naive_dual_search(square, Phi, 6)
-        assert (mu.dual_value, mu.dual_witness) == naive_mu_form(square, Phi, win)
+        assert got == naive_dual_search(SQUARE, Phi, 6)
+        assert (mu.dual_value, mu.dual_witness) == naive_mu_form(SQUARE, Phi, win)
 
     def test_certificates_evaluate_nothing(self, calls):
         rep = dual_search_bruteforce(PATH, square_sum(PATH.elements), 6)
@@ -1165,9 +1169,30 @@ class TestSearchWork:
         # Given the windowed minimum (1, 1) of P2.
         rep = dual_search_bruteforce(P2SYS, SQ, 6, (1, 1))
         assert (rep.dual_value, rep.dual_witness.y) == (2, (0, 0, 1))
+        assert calls == {}
+        # The mu-form has no certificate: the one vertex (2, 2) has all of
+        # R^2 as its normal cone, and one pruned minimum reads 16 conjugates.
         mu = mu_form_dual_search(PATH, square_sum(PATH.elements), Window.uniform(2, -6, 6))
         assert (mu.dual_value, mu.dual_witness) == (8, (3, 3))
-        assert calls == {}
+        assert calls.keys() == {"eval"} and calls["eval"] <= 20, calls
+
+    def test_mu_form_needs_no_point_and_no_tangent_cone(self, monkeypatch):
+        # Each vertex's normal cone comes off the vertex table, so the
+        # search runs with no hull minimizer, certificate, dilation or
+        # tangent cone.
+        s3 = dilation(s3_system(), 2)
+        cases = [(P2SYS, SQ, 6), (PATH, square_sum(PATH.elements), 6), (SQUARE, square_sum(SQUARE.elements), 6),
+                 (s3, square_sum(s3.elements, (1, 2, 1, 3, 1, 2)), 1)]
+        expected = [naive_mu_form(sys, Phi, Window.uniform(sys.n, -r, r)) for sys, Phi, r in cases]
+
+        def refuse(*args):
+            raise AssertionError("called")
+
+        for name in ("_hull_minimizer", "find_weight_in_box", "tangent_cone", "normal_cone", "dilation"):
+            monkeypatch.setattr(polyhedron, name, refuse)
+        for (sys, Phi, r), want in zip(cases, expected):
+            mu = mu_form_dual_search(sys, Phi, Window.uniform(sys.n, -r, r))
+            assert (mu.dual_value, mu.dual_witness) == want
 
 
 class TestWindowHelpers:
