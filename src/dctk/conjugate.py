@@ -11,8 +11,6 @@ Values are exact over arbitrary-precision ints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from operator import getitem
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, UnsupportedForm, require
@@ -455,14 +453,6 @@ class _Memo(dict):
     def __missing__(self, k: int) -> ExtInt:
         v = self[k] = self.f(k)
         return v
-
-
-def conjugate_table(Phi: SeparableConvex) -> Callable[[Sequence[int]], ExtInt]:
-    """Phi.conjugate for one search: each part's conjugate is kept per
-    entry of w, so a part is evaluated once per distinct entry; a part
-    whose domain is empty raises DomainError on the first call."""
-    memos = [_Memo(partial(conjugate_eval, p)) for _, p in Phi.parts]
-    return lambda w: sum(map(getitem, memos, w))
 
 
 def square_sum(elements: Iterable[str], coeffs: Optional[Sequence[int]] = None) -> SeparableConvex:

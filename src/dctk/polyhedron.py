@@ -2,21 +2,24 @@
 
 One lazy lex-order kernel lists a system's integer points in a box
 (:func:`enumerate_integer_points`), and one bound-pruned kernel finds
-their first least separable convex sum without listing them
-(:func:`separable_first_minimum`).  Also vertices, rays and emptiness
-by basic-solution enumeration, tangent cones (from :func:`_extreme_rays`)
-and their normal cones as systems, dual searches for the separable-convex
-min-max formulas, the disjoint-pair feasibility test, dilations, and a
-box-integrality probe.  Arithmetic is exact; witnesses are lex-least.
+their first least separable convex sum, plus convex terms of linear
+forms, without listing them (:func:`separable_first_minimum`).  Also
+vertices, rays and emptiness by basic-solution enumeration, tangent
+cones (from :func:`_extreme_rays`) and their normal cones as systems,
+dual searches for the separable-convex min-max formulas, the
+disjoint-pair feasibility test, dilations, and a box-integrality probe.
+Arithmetic is exact; witnesses are lex-least.
 
 The integer dual first reads its answer at a primal point z: the one
 passed, else the first minimizer of Phi in the vertex hull box.  The y
 worth Phi(z), the most weak duality allows, are the integer points of
 one small system (complementary slackness at z and the fitting box of
-z), whose lex-first point is the scan's first maximizer.  Only when that
-system is empty does it scan its window.  The mu-form needs no point:
-it runs the separable kernel once per vertex, on the vertex's normal
-cone read off the vertex table, with no exact LP.
+z), whose lex-first point is the first maximizer.  Only when that
+system is empty does it run the separable kernel, once, over its y box:
+the slack terms y_i slack_i are its parts and the conjugate terms of
+w = yQ its forms.  The mu-form needs no point: it runs the separable
+kernel once per vertex, on the vertex's normal cone read off the vertex
+table, with no exact LP.
 
 The box probe reads each basis's minor from one :class:`ratlin.Minors`
 table before it eliminates: a basis with minor 0 is singular and one
@@ -32,19 +35,17 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from math import lcm
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import ratlin
-from .conjugate import SeparableConvex, _Memo, conjugate_eval, conjugate_table
+from .conjugate import SeparableConvex, _Memo, conjugate_eval
 from .errors import CriteriaViolated, DomainError, NotFeasible, require
 from .extint import MINUS_INF, PLUS_INF, ExtInt, is_finite
 from .extint import to_json as ext_to_json
 
 GEQ = "geq"
 EQ = "eq"
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -275,51 +276,115 @@ def enumerate_integer_points(sys: LinearSystem, win: Window) -> Iterator[Tuple[i
     return scan(0, (), room) if min(room) >= 0 else iter(())
 
 
-def separable_first_minimum(sys: LinearSystem, win: Window,
-                            parts: Sequence[tuple]) -> Tuple[ExtInt, Optional[tuple]]:
-    """What :func:`first_minimum` of sum_j f_j(x_j) over
-    :func:`enumerate_integer_points` returns, without listing every point.
+def _first_argmin(f: _Memo, a: int, b: int) -> Optional[int]:
+    """The first argmin of a convex f on a..b, by bisection on its slope,
+    or None when a > b."""
+    return a + bisect_left(range(a, b), True, key=lambda t: f[t + 1] >= f[t]) if a <= b else None
+
+
+def separable_first_minimum(sys: LinearSystem, win: Window, parts: Sequence[tuple],
+                            forms: Sequence[tuple] = ()) -> Tuple[ExtInt, Optional[tuple]]:
+    """The least sum_j f_j(x_j) + sum_k g_k(a_k.x) over the system's integer
+    points in the window, and the first point in lex order that attains
+    it, or (PLUS_INF, None) when no point has a finite sum; without
+    listing every point.
 
     Per coordinate, parts holds (f_j, lo_j, hi_j): a convex function, read
     once per value through a memo, finite exactly on [lo_j, hi_j], which
-    cut the window.  Each part's least value there and its first argmin
-    m_j, by bisection on the slope, come first; their suffix sums bound
-    every completion.  A prefix not below the best by that bound is
-    dropped, and the loop over x_i then stops if x_i >= m_i, past which
-    the part does not fall.  Every value the clip leaves the last
-    coordinate completes a point, so m clamped to them is its lex-first
-    minimizer: one read per prefix (Murota, Discrete Convex Analysis,
-    2003).  A part finite nowhere raises DomainError when the system has
-    a point in the window, as the full scan does."""
+    cut the window.  forms holds convex terms of linear forms
+    (a_k, g_k, lo_k, hi_k), g_k finite exactly on [lo_k, hi_k]; that
+    interval, cut to the values a_k.x takes over the window, becomes two
+    rows, so the rooms of the scan carry the interval a_k.x can still
+    reach.  Each function's least value and first argmin (m_j, mu_k), by
+    bisection on the slope, come first; the parts' suffix sums plus the
+    forms' least values bound every completion.  A prefix not below the
+    best by that bound is dropped, and the loop over x_i then stops if
+    x_i >= m_i, past which the part does not fall.  A prefix is also
+    skipped when its gap, what the forms at mu_k clamped to their
+    reachable intervals add to that bound, lifts it to the best; as the
+    least of a convex function over a sliding interval, the gap is convex
+    in x_i, so the loop stops there if the lifted bound is not below the
+    last one computed.  Every value the clip leaves the last coordinate
+    completes a point, so with no forms m clamped to them is its
+    lex-first minimizer, one read per prefix (Murota, Discrete Convex
+    Analysis, 2003); with forms the value there is convex in x_last and
+    is walked up from the low end while it falls.  A part or form finite
+    nowhere raises DomainError when the system has a point in the
+    window, as the full scan does."""
     _check_width(sys, win.lo, "window")  # zip below would drop extra coordinates
     fs = [_Memo(f) for f, _, _ in parts]
     span = [(max(a, l), min(b, h)) for (_, a, b), l, h in zip(parts, win.lo, win.hi)]
     try:
-        m = [a + bisect_left(range(a, b), True, key=lambda t, f=f: f[t + 1] >= f[t]) if a <= b else None
-             for f, (a, b) in zip(fs, span)]
+        # Each part's first argmin m_j, then each form's mu_k.
+        m = [_first_argmin(f, a, b) for f, (a, b) in zip(fs, span)]
+        if forms and None not in m:
+            gs = [_Memo(g) for _, g, _, _ in forms]
+            cuts = [(max(lo, sum(min(c * a, c * b) for c, (a, b) in zip(coeffs, span))),
+                     min(hi, sum(max(c * a, c * b) for c, (a, b) in zip(coeffs, span))))
+                    for coeffs, _, lo, hi in forms]
+            m += [_first_argmin(g, a, b) for g, (a, b) in zip(gs, cuts)]
     except DomainError:
         if next(enumerate_integer_points(sys, win), None) is not None:
             raise
         return PLUS_INF, None
     if None in m:
         return PLUS_INF, None
-    room, clip, fix = _rooms(sys, *zip(*span))
-    bound = list(itertools.accumulate(reversed([f[mj] for f, mj in zip(fs, m)]), initial=0))[::-1]
-    best, arg = PLUS_INF, None
     last = sys.n - 1
+    floor = 0
+    if forms:
+        # Per form: its memo, mu_k, its cut interval lo..hi, the index r of
+        # its lower row, whose room is max a.x - lo (the upper row's, r + 1,
+        # is hi - min a.x), and c = a_last with lo - c * top, top the end of
+        # the last span that room was taken at: once x_last = t, a.x =
+        # room[r] + lo - c * top + c * t.
+        reach, rows = [], list(sys.rows)
+        for (coeffs, *_), g, k, (lo, hi) in zip(forms, gs, m[sys.n:], cuts):
+            c = coeffs[last]
+            reach.append((g, k, lo, hi, len(rows), c, lo - c * span[last][c > 0]))
+            rows += [Row(tuple(coeffs), lo, GEQ), Row(tuple(-v for v in coeffs), -hi, GEQ)]
+        sys = LinearSystem(sys.elements, tuple(rows))
+        floor = sum(g[k] for g, k, *_ in reach)
+
+        def gap(room: List[int]) -> int:
+            return sum(g[min(max(k, hi - room[r + 1]), lo + room[r])] for g, k, lo, hi, r, _, _ in reach) - floor
+
+        def at_last(room: List[int], t: int) -> int:
+            return fs[last][t] + sum(g[room[r] + base + c * t] for g, _, _, _, r, c, base in reach)
+
+    room, clip, fix = _rooms(sys, *zip(*span))
+    bound = list(itertools.accumulate(reversed([f[mj] for f, mj in zip(fs, m)]), initial=floor))[::-1]
+    best, arg = PLUS_INF, None
 
     def scan(i: int, head: Tuple[int, ...], room: List[int], value: int) -> None:
         nonlocal best, arg
         a, b = clip(i, room)
         if i == last:
-            t = min(max(m[i], a), b)
-            if a <= b and (v := value + fs[i][t]) < best:
-                best, arg = v, head + (t,)
+            if a > b:
+                return
+            if forms:
+                t, v = a, at_last(room, a)
+                while t < b and (w := at_last(room, t + 1)) < v:
+                    t, v = t + 1, w
+            else:
+                t = min(max(m[i], a), b)
+                v = fs[i][t]
+            if value + v < best:
+                best, arg = value + v, head + (t,)
             return
+        prev = PLUS_INF  # the last bound lifted by the gap
         for t in range(a, b + 1):
             v = value + fs[i][t]
             if v + bound[i + 1] < best:
-                scan(i + 1, head + (t,), fix(i, room, t), v)
+                fixed = fix(i, room, t)
+                if forms:
+                    lift = v + bound[i + 1] + gap(fixed)
+                    if lift >= best:
+                        if lift >= prev:
+                            break
+                        prev = lift
+                        continue
+                    prev = lift
+                scan(i + 1, head + (t,), fixed, v)
             elif t >= m[i]:
                 break
 
@@ -461,18 +526,6 @@ def verify_certificate(
     )
 
 
-def first_minimum(points: Iterable[T], f: Callable[[T], ExtInt]) -> Tuple[ExtInt, Optional[T]]:
-    """The least f over the points and the first point that attains it,
-    or (PLUS_INF, None) when no point has a finite f."""
-    best: ExtInt = PLUS_INF
-    arg = None
-    for x in points:
-        v = f(x)
-        if v < best:
-            best, arg = v, x
-    return best, arg
-
-
 def minimize_bruteforce(
     sys: LinearSystem, Phi: SeparableConvex, win: Window
 ) -> MinMaxReport:
@@ -545,34 +598,37 @@ def dual_search_bruteforce(
     worth at most Phi(z), and those worth Phi(z) are the y with y_i = 0
     where slack_i(z) > 0 and yQ in the fitting box of z
     (:func:`fitting_points`).  The first of them in lex order is the
-    first maximizer of the scan below, so when there is one it is the
-    answer, and support_within_2n reads on along the same points for one
-    with support <= 2n.
+    first maximizer, so when there is one it is the answer, and
+    support_within_2n reads on along the same points for one with
+    support <= 2n.
 
-    Otherwise (no z, or no y reaches Phi(z)) y runs depth-first in lex
-    order.  y is worth Phi(z) - sum_i y_i slack_i(z) - sum_j h_j(w_j),
-    with w = yQ and h_j(v) = conj(phi_j)(v) - v z_j + phi_j(z_j) >= 0
-    (Fenchel-Young), zero on the fitting interval of z_j and convex, and
-    y_i slack_i(z) >= 0.  Phi(z) less the prefix's slack terms bounds
-    each completion and falls as a multiplier rises, so a row's loop
-    stops once it is below the best value.  A prefix is also skipped
-    when that bound less the least h_j over the w_j the remaining rows
-    can still reach (the suffix sums of each row's least and greatest
-    t q_ij) is below it.  The last row's value is concave in its
-    multiplier; that loop also stops once the value is below the best
-    and falling, or +inf after finite.  Pruning is strict: value, first
-    witness and support_within_2n are those of the full scan.
+    Otherwise (no z, or no y reaches Phi(z)) one call of
+    :func:`separable_first_minimum` over the y box finds the answer.  For
+    any integral z0, with w = yQ, y.p - conj(Phi)(w) is minus
+    sum_i y_i slack_i(z0) + sum_j (conj(phi_j)(w_j) - w_j z0_j): parts
+    t slack_i(z0), and per column q_j of Q a form (q_j, conj(phi_j)(v) -
+    v z0_j, the slope range of phi_j).  z0 is z, or 0 when there is
+    none; a feasible z makes every slack term >= 0, so the loops stop
+    early.  The value is minus the least sum, the witness its lex-first
+    y.  support_within_2n holds when that y has support <= 2n, else
+    exactly when a call with some m - 2n multipliers pinned to 0 reaches
+    the same least.
     """
     if y_bound < 0:
         raise ValueError(f"y_bound must be >= 0, got {y_bound}")
+    Phi._check_len(sys.elements)
     rows = sys.rows
     ranges = [(0 if r.kind == GEQ else -y_bound, y_bound) for r in rows]
+    cols = [tuple(r.coeffs[j] for r in rows) for j in range(sys.n)]
+
+    def box(zero) -> Window:
+        """The y box with y_i = 0 for each i in zero."""
+        return Window(*zip(*((0, 0) if i in zero else t for i, t in enumerate(ranges))))
 
     def certificates(z):
         """(the first, the rest) of the y worth Phi(z) in lex order, or None."""
-        box = Window(*zip(*((0, 0) if r.slack(z) else t for r, t in zip(rows, ranges))))
-        cols = [tuple(r.coeffs[j] for r in rows) for j in range(sys.n)]
-        points = fitting_points(Phi.prime_minus(z), Phi.prime(z), cols, box)
+        zero = {i for i, r in enumerate(rows) if r.slack(z)}
+        points = fitting_points(Phi.prime_minus(z), Phi.prime(z), cols, box(zero))
         first = next(points, None)
         return None if first is None else (first, points)
 
@@ -591,69 +647,23 @@ def dual_search_bruteforce(
             support_size=y.support(),
             bounds_used={"y_bound": y_bound, "support_within_2n": small},
         )
-    slack = [0 if z is None else r.slack(z) for r in rows]
-    if z is not None:
-        # Per coordinate: the fitting interval of z_j, conj(phi_j), z_j and phi_j(z_j).
-        parts = [(lo, hi, _Memo(partial(conjugate_eval, p)), zj, p.value(zj))
-                 for lo, hi, (_, p), zj in zip(Phi.prime_minus(z), Phi.prime(z), Phi.parts, z)]
-        # reach[i][j]: the least and greatest sum of y_k q_kj over rows k >= i.
-        reach = [[(0, 0)] * sys.n]
-        for r, (lo, hi) in zip(reversed(rows), reversed(ranges)):
-            reach.append([(a + min(lo * q, hi * q), b + max(lo * q, hi * q))
-                          for (a, b), q in zip(reach[-1], r.coeffs)])
-        reach.reverse()
+    z0 = (0,) * sys.n if z is None else z
+    m = len(rows)
+    ys = LinearSystem(tuple(f"y{i}" for i in range(m)), (Row((0,) * m, 0, GEQ),))
+    parts = [(lambda t, s=r.slack(z0): t * s, MINUS_INF, PLUS_INF) for r in rows]
+    forms = [(c, lambda v, p=p, zj=zj: conjugate_eval(p, v) - v * zj, *p.slope_range())
+             for c, (_, p), zj in zip(cols, Phi.parts, z0)]
 
-    def gap(w: List[int], i: int) -> ExtInt:
-        """The least sum_j h_j over the w that rows i.. can still reach."""
-        total = 0
-        for wj, (a, b), (lo, hi, dual, zj, base) in zip(w, reach[i], parts):
-            v = wj + b if wj + b < lo else wj + a if wj + a > hi else None
-            if v is not None:
-                total += dual[v] - v * zj + base
-        return total
-
-    conj = conjugate_table(Phi)
-    best: ExtInt = MINUS_INF
-    arg: Optional[Tuple[int, ...]] = None
-    support_ok = False
-
-    def scan(head: Tuple[int, ...], w: List[int], pv: int, room: ExtInt) -> None:
-        nonlocal best, arg, support_ok
-        i = len(head)
-        r = rows[i]
-        prev = None  # the last finite value, in the last row
-        for t in range(ranges[i][0], y_bound + 1):
-            bound = room - t * slack[i]
-            if bound < best:
-                break
-            wt = [a + t * q for a, q in zip(w, r.coeffs)]
-            if i + 1 < len(rows):
-                if z is None or bound - gap(wt, i + 1) >= best:
-                    scan(head + (t,), wt, pv + t * r.rhs, bound)
-                continue
-            c = conj(wt)
-            if c is PLUS_INF:
-                if prev is not None:
-                    break
-                continue
-            val = pv + t * r.rhs - c
-            if val >= best:
-                small = sum(1 for v in head if v) + (t != 0) <= 2 * sys.n
-                if val > best:
-                    best, arg, support_ok = val, head + (t,), small
-                else:
-                    support_ok = support_ok or small
-            elif prev is not None and val < prev:
-                break
-            prev = val
-
-    scan((), [0] * sys.n, 0, PLUS_INF if z is None else Phi.value(z))
+    least, arg = separable_first_minimum(ys, box(()), parts, forms)
     y = None if arg is None else DualVector(arg)
+    small = y is not None and (y.support() <= 2 * sys.n or any(
+        separable_first_minimum(ys, box(zero), parts, forms)[0] == least
+        for zero in itertools.combinations(range(m), m - 2 * sys.n)))
     return MinMaxReport(
-        dual_value=best,
+        dual_value=-least,
         dual_witness=y,
         support_size=y.support() if y else 0,
-        bounds_used={"y_bound": y_bound, "support_within_2n": support_ok},
+        bounds_used={"y_bound": y_bound, "support_within_2n": small},
     )
 
 
@@ -716,21 +726,6 @@ def feasibility_condition(
         if sum(ell[i] for i in s_minus) > sum(u[i] for i in s_plus):
             return (False, (s_minus, s_plus))
     return (True, None)
-
-
-def find_weight_in_box(
-    sys: LinearSystem,
-    z_star: Sequence[int],
-    ell: Sequence[ExtInt],
-    u: Sequence[ExtInt],
-    w_window: Window,
-) -> Optional[Tuple[int, ...]]:
-    """First integral w in lex order in the window and in [ell, u] with
-    mu_R(w) = w.z*: the first of :func:`fitting_points` on the normal
-    cone at z*; None if there is none."""
-    cone = normal_cone(tangent_cone(sys, z_star))
-    units = [tuple(int(i == j) for i in range(sys.n)) for j in range(sys.n)]
-    return next(fitting_points(ell, u, units, w_window, cone.rows), None)
 
 
 def dilation(sys: LinearSystem, k: int) -> LinearSystem:

@@ -16,7 +16,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from dctk import ratlin
 from dctk.conjugate import (
@@ -46,12 +46,15 @@ from dctk.polyhedron import (
     _basic_data,
     dilation,
     enumerate_integer_points,
-    first_minimum,
+    fitting_points,
+    normal_cone,
+    tangent_cone,
     vertex_hull_window,
 )
 
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+T = TypeVar("T")
 
 
 def child_env(**extra: str) -> dict:
@@ -571,6 +574,19 @@ def frac_basic_data(sys: LinearSystem):
     return sorted(vertices), sorted(rays), lineality
 
 
+def first_minimum(points: Iterable[T], f: Callable[[T], ExtInt]) -> Tuple[ExtInt, Optional[T]]:
+    """The least f over the points and the first point that attains it,
+    or (PLUS_INF, None) when no point has a finite f: the full scan that
+    polyhedron.separable_first_minimum prunes."""
+    best: ExtInt = PLUS_INF
+    arg = None
+    for x in points:
+        v = f(x)
+        if v < best:
+            best, arg = v, x
+    return best, arg
+
+
 def lp_min(sys: LinearSystem, w: Sequence[int]):
     """Exact min{w.x : x in R}: (value, argmin), read off the vertices,
     rays and lineality of polyhedron._basic_data.
@@ -679,6 +695,22 @@ def naive_find_weight_in_box(sys: LinearSystem, z_star, ell, u, w_window: Window
                for l, wi, v in zip(ell, w, u)) and is_minimizer(sys, z_star, w):
             return w
     return None
+
+
+def find_weight_in_box(
+    sys: LinearSystem,
+    z_star: Sequence[int],
+    ell: Sequence[ExtInt],
+    u: Sequence[ExtInt],
+    w_window: Window,
+) -> Optional[Tuple[int, ...]]:
+    """First integral w in lex order in the window and in [ell, u] with
+    mu_R(w) = w.z*: the first of polyhedron.fitting_points on the normal
+    cone at z*; None if there is none.  The weight certificate at a given
+    point, which naive_find_weight_in_box checks by one exact LP per w."""
+    cone = normal_cone(tangent_cone(sys, z_star))
+    units = [tuple(int(i == j) for i in range(sys.n)) for j in range(sys.n)]
+    return next(fitting_points(ell, u, units, w_window, cone.rows), None)
 
 
 def rooted_squares(n: int, root: int) -> SupermodularFn:

@@ -62,7 +62,6 @@ from dctk.polyhedron import (
     dilation,
     dual_search_bruteforce,
     feasibility_condition,
-    find_weight_in_box,
     minimize_bruteforce,
     mu_form_dual_search,
     probe_box_integer,
@@ -75,6 +74,7 @@ from helpers import (
     dom_range,
     embedding_system,
     enumerate_flows,
+    find_weight_in_box,
     is_minimizer,
     padded_hull_window,
     random_digraph,

@@ -9,7 +9,7 @@ import pytest
 
 from dctk import cli, conjugate, fixtures, inverse, mconvex, netflow, polyhedron
 
-from helpers import child_env
+from helpers import child_env, find_weight_in_box
 
 SQ2 = {
     "e1": {"form": "quadratic", "a": 1},
@@ -408,11 +408,23 @@ class TestMinimizeCommands:
             '"status":"INCONCLUSIVE","window":{"hi":[3,3],"lo":[0,0]}}\n'))
 
     def test_boxtdi_empty_window_searches_no_dual(self, monkeypatch):
-        # No integer point in the window: the answer needs no dual, so
-        # no conjugate table is built.
-        tables = []
-        table = polyhedron.conjugate_table
-        monkeypatch.setattr(polyhedron, "conjugate_table", lambda Phi: tables.append(Phi) or table(Phi))
+        # No integer point in the window: the answer needs no dual, so the
+        # kernel runs once, for the primal, with no forms, and no
+        # conjugate is evaluated.
+        kernel, evaluate = polyhedron.separable_first_minimum, conjugate.conjugate_eval
+        calls = []
+
+        def counting_kernel(sys, win, parts, forms=()):
+            calls.append(("kernel", len(forms)))
+            return kernel(sys, win, parts, forms)
+
+        def counting_eval(p, t):
+            calls.append(("eval", t))
+            return evaluate(p, t)
+
+        monkeypatch.setattr(polyhedron, "separable_first_minimum", counting_kernel)
+        for module in (polyhedron, conjugate):
+            monkeypatch.setattr(module, "conjugate_eval", counting_eval)
         system = {"elements": ["e1", "e2"], "rows": [
             {"coeffs": [1, 0], "rhs": 10, "kind": "geq"}, {"coeffs": [0, 1], "rhs": 10, "kind": "geq"}]}
         p = run_cli([
@@ -422,7 +434,7 @@ class TestMinimizeCommands:
         assert (p.returncode, p.stdout) == (cli.EXIT_INCONCLUSIVE, (
             '{"detail":"no integer point in the window, but the system is not empty",'
             '"status":"INCONCLUSIVE","window":{"hi":[3,3],"lo":[0,0]}}\n'))
-        assert tables == []
+        assert calls == [("kernel", 0)]
 
     def test_mconvex_budget_exhausted_is_inconclusive(self):
         # z1 + z2 = 0 with z >= -30000: the optimum (0, 0) lies further
@@ -867,7 +879,7 @@ WIN2 = polyhedron.Window.uniform(2, -6, 6)
     (lambda: polyhedron.vertex_hull_window(polyhedron.LinearSystem(
         ("a",), (polyhedron.Row((1,), 1, "geq"), polyhedron.Row((-1,), 0, "geq")))), "system has no vertices"),
     (lambda: polyhedron.tangent_cone(P2_LIB, (2,)), "point length 1 does not match the system's 2 elements"),
-    (lambda: polyhedron.find_weight_in_box(P2_LIB, (1, 1, 5), (-6, -6), (6, 6), WIN2),
+    (lambda: find_weight_in_box(P2_LIB, (1, 1, 5), (-6, -6), (6, 6), WIN2),
      "point length 3 does not match the system's 2 elements"),
     (lambda: polyhedron.feasibility_condition(P2_LIB, (1, 1, 5), (0, 0, 0), (0, 0, 0)),
      "window length 3 does not match the system's 2 elements"),

@@ -22,7 +22,6 @@ from dctk.conjugate import (
     VShape,
     conjugate_closed,
     conjugate_eval,
-    conjugate_table,
     from_json,
     square_sum,
     subdifferential_interval,
@@ -370,26 +369,6 @@ class TestSeparable:
             (("a", VShape(3, -1, 1)), ("b", VShape(1, -1, 1)))
         )
         assert Phi.conjugate((0, 2)) is PLUS_INF
-
-    def test_conjugate_table_matches_conjugate(self):
-        import itertools
-
-        Phi = SeparableConvex(
-            (("a", VShape(0, -1, 1)), ("b", Quadratic(2)), ("c", Restricted(-3, 2, Quadratic(1))))
-        )
-        conj = conjugate_table(Phi)
-        for _ in range(2):  # cold, then every value memoized
-            for w in itertools.product(range(-4, 5), repeat=3):
-                assert conj(w) == Phi.conjugate(w)
-
-    def test_conjugate_table_keeps_domain_error(self):
-        # conj of k -> k is infinite at 0, but the second part is finite
-        # nowhere, which conjugate_eval reports whatever the argument.
-        Phi = SeparableConvex(
-            (("a", VShape(0, 1, 1)), ("b", Restricted(5, 6, VShape(0, -1, 1, -1, 1))))
-        )
-        with pytest.raises(DomainError):
-            conjugate_table(Phi)((0, 0))
 
     def test_prime(self):
         Phi = square_sum(["a", "b"])

@@ -30,11 +30,11 @@ from dctk.polyhedron import (
     Window,
     dilation,
     enumerate_integer_points,
-    find_weight_in_box,
     normal_cone,
 )
 
 from helpers import (
+    find_weight_in_box,
     is_minimizer,
     naive_integer_points,
     naive_find_weight_in_box,

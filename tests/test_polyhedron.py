@@ -42,8 +42,6 @@ from dctk.polyhedron import (
     dual_search_bruteforce,
     enumerate_integer_points,
     feasibility_condition,
-    find_weight_in_box,
-    first_minimum,
     is_empty,
     minimize_bruteforce,
     _basic_data,
@@ -56,6 +54,8 @@ from dctk.polyhedron import (
 
 from helpers import (
     embedding_system,
+    find_weight_in_box,
+    first_minimum,
     frac_basic_data,
     frac_det,
     frac_lp_min,
@@ -401,25 +401,48 @@ def _conjugate_parts(Phi):
     return [(lambda ell, p=p: conjugate_eval(p, ell), *p.slope_range()) for _, p in Phi.parts]
 
 
+def _random_forms(rng, n):
+    """One or two (a, g, lo, hi) with a in {-2..2}^n: a shape's values on
+    its domain, or its conjugate less c.v on its slope range."""
+    forms = []
+    for _ in range(rng.randint(1, 2)):
+        a = tuple(rng.randint(-2, 2) for _ in range(n))
+        p = _kernel_form(rng)
+        if rng.random() < 0.5:
+            forms.append((a, p.value, *p.dom()))
+        else:
+            c = rng.randint(-3, 3)
+            forms.append((a, lambda v, p=p, c=c: conjugate_eval(p, v) - c * v, *p.slope_range()))
+    return forms
+
+
 class TestSeparableFirstMinimum:
     """The bound-pruned kernel against the full scan it replaces:
     first_minimum over enumerate_integer_points, value for value and
     point for point."""
 
     @staticmethod
-    def matches_full_scan(seed, make_parts):
+    def matches_full_scan(seed, make_parts, make_forms=lambda rng, n: ()):
         """Kernel and full scan agree on every case; the counts of cases
-        with a finite answer, a value beyond 10**6 and tied minimizers."""
+        with a finite answer, a value beyond 10**6, tied minimizers and a
+        form below 0 at the minimizer."""
+        rng = random.Random(seed)
         seen = collections.Counter()
         for system, win, Phi in _kernel_cases(seed):
-            parts = make_parts(Phi)
-            values = {x: sum(f(v) for (f, _, _), v in zip(parts, x)) for x in enumerate_integer_points(system, win)}
+            parts, forms = make_parts(Phi), make_forms(rng, system.n)
+
+            def total(x):
+                return (sum(f(v) for (f, _, _), v in zip(parts, x))
+                        + sum(g(ratlin.dot(a, x)) for a, g, _, _ in forms))
+
+            values = {x: total(x) for x in enumerate_integer_points(system, win)}
             want = first_minimum(values, values.__getitem__)
-            assert separable_first_minimum(system, win, parts) == want, (system, win, Phi)
+            assert separable_first_minimum(system, win, parts, forms) == want, (system, win, Phi, forms)
             if want[1] is not None:
                 seen["finite"] += 1
                 seen["large"] += abs(want[0]) > 10**6
                 seen["ties"] += list(values.values()).count(want[0]) > 1
+                seen["negative form"] += any(g(ratlin.dot(a, want[1])) < 0 for a, g, _, _ in forms)
         return seen
 
     def test_value_parts_match_full_scan(self):
@@ -429,6 +452,11 @@ class TestSeparableFirstMinimum:
     def test_conjugate_parts_match_full_scan(self):
         seen = self.matches_full_scan(42, _conjugate_parts)
         assert seen["finite"] >= 100 and seen["large"] >= 5 and seen["ties"] >= 15, seen
+
+    def test_forms_match_full_scan(self):
+        # One or two convex terms of linear forms on top of the parts.
+        seen = self.matches_full_scan(44, _value_parts, _random_forms)
+        assert seen["finite"] >= 100 and seen["ties"] >= 5 and seen["negative form"] >= 20, seen
 
     def test_every_shape_on_both_sides(self):
         shapes = {type(p) for _, _, Phi in _kernel_cases(41) for _, p in Phi.parts}
@@ -451,15 +479,22 @@ class TestSeparableFirstMinimum:
         parts = [(far.value, *far.dom())] * 2
         assert separable_first_minimum(P2SYS, Window.uniform(2, 0, 2), parts) == (PLUS_INF, None)
 
-    def test_domain_error_as_the_conjugate_table(self):
-        # A part finite nowhere raises on its first read when the scan has
-        # a point, as conjugate_table does, and not when it has none.
-        Phi = SeparableConvex((("a", VShape(0, 1, 1)), ("b", Restricted(5, 6, VShape(0, -1, 1, -1, 1)))))
+    def test_domain_error_only_with_a_point(self):
+        # A part or form finite nowhere raises on its first read when the
+        # system has a point in the window, as the full scan does, and not
+        # when it has none.
+        nowhere = Restricted(5, 6, VShape(0, -1, 1, -1, 1))
+        Phi = SeparableConvex((("a", VShape(0, 1, 1)), ("b", nowhere)))
         parts = _conjugate_parts(Phi)
+        odd = LinearSystem(("x", "y"), (Row((2, 2), 1, EQ),))
         with pytest.raises(DomainError):
             separable_first_minimum(P2SYS, Window.uniform(2, -2, 2), parts)
-        odd = LinearSystem(("x", "y"), (Row((2, 2), 1, EQ),))
         assert separable_first_minimum(odd, Window.uniform(2, -2, 2), parts) == (PLUS_INF, None)
+        parts = _value_parts(square_sum(("x", "y")))
+        forms = [((1, -1), lambda v: conjugate_eval(nowhere, v), *nowhere.slope_range())]
+        with pytest.raises(DomainError):
+            separable_first_minimum(P2SYS, Window.uniform(2, -2, 2), parts, forms)
+        assert separable_first_minimum(odd, Window.uniform(2, -2, 2), parts, forms) == (PLUS_INF, None)
 
     def test_one_last_coordinate_read_per_prefix(self, monkeypatch):
         # Past the bisections, the last part is read at most once per
@@ -594,6 +629,23 @@ class TestMinMaxSearches:
         assert rep.dual_value == 1 and rep.dual_witness.y == (-1, 1, 1)
         assert rep.support_size == 3
         assert rep.bounds_used["support_within_2n"] is True
+
+    def test_dual_support_off_the_certificate(self):
+        # Empty systems, so no certificate: the kernel's witness has
+        # support 3 > 2n.  No best y has a smaller one in the first; in
+        # the second, (0, 0, 2, 2) with y_2 pinned to 0 is a later tie.
+        cases = (
+            (LinearSystem(("x",), (Row((2,), 2, EQ), Row((-1,), 2, GEQ), Row((-1,), 2, GEQ))),
+             SeparableConvex((("x", LinearPlus(-1, Quadratic(1))),)), 1, (6, (1, 1, 1), False)),
+            (LinearSystem(("x",), (Row((2,), 2, EQ), Row((2,), 1, GEQ), Row((1,), 2, GEQ), Row((2,), 2, GEQ))),
+             square_sum(("x",), (3,)), 2, (5, (-1, 0, 2, 2), True)),
+        )
+        for sys, Phi, y_bound, want in cases:
+            assert is_empty(sys)
+            rep = dual_search_bruteforce(sys, Phi, y_bound)
+            assert (rep.dual_value, rep.dual_witness.y, rep.bounds_used["support_within_2n"]) == want
+            got = (rep.dual_value, rep.dual_witness, rep.support_size, rep.bounds_used)
+            assert got == naive_dual_search(sys, Phi, y_bound)
 
     def test_mu_form(self):
         rep = mu_form_dual_search(P2SYS, SQ, Window.uniform(2, 0, 4))
@@ -953,26 +1005,34 @@ def _certificate_corpus(seed):
 
 class TestCertificatesMatchNaiveOracles:
     """Where a dual reaches Phi at the primal point, the integer dual reads
-    it off its optimality system; elsewhere it scans.  Either way it gives
-    what the plain scan gives, at the hull minimizer (given no point), at
-    the windowed minimum and at a feasible point that is not optimal, and
-    the corpus reaches both branches (the certificate's builds no
-    conjugate table).  The mu-form, on its one path, gives what
-    naive_mu_form gives on the same corpus: int, Fraction and -inf values."""
+    it off its optimality system; elsewhere it runs the separable kernel
+    with forms.  Either way it gives what the plain scan gives, at the
+    hull minimizer (given no point), at the windowed minimum and at a
+    feasible point that is not optimal, and the corpus reaches both
+    branches (the certificate's makes no kernel call with forms).  The
+    mu-form, on its one path, gives what naive_mu_form gives on the same
+    corpus: int, Fraction and -inf values."""
 
     @pytest.fixture
-    def tables(self, monkeypatch):
-        tables = []
-        table = polyhedron.conjugate_table
-        monkeypatch.setattr(polyhedron, "conjugate_table", lambda Phi: tables.append(Phi) or table(Phi))
-        return tables
+    def form_calls(self, monkeypatch):
+        """The kernel calls made with forms."""
+        calls = []
+        kernel = polyhedron.separable_first_minimum
+
+        def counting(sys, win, parts, forms=()):
+            if forms:
+                calls.append(sys)
+            return kernel(sys, win, parts, forms)
+
+        monkeypatch.setattr(polyhedron, "separable_first_minimum", counting)
+        return calls
 
     @staticmethod
     def objectives(rng, elements):
         return (square_sum(elements), random_search_objective(rng, elements),
                 large_slope_objective(rng, elements))
 
-    def test_integer_dual(self, tables):
+    def test_integer_dual(self, form_calls):
         rng, systems = _certificate_corpus(31)
         branches = collections.Counter()
         for sys in systems:
@@ -986,12 +1046,12 @@ class TestCertificatesMatchNaiveOracles:
                 for y_bound in sorted({0, 1, big}):
                     expected = naive_dual_search(sys, Phi, y_bound)
                     for z in points:
-                        before = len(tables)
+                        before = len(form_calls)
                         rep = dual_search_bruteforce(sys, Phi, y_bound, z)
-                        branches["scan" if len(tables) > before else "certificate"] += 1
+                        branches["kernel" if len(form_calls) > before else "certificate"] += 1
                         got = (rep.dual_value, rep.dual_witness, rep.support_size, rep.bounds_used)
                         assert got == expected, (sys, Phi, y_bound, z)
-        assert branches["certificate"] >= 20 and branches["scan"] >= 20, branches
+        assert branches["certificate"] >= 20 and branches["kernel"] >= 20, branches
 
     def test_mu_form(self):
         rng, systems = _certificate_corpus(32)
@@ -1038,34 +1098,24 @@ SQUARE = LinearSystem(("a", "b"), tuple(Row(c, -1, GEQ) for c in ((2, 0), (-2, 0
 
 class TestSearchWork:
     """Where a dual reaches Phi at the primal point, the integer dual reads
-    it off its optimality system and evaluates nothing: no conjugate table
-    ("table", "conj") and no conjugate_eval ("eval").  Where none does,
-    its pruned scan evaluates conjugates on a share of its box.  The
-    mu-form always runs one pruned minimum per vertex normal cone: a few
-    conjugate_evals per vertex and no table.  (A counter of the box from
-    the arguments cannot show this.)"""
+    it off its optimality system and evaluates no conjugate.  Where none
+    does, one kernel call with forms evaluates a few dozen through
+    polyhedron's conjugate_eval ("eval"), each once, and none by another
+    path ("other", the conjugate module's own binding).  The mu-form
+    always runs one pruned minimum per vertex normal cone: a few
+    conjugate_evals per vertex.  (A counter of the box from the arguments
+    cannot show this.)"""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = collections.Counter()
-        table, evaluate = polyhedron.conjugate_table, polyhedron.conjugate_eval
+        evaluate = conjugate.conjugate_eval
 
-        def counting_table(Phi):
-            calls["table"] += 1
-            conj = table(Phi)
+        def counting(key):
+            return lambda p, t: calls.update([key]) or evaluate(p, t)
 
-            def count(w):
-                calls["conj"] += 1
-                return conj(w)
-
-            return count
-
-        def counting_eval(p, t):
-            calls["eval"] += 1
-            return evaluate(p, t)
-
-        monkeypatch.setattr(polyhedron, "conjugate_table", counting_table)
-        monkeypatch.setattr(polyhedron, "conjugate_eval", counting_eval)
+        monkeypatch.setattr(polyhedron, "conjugate_eval", counting("eval"))
+        monkeypatch.setattr(conjugate, "conjugate_eval", counting("other"))
         return calls
 
     @pytest.mark.parametrize("y_bound, share", [(6, 5), (12, 10)])
@@ -1075,27 +1125,30 @@ class TestSearchWork:
         rep = dual_search_bruteforce(P2SYS, SQ, y_bound)
         assert rep.dual_value == 2 and rep.dual_witness.y == (0, 0, 1)
         assert calls == {}
-        # Given (0, 2), the scan runs and evaluates a share of its box.
+        # Given (0, 2), the kernel runs: 24 and 41 conjugates, under a
+        # 25th and a 50th of the 637 and 4,225 vectors of the y box.
         rep = dual_search_bruteforce(P2SYS, SQ, y_bound, (0, 2))
         assert rep.dual_value == 2 and rep.dual_witness.y == (0, 0, 1)
         box = (y_bound + 1) ** 2 * (2 * y_bound + 1)
-        assert 0 < calls["conj"] * share <= box
+        assert calls.keys() == {"eval"} and calls["eval"] * 5 * share <= box, calls
 
     def test_integer_dual_on_a_path_embedding(self, calls):
         # With Phi three times the square sum, a y with yQ in the fitting
-        # box [9, 15]^2 of (2, 2) needs a multiplier above 6: the scan
+        # box [9, 15]^2 of (2, 2) needs a multiplier above 6: the kernel
         # runs and stops short of Phi = 24.  Three equality rows have no
-        # slack to prune by, but the Fenchel-Young gap of yQ does.
+        # slack to prune by, but the gap of the forms yQ does: 37
+        # conjugates for 7^2 * 13^3 vectors.
         rep = dual_search_bruteforce(PATH, square_sum(PATH.elements, (3, 3)), 6)
         assert rep.dual_value == 18
-        assert 0 < calls["conj"] * 100 <= 7 ** 2 * 13 ** 3
+        assert calls.keys() == {"eval"} and calls["eval"] <= 40, calls
 
     def test_integer_dual_on_s3(self, calls):
-        # s3 is not box-TDI: the best y in the box is worth 2 < 3.
+        # s3 is not box-TDI: the best y in the box is worth 2 < 3; 29
+        # conjugates for 2^4 * 3^3 vectors.
         s3 = s3_system()
         rep = dual_search_bruteforce(s3, square_sum(s3.elements, (1, 2, 1, 3, 1, 2)), 1)
         assert (rep.dual_value, rep.dual_witness.y) == (2, (0, 1, 1, 0, 0, 0, 0))
-        assert 0 < calls["conj"] * 2 <= 2 ** 4 * 3 ** 3
+        assert calls.keys() == {"eval"} and calls["eval"] <= 30, calls
 
     def test_mu_form(self, calls):
         # 44 conjugates, where a scan of the window reads 2 * 13^2.
@@ -1106,7 +1159,7 @@ class TestSearchWork:
     def test_mu_form_fallback(self, calls):
         # a = 1/2 and 0 <= b, c <= 1: no integer point.  The search
         # minimizes per vertex over its normal cone: a few hundred
-        # conjugates and no table, even on the 41^3 weights of +-20.
+        # conjugates, even on the 41^3 weights of +-20.
         rows = (((2, 0, 0), 1), ((-2, 0, 0), -1), ((0, 1, 0), 0), ((0, -1, 0), -1), ((0, 0, 1), 0), ((0, 0, -1), -1))
         sys = LinearSystem(("a", "b", "c"), tuple(Row(c, b, GEQ) for c, b in rows))
         Phi = square_sum(sys.elements, (1, 2, 3))
@@ -1115,9 +1168,9 @@ class TestSearchWork:
             win = Window.uniform(3, -r, r)
             mu = mu_form_dual_search(sys, Phi, win)
             assert (mu.dual_value, mu.dual_witness) == (Fraction(1, 2), (1, 0, 0))
+            assert calls.keys() == {"eval"} and calls["eval"] <= 300, calls
             if r < 20:
                 assert (mu.dual_value, mu.dual_witness) == naive_mu_form(sys, Phi, win)
-            assert calls.keys() == {"eval"} and calls["eval"] <= 300, calls
 
     def test_minimizers_inside_a_face(self, calls):
         # x(E) = k, x >= 0 and Phi = sum a_j x_j^2, where the vertices
@@ -1188,7 +1241,7 @@ class TestSearchWork:
         def refuse(*args):
             raise AssertionError("called")
 
-        for name in ("_hull_minimizer", "find_weight_in_box", "tangent_cone", "normal_cone", "dilation"):
+        for name in ("_hull_minimizer", "tangent_cone", "normal_cone", "dilation"):
             monkeypatch.setattr(polyhedron, name, refuse)
         for (sys, Phi, r), want in zip(cases, expected):
             mu = mu_form_dual_search(sys, Phi, Window.uniform(sys.n, -r, r))

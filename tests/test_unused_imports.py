@@ -1,6 +1,6 @@
 """Every module of the package uses each name it imports, every
-private function, class and method is used, and the code names README
-cites exist.
+private function, class and method is used, every function has a caller
+or is an entry point, and the code names README cites exist.
 
 Static checks by the standard library's `ast`: the names an import
 binds at any level of a module must each be read somewhere in it, in
@@ -8,7 +8,9 @@ code or in an annotation (string annotations are parsed too).
 `__init__.py` is exempt: its imports are the package's exports.  A
 module-level function or class, or a method, whose name starts with one
 underscore must be referenced somewhere in the package outside its own
-body (so a recursive leftover counts as unused).  In README's
+body (so a recursive leftover counts as unused).  A module-level
+function must also be referenced outside its own body, exported by
+`__init__.py` or listed in ENTRY_POINTS.  In README's
 backticked spans, each `_private` name must be bound somewhere in the
 package, and each `Head.attr` whose head is a module or class of the
 package must be bound at the top level of that module or in that
@@ -130,6 +132,47 @@ def test_check_sees_an_unused_private_definition():
         "b.py": "from .a import _used\nx = _C\n",
     }
     assert unused_private(sources) == [("a.py", "_m"), ("a.py", "_recursive")]
+
+
+# Public functions the package calls nowhere itself, reached by module
+# path: the min-max certificate check, the mu-form dual and the
+# disjoint-pair test (acceptance criteria 7 and 8, perfbench's criterion-7
+# call), and the builders of linear and inverse-deviation objectives.
+ENTRY_POINTS = ("verify_certificate", "mu_form_dual_search", "feasibility_condition",
+                "linear_cost", "l1_deviation", "weighted_l1_deviation", "box_deviation")
+
+
+def uncalled_functions(sources: dict, entry_points=ENTRY_POINTS) -> list:
+    """(module, name) of each module-level function that nothing outside
+    its own body refers to, that __init__.py does not import and that is
+    not an entry point."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    exported = {alias.asname or alias.name for alias in
+                (a for n in ast.walk(trees["__init__.py"]) if isinstance(n, ast.ImportFrom) for a in n.names)}
+    everywhere = [r for name, tree in trees.items() if name != "__init__.py" for r in references(tree)]
+    return sorted((module, d.name) for module, tree in trees.items() for d in tree.body
+                  if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and d.name not in exported and d.name not in entry_points
+                  and everywhere.count(d.name) == references(d).count(d.name))
+
+
+def test_every_src_function_has_a_caller():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert uncalled_functions(sources) == []
+
+
+def test_check_sees_an_uncalled_function():
+    sources = {
+        "__init__.py": "from .a import exported\n",
+        "a.py": (
+            "def exported(): return 1\n"
+            "def called(): return 2\n"
+            "def orphan(k): return orphan(k - 1) if k else called()\n"
+            "def entry(): return 3\n"
+        ),
+        "b.py": "from .a import called\n",
+    }
+    assert uncalled_functions(sources, entry_points=("entry",)) == [("a.py", "orphan")]
 
 
 def bound_names(nodes) -> set:
