@@ -21,7 +21,7 @@ import sys
 from typing import Optional, Sequence, Tuple
 
 from . import conjugate as cj
-from . import fixtures, inverse, mconvex, netflow, polyhedron
+from . import fixtures, inverse, mconvex, netflow, polyhedron, ratlin
 from .errors import (
     CriteriaViolated,
     DctkError,
@@ -270,19 +270,20 @@ def _cmd_inverse(args) -> Outcome:
     sys_ = polyhedron.LinearSystem.from_json(_load_json(args.system))
     targets = tuple(_int_vector("--target", t) for t in args.target)
     dev = cj.separable_from_json(_load_json(args.deviation), sys_.elements)
-    inst = inverse.InverseInstance(sys_, targets, dev)
+    cone = polyhedron.tangent_cone(sys_, *targets)
     w_win = polyhedron.Window.uniform(sys_.n, *_parse_range("--w-window", args.w_window))
-    w_star, value = inverse.inverse_minimize(inst, w_win)
+    w_star, value = inverse.inverse_minimize(cone, dev, w_win)
     z_win = inverse.default_z_window(dev)
-    dual = inverse.inverse_dual_search(inst.cone, dev, z_win, w_star)
+    dual = inverse.inverse_dual_search(cone, dev, z_win)
+    z = dual.dual_witness
     payload = {
         "w_star": list(w_star),
         "value": ext_json(value),
         "dual_value": ext_json(dual.dual_value),
-        "dual_witness": list(dual.dual_witness) if dual.dual_witness else None,
+        "dual_witness": list(z) if z else None,
         "checks": {
-            "orthogonal": dual.bounds_used.get("orthogonal"),
-            "fitting": dual.bounds_used.get("fitting"),
+            "orthogonal": None if z is None else ratlin.dot(w_star, z) == 0,
+            "fitting": None if z is None else dev.first_unfit(w_star, z) is None,
         },
         "bounds_used": {"w_window": w_win.to_json(), "z_window": z_win.to_json()},
     }

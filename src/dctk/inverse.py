@@ -1,58 +1,39 @@
 """Inverse optimization over integral linear systems.
 
-Given a feasible point z0 of [Q'x >= p', Q=x = p=] and a separable
-convex deviation Phi (typically a distance from a reference cost w0),
-find an integral cost w minimizing Phi(w) among those making z0 a
-w-minimizer.  The dual side maximizes -conj(Phi)(z) over the integer
-points of the tangent cone at z0.  Multi-target instances reduce to a
-single target on the dilated system.
+Given feasible points z1, ..., zk of [Q'x >= p', Q=x = p=] and a
+separable convex deviation Phi (typically a distance from a reference
+cost w0), find an integral cost w minimizing Phi(w) among those making
+every target a w-minimizer: the w in the normal cone of the targets'
+tangent cone (:func:`polyhedron.tangent_cone`, built once by the
+caller).  The dual side maximizes -conj(Phi)(z) over the integer points
+of that tangent cone, which is the mu-form of the normal-cone system.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import List, Optional, Sequence, Tuple
+from functools import partial
+from typing import List, Sequence, Tuple
 
-from . import ratlin
 from .conjugate import FlatBottom, SeparableConvex, VShape, conjugate_eval
-from .errors import NoFeasibleWeight, NotFeasible
+from .errors import NoFeasibleWeight
 from .extint import ExtInt, is_finite
 from .polyhedron import (
-    LinearSystem,
     MinMaxReport,
     TangentCone,
     Window,
-    dilation,
     minimize_bruteforce,
     normal_cone,
     separable_first_minimum,
-    tangent_cone,
 )
 
 
-@dataclass(frozen=True)
-class InverseInstance:
-    parent: LinearSystem
-    targets: Tuple[Tuple[int, ...], ...]
-    deviation: SeparableConvex
-
-    def __post_init__(self):
-        self.cone  # checks each target once, in reduce_targets
-
-    @cached_property
-    def cone(self) -> TangentCone:
-        """The tangent cone at the targets' sum on the k-dilated system."""
-        return tangent_cone(*reduce_targets(self.parent, self.targets))
-
-
 def inverse_minimize(
-    inst: InverseInstance, w_window: Window
+    cone: TangentCone, deviation: SeparableConvex, w_window: Window
 ) -> Tuple[Tuple[int, ...], ExtInt]:
     """The cheapest admissible integral cost: :func:`minimize_bruteforce`
-    of the deviation over the normal cone at the (combined) target, the
-    first least value in lex order."""
-    rep = minimize_bruteforce(normal_cone(inst.cone), inst.deviation, w_window)
+    of the deviation over the normal cone of the targets' tangent cone,
+    the first least value in lex order."""
+    rep = minimize_bruteforce(normal_cone(cone), deviation, w_window)
     if rep.primal_witness is None:
         raise NoFeasibleWeight(
             "no integral cost in the window makes the target optimal"
@@ -61,47 +42,18 @@ def inverse_minimize(
 
 
 def inverse_dual_search(
-    cone: TangentCone,
-    deviation: SeparableConvex,
-    z_window: Window,
-    w_star: Optional[Sequence[int]] = None,
+    cone: TangentCone, deviation: SeparableConvex, z_window: Window
 ) -> MinMaxReport:
     """max -conj(Phi)(z) over integer points of the tangent cone: the
     first least conjugate, negated, by :func:`separable_first_minimum`
-    with each part's conjugate finite on its slope range.
-
-    When the primal witness w* is supplied, the report also records the
-    orthogonality (w*.z* = 0) and fitting (Phi'(w*-1) <= z* <= Phi'(w*))
-    checks for the best pair.
-    """
+    with each part's conjugate finite on its slope range."""
     parts = [(partial(conjugate_eval, p), *p.slope_range()) for _, p in deviation.parts]
     least, arg = separable_first_minimum(cone.cone_system, z_window, parts)
-    report = MinMaxReport(
+    return MinMaxReport(
         dual_value=-least,
         dual_witness=arg,
         bounds_used={"z_window": z_window.to_json()},
     )
-    if w_star is not None and arg is not None:
-        report.bounds_used["orthogonal"] = ratlin.dot(w_star, arg) == 0
-        report.bounds_used["fitting"] = deviation.first_unfit(w_star, arg) is None
-    return report
-
-
-def reduce_targets(
-    sys: LinearSystem, targets: Sequence[Sequence[int]]
-) -> Tuple[LinearSystem, Tuple[int, ...]]:
-    """k targets on R, each with n entries and a point of R, become one
-    target (their sum) on the k-dilation."""
-    k = len(targets)
-    if k < 1:
-        raise ValueError("need at least one target")
-    for z in targets:
-        if len(z) != sys.n:
-            raise ValueError(f"target {tuple(z)} needs {sys.n} entries")
-        if not sys.contains(z):
-            raise NotFeasible(f"target {tuple(z)} violates the system")
-    z0 = tuple(sum(t[i] for t in targets) for i in range(sys.n))
-    return dilation(sys, k), z0
 
 
 # ---------------------------------------------------------------------------

@@ -139,11 +139,6 @@ class Window:
     def uniform(cls, n: int, lo: int, hi: int) -> "Window":
         return cls((lo,) * n, (hi,) * n)
 
-    def points(self) -> Iterator[Tuple[int, ...]]:
-        """Every integer point, lazily, in lex order: :func:`fitting_points`
-        with no box and no row, so no range is copied."""
-        return fitting_points((), (), (), self) if self.lo else iter(((),))
-
     def __contains__(self, x) -> bool:
         return all(l <= v <= h for l, v, h in zip(self.lo, x, self.hi))
 
@@ -188,8 +183,6 @@ class MinMaxReport:
         def enc(v):
             if v is None:
                 return None
-            if isinstance(v, bool):
-                return v
             if isinstance(v, Fraction):
                 return v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
             if isinstance(v, int):
@@ -453,7 +446,7 @@ def is_empty(sys: LinearSystem) -> bool:
 
 @dataclass(frozen=True)
 class TangentCone:
-    """The rows tight at a point, right-hand sides zeroed, and generators:
+    """The rows tight at the targets, right-hand sides zeroed, and generators:
     the cone is span(lineality) + the nonnegative combinations of rays."""
 
     cone_system: LinearSystem
@@ -461,18 +454,24 @@ class TangentCone:
     lineality: Tuple[Tuple[int, ...], ...]
 
 
-def tangent_cone(sys: LinearSystem, z0: Sequence[int]) -> TangentCone:
-    """The tangent cone at z0; equality rows are always included.  Its rays
-    are the extreme rays of its few rows, those tight at z0, made pointed by
-    :func:`_pointed`: one null space per (n-1)-subset, with no t column."""
-    z0 = tuple(z0)
-    if not sys.contains(z0):
-        raise NotFeasible(f"z0={z0} violates the system")
+def tangent_cone(sys: LinearSystem, *targets: Sequence[int]) -> TangentCone:
+    """The tangent cone at the targets: the equality rows and the rows
+    tight at every target.  Each target meets each row, so these are the
+    rows tight at the targets' sum on the k-dilation.  Its rays are the
+    extreme rays of its few rows, made pointed by :func:`_pointed`: one
+    null space per (n-1)-subset, with no t column."""
+    if not targets:
+        raise ValueError("need at least one target")
+    for z in targets:
+        if len(z) != sys.n:
+            raise ValueError(f"target {tuple(z)} needs {sys.n} entries")
+        if not sys.contains(z):
+            raise NotFeasible(f"target {tuple(z)} violates the system")
     rows: List[Row] = []
     for r in sys.rows:
         if r.kind == EQ:
             rows.append(Row(r.coeffs, 0, EQ))
-        elif r.slack(z0) == 0:
+        elif all(r.slack(z) == 0 for z in targets):
             rows.append(Row(r.coeffs, 0, GEQ))
     if not rows:
         rows.append(Row((0,) * sys.n, 0, GEQ))

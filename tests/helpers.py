@@ -224,8 +224,7 @@ def random_flow_instance(rng: random.Random, cap: int = 3) -> FlowInstance:
 
 def window_points(win: Window) -> Iterator[Tuple[int, ...]]:
     """Every integer point of the window, lazily, in lex order, by a plain
-    recursive scan: the oracle for Window.points, which runs the
-    integer-point kernel."""
+    recursive scan."""
 
     def scan(head: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
         if len(head) == len(win.lo):
@@ -668,18 +667,17 @@ def is_minimizer(sys: LinearSystem, z0: Sequence[int], w: Sequence[int]) -> bool
     return val == sum(a * b for a, b in zip(w, z0))
 
 
-def naive_inverse_minimize(inst, w_window: Window):
+def naive_inverse_minimize(parent: LinearSystem, targets, deviation: SeparableConvex, w_window: Window):
     """(w, value) of the cheapest w in the window that makes the targets
     optimal, by one exact LP per w in lex order (the first least value
     wins); the k targets become their sum on the k-dilation."""
-    targets = inst.targets
-    z0 = tuple(sum(t[i] for t in targets) for i in range(inst.parent.n))
-    sys = dilation(inst.parent, len(targets))
+    z0 = tuple(sum(t[i] for t in targets) for i in range(parent.n))
+    sys = dilation(parent, len(targets))
     best: ExtInt = PLUS_INF
     arg = None
     for w in window_points(w_window):
         if is_minimizer(sys, z0, w):
-            v = inst.deviation.value(w)
+            v = deviation.value(w)
             if v < best:
                 best, arg = v, w
     if arg is None:

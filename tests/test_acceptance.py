@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from dctk import ratlin
 from dctk.conjugate import (
     SeparableConvex,
     conjugate_closed,
@@ -32,13 +33,10 @@ from dctk.fixtures import (
     s3_system,
 )
 from dctk.inverse import (
-    InverseInstance,
     default_z_window,
     inverse_dual_search,
     inverse_minimize,
     l1_deviation,
-    reduce_targets,
-    tangent_cone,
 )
 from dctk.mconvex import (
     enumerate_bases,
@@ -65,6 +63,7 @@ from dctk.polyhedron import (
     minimize_bruteforce,
     mu_form_dual_search,
     probe_box_integer,
+    tangent_cone,
     verify_certificate,
     vertex_hull_window,
 )
@@ -379,7 +378,7 @@ def test_criterion_9_inverse_duality():
         sys0 = p2_system()
         dev0 = l1_deviation((3, 1), sys0.elements)
         w, v = inverse_minimize(
-            InverseInstance(sys0, ((2, 0),), dev0), Window.uniform(2, -5, 7)
+            tangent_cone(sys0, (2, 0)), dev0, Window.uniform(2, -5, 7)
         )
         assert v == 2
 
@@ -393,14 +392,15 @@ def test_criterion_9_inverse_duality():
             target = rng.choice(bases)
             w0 = tuple(rng.randint(-2, 2) for _ in range(2))
             dev = l1_deviation(w0, sys.elements)
-            inst = InverseInstance(sys, (tuple(target),), dev)
-            w, v = inverse_minimize(inst, wwin)
-            assert is_minimizer(sys, target, w)
             cone = tangent_cone(sys, target)
-            rep = inverse_dual_search(cone, dev, default_z_window(dev), w)
+            w, v = inverse_minimize(cone, dev, wwin)
+            assert is_minimizer(sys, target, w)
+            rep = inverse_dual_search(cone, dev, default_z_window(dev))
             assert rep.dual_value == v
-            assert rep.bounds_used["orthogonal"]
-            assert rep.bounds_used["fitting"]
+            orthogonal = ratlin.dot(w, rep.dual_witness) == 0
+            fitting = dev.first_unfit(w, rep.dual_witness) is None
+            assert orthogonal
+            assert fitting
         multi = 0
         while multi < 20:
             sys = to_system(random_supermodular(rng, 2, value_bound=2))
@@ -411,12 +411,10 @@ def test_criterion_9_inverse_duality():
             targets = tuple(tuple(rng.choice(bases)) for _ in range(k))
             w0 = tuple(rng.randint(-2, 2) for _ in range(2))
             dev = l1_deviation(w0, sys.elements)
-            inst = InverseInstance(sys, targets, dev)
-            w, v = inverse_minimize(inst, wwin)
+            cone = tangent_cone(sys, *targets)
+            w, v = inverse_minimize(cone, dev, wwin)
             assert all(is_minimizer(sys, t, w) for t in targets)
-            big_sys, z0 = reduce_targets(sys, targets)
-            cone = tangent_cone(big_sys, z0)
-            rep = inverse_dual_search(cone, dev, default_z_window(dev), w)
+            rep = inverse_dual_search(cone, dev, default_z_window(dev))
             assert rep.dual_value == v
             multi += 1
 

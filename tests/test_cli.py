@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from dctk import cli, conjugate, fixtures, inverse, mconvex, netflow, polyhedron
+from dctk import cli, conjugate, fixtures, mconvex, netflow, polyhedron
 
 from helpers import child_env, find_weight_in_box
 
@@ -875,12 +875,11 @@ WIN2 = polyhedron.Window.uniform(2, -6, 6)
     (lambda: polyhedron.Window((0,), (1, 1)), "lo/hi length mismatch"),
     (lambda: polyhedron.Window((1, 0), (0, 0)), "need lo <= hi componentwise"),
     (lambda: polyhedron.dilation(fixtures.p2_system(), 0), "dilation factor must be >= 1"),
-    (lambda: inverse.reduce_targets(fixtures.p2_system(), ()), "need at least one target"),
+    (lambda: polyhedron.tangent_cone(P2_LIB), "need at least one target"),
     (lambda: polyhedron.vertex_hull_window(polyhedron.LinearSystem(
         ("a",), (polyhedron.Row((1,), 1, "geq"), polyhedron.Row((-1,), 0, "geq")))), "system has no vertices"),
-    (lambda: polyhedron.tangent_cone(P2_LIB, (2,)), "point length 1 does not match the system's 2 elements"),
-    (lambda: find_weight_in_box(P2_LIB, (1, 1, 5), (-6, -6), (6, 6), WIN2),
-     "point length 3 does not match the system's 2 elements"),
+    (lambda: polyhedron.tangent_cone(P2_LIB, (2,)), "target (2,) needs 2 entries"),
+    (lambda: find_weight_in_box(P2_LIB, (1, 1, 5), (-6, -6), (6, 6), WIN2), "target (1, 1, 5) needs 2 entries"),
     (lambda: polyhedron.feasibility_condition(P2_LIB, (1, 1, 5), (0, 0, 0), (0, 0, 0)),
      "window length 3 does not match the system's 2 elements"),
     (lambda: polyhedron.minimize_bruteforce(P2_LIB, SQ2_PHI, polyhedron.Window.uniform(3, 0, 2)),
@@ -932,6 +931,36 @@ class TestVerdictIsTheCommandsOwnCheck:
         assert (out["report"]["dual_value"], out["report"]["equality"]) == (0, False)
 
 
+class TestFileInputs:
+    """Every instance flag takes a path to a JSON file as well as inline
+    JSON, and a file that is missing or not JSON exits 4 with a message."""
+
+    @pytest.mark.parametrize("name, flags", [
+        ("inverse", ("--system", "--deviation")),
+        ("minimize-boxtdi", ("--instance", "--phi")),
+    ])
+    def test_file_paths_print_what_inline_json_prints(self, tmp_path, name, flags):
+        argv = list(GOLDEN[name][0])
+        for flag in flags:
+            i = argv.index(flag) + 1
+            path = tmp_path / f"{flag.lstrip('-')}.json"
+            path.write_text(argv[i], encoding="utf-8")
+            argv[i] = str(path)
+        p = run_cli(argv)
+        assert (p.returncode, p.stdout, p.stderr) == (cli.EXIT_OK, GOLDEN[name][1] + "\n", "")
+
+    @pytest.mark.parametrize("content", [None, "{\"elements\": [", "not json"],
+                             ids=["missing-file", "truncated-json", "bare-word"])
+    def test_unreadable_file_is_invalid(self, tmp_path, content):
+        path = tmp_path / "system.json"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        p = run_cli(["inverse", "--system", str(path), "--target", "[2,0]",
+                     "--deviation", json.dumps(DEV2), "--w-window=-1..5"])
+        assert (p.returncode, p.stdout) == (cli.EXIT_INVALID, "")
+        assert p.stderr.startswith("error:"), p.stderr
+
+
 class TestInverseCommand:
     def test_worked_example(self):
         p = run_cli([
@@ -945,6 +974,12 @@ class TestInverseCommand:
         out = json.loads(p.stdout)
         assert out["value"] == out["dual_value"] == 2
         assert out["checks"] == {"orthogonal": True, "fitting": True}
+
+    def test_targets_checked_before_the_window(self):
+        # A target off the system and an empty window: the target is named.
+        p = run_cli(TestBadInput.INVERSE + ["--target", "[1,0]", "--w-window=3..1"])
+        assert (p.returncode, p.stdout, p.stderr) == (
+            cli.EXIT_CRITERIA, '{"detail":"target (1, 0) violates the system","status":"CRITERIA_VIOLATED"}\n', "")
 
 
 class TestProbeCommand:

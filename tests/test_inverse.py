@@ -11,14 +11,11 @@ from dctk.errors import NoFeasibleWeight, NotFeasible
 from dctk.extint import MINUS_INF, PLUS_INF
 from dctk.fixtures import p2_system, random_supermodular, s3_system
 from dctk.inverse import (
-    InverseInstance,
     box_deviation,
     default_z_window,
     inverse_dual_search,
     inverse_minimize,
     l1_deviation,
-    reduce_targets,
-    tangent_cone,
     weighted_l1_deviation,
 )
 from dctk.mconvex import enumerate_bases, to_system
@@ -30,7 +27,9 @@ from dctk.polyhedron import (
     Window,
     dilation,
     enumerate_integer_points,
+    mu_form_dual_search,
     normal_cone,
+    tangent_cone,
 )
 
 from helpers import (
@@ -44,6 +43,7 @@ from helpers import (
     random_integer_system,
     random_search_objective,
     run_under_memory_limit,
+    window_points,
 )
 
 P2SYS = p2_system()
@@ -110,37 +110,33 @@ class TestIsMinimizer:
 
 class TestInverseMinimize:
     def test_worked_example(self):
-        inst = InverseInstance(P2SYS, ((2, 0),), DEV)
-        w, v = inverse_minimize(inst, Window.uniform(2, -1, 5))
+        w, v = inverse_minimize(tangent_cone(P2SYS, (2, 0)), DEV, Window.uniform(2, -1, 5))
         assert v == 2
         assert is_minimizer(P2SYS, (2, 0), w)
 
     def test_already_optimal(self):
-        inst = InverseInstance(P2SYS, ((0, 2),), DEV)
-        w, v = inverse_minimize(inst, Window.uniform(2, -1, 5))
+        w, v = inverse_minimize(tangent_cone(P2SYS, (0, 2)), DEV, Window.uniform(2, -1, 5))
         assert v == 0 and w == (3, 1)
 
     def test_segment_point(self):
-        inst = InverseInstance(P2SYS, ((1, 1),), DEV)
-        w, v = inverse_minimize(inst, Window.uniform(2, -1, 5))
+        w, v = inverse_minimize(tangent_cone(P2SYS, (1, 1)), DEV, Window.uniform(2, -1, 5))
         assert v == 2 and w[0] == w[1]
 
     def test_no_weight_in_window(self):
-        inst = InverseInstance(P2SYS, ((2, 0),), DEV)
         with pytest.raises(NoFeasibleWeight):
             # w1 <= w2 is impossible inside this window slice.
-            inverse_minimize(inst, Window(lo=(5, 0), hi=(5, 0)))
+            inverse_minimize(tangent_cone(P2SYS, (2, 0)), DEV, Window(lo=(5, 0), hi=(5, 0)))
 
     def test_deviation_filled_on_demand_under_a_memory_limit(self):
         # No row is tight at the target, so the normal cone is {0}: one
         # weight in a window of 2 * 10**9 + 1 values per coordinate.
         p = run_under_memory_limit(
-            "from dctk.inverse import InverseInstance, inverse_minimize, l1_deviation\n"
-            "from dctk.polyhedron import GEQ, LinearSystem, Row, Window\n"
+            "from dctk.inverse import inverse_minimize, l1_deviation\n"
+            "from dctk.polyhedron import GEQ, LinearSystem, Row, Window, tangent_cone\n"
             "rows = tuple(Row(c, -5, GEQ) for c in ((1, 0), (-1, 0), (0, 1), (0, -1)))\n"
             "box = LinearSystem(('a', 'b'), rows)\n"
-            "inst = InverseInstance(box, ((0, 0),), l1_deviation((1, -1), box.elements))\n"
-            "print(inverse_minimize(inst, Window.uniform(2, -10**9, 10**9)))"
+            "dev = l1_deviation((1, -1), box.elements)\n"
+            "print(inverse_minimize(tangent_cone(box, (0, 0)), dev, Window.uniform(2, -10**9, 10**9)))"
         )
         assert (p.returncode, p.stdout) == (0, "((0, 0), 2)\n"), p.stderr
 
@@ -148,11 +144,12 @@ class TestInverseMinimize:
 class TestInverseDual:
     def test_worked_example(self):
         cone = tangent_cone(P2SYS, (2, 0))
-        rep = inverse_dual_search(cone, DEV, default_z_window(DEV), (2, 2))
+        rep = inverse_dual_search(cone, DEV, default_z_window(DEV))
         assert rep.dual_value == 2
         assert rep.dual_witness == (-1, 1)
-        assert rep.bounds_used["orthogonal"]
-        assert rep.bounds_used["fitting"]
+        # The pair with w* = (2, 2) is orthogonal and fits.
+        assert ratlin.dot((2, 2), rep.dual_witness) == 0
+        assert DEV.first_unfit((2, 2), rep.dual_witness) is None
 
     def test_optimal_reference(self):
         cone = tangent_cone(P2SYS, (0, 2))
@@ -162,7 +159,7 @@ class TestInverseDual:
     def test_weak_duality(self):
         cone = tangent_cone(P2SYS, (2, 0))
         zwin = default_z_window(DEV)
-        for z in zwin.points():
+        for z in window_points(zwin):
             if not cone.cone_system.contains(z):
                 continue
             conj = DEV.conjugate(z)
@@ -178,7 +175,7 @@ class TestInverseDual:
             dev = random_search_objective(rng, p.elements)
             zwin = Window.uniform(p.n, -3, 3)
             best, arg = MINUS_INF, None
-            for z in zwin.points():
+            for z in window_points(zwin):
                 if not cone.cone_system.contains(z):
                     continue
                 conj = dev.conjugate(z)
@@ -193,32 +190,92 @@ class TestTargets:
         seen = []
         contains = LinearSystem.contains
         monkeypatch.setattr(LinearSystem, "contains", lambda self, x: seen.append(tuple(x)) or contains(self, x))
-        InverseInstance(P2SYS, ((2, 0), (1, 1)), DEV).cone
-        # Each target on R, then their sum on the 2-dilation.
-        assert seen == [(2, 0), (1, 1), (3, 1)]
+        tangent_cone(P2SYS, (2, 0), (1, 1))
+        # Each target on R once; no sum and no dilation is checked.
+        assert seen == [(2, 0), (1, 1)]
 
     def test_dilate_pair(self):
-        sys2, z0 = reduce_targets(P2SYS, [(1, 1), (2, 0)])
-        assert sys2.rows[2].rhs == 4 and z0 == (3, 1)
+        cone = tangent_cone(P2SYS, (1, 1), (2, 0))
+        assert cone == tangent_cone(dilation(P2SYS, 2), (3, 1))
+        assert [(r.coeffs, r.kind) for r in cone.cone_system.rows] == [((1, 1), EQ)]
 
     def test_reduce_single_is_identity(self):
-        sys1, z0 = reduce_targets(P2SYS, [(1, 1)])
-        assert sys1 == P2SYS and z0 == (1, 1)
+        assert tangent_cone(P2SYS, (1, 1)) == tangent_cone(dilation(P2SYS, 1), (1, 1))
 
     def test_dilate_same_target(self):
-        sys2, z0 = reduce_targets(P2SYS, [(0, 2), (0, 2)])
-        assert sys2.rows[2].rhs == 4 and z0 == (0, 4)
+        cone = tangent_cone(P2SYS, (0, 2), (0, 2))
+        assert cone == tangent_cone(dilation(P2SYS, 2), (0, 4)) == tangent_cone(P2SYS, (0, 2))
 
     def test_bad_target(self):
-        with pytest.raises(NotFeasible):
-            reduce_targets(P2SYS, [(1, 0)])
+        with pytest.raises(NotFeasible, match=r"target \(1, 0\) violates the system"):
+            tangent_cone(P2SYS, (1, 1), (1, 0))
+        # The checks run target by target: a short target before a bad one.
+        with pytest.raises(ValueError, match=r"target \(1,\) needs 2 entries"):
+            tangent_cone(P2SYS, (1,), (1, 0))
+        with pytest.raises(ValueError, match="need at least one target"):
+            tangent_cone(P2SYS)
 
     def test_multi_target_consistency(self):
         targets = [(1, 1), (2, 0)]
-        sys2, z0 = reduce_targets(P2SYS, targets)
+        cone = normal_cone(tangent_cone(P2SYS, *targets))
         for w in itertools.product(range(-3, 4), repeat=2):
             each = all(is_minimizer(P2SYS, t, w) for t in targets)
-            assert is_minimizer(sys2, z0, w) == each
+            assert cone.contains(w) == each
+
+    def test_matches_dilated_sum(self):
+        """The cone at k targets has the rows, rays and lineality of the
+        cone at their sum on the k-dilation, on base systems with n = 2-4
+        and flow embeddings, 1-3 targets drawn with repetition."""
+        rng = random.Random(71)
+        seen = collections.Counter()
+        while seen[1] + seen[2] + seen[3] < 520:
+            if rng.random() < 0.7:
+                p = random_supermodular(rng, rng.randint(2, 4), value_bound=2)
+                sys, points = to_system(p), enumerate_bases(p)
+            else:
+                sys = random_flow_embedding(rng)
+                points = list(enumerate_integer_points(sys, Window.uniform(sys.n, -2, 2)))
+            if not points:
+                continue
+            targets = tuple(rng.choice(points) for _ in range(rng.randint(1, 3)))
+            summed = tuple(map(sum, zip(*targets)))
+            assert tangent_cone(sys, *targets) == tangent_cone(dilation(sys, len(targets)), summed), targets
+            seen[len(targets)] += 1
+            seen["repeated"] += len(set(targets)) < len(targets)
+        assert min(seen.values()) >= 100, seen
+
+
+def _deviation_case(rng, elements):
+    """An l1, weighted-l1 or box deviation around small random costs."""
+    n = len(elements)
+    w0 = tuple(rng.randint(-2, 2) for _ in range(n))
+    kind = rng.randrange(3)
+    if kind == 0:
+        return l1_deviation(w0, elements)
+    c1, c2 = (tuple(rng.randint(1, 3) for _ in range(n)) for _ in range(2))
+    if kind == 1:
+        return weighted_l1_deviation(w0, c1, c2, elements)
+    return box_deviation(w0, tuple(v + rng.randint(0, 2) for v in w0), c1, c2, elements)
+
+
+class TestMuFormIdentity:
+    def test_inverse_dual_is_the_mu_form_of_the_normal_cone(self):
+        """max -conj(Phi)(z) over the tangent cone is max mu_N(z) -
+        conj(Phi)(z) with N the normal-cone system, since mu_N is 0 on
+        the tangent cone and -inf off it: the same value and witness."""
+        rng = random.Random(43)
+        positive = 0
+        for _ in range(280):
+            p = random_supermodular(rng, rng.randint(2, 4), value_bound=2)
+            bases = enumerate_bases(p)
+            cone = tangent_cone(to_system(p), *(rng.choice(bases) for _ in range(rng.randint(1, 3))))
+            dev = _deviation_case(rng, p.elements)
+            zwin = default_z_window(dev)
+            rep = inverse_dual_search(cone, dev, zwin)
+            mu = mu_form_dual_search(normal_cone(cone), dev, zwin)
+            assert (rep.dual_value, rep.dual_witness) == (mu.dual_value, mu.dual_witness)
+            positive += rep.dual_value > 0
+        assert positive >= 100, positive
 
 
 class TestDeviationBuilders:
@@ -328,8 +385,8 @@ class TestNormalConeMatchesOracle:
         for sys, targets in _cone_cases():
             big, z0 = _reduced(sys, targets)
             win = _window(sys.n)
-            got = list(enumerate_integer_points(normal_cone(tangent_cone(big, z0)), win))
-            assert got == [w for w in win.points() if is_minimizer(big, z0, w)]
+            got = list(enumerate_integer_points(normal_cone(tangent_cone(sys, *targets)), win))
+            assert got == [w for w in window_points(win) if is_minimizer(big, z0, w)]
             sizes.add(len(got))
         assert 1 in sizes and len(sizes) >= 8
 
@@ -359,7 +416,7 @@ class TestNormalConeMatchesOracle:
         zero_row = normal_cone(tangent_cone(point, (1, 2)))
         assert [(r.coeffs, r.kind) for r in zero_row.rows] == [((0, 0), GEQ)]
         win = Window.uniform(2, -2, 2)
-        assert list(enumerate_integer_points(zero_row, win)) == list(win.points())
+        assert list(enumerate_integer_points(zero_row, win)) == list(window_points(win))
 
     def test_find_weight_in_box(self):
         rng = random.Random(19)
@@ -385,12 +442,12 @@ class TestNormalConeMatchesOracle:
                 else:
                     w0 = tuple(rng.randint(-2, 2) for _ in range(sys.n))
                     dev = l1_deviation(w0, sys.elements)
-                inst = InverseInstance(sys, targets, dev)
                 win = _window(sys.n)
                 got, expected = [], []
-                for scan, out in ((inverse_minimize, got), (naive_inverse_minimize, expected)):
+                for scan, out in ((lambda: inverse_minimize(tangent_cone(sys, *targets), dev, win), got),
+                                  (lambda: naive_inverse_minimize(sys, targets, dev, win), expected)):
                     try:
-                        out.append(scan(inst, win))
+                        out.append(scan())
                     except NoFeasibleWeight:
                         out.append(None)
                 assert got == expected

@@ -425,7 +425,7 @@ class TestEnumerateBases:
                     enumerate_bases(p)
                 outcomes["unbounded"] += 1
                 continue
-            expected = [z for z in Window(los, his).points() if member(p, z)]
+            expected = [z for z in window_points(Window(los, his)) if member(p, z)]
             assert enumerate_bases(p) == expected
             outcomes[min(len(expected), 2)] += 1
         assert min(outcomes.values()) >= 10 and len(outcomes) == 3, outcomes
