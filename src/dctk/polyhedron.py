@@ -10,16 +10,15 @@ dual searches for the separable-convex min-max formulas, the
 disjoint-pair feasibility test, dilations, and a box-integrality probe.
 Arithmetic is exact; witnesses are lex-least.
 
-The integer dual first reads its answer at a primal point z: the one
-passed, else the first minimizer of Phi in the vertex hull box.  The y
-worth Phi(z), the most weak duality allows, are the integer points of
-one small system (complementary slackness at z and the fitting box of
-z), whose lex-first point is the first maximizer.  Only when that
-system is empty does it run the separable kernel, once, over its y box:
-the slack terms y_i slack_i are its parts and the conjugate terms of
-w = yQ its forms.  The mu-form needs no point: it runs the separable
-kernel once per vertex, on the vertex's normal cone read off the vertex
-table, with no exact LP.
+Both duals read their answer at one primal point z: the one passed,
+else the first minimizer of Phi in the vertex hull box.  The integer
+dual's y worth Phi(z), the most weak duality allows, are the integer
+points of one small system (complementary slackness at z and the
+fitting box of z), whose lex-first point is the first maximizer.  Only
+when that system is empty does it run the separable kernel, once, over
+its y box: the slack terms y_i slack_i are its parts and the conjugate
+terms of w = yQ its forms.  The mu-form runs the separable kernel once,
+on the normal cone at z read off the vertex table, with no exact LP.
 
 The box probe reads each basis's minor from one :class:`ratlin.Minors`
 table before it eliminates: a basis with minor 0 is singular and one
@@ -183,8 +182,6 @@ class MinMaxReport:
         def enc(v):
             if v is None:
                 return None
-            if isinstance(v, Fraction):
-                return v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
             if isinstance(v, int):
                 return v
             if isinstance(v, DualVector):
@@ -552,14 +549,26 @@ def vertex_hull_window(sys: LinearSystem) -> Window:
 def _hull_minimizer(sys: LinearSystem, Phi: SeparableConvex) -> Optional[Tuple[int, ...]]:
     """The first minimizer of Phi in the vertex hull box, by
     :func:`minimize_bruteforce`, or None when the system has no vertex or
-    Phi is +inf at each of its points there: the point z the integer dual
-    given none reads its certificate at.  On a bounded system it is the
+    Phi is +inf at each of its points there: the point z that both duals
+    given none read their answer at.  On a bounded system it is the
     integer minimizer, where the min-max formula puts a dual worth Phi(z)
     on a box-TDI system; any dual worth Phi(z) proves z optimal, and the
     duals worth the optimum are the same at every minimizer."""
     if is_empty(sys):
         return None
     return minimize_bruteforce(sys, Phi, vertex_hull_window(sys)).primal_witness
+
+
+def _primal_point(sys: LinearSystem, Phi: SeparableConvex, z: Optional[Sequence[int]]):
+    """Where a dual reads its answer: z, checked to be a point of the
+    system with Phi(z) finite, else :func:`_hull_minimizer`'s point.
+    Phi's length is checked first, before any vertex table is built."""
+    Phi._check_len(sys.elements)
+    if z is None:
+        return _hull_minimizer(sys, Phi)
+    if not (sys.contains(z) and is_finite(Phi.value(z))):
+        raise ValueError(f"z={tuple(z)} is not a point of the system with finite Phi")
+    return tuple(z)
 
 
 def fitting_points(
@@ -615,7 +624,6 @@ def dual_search_bruteforce(
     """
     if y_bound < 0:
         raise ValueError(f"y_bound must be >= 0, got {y_bound}")
-    Phi._check_len(sys.elements)
     rows = sys.rows
     ranges = [(0 if r.kind == GEQ else -y_bound, y_bound) for r in rows]
     cols = [tuple(r.coeffs[j] for r in rows) for j in range(sys.n)]
@@ -631,10 +639,7 @@ def dual_search_bruteforce(
         first = next(points, None)
         return None if first is None else (first, points)
 
-    if z is None:
-        z = _hull_minimizer(sys, Phi)
-    elif not (sys.contains(z) and is_finite(Phi.value(z))):
-        raise ValueError(f"z={tuple(z)} is not a point of the system with finite Phi")
+    z = _primal_point(sys, Phi, z)
     found = None if z is None else certificates(z)
     if found is not None:
         first, rest = found
@@ -666,39 +671,33 @@ def dual_search_bruteforce(
     )
 
 
-def mu_form_dual_search(
-    sys: LinearSystem, Phi: SeparableConvex, w_window: Window
-) -> MinMaxReport:
-    """max mu_R(w) - conj(Phi)(w) over integral w in the window; the
-    first maximizer in lex order, or MINUS_INF and no w when no w has
-    both terms finite.
+def mu_form_dual_search(sys: LinearSystem, Phi: SeparableConvex, w_window: Window,
+                        z: Optional[Sequence[int]] = None) -> MinMaxReport:
+    """max w.z - conj(Phi)(w) over the integral w in the window that z
+    minimizes over the system, where mu_R(w) = w.z: an int and its first
+    maximizer in lex order, or MINUS_INF and no w when there is no z or no
+    such w has a finite conjugate.  z is as for :func:`dual_search_bruteforce`.
 
-    mu_R(w) = w.v on the normal cone of each vertex v of :func:`_basic_data`
-    (with D its denominator), and mu_R(w) is -inf off their union.  The
-    cone is read off the same table: w.(D u - D v) >= 0 per other vertex
-    u, w.r >= 0 per ray r and w.l = 0 per lineality vector l, or the zero
-    row when there is none.  So per vertex :func:`separable_first_minimum`
-    finds the first least sum of D conj(phi_j)(w_j) - w_j (D v_j), each
-    part finite on the slope range of phi_j, over the cone's points in the
-    window; the least over the vertices, the lex-least w on a tie, is -D
-    times the value (Ahuja and Orlin, Oper. Res. 49, 2001)."""
-    Phi._check_len(sys.elements)
+    No w is worth more than Phi(z), and those worth Phi(z) are the w of
+    this cone that fit z (Fenchel-Young): where one exists, this is the
+    windowed maximum of mu_R(w) - conj(Phi)(w) (Ahuja and Orlin, Oper.
+    Res. 49, 2001), else a lower bound its witness is worth.  The cone
+    comes off the vertex table of :func:`_basic_data`, D its denominator:
+    w.(u - D z) >= 0 per vertex u (0 >= 0 at D z), w.r >= 0 per ray r and
+    w.l = 0 per lineality vector l.  One :func:`separable_first_minimum`
+    of the parts conj(phi_j)(t) - t z_j, finite on phi_j's slope range,
+    gives minus the value."""
+    z = _primal_point(sys, Phi, z)
+    bounds = {"w_window": w_window.to_json()}
+    if z is None:
+        return MinMaxReport(dual_value=MINUS_INF, bounds_used=bounds)
     big_d, vertices, rays, lineality = _basic_data(sys)
-    recession = [Row(r, 0, GEQ) for r in rays] + [Row(l, 0, EQ) for l in lineality]
-    found = []
-    for v in vertices:
-        rows = [Row(tuple(a - b for a, b in zip(u, v)), 0, GEQ) for u in vertices if u != v] + recession
-        cone = LinearSystem(sys.elements, tuple(rows) or (Row((0,) * sys.n, 0, GEQ),))
-        parts = [(lambda t, p=p, vj=vj: big_d * conjugate_eval(p, t) - t * vj, *p.slope_range())
-                 for (_, p), vj in zip(Phi.parts, v)]
-        least, w = separable_first_minimum(cone, w_window, parts)
-        if w is not None:
-            found.append((least, w))
-    best, arg = min(found, default=(MINUS_INF, None))
-    if arg is not None:
-        best = Fraction(-best, big_d)
-        best = best.numerator if best.denominator == 1 else best
-    return MinMaxReport(dual_value=best, dual_witness=arg, bounds_used={"w_window": w_window.to_json()})
+    rows = [Row(tuple(a - big_d * b for a, b in zip(u, z)), 0, GEQ) for u in vertices]
+    rows += [Row(r, 0, GEQ) for r in rays] + [Row(l, 0, EQ) for l in lineality]
+    parts = [(lambda t, p=p, zj=zj: conjugate_eval(p, t) - t * zj, *p.slope_range())
+             for (_, p), zj in zip(Phi.parts, z)]
+    least, w = separable_first_minimum(LinearSystem(sys.elements, tuple(rows)), w_window, parts)
+    return MinMaxReport(dual_value=-least, dual_witness=w, bounds_used=bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import resource
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd, lcm
+from math import ceil, floor, gcd, lcm
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from dctk import ratlin
@@ -520,6 +520,35 @@ def naive_mu_form(sys: LinearSystem, Phi: SeparableConvex, win: Window):
     if isinstance(best, Fraction) and best.denominator == 1:
         best = best.numerator
     return (MINUS_INF if best is None else best), arg
+
+
+def naive_hull_minimizer(sys: LinearSystem, Phi: SeparableConvex) -> Optional[Tuple[int, ...]]:
+    """The first minimizer of Phi over the integer points of the vertex
+    hull box (vertices by :func:`frac_basic_data`), or None when there is
+    no vertex or Phi is +inf at each point there."""
+    vertices, _, _ = frac_basic_data(sys)
+    if not vertices:
+        return None
+    cols = list(zip(*vertices))
+    win = Window(tuple(floor(min(c)) for c in cols), tuple(ceil(max(c)) for c in cols))
+    return first_minimum(naive_integer_points(sys, win), Phi.value)[1]
+
+
+def naive_mu_form_at(sys: LinearSystem, Phi: SeparableConvex, win: Window, z):
+    """(value, w) of max w.z - conj(Phi)(w) over the w in the window that
+    z minimizes over the system (:func:`is_minimizer`), and the first
+    maximizer in lex order; (MINUS_INF, None) when z is None or no such w
+    has a finite conjugate."""
+    best: ExtInt = MINUS_INF
+    arg = None
+    if z is None:
+        return best, arg
+    for w in window_points(win):
+        if is_minimizer(sys, z, w):
+            c = Phi.conjugate(w)
+            if is_finite(c) and ratlin.dot(w, z) - c > best:
+                best, arg = ratlin.dot(w, z) - c, w
+    return best, arg
 
 
 def naive_m2_split(p1: SupermodularFn, p2: SupermodularFn, Phi: SeparableConvex, w_bound: int):

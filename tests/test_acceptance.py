@@ -330,7 +330,7 @@ def test_criterion_7_system_minmax_agreement():
             win = _primal_window(sys)
             primal = minimize_bruteforce(sys, Phi, win)
             dual = dual_search_bruteforce(sys, Phi, 6)
-            mu = mu_form_dual_search(sys, Phi, Window.uniform(sys.n, -6, 6))
+            mu = mu_form_dual_search(sys, Phi, Window.uniform(sys.n, -6, 6), primal.primal_witness)
             assert primal.primal_value == dual.dual_value == mu.dual_value
             assert dual.bounds_used["support_within_2n"]
             assert dual.dual_witness.support() <= 2 * sys.n

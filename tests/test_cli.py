@@ -892,10 +892,15 @@ WIN2 = polyhedron.Window.uniform(2, -6, 6)
      "expected 1 components, got 2"),
     (lambda: polyhedron.mu_form_dual_search(P2_LIB, conjugate.square_sum(("a", "b", "c")), WIN2),
      "expected 3 components, got 2"),
+    (lambda: polyhedron.mu_form_dual_search(P2_LIB, SQ2_PHI, WIN2, (3, 3)),
+     "z=(3, 3) is not a point of the system with finite Phi"),
+    (lambda: polyhedron.mu_form_dual_search(P2_LIB, conjugate.SeparableConvex(
+        tuple((e, conjugate.Restricted(1, 1, conjugate.Quadratic(1))) for e in P2_LIB.elements)), WIN2, (0, 2)),
+     "z=(0, 2) is not a point of the system with finite Phi"),
 ], ids=["flow-m-length", "flow-cost-length", "set-function-table", "window-length", "window-order",
         "dilation-factor", "no-target", "hull-of-empty", "tangent-cone-point", "weight-box-point",
         "feasibility-point", "primal-long-window", "primal-short-window", "points-short-window",
-        "mu-form-short-phi", "mu-form-long-phi"])
+        "mu-form-short-phi", "mu-form-long-phi", "mu-form-point-outside", "mu-form-point-phi-inf"])
 def test_library_input_checks(call, needle):
     with pytest.raises(ValueError, match=re.escape(needle)):
         call()

@@ -64,8 +64,10 @@ from helpers import (
     lp_min,
     naive_basic_data,
     naive_dual_search,
+    naive_hull_minimizer,
     naive_integer_points,
     naive_mu_form,
+    naive_mu_form_at,
     naive_probe_box_integer,
     padded_hull_window,
     random_flow_embedding,
@@ -660,11 +662,15 @@ class TestMinMaxSearches:
         assert rep.dual_value == 0
 
     def test_mu_form_fraction_in_json(self):
-        # 2a >= 1, -2a >= -1 has the one vertex a = 1/2: mu_R(w) = w/2,
-        # and w = 1 is worth 1/2 - conj(a^2)(1) = 1/2.
+        # 2a >= 1, -2a >= -1 has the one vertex a = 1/2 and no integer
+        # point, so no primal point to read at: -inf and no witness, where
+        # the windowed maximum is 1/2 at w = 1.
         half = LinearSystem(("a",), (Row((2,), 1, GEQ), Row((-2,), -1, GEQ)))
-        out = mu_form_dual_search(half, square_sum(("a",)), Window.uniform(1, -6, 6)).to_json()
-        assert (out["dual_value"], out["dual_witness"]) == ("1/2", [1])
+        Phi, win = square_sum(("a",)), Window.uniform(1, -6, 6)
+        out = mu_form_dual_search(half, Phi, win).to_json()
+        assert (out["dual_value"], out["dual_witness"]) == ("-inf", None)
+        assert naive_mu_form_at(half, Phi, win, naive_hull_minimizer(half, Phi)) == (MINUS_INF, None)
+        assert naive_mu_form(half, Phi, win) == (Fraction(1, 2), (1,))
 
     def test_weak_duality_exhaustive(self):
         pts = list(enumerate_integer_points(P2SYS, Window.uniform(2, 0, 3)))
@@ -877,11 +883,30 @@ def _oracle_systems(seed):
     return rng, out
 
 
+def check_mu_form(sys, Phi, win, z=None) -> str:
+    """The mu-form at z, or given none at the hull minimizer, gives what
+    naive_mu_form_at gives there: the same int or -inf value and the same
+    witness.  Where the windowed maximum naive_mu_form reaches Phi at that
+    point (the min-max theorem's case), it gives that maximum too.
+    Returns "reached" there, else "-inf" or "gap"."""
+    rep = mu_form_dual_search(sys, Phi, win, z)
+    at = naive_hull_minimizer(sys, Phi) if z is None else z
+    want = naive_mu_form_at(sys, Phi, win, at)
+    assert (rep.dual_value, rep.dual_witness) == want, (sys, Phi, win, z)
+    assert type(rep.dual_value) is type(want[0])
+    windowed = naive_mu_form(sys, Phi, win)
+    if at is not None and windowed[0] == Phi.value(at):
+        assert want == windowed, (sys, Phi, win, z)
+        return "reached"
+    return "-inf" if want[0] is MINUS_INF else "gap"
+
+
 class TestSearchesMatchNaiveOracles:
     """The integer dual search, the mu-form search, _basic_data and lp_min
     give what the plain scans of tests/helpers.py give: the same values
     of the same types, the same witnesses, support sizes and bounds; also
-    on the cases the gap pruning of the two searches could get wrong."""
+    on the cases the gap pruning of the two searches could get wrong.  The
+    mu-form's scan is the one at its primal point (check_mu_form)."""
 
     def test_dual_search(self):
         rng, systems = _oracle_systems(11)
@@ -901,13 +926,11 @@ class TestSearchesMatchNaiveOracles:
 
     def test_mu_form(self):
         rng, systems = _oracle_systems(12)
+        kinds = collections.Counter()
         for sys in systems:
             Phi = random_search_objective(rng, sys.elements)
-            win = Window.uniform(sys.n, -2, 2)
-            rep = mu_form_dual_search(sys, Phi, win)
-            value, w = naive_mu_form(sys, Phi, win)
-            assert (rep.dual_value, rep.dual_witness) == (value, w)
-            assert type(rep.dual_value) is type(value)
+            kinds[check_mu_form(sys, Phi, Window.uniform(sys.n, -2, 2))] += 1
+        assert kinds["reached"] >= 5, kinds
 
     def test_basic_data_and_lp_min(self):
         _, systems = _oracle_systems(13)
@@ -935,9 +958,7 @@ class TestSearchesMatchNaiveOracles:
         rep = dual_search_bruteforce(sys, Phi, y_bound)
         got = (rep.dual_value, rep.dual_witness, rep.support_size, rep.bounds_used)
         assert got == naive_dual_search(sys, Phi, y_bound)
-        win = Window.uniform(sys.n, -r, r)
-        mu = mu_form_dual_search(sys, Phi, win)
-        assert (mu.dual_value, mu.dual_witness) == naive_mu_form(sys, Phi, win)
+        check_mu_form(sys, Phi, Window.uniform(sys.n, -r, r))
         return rep
 
     def test_no_bound_point(self):
@@ -1017,8 +1038,9 @@ class TestCertificatesMatchNaiveOracles:
     hull minimizer (given no point), at the windowed minimum and at a
     feasible point that is not optimal, and the corpus reaches both
     branches (the certificate's makes no kernel call with forms).  The
-    mu-form, on its one path, gives what naive_mu_form gives on the same
-    corpus: int, Fraction and -inf values."""
+    mu-form, on its one path, gives what naive_mu_form_at gives at the
+    same points, and the windowed maximum wherever that reaches Phi
+    there."""
 
     @pytest.fixture
     def form_calls(self, monkeypatch):
@@ -1062,21 +1084,25 @@ class TestCertificatesMatchNaiveOracles:
 
     def test_mu_form(self):
         rng, systems = _certificate_corpus(32)
-        # The corpus's values are all int: add fractional vertices 1/2 and
-        # 3/2, and an empty system, for Fraction and -inf values.
+        # Add fractional vertices 1/2 and 3/2 with the integer point 1,
+        # and an empty system, for -inf values.
         half = LinearSystem(("x",), (Row((2,), 1, GEQ), Row((-2,), -3, GEQ)))
         empty = LinearSystem(("x",), (Row((1,), 1, GEQ), Row((-1,), 0, GEQ)))
         kinds = collections.Counter()
         for sys in systems + [half, empty]:
             for Phi in self.objectives(rng, sys.elements):
-                for r in (1, 2) if sys.n <= 3 else (1,):
-                    win = Window.uniform(sys.n, -r, r)
-                    rep = mu_form_dual_search(sys, Phi, win)
-                    value, w = naive_mu_form(sys, Phi, win)
-                    assert (rep.dual_value, rep.dual_witness) == (value, w), (sys, Phi, r)
-                    assert type(rep.dual_value) is type(value)
-                    kinds["-inf" if value is MINUS_INF else type(value).__name__] += 1
-        assert kinds["int"] >= 10 and kinds["Fraction"] > 0 and kinds["-inf"] > 0, kinds
+                # Given no point, at the windowed minimum, and at a feasible
+                # point that is not optimal.
+                points = [None]
+                box = padded_hull_window(sys) if not is_empty(sys) else None
+                finite = [z for z in enumerate_integer_points(sys, box) if Phi.value(z) is not PLUS_INF] if box else []
+                if finite:
+                    best = minimize_bruteforce(sys, Phi, box).primal_witness
+                    points += [best] + [z for z in finite if Phi.value(z) > Phi.value(best)][:1]
+                for z in points:
+                    for r in (1, 2) if sys.n <= 3 else (1,):
+                        kinds[check_mu_form(sys, Phi, Window.uniform(sys.n, -r, r), z)] += 1
+        assert kinds["reached"] >= 20 and kinds["gap"] >= 20 and kinds["-inf"] > 0, kinds
 
     def test_a_point_outside_the_system_is_refused(self):
         with pytest.raises(ValueError, match="not a point of the system"):
@@ -1084,6 +1110,13 @@ class TestCertificatesMatchNaiveOracles:
         pinned = SeparableConvex(tuple((e, Restricted(1, 1, Quadratic(1))) for e in P2SYS.elements))
         with pytest.raises(ValueError, match="finite Phi"):
             dual_search_bruteforce(P2SYS, pinned, 2, (0, 2))
+
+    def test_bad_input_is_refused_before_the_vertex_table(self):
+        # A Phi of the wrong length, then a point outside the system.
+        for sys, Phi in ((p2_system(), square_sum(("a",))), (p2_system(), SQ)):
+            with pytest.raises(ValueError):
+                mu_form_dual_search(sys, Phi, Window.uniform(2, -1, 1), (3, 3))
+            assert sys._basic is None
 
 
 def y_dual_value(sys, Phi, y):
@@ -1109,8 +1142,8 @@ class TestSearchWork:
     does, one kernel call with forms evaluates a few dozen through
     polyhedron's conjugate_eval ("eval"), each once, and none by another
     path ("other", the conjugate module's own binding).  The mu-form
-    always runs one pruned minimum per vertex normal cone: a few
-    conjugate_evals per vertex.  (A counter of the box from the arguments
+    always runs one pruned minimum, on the normal cone at its point: a
+    few dozen conjugate_evals.  (A counter of the box from the arguments
     cannot show this.)"""
 
     @pytest.fixture
@@ -1158,32 +1191,39 @@ class TestSearchWork:
         assert calls.keys() == {"eval"} and calls["eval"] <= 30, calls
 
     def test_mu_form(self, calls):
-        # 44 conjugates, where a scan of the window reads 2 * 13^2.
+        # 22 conjugates, where a scan of the window reads 2 * 13^2.
         rep = mu_form_dual_search(P2SYS, SQ, Window.uniform(2, -6, 6))
         assert rep.dual_value == 2 and rep.dual_witness == (1, 1)
         assert calls.keys() == {"eval"} and calls["eval"] <= 50, calls
 
     def test_mu_form_fallback(self, calls):
-        # a = 1/2 and 0 <= b, c <= 1: no integer point.  The search
-        # minimizes per vertex over its normal cone: a few hundred
-        # conjugates, even on the 41^3 weights of +-20.
+        # a = 1/2 and 0 <= b, c <= 1: no integer point, so no point to read
+        # at and no conjugate read.  With a in 0..1 instead, at the point
+        # (1, 0, 1), which is not optimal, no weight reaches Phi = 4: the
+        # cone w_a <= 0 <= w_b, w_c <= 0 holds the bound 0 at w = 0, read
+        # with 13, 25 and 51 conjugates on the weights of +-2, +-6, +-20.
         rows = (((2, 0, 0), 1), ((-2, 0, 0), -1), ((0, 1, 0), 0), ((0, -1, 0), -1), ((0, 0, 1), 0), ((0, 0, -1), -1))
-        sys = LinearSystem(("a", "b", "c"), tuple(Row(c, b, GEQ) for c, b in rows))
-        Phi = square_sum(sys.elements, (1, 2, 3))
+        half = LinearSystem(("a", "b", "c"), tuple(Row(c, b, GEQ) for c, b in rows))
+        cube = LinearSystem(half.elements, (Row((1, 0, 0), 0, GEQ), Row((-1, 0, 0), -1, GEQ)) + half.rows[2:])
+        Phi = square_sum(half.elements, (1, 2, 3))
         for r in (2, 6, 20):
             calls.clear()
             win = Window.uniform(3, -r, r)
-            mu = mu_form_dual_search(sys, Phi, win)
-            assert (mu.dual_value, mu.dual_witness) == (Fraction(1, 2), (1, 0, 0))
-            assert calls.keys() == {"eval"} and calls["eval"] <= 300, calls
+            mu = mu_form_dual_search(half, Phi, win)
+            assert (mu.dual_value, mu.dual_witness) == (MINUS_INF, None)
+            assert calls == {}
+            mu = mu_form_dual_search(cube, Phi, win, (1, 0, 1))
+            assert (mu.dual_value, mu.dual_witness) == (0, (0, 0, 0))
+            assert calls.keys() == {"eval"} and calls["eval"] <= 3 * r + 12, calls
             if r < 20:
-                assert (mu.dual_value, mu.dual_witness) == naive_mu_form(sys, Phi, win)
+                assert check_mu_form(half, Phi, win) == "-inf"
+                assert check_mu_form(cube, Phi, win, (1, 0, 1)) == "gap"
 
     def test_minimizers_inside_a_face(self, calls):
         # x(E) = k, x >= 0 and Phi = sum a_j x_j^2, where the vertices
         # k e_j are not optimal: the integer dual reads the certificate at
-        # the hull minimizer, evaluating no conjugate, the mu-form's n
-        # pruned minima evaluate about a hundred, and both return what the
+        # the hull minimizer, evaluating no conjugate, the mu-form's one
+        # pruned minimum there at most 42, and both return what the
         # plain scans return.
         rng = random.Random(43)
         seen = 0
@@ -1211,7 +1251,7 @@ class TestSearchWork:
 
     def test_no_integral_vertex(self, calls):
         # The integer dual certifies at (0, 0), evaluating no conjugate;
-        # the mu-form's four pruned minima evaluate 52.
+        # the mu-form's one pruned minimum there evaluates 13.
         Phi = square_sum(SQUARE.elements)
         win = Window.uniform(2, -6, 6)
         rep = dual_search_bruteforce(SQUARE, Phi)
@@ -1230,29 +1270,46 @@ class TestSearchWork:
         rep = dual_search_bruteforce(P2SYS, SQ, 6, (1, 1))
         assert (rep.dual_value, rep.dual_witness.y) == (2, (0, 0, 1))
         assert calls == {}
-        # The mu-form has no certificate: the one vertex (2, 2) has all of
-        # R^2 as its normal cone, and one pruned minimum reads 16 conjugates.
+        # The mu-form reads at the one point (2, 2), whose normal cone is
+        # all of R^2: one pruned minimum reads 16 conjugates.
         mu = mu_form_dual_search(PATH, square_sum(PATH.elements), Window.uniform(2, -6, 6))
         assert (mu.dual_value, mu.dual_witness) == (8, (3, 3))
         assert calls.keys() == {"eval"} and calls["eval"] <= 20, calls
 
-    def test_mu_form_needs_no_point_and_no_tangent_cone(self, monkeypatch):
-        # Each vertex's normal cone comes off the vertex table, so the
-        # search runs with no hull minimizer, certificate, dilation or
-        # tangent cone.
+    def test_mu_form_needs_no_tangent_cone(self, monkeypatch):
+        # The normal cone at the point comes off the vertex table, so the
+        # search runs with no dilation, tangent cone or normal-cone system.
         s3 = dilation(s3_system(), 2)
         cases = [(P2SYS, SQ, 6), (PATH, square_sum(PATH.elements), 6), (SQUARE, square_sum(SQUARE.elements), 6),
                  (s3, square_sum(s3.elements, (1, 2, 1, 3, 1, 2)), 1)]
-        expected = [naive_mu_form(sys, Phi, Window.uniform(sys.n, -r, r)) for sys, Phi, r in cases]
+        expected = [naive_mu_form_at(sys, Phi, Window.uniform(sys.n, -r, r), naive_hull_minimizer(sys, Phi))
+                    for sys, Phi, r in cases]
 
         def refuse(*args):
             raise AssertionError("called")
 
-        for name in ("_hull_minimizer", "tangent_cone", "normal_cone", "dilation"):
+        for name in ("tangent_cone", "normal_cone", "dilation"):
             monkeypatch.setattr(polyhedron, name, refuse)
         for (sys, Phi, r), want in zip(cases, expected):
             mu = mu_form_dual_search(sys, Phi, Window.uniform(sys.n, -r, r))
             assert (mu.dual_value, mu.dual_witness) == want
+
+    def test_mu_form_is_one_kernel_call(self, monkeypatch):
+        # The cube 0 <= x <= 4 in R^6 has 64 vertices; given z = 0, the
+        # search reads the one normal cone there (w >= 0) with one call
+        # of the separable kernel: w = 0, worth Phi(0) = 0.
+        n = 6
+        elements = tuple(f"x{j}" for j in range(n))
+        units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        cube = LinearSystem(elements, tuple(Row(u, 0, GEQ) for u in units)
+                            + tuple(Row(tuple(-v for v in u), -4, GEQ) for u in units))
+        assert len(_basic_data(cube)[1]) == 2 ** n
+        kernel, calls = polyhedron.separable_first_minimum, []
+        monkeypatch.setattr(polyhedron, "separable_first_minimum",
+                            lambda *args: calls.append(args) or kernel(*args))
+        mu = mu_form_dual_search(cube, square_sum(elements, range(1, n + 1)), Window.uniform(n, -6, 6), (0,) * n)
+        assert (mu.dual_value, mu.dual_witness) == (0, (0,) * n)
+        assert len(calls) == 1
 
 
 class TestWindowHelpers:
