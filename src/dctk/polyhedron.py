@@ -4,8 +4,9 @@ One lazy lex-order kernel lists a system's integer points in a box
 (:func:`enumerate_integer_points`), and one bound-pruned kernel finds
 their first least separable convex sum, plus convex terms of linear
 forms, without listing them (:func:`separable_first_minimum`).  Also
-vertices, rays and emptiness by basic-solution enumeration, tangent
-cones (from :func:`_extreme_rays`) and their normal cones as systems,
+vertices, rays and emptiness from the extreme rays of one homogenized
+cone, found by double description (:func:`_extreme_rays`), tangent
+cones (from the same function) and their normal cones as systems,
 dual searches for the separable-convex min-max formulas, the
 disjoint-pair feasibility test, dilations, and a box-integrality probe.
 Arithmetic is exact; witnesses are lex-least.
@@ -34,7 +35,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import ratlin
@@ -383,26 +384,64 @@ def separable_first_minimum(sys: LinearSystem, win: Window, parts: Sequence[tupl
     return best, arg
 
 
-def _pointed(rows: Sequence[Row], n: int):
-    """(lineality, rows): the lineality space of the rows, and the rows plus
-    d.x = 0 per lineality vector d, which cut out a pointed remainder."""
-    lineality = ratlin.null_space([r.coeffs for r in rows], n)
-    return lineality, (*rows, *(Row(d, 0, EQ) for d in lineality))
+def _primitive(v) -> Tuple[int, ...]:
+    g = gcd(*v)
+    return tuple(e // g for e in v)
 
 
-def _extreme_rays(rows: Sequence[Row], d: int) -> set:
-    """The extreme rays of the pointed cone that the rows (right-hand sides
-    0) cut out of R^d: each (d-1)-subset of the rows whose kernel is a
-    line gives its primitive vectors +-v, kept if they lie in the cone."""
-    seen, rays = set(), set()
-    for subset in itertools.combinations(rows, d - 1):
-        kernel = ratlin.null_space([r.coeffs for r in subset], d)
-        if len(kernel) != 1 or kernel[0] in seen:
+def _extreme_rays(eqs: Sequence[Sequence[int]], ineqs: Sequence[Sequence[int]], d: int) -> set:
+    """The primitive extreme rays of the pointed cone {x in R^d: e.x = 0
+    per e in eqs, a.x >= 0 per a in ineqs}, by double description
+    (Motzkin, Raiffa, Thompson and Thrall, 1953; Fukuda and Prodon,
+    1996): the cone is kept as lin(L) + cone(R), starting from L the null
+    space of eqs and no R, and the inequality rows are added in order.
+    A row a with a.l != 0 for some l in L turns the first such l, signed
+    so that a.l > 0, into a ray, and projects the other vectors of L and
+    R onto a.x = 0 along it.  Otherwise R keeps its rays with a.r >= 0
+    and gains the primitive positive combination on a.x = 0 of each
+    adjacent pair with a.p > 0 > a.q.  Each ray carries the set of added
+    rows it is tight on, as a bit mask: p and q are adjacent when no
+    other ray is tight on every row both are, after a count prefilter (a
+    2-face is tight on at least dim - |L| - 2 rows, dim = |L| at the
+    start).  The cone is pointed, so L ends empty."""
+    lin = ratlin.null_space(eqs, d)
+    dim = len(lin)
+    rays: List[Tuple[Tuple[int, ...], int]] = []  # (ray, mask of its tight rows)
+    for i, a in enumerate(ineqs):
+        bit = 1 << i
+        vals = [ratlin.dot(a, l) for l in lin]
+        k = next((j for j, v in enumerate(vals) if v), None)
+        if k is not None:
+            s, l0 = vals.pop(k), lin.pop(k)
+            if s < 0:
+                s, l0 = -s, tuple(-e for e in l0)
+
+            def project(v, av):
+                return _primitive([s * e - av * f for e, f in zip(v, l0)]) if av else v
+
+            lin = [project(l, v) for l, v in zip(lin, vals)]
+            rays = [(project(r, ratlin.dot(a, r)), z | bit) for r, z in rays]
+            rays.append((l0, bit - 1))
             continue
-        pair = (kernel[0], tuple(-e for e in kernel[0]))
-        seen.update(pair)
-        rays.update(v for v in pair if all(r.satisfied_by(v) for r in rows))
-    return rays
+        need = dim - len(lin) - 2
+        pos, neg, kept = [], [], []
+        for r, z in rays:
+            v = ratlin.dot(a, r)
+            if v > 0:
+                pos.append((r, z, v))
+                kept.append((r, z))
+            elif v < 0:
+                neg.append((r, z, v))
+            else:
+                kept.append((r, z | bit))
+        masks = [z for _, z in rays]
+        for p, zp, vp in pos:
+            for q, zq, vq in neg:
+                common = zp & zq
+                if common.bit_count() >= need and sum(z & common == common for z in masks) == 2:
+                    kept.append((_primitive([vp * e - vq * f for e, f in zip(q, p)]), common | bit))
+        rays = kept
+    return {r for r, _ in rays}
 
 
 def _basic_data(sys: LinearSystem):
@@ -410,21 +449,22 @@ def _basic_data(sys: LinearSystem):
     instance: the vertices scaled by big_d, the least common denominator
     of their entries, as int tuples in lex order.
 
-    The lineality space is factored out by :func:`_pointed`; the pointed
-    remainder then has a vertex whenever the system is feasible, so "no
-    vertices" is a reliable infeasibility certificate at this scale.  Its
-    vertices and rays are read off the extreme rays (x, t) of one
-    homogenized cone (Schrijver, Theory of Linear and Integer
-    Programming, 1986): t >= 0 and a.x >= b*t per row (= for equality and
-    lineality rows).  A ray with t > 0 gives the vertex x/t, and one with
-    t = 0 a ray x.
+    The lineality space, one null space of the rows, is factored out by
+    the rows l.x = 0; the pointed remainder then has a vertex whenever
+    the system is feasible, so "no vertices" is a reliable infeasibility
+    certificate.  Its vertices and rays are read off the extreme rays
+    (x, t) of one homogenized cone (Schrijver, Theory of Linear and
+    Integer Programming, 1986), by :func:`_extreme_rays`: t >= 0 and
+    a.x >= b*t per row (= for equality and lineality rows).  A ray with
+    t > 0 gives the vertex x/t, and one with t = 0 a ray x.
     """
     if sys._basic is None:
         n = sys.n
-        lineality, rows = _pointed(sys.rows, n)
-        cone = [Row((0,) * n + (1,), 0, GEQ)] + [Row(r.coeffs + (-r.rhs,), 0, r.kind) for r in rows]
+        lineality = ratlin.null_space([r.coeffs for r in sys.rows], n)
+        eqs = [r.coeffs + (-r.rhs,) for r in sys.rows if r.kind == EQ] + [l + (0,) for l in lineality]
+        ineqs = [(0,) * n + (1,)] + [r.coeffs + (-r.rhs,) for r in sys.rows if r.kind == GEQ]
         # An extreme ray is primitive, so a vertex x/t is kept as the canonical (t, t*x).
-        gens = _extreme_rays(cone, n + 1)
+        gens = _extreme_rays(eqs, ineqs, n + 1)
         big_d = lcm(*(t for *_, t in gens if t))
         vertices = sorted(tuple(e * (big_d // t) for e in x) for *x, t in gens if t)
         sys._basic = (big_d, vertices, sorted(tuple(x) for *x, t in gens if not t), lineality)
@@ -453,27 +493,26 @@ class TangentCone:
 
 def tangent_cone(sys: LinearSystem, *targets: Sequence[int]) -> TangentCone:
     """The tangent cone at the targets: the equality rows and the rows
-    tight at every target.  Each target meets each row, so these are the
-    rows tight at the targets' sum on the k-dilation.  Its rays are the
-    extreme rays of its few rows, made pointed by :func:`_pointed`: one
-    null space per (n-1)-subset, with no t column."""
+    tight at every target, from one read of each row's slack per target,
+    which also checks the target.  Each target meets each row, so these
+    are the rows tight at the targets' sum on the k-dilation.  Its
+    lineality is the null space of those rows, and its rays are the
+    extreme rays (:func:`_extreme_rays`) of the rows plus l.x = 0 per
+    lineality vector l, with no t column."""
     if not targets:
         raise ValueError("need at least one target")
+    tight = [True] * len(sys.rows)
     for z in targets:
         if len(z) != sys.n:
             raise ValueError(f"target {tuple(z)} needs {sys.n} entries")
-        if not sys.contains(z):
+        slacks = [r.slack(z) for r in sys.rows]
+        if any(s < 0 or s and r.kind == EQ for r, s in zip(sys.rows, slacks)):
             raise NotFeasible(f"target {tuple(z)} violates the system")
-    rows: List[Row] = []
-    for r in sys.rows:
-        if r.kind == EQ:
-            rows.append(Row(r.coeffs, 0, EQ))
-        elif all(r.slack(z) == 0 for z in targets):
-            rows.append(Row(r.coeffs, 0, GEQ))
-    if not rows:
-        rows.append(Row((0,) * sys.n, 0, GEQ))
-    lineality, pointed = _pointed(rows, sys.n)
-    rays = sorted(_extreme_rays(pointed, sys.n))
+        tight = [t and not s for t, s in zip(tight, slacks)]
+    rows = [Row(r.coeffs, 0, r.kind) for r, t in zip(sys.rows, tight) if t] or [Row((0,) * sys.n, 0, GEQ)]
+    lineality = ratlin.null_space([r.coeffs for r in rows], sys.n)
+    eqs = [r.coeffs for r in rows if r.kind == EQ] + lineality
+    rays = sorted(_extreme_rays(eqs, [r.coeffs for r in rows if r.kind == GEQ], sys.n))
     return TangentCone(LinearSystem(sys.elements, tuple(rows)), tuple(rays), tuple(lineality))
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import gcd
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
@@ -133,4 +134,4 @@ def null_space(rows: Sequence[Sequence[int]], ncols: int) -> List[Tuple[int, ...
 
 
 def dot(a: Sequence, b: Sequence):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))

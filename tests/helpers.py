@@ -64,16 +64,17 @@ def child_env(**extra: str) -> dict:
     return {**os.environ, "PYTHONPATH": path, **extra}
 
 
-def run_under_memory_limit(code: str) -> subprocess.CompletedProcess:
+def run_under_memory_limit(code: str, timeout: float = 300) -> subprocess.CompletedProcess:
     """`python -c code` in a child whose address space is capped at 2 GB:
     a scan that builds a huge window before its first point dies there of
-    MemoryError instead of filling the machine."""
+    MemoryError instead of filling the machine.  A child still running
+    after timeout seconds is killed and raises TimeoutExpired."""
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=child_env(), preexec_fn=cap, timeout=300)
+                          env=child_env(), preexec_fn=cap, timeout=timeout)
 
 
 def brute_conjugate(phi: UnivariateConvex, ell: int, lo: int = -30, hi: int = 30) -> ExtInt:
@@ -679,6 +680,47 @@ def naive_basic_data(sys: LinearSystem):
     big_d = lcm(*(d for d, _ in scaled))
     ints = [tuple(x.numerator * (big_d // x.denominator) for x in v) for v in vertices]
     return vertices, rays, lineality, (big_d, ints)
+
+
+def naive_extreme_rays(rows: Sequence[Row], d: int) -> set:
+    """The extreme rays of the pointed cone that the rows (right-hand sides
+    0) cut out of R^d, by subset enumeration: each (d-1)-subset of the
+    rows whose kernel is a line gives its primitive vectors +-v, kept if
+    they lie in the cone."""
+    seen, rays = set(), set()
+    for subset in itertools.combinations(rows, d - 1):
+        kernel = ratlin.null_space([r.coeffs for r in subset], d)
+        if len(kernel) != 1 or kernel[0] in seen:
+            continue
+        pair = (kernel[0], tuple(-e for e in kernel[0]))
+        seen.update(pair)
+        rays.update(v for v in pair if all(r.satisfied_by(v) for r in rows))
+    return rays
+
+
+def box_rows(n: int, hi: int) -> List[Row]:
+    """0 <= x_j <= hi for each j."""
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    return [row for e in units for row in (Row(e, 0, GEQ), Row(tuple(-v for v in e), -hi, GEQ))]
+
+
+def cube_system(n: int) -> LinearSystem:
+    """The cube 0 <= x <= 4 in n variables."""
+    return LinearSystem(tuple(f"x{j}" for j in range(n)), tuple(box_rows(n, 4)))
+
+
+def interval_system(n: int) -> LinearSystem:
+    """The TU interval rung of the growth ladder: the cube 0 <= x <= 4 plus
+    n seeded rows x_a + ... + x_b <= c, with c below 4 (b - a + 1) so that
+    each can be tight at a vertex: 3n rows in n variables."""
+    rng = random.Random(n)
+    rows = box_rows(n, 4)
+    for _ in range(n):
+        a = rng.randrange(n)
+        b = rng.randrange(a, n)
+        c = rng.randint(2, 4 * (b - a + 1) - 1)
+        rows.append(Row(tuple(-int(a <= j <= b) for j in range(n)), -c, GEQ))
+    return LinearSystem(tuple(f"x{j}" for j in range(n)), tuple(rows))
 
 
 # ---------------------------------------------------------------------------

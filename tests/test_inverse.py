@@ -1,6 +1,5 @@
 import collections
 import itertools
-import math
 import random
 
 import pytest
@@ -188,11 +187,12 @@ class TestInverseDual:
 class TestTargets:
     def test_each_target_checked_once(self, monkeypatch):
         seen = []
-        contains = LinearSystem.contains
-        monkeypatch.setattr(LinearSystem, "contains", lambda self, x: seen.append(tuple(x)) or contains(self, x))
+        slack = Row.slack
+        monkeypatch.setattr(Row, "slack", lambda self, x: seen.append((self, tuple(x))) or slack(self, x))
         tangent_cone(P2SYS, (2, 0), (1, 1))
-        # Each target on R once; no sum and no dilation is checked.
-        assert seen == [(2, 0), (1, 1)]
+        # Each row's slack once per target, target by target; no sum and
+        # no dilation is read.
+        assert seen == [(r, z) for z in [(2, 0), (1, 1)] for r in P2SYS.rows]
 
     def test_dilate_pair(self):
         cone = tangent_cone(P2SYS, (1, 1), (2, 0))
@@ -339,8 +339,7 @@ class TestTangentConeMatchesNaive:
     """tangent_cone's rays are the extreme rays of its own cone system,
     made pointed, found with no homogenizing column: the same rays and
     lineality as the two-loop oracle naive_basic_data, in one null space
-    for the lineality and one per (n-1)-subset of the R rows and l
-    lineality rows."""
+    for the lineality and one for the equality and lineality rows."""
 
     @staticmethod
     def cases():
@@ -367,8 +366,7 @@ class TestTangentConeMatchesNaive:
             count = len(calls)
             _, rays, lineality, _ = naive_basic_data(cone.cone_system)
             assert (list(cone.rays), list(cone.lineality)) == (rays, lineality), (sys, z0)
-            rows = len(cone.cone_system.rows) + len(lineality)
-            assert count == 1 + math.comb(rows, sys.n - 1)
+            assert count <= 2
             seen["n = 1"] += sys.n == 1
             seen["whole space"] += len(lineality) == sys.n
             seen["rays and lineality"] += bool(rays and lineality)

@@ -45,6 +45,7 @@ from dctk.polyhedron import (
     is_empty,
     minimize_bruteforce,
     _basic_data,
+    _extreme_rays,
     mu_form_dual_search,
     probe_box_integer,
     separable_first_minimum,
@@ -53,17 +54,21 @@ from dctk.polyhedron import (
 )
 
 from helpers import (
+    box_rows,
+    cube_system,
     embedding_system,
     find_weight_in_box,
     first_minimum,
     frac_basic_data,
     frac_det,
     frac_lp_min,
+    interval_system,
     large_coefficient_system,
     large_slope_objective,
     lp_min,
     naive_basic_data,
     naive_dual_search,
+    naive_extreme_rays,
     naive_hull_minimizer,
     naive_integer_points,
     naive_mu_form,
@@ -209,10 +214,11 @@ class TestLpMin:
         assert lp_min(sys, (1, -1))[0] == 0
 
     def test_simplex_in_20_dimensions(self):
-        # 21 rows in 20 variables: the homogenized cone has 22 rows, so
-        # C(22, 20) = 231 bases (21 for vertices, 210 for edges), each
-        # eliminated once.  A table of every minor of the rows would hold
-        # some 8e7 entries here and die of MemoryError under the cap.
+        # 21 rows in 20 variables: double description adds the
+        # homogenized cone's 21 inequality rows one at a time, after one
+        # elimination of its equality rows.  A table of every minor of the
+        # rows would hold some 8e7 entries here and die of MemoryError
+        # under the cap.
         p = run_under_memory_limit(
             f"import sys; sys.path.insert(0, {str(pathlib.Path(__file__).parent)!r})\n"
             "from dctk.polyhedron import EQ, GEQ, LinearSystem, Row, tangent_cone\n"
@@ -275,9 +281,10 @@ def least_vertex_value(sys, Phi):
 
 
 class TestBasicDataMatchesTwoLoopEnumeration:
-    """_basic_data reads vertices and rays off one homogenized cone; the
-    two enumerations it replaced (vertex bases, then edge bases) stay in
-    tests/helpers.py as naive_basic_data."""
+    """_basic_data reads vertices and rays off the extreme rays of one
+    homogenized cone, by double description; the two enumerations it
+    replaced (vertex bases, then edge bases) stay in tests/helpers.py as
+    naive_basic_data."""
 
     def test_all_four_outputs_and_lp_min(self):
         rng, systems = _basic_corpus(31)
@@ -296,18 +303,111 @@ class TestBasicDataMatchesTwoLoopEnumeration:
         assert min(seen.values()) >= 20, seen
 
     def test_cone_bases_each_eliminated_once(self, monkeypatch):
-        # One null_space call, so one elimination, per n-subset of the
-        # cone's rows (W system rows and lineality rows, plus t >= 0), and
-        # one more for the lineality space.
+        # The cone's one basis of equality and lineality rows is
+        # eliminated once, and so is the system for its lineality space:
+        # two null_space calls.  Double description adds the inequality
+        # rows without eliminating.
         calls = []
         null_space = ratlin.null_space
         monkeypatch.setattr(ratlin, "null_space", lambda rows, n: calls.append(n) or null_space(rows, n))
         _, systems = _basic_corpus(32)
         for sys in systems[:40]:
             calls.clear()
-            *_, lineality = _basic_data(sys)
-            bases = len(list(itertools.combinations(range(len(sys.rows) + len(lineality) + 1), sys.n)))
-            assert len(calls) == 1 + bases
+            _basic_data(sys)
+            assert len(calls) <= 2
+
+
+def _ray_cones(seed):
+    """(rows, d, tags): cones with right-hand sides 0, d = 1-5, rows with
+    entries in -1..1 (so several rows are often tight on one edge), -3..3
+    or up to 10**6; some with a repeated row, the zero row, or only
+    equality rows (pure lineality).  Then the tangent cones of the
+    interval rungs n = 2-4 and of the 3-cube cut by a + b <= 8 through
+    its edge a = b = 4 (three tight rows there), at every vertex."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(300):
+        d = 1 + k % 5
+        bound = 10**6 if k % 9 == 0 else 3 if k % 3 == 0 else 1
+        rows = [Row(tuple(rng.randint(-bound, bound) for _ in range(d)), 0, EQ if rng.random() < 0.1 else GEQ)
+                for _ in range(rng.randint(1, 2 * d + 2))]
+        tags = {"large"} if bound > 3 else set()
+        if k % 7 == 0:
+            rows.append(rows[-1])
+            tags.add("repeated row")
+        if k % 11 == 0:
+            rows.insert(rng.randrange(len(rows) + 1), Row((0,) * d, 0, GEQ))
+            tags.add("zero row")
+        if k % 13 == 0:
+            rows = [Row(r.coeffs, 0, EQ) for r in rows]
+            tags.add("pure lineality")
+        out.append((rows, d, tags))
+    corner = LinearSystem(("a", "b", "c"), tuple(box_rows(3, 4)) + (Row((-1, -1, 0), -8, GEQ),))
+    for sys in [interval_system(n) for n in range(2, 5)] + [corner]:
+        big_d, vertices, _, _ = _basic_data(sys)
+        for u in vertices:
+            tight = [Row(r.coeffs, 0, r.kind) for r in sys.rows if ratlin.dot(r.coeffs, u) == r.rhs * big_d]
+            out.append((tight, sys.n, {"tangent cone"}))
+    return out
+
+
+class TestExtremeRaysMatchSubsetEnumeration:
+    """_extreme_rays adds the inequality rows one at a time (double
+    description) and lists the same rays as the subset enumeration it
+    replaced, kept in tests/helpers.py as naive_extreme_rays, whatever
+    the order of the rows."""
+
+    def test_matches_oracle_in_two_orders(self):
+        rng = random.Random(43)
+        seen = collections.Counter()
+        for rows, d, tags in _ray_cones(42):
+            lineality = ratlin.null_space([r.coeffs for r in rows], d)
+            expected = naive_extreme_rays(rows + [Row(l, 0, EQ) for l in lineality], d)
+            eqs = [r.coeffs for r in rows if r.kind == EQ] + lineality
+            ineqs = [r.coeffs for r in rows if r.kind == GEQ]
+            assert _extreme_rays(eqs, ineqs, d) == expected, rows
+            rng.shuffle(ineqs)
+            assert _extreme_rays(eqs[::-1], ineqs, d) == expected, rows
+            seen.update(tags)
+            seen["n = 1"] += d == 1
+            seen["rays"] += bool(expected)
+            seen["lineality"] += bool(lineality)
+            # An edge with more than d - 1 tight rows: a degenerate cone.
+            seen["degenerate edge"] += any(sum(ratlin.dot(r.coeffs, v) == 0 for r in rows) >= d for v in expected)
+        assert seen["tangent cone"] >= 20 and min(seen.values()) >= 10, seen
+
+
+class TestBasicDataGrowth:
+    """The growth ladders of ROADMAP item 1: the cube 0 <= x <= 4 and the
+    TU interval rungs (the cube plus n interval rows)."""
+
+    def test_ladders_match_oracle(self):
+        # The two-loop oracle finishes up to n = 5 (15 rows, 3,003 bases).
+        for sys in [interval_system(n) for n in range(3, 6)] + [cube_system(n) for n in range(2, 6)]:
+            vertices, rays, lineality, (big_d, ints) = naive_basic_data(sys)
+            assert _basic_data(sys) == (big_d, ints, rays, lineality), sys
+        corners = sorted(itertools.product((0, 4), repeat=6))
+        assert _basic_data(cube_system(6)) == (1, corners, [], [])
+
+    def test_interval_rungs_6_to_8_finish(self):
+        # At n = 8, 24 rows in 8 variables, a subset enumeration eliminates
+        # C(25, 8) = 1,081,575 cone bases, minutes of work; double
+        # description takes well under a second.  Each vertex listed lies
+        # in the system on n independent tight rows.
+        code = (f"import sys; sys.path.insert(0, {str(pathlib.Path(__file__).parent)!r})\n"
+                "from dctk import ratlin\n"
+                "from dctk.polyhedron import _basic_data\n"
+                "from helpers import interval_system\n"
+                "for n in (6, 7, 8):\n"
+                "    s = interval_system(n)\n"
+                "    big_d, vertices, rays, lineality = _basic_data(s)\n"
+                "    for u in vertices:\n"
+                "        slacks = [ratlin.dot(r.coeffs, u) - r.rhs * big_d for r in s.rows]\n"
+                "        assert min(slacks) >= 0\n"
+                "        assert not ratlin.null_space([r.coeffs for r, v in zip(s.rows, slacks) if not v], n)\n"
+                "    print(big_d, len(vertices), len(rays), len(lineality))")
+        p = run_under_memory_limit(code, timeout=30)
+        assert (p.returncode, p.stdout) == (0, "1 96 0 0\n1 160 0 0\n1 266 0 0\n"), p.stderr
 
 
 class TestFirstMinimum:
@@ -1299,10 +1399,8 @@ class TestSearchWork:
         # search reads the one normal cone there (w >= 0) with one call
         # of the separable kernel: w = 0, worth Phi(0) = 0.
         n = 6
-        elements = tuple(f"x{j}" for j in range(n))
-        units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-        cube = LinearSystem(elements, tuple(Row(u, 0, GEQ) for u in units)
-                            + tuple(Row(tuple(-v for v in u), -4, GEQ) for u in units))
+        cube = cube_system(n)
+        elements = cube.elements
         assert len(_basic_data(cube)[1]) == 2 ** n
         kernel, calls = polyhedron.separable_first_minimum, []
         monkeypatch.setattr(polyhedron, "separable_first_minimum",
