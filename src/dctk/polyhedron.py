@@ -21,12 +21,12 @@ its y box: the slack terms y_i slack_i are its parts and the conjugate
 terms of w = yQ its forms.  The mu-form runs the separable kernel once,
 on the normal cone at z read off the vertex table, with no exact LP.
 
-The box probe reads each basis's minor from one :class:`ratlin.Minors`
-table before it eliminates: a basis with minor 0 is singular and one
-with minor +-1 gives only integral points, so neither is eliminated.
-The fixed coordinates' values of the rest are scanned with the
-integer-point kernel, on the window and system rows written over those
-values.
+The box probe takes the bases worth eliminating from
+:func:`ratlin.large_minors`: a basis with minor 0 is singular and one
+with minor +-1 gives only integral points, so only those with |minor|
+>= 2 are eliminated.  The fixed coordinates' values of each are scanned
+with the integer-point kernel, on the window and system rows written
+over those values.
 """
 
 from __future__ import annotations
@@ -785,48 +785,46 @@ def probe_box_integer(sys: LinearSystem, win: Window):
     leaves the columns F free is nonsingular iff det A[R, F] != 0, and by
     Cramer's rule every point it gives is integral when that minor is
     +-1 (Chervet, Grappe and Robert, Math. Programming 188, 2021).  So
-    the minors are read first, each computed once by :class:`ratlin.Minors`,
-    and only a basis with |det| >= 2 is eliminated, once, with the fixed
-    coordinates' columns as extra right-hand sides.  Its values are then
-    scanned by :func:`enumerate_integer_points` on rows in value space
+    the bases with |det| >= 2 are found first, every minor computed once
+    by :func:`ratlin.large_minors`, and only they are eliminated, each
+    once, in scan order, with the fixed coordinates' columns as extra
+    right-hand sides.  A basis's values are then scanned by
+    :func:`enumerate_integer_points` on rows in value space
     (:func:`_value_rows`), so no tuple outside the window or the system
     is built.  Returns (True, None) when every such basic feasible point
     is integral, else (False, witness) for the first fractional one in
     scan order: k fixed coordinates, which ones, which rows, then the
-    values in lex order.
+    values in lex order.  Raises ValueError when the window's width is
+    not the system's.
     """
+    _check_width(sys, win.lo, "window")
     n = sys.n
     rows = sys.rows
-    minors = ratlin.Minors([r.coeffs for r in rows], n)
-    for k in range(0, n + 1):
-        for coords in itertools.combinations(range(n), k):
-            free = tuple(j for j in range(n) if j not in coords)
-            for ridxs in itertools.combinations(range(len(rows)), n - k):
-                if abs(minors[ridxs][free]) < 2:
-                    continue  # singular, or every point it gives is integral
-                basis = [rows[i] for i in ridxs]
-                d, sol_rows = ratlin.solve_int(
-                    [[r.coeffs[j] for j in free] for r in basis],
-                    [[r.rhs] + [-r.coeffs[c] for c in coords] for r in basis],
-                )
-                if all(v % d == 0 for xr in sol_rows for v in xr):
-                    continue  # every value tuple gives an integral point
-                vrows = _value_rows(sys, win, coords, free, d, sol_rows)
-                if coords:
-                    vsys = LinearSystem(tuple(sys.elements[c] for c in coords), vrows)
-                    vwin = Window(tuple(win.lo[c] for c in coords), tuple(win.hi[c] for c in coords))
-                    points = enumerate_integer_points(vsys, vwin)
-                else:
-                    points = [()] if all(r.satisfied_by(()) for r in vrows) else []
-                for vals in points:
-                    xd = [0] * n
-                    for c, v in zip(coords, vals):
-                        xd[c] = v * d
-                    for j, xr in zip(free, sol_rows):
-                        xd[j] = xr[0] + ratlin.dot(xr[1:], vals)
-                    if any(xd[j] % d for j in free):
-                        return (False, tuple(Fraction(v, d) for v in xd))
-        minors.drop(n - k)  # later levels read only smaller row tuples
+    bases = [(n - len(free), tuple(j for j in range(n) if j not in free), free, ridxs)
+             for free, ridxs in ratlin.large_minors([r.coeffs for r in rows], n)]
+    for _, coords, free, ridxs in sorted(bases):  # by k, which coordinates, which rows
+        basis = [rows[i] for i in ridxs]
+        d, sol_rows = ratlin.solve_int(
+            [[r.coeffs[j] for j in free] for r in basis],
+            [[r.rhs] + [-r.coeffs[c] for c in coords] for r in basis],
+        )
+        if all(v % d == 0 for xr in sol_rows for v in xr):
+            continue  # every value tuple gives an integral point
+        vrows = _value_rows(sys, win, coords, free, d, sol_rows)
+        if coords:
+            vsys = LinearSystem(tuple(sys.elements[c] for c in coords), vrows)
+            vwin = Window(tuple(win.lo[c] for c in coords), tuple(win.hi[c] for c in coords))
+            points = enumerate_integer_points(vsys, vwin)
+        else:
+            points = [()] if all(r.satisfied_by(()) for r in vrows) else []
+        for vals in points:
+            xd = [0] * n
+            for c, v in zip(coords, vals):
+                xd[c] = v * d
+            for j, xr in zip(free, sol_rows):
+                xd[j] = xr[0] + ratlin.dot(xr[1:], vals)
+            if any(xd[j] % d for j in free):
+                return (False, tuple(Fraction(v, d) for v in xd))
     return (True, None)
 
 

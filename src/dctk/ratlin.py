@@ -5,9 +5,9 @@ identity and multistep integer-preserving Gaussian elimination),
 :func:`_eliminate`, serves every solve and null space: it keeps the matrix in ``int`` throughout, because each
 division by the previous pivot is exact, and reports a common
 denominator instead of building :class:`fractions.Fraction` entries.
-Callers build Fractions only for the results they return.  Where many
-square submatrices of one matrix are wanted, :class:`Minors` gives their
-determinants, each from the minors one size smaller, computed once.
+Callers build Fractions only for the results they return.
+:func:`large_minors` finds the square submatrices with |det| >= 2, each
+minor computed once from the minors one size smaller.
 """
 
 from __future__ import annotations
@@ -67,51 +67,52 @@ def solve_int(
     return prev * sign, [[sign * v for v in r[n:]] for r in m[:n]]
 
 
-class Minors(dict):
-    """det A[R, F] as ``minors[R][F]``, for a row tuple R and a column
-    tuple F of one size, each in increasing order; ``minors[()][()]`` is 1.
+def large_minors(a: Sequence[Sequence[int]], ncols: int) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """Every (F, R) with |det A[R, F]| >= 2, for a column tuple F and a
+    row tuple R of one size, each in increasing order, size by size.
 
-    The minors on the rows R, over every F, are computed together on the
-    first read of ``minors[R]``: each is the Laplace expansion of A[R, F]
-    along its first row, sum_j (-1)^j a[R_0, F_j] det A[R - R_0, F - F_j],
-    read from ``minors[R - R_0]``, one size smaller.  So each minor is
-    computed once, and a scan that stops early has computed only the row
-    tuples it read and those below them.  Read in full, an m-row matrix
-    has C(m + ncols, ncols) minors.
+    Each minor of size s is the Laplace expansion of A[R, F] along its
+    first row, sum_j (-1)^j a[R_0, F_j] det A[R - R_0, F - F_j], read from
+    the level of size s - 1.  So each minor is computed once, at most two
+    levels are held, and the top one is not kept.  Nor is a row tuple
+    whose minors are all 0: every minor it is the tail of is 0 too.  An
+    m-row matrix has C(m + ncols, ncols) minors in all.
     """
-
-    def __init__(self, a: Sequence[Sequence[int]], ncols: int):
-        super().__init__({(): {(): 1}})
-        self.a = a
-        self.ncols = ncols
-        # Per size: every column tuple with, per column, the tuple
-        # without it and whether the column's position is odd.
-        self.expand: Dict[int, list] = {}
-
-    def __missing__(self, rows: Tuple[int, ...]) -> Dict[Tuple[int, ...], int]:
-        size = len(rows)
-        if size not in self.expand:
-            self.expand[size] = [
-                (cols, [(c, cols[:j] + cols[j + 1:], j & 1) for j, c in enumerate(cols)])
-                for cols in combinations(range(self.ncols), size)
-            ]
-        first, below = self.a[rows[0]], self[rows[1:]]
-        dets = self[rows] = {}
-        for cols, terms in self.expand[size]:
-            det = 0
-            for c, rest, odd in terms:
-                v = first[c]
-                if v:
-                    det += -v * below[rest] if odd else v * below[rest]
-            dets[cols] = det
-        return dets
-
-    def drop(self, size: int) -> None:
-        """Forget the minors on row tuples of this size, for a scan that
-        reads no more of them; those of smaller tuples stay."""
-        for rows in [r for r in self if len(r) == size]:
-            del self[rows]
-        self.expand.pop(size, None)
+    found: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
+    top = min(len(a), ncols)
+    below: Dict[Tuple[int, ...], List[int]] = {(): [1]}
+    index = {(): 0}  # the column tuples of the level below, by position
+    for s in range(1, top + 1):
+        colsets = list(combinations(range(ncols), s))
+        # Per column tuple F and position j: F_j and where det A[., F - F_j]
+        # sits in the level below's minors followed by their negatives.
+        half = len(index)
+        terms = [[(c, index[cols[:j] + cols[j + 1:]] + (half if j & 1 else 0)) for j, c in enumerate(cols)]
+                 for cols in colsets]
+        level: Dict[Tuple[int, ...], List[int]] = {}
+        for rest, dets in below.items():
+            signed = dets + [-v for v in dets]
+            for r in range(rest[0] if rest else len(a)):
+                row = a[r]
+                new = []
+                large = False
+                for t in terms:
+                    det = 0
+                    for c, i in t:
+                        v = row[c]
+                        if v:
+                            det += v * signed[i]
+                    if det > 1 or det < -1:
+                        large = True
+                    new.append(det)
+                rows = (r,) + rest
+                if large:
+                    found += [(cols, rows) for cols, det in zip(colsets, new) if abs(det) > 1]
+                if s < top and any(new):
+                    level[rows] = new
+        below = level
+        index = {cols: i for i, cols in enumerate(colsets)}
+    return found
 
 
 def null_space(rows: Sequence[Sequence[int]], ncols: int) -> List[Tuple[int, ...]]:

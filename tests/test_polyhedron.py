@@ -861,6 +861,28 @@ class TestProbe:
         assert not ok
         assert witness == (Fraction(1, 2), Fraction(-1))
 
+    def test_window_width_must_match(self):
+        with pytest.raises(ValueError, match="window length 1 does not match the system's 2 elements"):
+            probe_box_integer(LinearSystem(("a", "b"), (Row((1, 1), 1, GEQ),)), Window.uniform(1, 0, 1))
+        with pytest.raises(ValueError, match="window length 5 does not match the system's 6 elements"):
+            probe_box_integer(dilation(s3_system(), 2), Window.uniform(5, 0, 1))
+
+    def test_minors_held_two_levels_at_a_time(self):
+        # The n = 7 interval rung has 21 rows: holding every smaller level
+        # of its minors while reading a size grew max RSS by over 50 MB.
+        code = (f"import resource, sys; sys.path.insert(0, {str(pathlib.Path(__file__).parent)!r})\n"
+                "from dctk.polyhedron import Window, probe_box_integer\n"
+                "from helpers import interval_system\n"
+                "s, win = interval_system(7), Window.uniform(7, 0, 1)\n"
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                "ok, _ = probe_box_integer(s, win)\n"
+                "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                "print(ok, after - before)")
+        p = run_under_memory_limit(code, timeout=60)
+        assert p.returncode == 0, p.stderr
+        ok, growth_kb = p.stdout.split()
+        assert ok == "True" and int(growth_kb) < 40 * 1024, p.stdout
+
     def test_large_window_scans_values_not_ranges(self):
         # The fixed coordinates' values come from the integer-point scan,
         # which never copies the 10**9 + 1 values of a window range.
@@ -967,6 +989,29 @@ class TestProbeMatchesNaiveOracle:
                 verdicts[probe_box_integer(d, win)[0]] += 1
                 self.check(d, win)
         assert min(verdicts.values()) >= 15, verdicts
+
+    def test_four_columns_witnesses_at_several_levels(self, monkeypatch):
+        # n = 4 with coefficients in -2..2: witnesses from 0, 1 and 2 fixed
+        # coordinates, some after other large bases of the same level were
+        # eliminated, so the scan order among them decides the witness.
+        rng = random.Random(9)
+        levels, not_first = collections.Counter(), 0
+        for _ in range(40):
+            rows = tuple(
+                Row(tuple(rng.randint(-2, 2) for _ in range(4)), rng.randint(-2, 2), rng.choice((GEQ, GEQ, EQ)))
+                for _ in range(rng.randint(2, 6))
+            )
+            sys, win = LinearSystem(("a", "b", "c", "d"), rows), Window.uniform(4, -1, 1)
+            sizes = []
+            solve = ratlin.solve_int
+            monkeypatch.setattr(ratlin, "solve_int", lambda a, b: sizes.append(len(a)) or solve(a, b))
+            ok, witness = probe_box_integer(sys, win)
+            monkeypatch.undo()
+            assert (ok, witness) == naive_probe_box_integer(sys, win)
+            if not ok:
+                levels[4 - sizes[-1]] += 1  # the witness's basis is the last one eliminated
+                not_first += sizes.count(sizes[-1]) > 1
+        assert min(levels[k] for k in (0, 1, 2)) >= 3 and not_first >= 3, (levels, not_first)
 
     def test_s3_and_its_dilation(self):
         self.check(s3_system(), Window.uniform(6, 0, 1))
